@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import logging
 import random
 from dataclasses import dataclass, field
-
-logger = logging.getLogger(__name__)
 
 SimTime = int
 

@@ -10,13 +10,10 @@ history stack; rollback pops it, exactly undoing adoptions step for step.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .engine import SimTime
 from .overlay import NodeId
-
-logger = logging.getLogger(__name__)
 
 
 class EvolutionError(Exception):

@@ -42,6 +42,7 @@ Unknown keys are rejected so a typo cannot silently change a run.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -326,7 +327,7 @@ def _population(sec: _Section, regions: tuple[str, ...]) -> tuple[PopulationClas
             if region not in regions:
                 raise ConfigError(f"[population] {name}.regions",
                                   f"unknown region {region!r}")
-        out.append(PopulationClass(
+        klass = PopulationClass(
             name=name,
             count=sec.integer(prefix + "count", _REQUIRED, minimum=1),
             compute=sec.integer(prefix + "compute", 2, minimum=1),
@@ -338,7 +339,11 @@ def _population(sec: _Section, regions: tuple[str, ...]) -> tuple[PopulationClas
             mean_offline=sec.integer(prefix + "mean_offline", 0, minimum=0),
             cost_factor=sec.number(prefix + "cost_factor", 1.0),
             regions=spread,
-        ))
+        )
+        if klass.mean_offline > 0 and klass.mean_online == 0:
+            raise ConfigError(f"[population] {prefix}mean_online",
+                              "must be >= 1 when mean_offline > 0")
+        out.append(klass)
     sec.finish()
     return tuple(out)
 
@@ -356,6 +361,11 @@ def _market(sec: _Section) -> MarketSpec:
         minting=sec.flag("minting", False),
     )
     sec.finish()
+    for kind, price in spec.initial.items():
+        if not spec.p_min <= price <= spec.p_max:
+            raise ConfigError(f"[market] initial_{kind}",
+                              f"must be in [p_min, p_max] = "
+                              f"[{spec.p_min}, {spec.p_max}]")
     return spec
 
 
@@ -418,6 +428,9 @@ def _workload(sec: _Section, services: tuple[ServiceEntry, ...]) -> WorkloadSpec
     sec.finish()
     if not 0.0 <= spec.read_fraction <= 1.0:
         raise ConfigError("[workload] read_fraction", "must be in [0, 1]")
+    for key, value in (("rate", spec.rate), ("session_rate", spec.session_rate)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"[workload] {key}", "must be finite and > 0")
     return spec
 
 

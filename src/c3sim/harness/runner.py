@@ -11,7 +11,6 @@ two architectures can be compared under identical demand.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,8 +29,6 @@ from .config import ScenarioConfig, ServiceEntry
 from .failures import resolve_target, validate_target
 from .metrics import COLUMNS, compute_report
 from .workloads import WorkloadItem, draw_actual, generate
-
-logger = logging.getLogger(__name__)
 
 VENDOR_REGION = "core"
 VENDOR_CLASS = "vendor-core"
@@ -631,9 +628,12 @@ class Runner:
                           node.short, VENDOR_REGION)
         for ev in self._pending.pop(node, set()):
             if self.sim.cancel(ev):
+                # Nothing was delivered or settled: no charge, no usage.
                 plan: InvokePlan = ev.payload["plan"]
                 plan.outcome = "host-offline"
                 plan.latency = 0
+                plan.charged = plan.subsidy_part = 0
+                plan.consumed = ResourceVector()
                 declared = (plan.descriptor.declared if plan.descriptor
                             else self._declared_of(plan.request.service_id))
                 self._request_row(plan, declared)

@@ -16,15 +16,12 @@ p_min.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .overlay import NodeId
 from .resources import RESOURCE_KINDS, ResourceVector
-
-logger = logging.getLogger(__name__)
 
 MINT = "mint"
 BURN = "burn"

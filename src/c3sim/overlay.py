@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import networkx as nx
 
 from .engine import RngStream, SimTime
 from .resources import ResourceVector
 
-logger = logging.getLogger(__name__)
-
 ID_BITS = 256
+# Farther than any path and wider than any link.
+_UNBOUNDED = 1 << 62
 
 
 class OverlayError(Exception):
@@ -136,8 +135,18 @@ class Overlay:
         self.dvsps: dict[str, VirtualSuperPeer] = {}
         self._epochs: dict[str, int] = {}
         self._reform: set[str] = set()
-        self._dist_cache: dict[NodeId, dict[NodeId, tuple[int, int]]] = {}
         self._dirty_fp: set[NodeId] = set()
+        # Routing runs on dense indices in sorted-NodeId order, so the heap
+        # tie-break on (dist, index) is the tie-break on (dist, NodeId).
+        # _links mirrors adj in the same order, with each link's bandwidth;
+        # _up mirrors the online flags. The index is rebuilt from records
+        # and adj on the first routing call after a record is added.
+        self._index: dict[NodeId, int] | None = None
+        self._links: list[dict[int, tuple[int, int]]] = []
+        self._up: list[bool] = []
+        # Per source index: (latency, bottleneck) lists over all indices,
+        # dropped whenever an edge or an online flag changes.
+        self._dist_cache: dict[int, tuple[list[int], list[int]]] = {}
 
     # -- membership ---------------------------------------------------------
 
@@ -148,6 +157,7 @@ class Overlay:
         self.regions.setdefault(record.region, []).append(record.node_id)
         self.regions[record.region].sort()
         self.adj[record.node_id] = {}
+        self._index = None
 
     def is_online(self, node_id: NodeId) -> bool:
         rec = self.records.get(node_id)
@@ -165,25 +175,29 @@ class Overlay:
             raise UnknownNode(repr(node_id))
         if rec.online:
             raise DuplicateJoin(repr(node_id))
-        rec.online = True
+        self._set_online(rec, True)
         rec.online_since = now
         peers = [n for n in self.online_in_region(rec.region) if n != node_id]
         take = min(self.config.degree, len(peers))
         for peer in self.rng.sample(peers, take) if take else ():
             self._add_edge(node_id, peer, self.config.intra_latency)
-        self._invalidate_routes()
 
     def leave(self, node_id: NodeId, now: SimTime) -> None:
         rec = self.records.get(node_id)
         if rec is None or not rec.online:
             raise UnknownNode(repr(node_id))
-        rec.online = False
+        self._set_online(rec, False)
         for peer in list(self.adj[node_id]):
             self._drop_edge(node_id, peer)
         vsp = self.dvsps.get(rec.region)
         if vsp and node_id in vsp.members:
             self._reform.add(rec.region)
-        self._invalidate_routes()
+
+    def _set_online(self, rec: NodeRecord, online: bool) -> None:
+        rec.online = online
+        if self._index is not None:
+            self._up[self._index[rec.node_id]] = online
+        self._dist_cache.clear()
 
     # -- topology -----------------------------------------------------------
 
@@ -192,7 +206,6 @@ class Overlay:
         for region in sorted(self.regions):
             self._build_region(region)
         self._repair_inter_links()
-        self._invalidate_routes()
 
     def _build_region(self, region: str) -> None:
         nodes = self.online_in_region(region)
@@ -225,19 +238,29 @@ class Overlay:
     def _add_edge(self, a: NodeId, b: NodeId, latency: int) -> None:
         if a == b:
             return
+        if self.adj[a].get(b) != latency:
+            if self._index is not None:
+                ia, ib = self._index[a], self._index[b]
+                link = (latency, self._link_bandwidth(a, b))
+                self._links[ia][ib] = link
+                self._links[ib][ia] = link
+            self._dist_cache.clear()
         self.adj[a][b] = latency
         self.adj[b][a] = latency
         self._dirty_fp.update((a, b))
 
     def _drop_edge(self, a: NodeId, b: NodeId) -> None:
-        self.adj[a].pop(b, None)
-        self.adj[b].pop(a, None)
+        if b in self.adj[a]:
+            del self.adj[a][b], self.adj[b][a]
+            if self._index is not None:
+                ia, ib = self._index[a], self._index[b]
+                del self._links[ia][ib], self._links[ib][ia]
+            self._dist_cache.clear()
         self._dirty_fp.update((a, b))
 
     def add_link(self, a: NodeId, b: NodeId, latency: int) -> None:
         """Direct link, used for vendor stars and scripted topologies."""
         self._add_edge(a, b, latency)
-        self._invalidate_routes()
 
     def _repair_degrees(self) -> None:
         for node_id in sorted(self.online_nodes()):
@@ -286,36 +309,49 @@ class Overlay:
 
     # -- routing ------------------------------------------------------------
 
-    def _invalidate_routes(self) -> None:
-        self._dist_cache.clear()
-
     def _link_bandwidth(self, a: NodeId, b: NodeId) -> int:
         return max(1, min(self.records[a].capacity.bandwidth,
                           self.records[b].capacity.bandwidth))
 
-    def _distances(self, src: NodeId) -> dict[NodeId, tuple[int, int]]:
+    def _indexed(self) -> dict[NodeId, int]:
+        if self._index is None:
+            order = sorted(self.records)
+            index = {n: i for i, n in enumerate(order)}
+            self._links = [
+                {index[peer]: (latency, self._link_bandwidth(n, peer))
+                 for peer, latency in self.adj[n].items()}
+                for n in order
+            ]
+            self._up = [self.records[n].online for n in order]
+            self._dist_cache.clear()
+            self._index = index
+        return self._index
+
+    def _distances(self, src: int) -> tuple[list[int], list[int]]:
+        """Dijkstra from src over online nodes: each index's latency
+        (_UNBOUNDED if unreached) and the bottleneck bandwidth of its path.
+        A path replaces another only when strictly shorter."""
         cached = self._dist_cache.get(src)
         if cached is not None:
             return cached
-        dist: dict[NodeId, tuple[int, int]] = {src: (0, 1 << 62)}
-        heap: list[tuple[int, NodeId]] = [(0, src)]
-        settled: set[NodeId] = set()
+        links, up = self._links, self._up
+        dist = [_UNBOUNDED] * len(links)
+        bottleneck = [0] * len(links)
+        dist[src], bottleneck[src] = 0, _UNBOUNDED
+        heap = [(0, src)]
         while heap:
             d, node = heapq.heappop(heap)
-            if node in settled:
+            if d > dist[node]:
                 continue
-            settled.add(node)
-            bw_here = dist[node][1]
-            for peer, latency in self.adj[node].items():
-                if not self.records[peer].online:
-                    continue
+            bw_here = bottleneck[node]
+            for peer, (latency, bw) in links[node].items():
                 nd = d + latency
-                known = dist.get(peer)
-                if known is None or nd < known[0]:
-                    dist[peer] = (nd, min(bw_here, self._link_bandwidth(node, peer)))
+                if nd < dist[peer] and up[peer]:
+                    dist[peer] = nd
+                    bottleneck[peer] = bw if bw < bw_here else bw_here
                     heapq.heappush(heap, (nd, peer))
-        self._dist_cache[src] = dist
-        return dist
+        self._dist_cache[src] = dist, bottleneck
+        return dist, bottleneck
 
     def route(self, frm: NodeId, to: NodeId, size: int = 0) -> int:
         """Latency of the cheapest path plus the transfer term for size."""
@@ -323,18 +359,20 @@ class Overlay:
             raise Unreachable(f"{frm!r} -> {to!r}")
         if frm == to:
             return 0
-        entry = self._distances(frm).get(to)
-        if entry is None:
+        index = self._indexed()
+        dist, bottleneck = self._distances(index[frm])
+        latency = dist[index[to]]
+        if latency == _UNBOUNDED:
             raise Unreachable(f"{frm!r} -> {to!r}")
-        latency, bottleneck = entry
         if size > 0:
-            latency += -(-size // bottleneck)
+            latency += -(-size // bottleneck[index[to]])
         return latency
 
     def reachable(self, frm: NodeId, to: NodeId) -> bool:
         if not self.is_online(frm) or not self.is_online(to):
             return False
-        return frm == to or to in self._distances(frm)
+        index = self._indexed()
+        return frm == to or self._distances(index[frm])[0][index[to]] < _UNBOUNDED
 
     # -- super-peers ---------------------------------------------------------
 
@@ -365,7 +403,6 @@ class Overlay:
         """Gossip-round upkeep: degree repair, inter links, super-peer reform."""
         self._repair_degrees()
         self._repair_inter_links()
-        self._invalidate_routes()
         reformed = []
         for region in sorted(self.regions):
             vsp = self.dvsps.get(region)

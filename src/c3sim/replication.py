@@ -13,13 +13,10 @@ their owner only; foreign reads are refused and counted, never served.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .engine import RngStream, SimTime
 from .overlay import NodeId
-
-logger = logging.getLogger(__name__)
 
 
 class ReplicationError(Exception):

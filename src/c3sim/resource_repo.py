@@ -10,14 +10,11 @@ smoothed performance, smoothed availability, projected cost and region match.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from .engine import RngStream, SimTime
 from .overlay import NodeId
 from .resources import ResourceVector
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_WEIGHTS = (0.4, 0.3, 0.2, 0.1)
 

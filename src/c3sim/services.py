@@ -17,7 +17,6 @@ stays at tree-degree transfers regardless of how many nodes want the blob.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,8 +27,6 @@ from .overlay import NodeId, Overlay, Unreachable
 from .replication import ReplicaStore
 from .resource_repo import Repository, ResourceQuery
 from .resources import RESOURCE_KINDS, ResourceVector
-
-logger = logging.getLogger(__name__)
 
 COMPLETED = "completed"
 TERMINATED = "terminated"

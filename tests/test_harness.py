@@ -170,6 +170,14 @@ class TestScenarioParsing:
         (small_scenario(services={"svc.update_at": 10}), "update_fitness"),
         (small_scenario(services={"svc.chain_next": "ghost"}), "chain_next"),
         (small_scenario(workload={"read_fraction": 1.5}), "read_fraction"),
+        (small_scenario(workload={"rate": 0}), "[workload] rate"),
+        (small_scenario(workload={"rate": -0.02}), "[workload] rate"),
+        (small_scenario(workload={"rate": "nan"}), "[workload] rate"),
+        (small_scenario(workload={"session_rate": "inf"}), "[workload] session_rate"),
+        (small_scenario(workload={"session_rate": 0}), "[workload] session_rate"),
+        (small_scenario(population={"box.mean_offline": 800}), "box.mean_online"),
+        (small_scenario(market={"initial_compute": 2000}), "initial_compute"),
+        (small_scenario(market={"p_min": 5}), "initial_storage"),
         (small_scenario(workload={"kind": "batch"}), "kind"),
         (small_scenario(workload={"kind": "video", "service": "ghost"}), "service"),
         (small_scenario(evolution={"theta": 0}), "theta"),

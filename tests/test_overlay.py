@@ -1,8 +1,12 @@
 """Overlay: identities, routing, super-peers, coordinated transactions."""
 from __future__ import annotations
 
+import heapq
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c3sim.engine import RngStream
 from c3sim.ledger import Transfer
@@ -146,6 +150,21 @@ class TestRouting:
             for dst in ids[::7]:
                 assert overlay.route(src, dst) == oracle[dst]
 
+    def test_reweighted_link_reroutes(self):
+        overlay, ids = chain_overlay([5, 7])
+        assert overlay.route(ids[0], ids[2]) == 12
+        overlay.add_link(ids[0], ids[1], 20)
+        assert overlay.route(ids[0], ids[2]) == 27
+
+    def test_joining_a_linked_node_opens_routes_through_it(self):
+        overlay, ids = chain_overlay([5, 7])
+        overlay.leave(ids[1], 1)
+        overlay.add_link(ids[0], ids[1], 5)
+        overlay.add_link(ids[1], ids[2], 7)
+        assert not overlay.reachable(ids[0], ids[2])
+        overlay.join(ids[1], 2)  # alone in its region: the join adds no edge
+        assert overlay.route(ids[0], ids[2]) == 12
+
     def test_single_node_removal_never_partitions_after_repair(self):
         cfg = OverlayConfig(degree=6, min_degree=3, inter_region_links=3,
                             m_target=3)
@@ -164,6 +183,112 @@ class TestRouting:
             assert all(overlay.reachable(root, n) for n in alive)
             overlay.join(victim, 2)
             overlay.maintenance(2)
+
+
+def reference_distances(overlay, src):
+    """Dijkstra over ``adj`` and ``records``: a heap of (dist, NodeId), the
+    first strictly shorter path wins, and a path's bottleneck is the least
+    max(1, min(bw_a, bw_b)) over its links."""
+    def link(a, b):
+        return max(1, min(overlay.records[a].capacity.bandwidth,
+                          overlay.records[b].capacity.bandwidth))
+
+    dist = {src: (0, 1 << 62)}
+    heap = [(0, src)]
+    settled = set()
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        for peer, latency in overlay.adj[node].items():
+            if not overlay.records[peer].online:
+                continue
+            if peer not in dist or d + latency < dist[peer][0]:
+                dist[peer] = (d + latency,
+                              min(dist[node][1], link(node, peer)))
+                heapq.heappush(heap, (d + latency, peer))
+    return dist
+
+
+def check_routes_from(overlay, a, nodes, size):
+    """``route(a, b, size)`` and ``reachable(a, b)`` for every b equal the
+    reference; Unreachable is raised exactly when it finds no path."""
+    dist = reference_distances(overlay, a)
+    for b in nodes:
+        if not (overlay.is_online(a) and overlay.is_online(b)):
+            want = None
+        elif a == b:
+            want = 0
+        elif b in dist:
+            latency, bottleneck = dist[b]
+            want = latency + (-(-size // bottleneck) if size > 0 else 0)
+        else:
+            want = None
+        assert overlay.reachable(a, b) == (want is not None)
+        if want is None:
+            with pytest.raises(Unreachable):
+                overlay.route(a, b, size)
+        else:
+            assert overlay.route(a, b, size) == want
+
+
+CHURN_NODES = 8
+CHURN_REGIONS = ("a", "b")
+# (op, node, node, value): nodes are taken modulo the current count; value
+# is the latency of add_link, the bandwidth of add_record, and the transfer
+# size of the routes checked after the op.
+churn_ops = st.lists(st.tuples(
+    st.sampled_from(("join", "leave", "maintenance", "add_link", "add_record")),
+    st.integers(0, 2 * CHURN_NODES), st.integers(0, 2 * CHURN_NODES),
+    st.sampled_from((0, 1, 3, 5, 7, 10, 25, 40, 50, 999)),
+), min_size=5, max_size=20)
+
+
+class TestRouteCacheUnderChurn:
+    @given(seed=st.integers(0, 2**16),
+           online=st.lists(st.sampled_from([True, True, False]),
+                           min_size=CHURN_NODES, max_size=CHURN_NODES),
+           bandwidths=st.lists(st.sampled_from([1, 3, 10, 40]),
+                               min_size=CHURN_NODES, max_size=CHURN_NODES),
+           ops=churn_ops)
+    @settings(max_examples=100, deadline=None)
+    def test_every_answer_matches_a_fresh_dijkstra(self, seed, online,
+                                                   bandwidths, ops):
+        cfg = OverlayConfig(degree=3, min_degree=2, inter_region_links=1,
+                            intra_latency=5, inter_latency=50, m_target=3)
+        overlay = Overlay(cfg, RngStream(seed, "overlay"))
+        ids = []
+
+        def add(bandwidth):
+            # ids are spread so that a late record sorts among the others
+            ids.append(nid((7919 * len(ids)) % 1009 + 1))
+            overlay.add_record(NodeRecord(
+                ids[-1], CHURN_REGIONS[len(ids) % len(CHURN_REGIONS)],
+                ResourceVector(4, 100, bandwidth)))
+
+        for i in range(CHURN_NODES):
+            add(bandwidths[i])
+            if online[i]:
+                overlay.join(ids[i], 0)
+        overlay.build(0)
+        for src in ids:
+            check_routes_from(overlay, src, ids, 0)
+        for op, i, j, value in ops:
+            a, b = ids[i % len(ids)], ids[j % len(ids)]
+            if op == "join" and not overlay.is_online(a):
+                overlay.join(a, 1)
+            elif op == "leave" and overlay.is_online(a):
+                overlay.leave(a, 1)
+            elif op == "maintenance":
+                overlay.maintenance(1)
+            elif op == "add_link":
+                overlay.add_link(a, b, value)
+            elif op == "add_record":
+                add(value)
+            # every source, so that a stale cached search shows at once
+            for src in ids:
+                check_routes_from(overlay, src, ids, value)
 
 
 class TestFingerprints:
