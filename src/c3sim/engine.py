@@ -39,10 +39,6 @@ class RngStream(random.Random):
     def __init__(self, master_seed: int, label: str):
         self.label = label
         super().__init__(derive_seed(master_seed, label))
-        self._master_seed = master_seed
-
-    def fork(self, sublabel: str) -> "RngStream":
-        return RngStream(self._master_seed, f"{self.label}/{sublabel}")
 
 
 @dataclass(slots=True, eq=False)

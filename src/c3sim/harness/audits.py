@@ -6,14 +6,8 @@ live Runner or against CSVs read back from disk.
 """
 from __future__ import annotations
 
-from .metrics import Logs, column_index
-
-MINT = "mint"
-BURN = "burn"
-
-
-def _meta(logs: Logs) -> dict[str, str]:
-    return {row[0]: row[1] for row in logs.get("meta", ())}
+from ..ledger import BURN, MINT
+from .metrics import Logs, column_index, meta_map
 
 
 def audit_conservation(logs: Logs) -> list[str]:
@@ -60,7 +54,7 @@ def audit_credit_floor(logs: Logs) -> list[str]:
 
 
 def audit_price_bounds(logs: Logs) -> list[str]:
-    meta = _meta(logs)
+    meta = meta_map(logs)
     lo, hi = float(meta["p_min"]), float(meta["p_max"])
     out = []
     for at, compute, storage, bandwidth in logs.get("prices", ()):
@@ -114,7 +108,7 @@ def audit_termination(logs: Logs) -> list[str]:
     Budget metering belongs to the community charging model; the vendor
     baseline bills after the fact and never terminates, so it is exempt.
     """
-    if _meta(logs).get("mode") == "vendor":
+    if meta_map(logs).get("mode") == "vendor":
         return []
     cols = {name: column_index("requests", name) for name in
             ("req_id", "kind", "outcome", "declared_compute",

@@ -450,6 +450,8 @@ def _failures(sec: _Section) -> tuple[tuple[FailureEntry, ...], float]:
         ))
     churn_mult = sec.number("churn_multiplier", 1.0)
     sec.finish()
+    if not (math.isfinite(churn_mult) and churn_mult >= 0):
+        raise ConfigError("[failures] churn_multiplier", "must be finite and >= 0")
     return tuple(out), churn_mult
 
 

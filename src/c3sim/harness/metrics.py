@@ -76,7 +76,7 @@ def percentile(sorted_values: list[int], q: float) -> int:
     return sorted_values[rank - 1]
 
 
-def _meta_map(logs: Logs) -> dict[str, str]:
+def meta_map(logs: Logs) -> dict[str, str]:
     return {row[0]: row[1] for row in logs.get("meta", ())}
 
 
@@ -157,7 +157,7 @@ def _convergence_lags(logs: Logs, horizon: int) -> list[int]:
 
 
 def compute_report(logs: Logs) -> dict:
-    meta = _meta_map(logs)
+    meta = meta_map(logs)
     horizon = int(meta["horizon"])
     requests = logs.get("requests", ())
     outcome = column_index("requests", "outcome")

@@ -4,14 +4,18 @@ One Runner owns one run: it builds the substrate from a ScenarioConfig,
 subscribes handlers, pre-generates the workload, runs the clock out and
 leaves behind the report plus the log tables every metric derives from.
 
-Community mode runs the full stack. Vendor-baseline mode serves the same
-pre-generated workload from a single always-on high-capacity node with no
+Reads, chained calls and video sessions share one request path: admission
+and placement (`ServiceRuntime.admit`), execution (`run_on_host` for calls;
+for sessions, a share of the host's bandwidth over the stream's duration),
+settlement (`_settle`, the one ledger transaction) and one `requests` row
+(`_request_row`). Community mode runs the full stack. Vendor-baseline mode
+serves the same pre-generated workload on the same path from one fixed,
+always-on, high-capacity host with no price and no budget, and without
 currency, placement, replication or evolution mechanics; it exists so the
 two architectures can be compared under identical demand.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,9 +27,9 @@ from ..overlay import (NodeId, NodeRecord, NoQuorum, Overlay, OverlayConfig,
 from ..replication import ReplicaStore
 from ..resource_repo import NodeResourceRecord, Repository, ResourceQuery
 from ..resources import ResourceVector
-from ..services import (COMPLETED, InvokePlan, Request, ServiceDescriptor,
-                        ServiceRuntime, ServicesConfig)
-from .config import ScenarioConfig, ServiceEntry
+from ..services import (ADMITTED, COMPLETED, InvokePlan, Request,
+                        ServiceDescriptor, ServiceRuntime, ServicesConfig)
+from .config import ScenarioConfig
 from .failures import resolve_target, validate_target
 from .metrics import COLUMNS, compute_report
 from .workloads import WorkloadItem, draw_actual, generate
@@ -36,17 +40,9 @@ VENDOR_CLASS = "vendor-core"
 
 @dataclass(slots=True)
 class _Session:
-    sid: int
-    requester: NodeId
-    host: NodeId
-    service: ServiceEntry
-    issued_at: SimTime
-    start: SimTime
+    plan: InvokePlan
     duration: int
     rate: int
-    gross: int
-    subsidy_part: int
-    startup: int
     acc: float = 0.0
     below_run: int = 0
     failed: bool = False
@@ -215,15 +211,26 @@ class Runner:
             self.sim.at(item.at, "request-arrival", item=item)
 
     def _schedule_churn(self) -> None:
-        rng = self.sim.stream("churn")
-        mult = self.config.churn_multiplier
         for node in self.node_list:
-            rec = self.overlay.records[node]
-            if rec.mean_offline <= 0 or mult <= 0:
-                continue
-            delay = max(1, int(rng.expovariate(mult / rec.mean_online)))
-            self._churn_event[node] = self.sim.at(delay, "node-leave",
-                                                  node=node, cause="churn")
+            self._next_churn(node, "node-leave")
+
+    def _next_churn(self, node: NodeId, kind: str) -> None:
+        """Draw the node's next churn leave or join, if it churns at all."""
+        rec = self.overlay.records[node]
+        mult = self.config.churn_multiplier
+        if rec.mean_offline <= 0 or mult <= 0:
+            return
+        mean = rec.mean_online if kind == "node-leave" else rec.mean_offline
+        rate = mult / mean
+        if rate <= 0:  # a subnormal multiplier underflows: the node never churns
+            return
+        gap = self.sim.stream("churn").expovariate(rate)
+        if gap >= self.config.horizon - self.sim.now + 1:  # may be inf
+            return
+        delay = max(1, int(gap))
+        if self.sim.now + delay <= self.config.horizon:
+            self._churn_event[node] = self.sim.at(self.sim.now + delay, kind,
+                                                  node=node)
 
     def _schedule_periodic(self) -> None:
         cfg = self.config
@@ -302,41 +309,26 @@ class Runner:
         self._req_seq += 1
         return self._req_seq
 
+    def _admit(self, req: Request, at: SimTime) -> InvokePlan:
+        if self.vendor_node is None:
+            return self.services.admit(req, at)
+        # The vendor baseline: one fixed host, no price, no budget.
+        return InvokePlan(req, ADMITTED, host=self.vendor_node, start=at)
+
     def _invoke(self, requester: NodeId, service_id: str,
                 actual: ResourceVector, at: SimTime, kind: str) -> None:
         req = Request(self._next_req(), service_id, requester, at, actual, kind)
-        if self.config.mode == "vendor":
-            self._vendor_invoke(req, at)
-            return
-        plan = self.services.plan_invoke(req, at)
+        if self.vendor_node is None:
+            plan = self.services.plan_invoke(req, at)
+        else:
+            # The vendor bills after the fact: its draw is its budget.
+            plan = self._admit(req, at)
+            self.services.run_on_host(plan, budget=actual)
         if plan.served:
             ev = self.sim.at(plan.done_at, "request-complete", plan=plan)
             self._pending.setdefault(plan.host, set()).add(ev)
         else:
-            self._request_row(plan, declared=self._declared_of(service_id))
-
-    def _declared_of(self, service_id: str) -> ResourceVector:
-        svc = self.services_by_id.get(service_id)
-        return svc.declared if svc else ResourceVector()
-
-    def _vendor_invoke(self, req: Request, at: SimTime) -> None:
-        center = self.vendor_node
-        plan = InvokePlan(req, "unreachable")
-        if self.overlay.is_online(center):
-            to_center = self.overlay.route(req.requester, center)
-            rate = self.overlay.records[center].capacity.compute
-            duration = math.ceil(req.actual.compute / rate) if req.actual.compute else 0
-            start = max(at + to_center, self.services.busy_until.get(center, 0))
-            self.services.busy_until[center] = start + duration
-            plan.outcome = COMPLETED
-            plan.host = center
-            plan.consumed = req.actual
-            plan.done_at = start + duration
-            plan.latency = plan.done_at + to_center - at
-            ev = self.sim.at(plan.done_at, "request-complete", plan=plan)
-            self._pending.setdefault(center, set()).add(ev)
-        else:
-            self._request_row(plan, declared=self._declared_of(req.service_id))
+            self._request_row(plan)
 
     # -- completion ---------------------------------------------------------------
 
@@ -348,10 +340,7 @@ class Runner:
         if self.config.mode == "community":
             self._settle(plan, at)
             self.repo.record_task(plan.host, plan.outcome == COMPLETED)
-            self._demand = self._demand + plan.consumed
-        declared = (plan.descriptor.declared if plan.descriptor
-                    else self._declared_of(plan.request.service_id))
-        self._request_row(plan, declared)
+        self._request_row(plan)
         if (plan.outcome == COMPLETED and plan.descriptor
                 and plan.descriptor.chain_next):
             nxt = self.services_by_id[plan.descriptor.chain_next]
@@ -360,6 +349,8 @@ class Runner:
                          "chained")
 
     def _settle(self, plan: InvokePlan, at: SimTime) -> None:
+        """Count the plan's draw as demand and commit its charge, if any."""
+        self._demand = self._demand + plan.consumed
         rows = self.services.settlement_rows(plan, at)
         if not rows:
             return
@@ -372,11 +363,11 @@ class Runner:
             committed = False
         if not committed:
             plan.outcome = "payment-failed"
-            plan.charged = 0
-            plan.subsidy_part = 0
+            plan.bill(0)
 
-    def _request_row(self, plan: InvokePlan, declared: ResourceVector) -> None:
+    def _request_row(self, plan: InvokePlan) -> None:
         req = plan.request
+        declared = self.services_by_id[req.service_id].declared
         self._log("requests", req.issued_at, req.req_id, req.kind,
                   req.service_id, req.requester.short,
                   plan.host.short if plan.host else "", plan.outcome,
@@ -415,7 +406,7 @@ class Runner:
         apply_at = min(alive, key=lambda h: (self.overlay.route(requester, h), h))
         value = f"{at}:{requester.short}"
         for d in self.store.put(key, value, requester, at, apply_at):
-            if not self.overlay.is_online(d.host):
+            if not self.overlay.reachable(apply_at, d.host):
                 continue
             delay = self.overlay.route(apply_at, d.host, size)
             self.sim.at(at + delay, "replica-deliver", key=key, host=d.host,
@@ -430,46 +421,24 @@ class Runner:
 
     def _session_start(self, requester: NodeId, item: WorkloadItem,
                        at: SimTime) -> None:
-        sid = self._next_req()
-        svc = self.services_by_id[item.service_id]
-        ready = at
-        if self.config.mode == "vendor":
-            host = self.vendor_node
-            if not self.overlay.is_online(host):
-                self._session_row_failed(sid, item, requester, at, "unreachable")
-                return
-            gross = subsidy = 0
-        else:
-            desc = self.services.resolve(item.service_id, at)
-            if desc is None:
-                self._session_row_failed(sid, item, requester, at, "unresolvable")
-                return
-            gross = self.ledger.market.value_of(desc.declared)
-            subsidy = min(svc.subsidy, gross)
-            if not self.ledger.can_cover(requester, gross - subsidy):
-                self._session_row_failed(sid, item, requester, at,
-                                         "rejected-funds")
-                return
-            req = Request(sid, item.service_id, requester, at, item.actual,
-                          "session")
-            host, ready = self.services._place_request(req, desc, at)
-            if host is None:
-                self._session_row_failed(sid, item, requester, at, ready)
-                return
-        try:
-            hop = self.overlay.route(requester, host)
-        except Unreachable:
-            self._session_row_failed(sid, item, requester, at, "unreachable")
+        streamed = ResourceVector(bandwidth=item.stream_rate * item.duration)
+        plan = self._admit(Request(self._next_req(), item.service_id,
+                                   requester, at, streamed, "session"), at)
+        if plan.outcome == ADMITTED:
+            try:
+                plan.start += self.overlay.route(requester, plan.host)
+            except Unreachable:
+                plan.outcome, plan.host = "unreachable", None
+        if plan.outcome != ADMITTED:
+            self._request_row(plan)
             return
-        start = max(at, ready) + hop
-        session = _Session(sid, requester, host, svc, at, start,
-                           item.duration, item.stream_rate, gross, subsidy,
-                           start - at)
-        self.sim.at(start, "session-begin", session=session)
+        plan.latency = plan.start - at
+        session = _Session(plan, item.duration, item.stream_rate)
+        self.sim.at(plan.start, "session-begin", session=session)
 
     def _on_session_begin(self, event: Event) -> None:
         session: _Session = event.payload["session"]
-        host = session.host
+        host = session.plan.host
         if not self.overlay.is_online(host):
             self._finish_session(session, "host-offline", self.sim.now)
             return
@@ -504,47 +473,20 @@ class Runner:
     def _on_session_end(self, event: Event) -> None:
         session: _Session = event.payload["session"]
         at = self.sim.now
-        self._accrue(session.host, at)
-        self._sessions[session.host].remove(session)
+        self._accrue(session.plan.host, at)
+        self._sessions[session.plan.host].remove(session)
         outcome = "failed-throughput" if session.failed else COMPLETED
         self._finish_session(session, outcome, at)
 
     def _finish_session(self, session: _Session, outcome: str,
                         at: SimTime) -> None:
-        svc = session.service
-        consumed = ResourceVector(bandwidth=int(session.acc))
-        charged = session.gross if outcome == COMPLETED else 0
+        plan = session.plan
+        plan.outcome = outcome
+        plan.consumed = ResourceVector(bandwidth=int(session.acc))
+        plan.bill(plan.gross if outcome == COMPLETED else 0)
         if self.config.mode == "community":
-            self._demand = self._demand + consumed
-            if charged > 0:
-                rows = self.ledger.settlement_rows(
-                    session.requester, session.host, f"dev:{svc.service_id}",
-                    charged, session.subsidy_part, at, tag=str(session.sid))
-                region = self.overlay.records[session.requester].region
-                try:
-                    result = self.overlay.execute_transaction(
-                        region, rows, self.ledger, at)
-                    if not result.committed:
-                        outcome, charged = "payment-failed", 0
-                except NoQuorum:
-                    outcome, charged = "payment-failed", 0
-        self._log("requests", session.issued_at, session.sid, "session",
-                  svc.service_id, session.requester.short, session.host.short,
-                  outcome, session.startup, session.gross, charged,
-                  session.subsidy_part if charged else 0,
-                  svc.declared.compute, svc.declared.storage,
-                  svc.declared.bandwidth, 0, 0,
-                  session.rate * session.duration, 0, consumed.bandwidth)
-
-    def _session_row_failed(self, sid: int, item: WorkloadItem,
-                            requester: NodeId, at: SimTime,
-                            outcome: str) -> None:
-        svc = self.services_by_id[item.service_id]
-        self._log("requests", at, sid, "session", item.service_id,
-                  requester.short, "", outcome, 0, 0, 0,
-                  svc.declared.compute, svc.declared.storage,
-                  svc.declared.bandwidth, 0, 0,
-                  item.stream_rate * item.duration, 0, 0)
+            self._settle(plan, at)
+        self._request_row(plan)
 
     # -- periodic upkeep -------------------------------------------------------------------
 
@@ -632,11 +574,9 @@ class Runner:
                 plan: InvokePlan = ev.payload["plan"]
                 plan.outcome = "host-offline"
                 plan.latency = 0
-                plan.charged = plan.subsidy_part = 0
+                plan.bill(0)
                 plan.consumed = ResourceVector()
-                declared = (plan.descriptor.declared if plan.descriptor
-                            else self._declared_of(plan.request.service_id))
-                self._request_row(plan, declared)
+                self._request_row(plan)
         self._accrue(node, at)
         for session in self._sessions.pop(node, []):
             if session.end_event is not None:
@@ -658,31 +598,15 @@ class Runner:
 
     def _on_leave(self, event: Event) -> None:
         node = event.payload["node"]
-        cause = event.payload["cause"]
         self._churn_event.pop(node, None)
-        self._do_leave(node, self.sim.now, cause)
-        if cause == "churn":
-            rec = self.overlay.records[node]
-            mult = self.config.churn_multiplier
-            rng = self.sim.stream("churn")
-            delay = max(1, int(rng.expovariate(mult / rec.mean_offline)))
-            if self.sim.now + delay <= self.config.horizon:
-                self._churn_event[node] = self.sim.at(
-                    self.sim.now + delay, "node-join", node=node, cause="churn")
+        self._do_leave(node, self.sim.now, "churn")
+        self._next_churn(node, "node-join")
 
     def _on_join(self, event: Event) -> None:
         node = event.payload["node"]
-        cause = event.payload["cause"]
         self._churn_event.pop(node, None)
-        self._do_join(node, self.sim.now, cause)
-        rec = self.overlay.records[node]
-        mult = self.config.churn_multiplier
-        if cause == "churn" or rec.mean_offline > 0 and mult > 0:
-            rng = self.sim.stream("churn")
-            delay = max(1, int(rng.expovariate(mult / rec.mean_online)))
-            if self.sim.now + delay <= self.config.horizon:
-                self._churn_event[node] = self.sim.at(
-                    self.sim.now + delay, "node-leave", node=node, cause="churn")
+        self._do_join(node, self.sim.now, "churn")
+        self._next_churn(node, "node-leave")
 
     def _on_failure(self, event: Event) -> None:
         entry = event.payload["entry"]

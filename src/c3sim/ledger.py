@@ -42,10 +42,6 @@ class CreditLimitExceeded(LedgerError):
     pass
 
 
-class ZeroSupply(LedgerError):
-    pass
-
-
 def account_label(key: AccountKey) -> str:
     return key.short if isinstance(key, NodeId) else key
 
@@ -218,16 +214,6 @@ class Ledger:
             rows.append(Transfer(at, MINT, host, gross, f"hosting-reward{suffix}"))
         return rows
 
-    def settle_hosting_reward(self, host: AccountKey, consumed: ResourceVector,
-                              at: int) -> Transfer | None:
-        """Value the consumed amounts and credit the host per minting policy."""
-        reward = self.market.value_of(consumed)
-        if reward <= 0:
-            return None
-        if not self.market.config.minting:
-            raise LedgerError("hosting rewards are transfer-settled in zero-sum mode")
-        return self.transfer(MINT, host, reward, "hosting-reward", at)
-
     # -- audits ---------------------------------------------------------------
 
     def total_balance(self) -> int:
@@ -240,19 +226,6 @@ class Ledger:
 
     def credit_floor_ok(self) -> bool:
         return all(a.balance >= -a.credit_limit for a in self.accounts.values())
-
-    @staticmethod
-    def replay(rows, opening: dict[str, int]) -> dict[str, int]:
-        """Rebuild balances from log rows; the audit path for conservation."""
-        balances = dict(opening)
-        for row in rows:
-            src = row.src if isinstance(row.src, str) else row.src.short
-            dst = row.dst if isinstance(row.dst, str) else row.dst.short
-            if src != MINT:
-                balances[src] -= row.amount
-            if dst != BURN:
-                balances[dst] += row.amount
-        return balances
 
     def balances_by_label(self) -> dict[str, int]:
         return {account_label(k): a.balance for k, a in self.accounts.items()}

@@ -39,14 +39,6 @@ class ResourceVector:
             and self.bandwidth >= required.bandwidth
         )
 
-    def exceeds(self, budget: ResourceVector) -> bool:
-        """True when any component is strictly over the budget."""
-        return (
-            self.compute > budget.compute
-            or self.storage > budget.storage
-            or self.bandwidth > budget.bandwidth
-        )
-
     def is_nonnegative(self) -> bool:
         return self.compute >= 0 and self.storage >= 0 and self.bandwidth >= 0
 
@@ -54,9 +46,3 @@ class ResourceVector:
         if kind not in RESOURCE_KINDS:
             raise KeyError(kind)
         return getattr(self, kind)
-
-    def as_dict(self) -> dict[str, int]:
-        return {k: getattr(self, k) for k in RESOURCE_KINDS}
-
-
-ZERO = ResourceVector()

@@ -2,23 +2,29 @@
 
 A published service is a descriptor plus code blob replicated across a small
 host set, resolvable from anywhere while at least one of those hosts is up.
-Invocation quotes a price from the declared budget at current unit prices,
-admits only requesters who can cover it, runs on the warm instance nearest
-by route latency (deploying one on demand when none exists), and meters the
-actual draw against the declaration: within budget completes, strict excess
-terminates the request at the exhaustion point with a pro-rata charge.
+Every request takes one path. `admit` resolves the service, quotes a price
+from the declared budget at current unit prices, turns away requesters who
+cannot cover it and places the request on the warm instance nearest by route
+latency (deploying one on demand when none exists). `run_on_host` then
+queues it on that host and meters the actual draw against a budget: within
+budget completes, strict excess terminates the request at the exhaustion
+point with a pro-rata charge. `settlement_rows` turns the charge into ledger
+rows. `plan_invoke` is admission then execution for one request. The vendor
+baseline skips admission: its plan names one fixed host, carries no price
+and is run with its own draw as the budget, so it is never terminated.
 
 Placement is demand-following when push mode is on: each window the traffic
-share per region sets a replica target (one replica per kappa of share, a
-global floor of min_replicas), deficits deploy near the demand and surpluses
-retire youngest-first after a cool-down. Pull-only mode keeps just the floor.
-Code moves through a bounded-degree repeater tree so an origin's egress
-stays at tree-degree transfers regardless of how many nodes want the blob.
+share per region sets a replica target (one replica per KAPPA_SHARE of
+share, a global floor of min_replicas), deficits deploy near the demand and
+surpluses retire youngest-first after a cool-down. Pull-only mode keeps just
+the floor. Code moves through a bounded-degree repeater tree so an origin's
+egress stays at tree-degree transfers regardless of how many nodes want the
+blob.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import RngStream, SimTime
@@ -28,17 +34,16 @@ from .replication import ReplicaStore
 from .resource_repo import Repository, ResourceQuery
 from .resources import RESOURCE_KINDS, ResourceVector
 
+ADMITTED = "admitted"
 COMPLETED = "completed"
 TERMINATED = "terminated"
-FAILED_OUTCOMES = ("unresolvable", "rejected-funds", "no-capacity",
-                   "unreachable", "host-offline", "payment-failed")
+# A region wants one replica per this share of a service's traffic.
+KAPPA_SHARE = 0.25
+# Hosts asked for when a request pulls a fresh deployment.
+PULL_CANDIDATES = 3
 
 
 class ServiceError(Exception):
-    pass
-
-
-class UnknownService(ServiceError):
     pass
 
 
@@ -94,6 +99,12 @@ class InvokePlan:
     def served(self) -> bool:
         return self.outcome in (COMPLETED, TERMINATED)
 
+    def bill(self, charged: int) -> None:
+        """Set the charge and the part of it the developer's subsidy covers."""
+        self.charged = charged
+        self.subsidy_part = (min(self.descriptor.subsidy, charged)
+                             if self.descriptor else 0)
+
 
 @dataclass(frozen=True, slots=True)
 class PlacementAction:
@@ -109,9 +120,6 @@ class ServicesConfig:
     regions: tuple[str, ...]
     dsr_r: int = 3
     cool_down: int = 3
-    kappa_share: float = 0.25
-    request_size: int = 0
-    pull_candidates: int = 3
 
 
 def budget_fraction(actual: ResourceVector, declared: ResourceVector) -> Fraction:
@@ -207,6 +215,22 @@ class ServiceRuntime:
                 and self.overlay.is_online(i.host)]
 
     def plan_invoke(self, request: Request, at: SimTime) -> InvokePlan:
+        """Admit, run and count one request toward its region's traffic."""
+        plan = self.admit(request, at)
+        if plan.outcome != ADMITTED:
+            return plan
+        self.run_on_host(plan, plan.descriptor.declared)
+        counts = self.traffic.setdefault(request.service_id, {})
+        region = self.overlay.records[request.requester].region
+        counts[region] = counts.get(region, 0) + 1
+        return plan
+
+    def admit(self, request: Request, at: SimTime) -> InvokePlan:
+        """Resolve, quote, check funds and place.
+
+        An admitted plan has its host, and in `start` the tick that host is
+        ready; any other outcome names the reason it was turned away.
+        """
         desc = self.resolve(request.service_id, at)
         if desc is None:
             return InvokePlan(request, "unresolvable")
@@ -220,11 +244,7 @@ class ServiceRuntime:
         if host is None:
             plan.outcome = ready_at  # failure label from placement
             return plan
-        self._run_on_host(plan, desc, host, max(at, ready_at), at)
-        self.traffic.setdefault(desc.service_id, {})
-        region = self.overlay.records[request.requester].region
-        self.traffic[desc.service_id][region] = (
-            self.traffic[desc.service_id].get(region, 0) + 1)
+        plan.outcome, plan.host, plan.start = ADMITTED, host, max(at, ready_at)
         return plan
 
     def _place_request(self, request: Request, desc: ServiceDescriptor,
@@ -246,45 +266,43 @@ class ServiceRuntime:
         if not sources:
             return None, "unresolvable"
         region = self.overlay.records[request.requester].region
-        for host in self._pick_hosts(desc, self.config.pull_candidates,
-                                     region, at):
+        for host in self._pick_hosts(desc, PULL_CANDIDATES, region, at):
             inst = self._deploy(desc, host, sources[0], at)
             if inst is not None:
                 return host, inst.warm_at
         return None, "no-capacity"
 
-    def _run_on_host(self, plan: InvokePlan, desc: ServiceDescriptor,
-                     host: NodeId, ready_at: SimTime, issued_at: SimTime) -> None:
+    def run_on_host(self, plan: InvokePlan, budget: ResourceVector) -> None:
+        """Queue an admitted plan on its host and meter its draw.
+
+        The request waits for the host to be ready and free; its reply takes
+        the outbound latency back, since shortest-path latency is symmetric.
+        """
+        requester, host = plan.request.requester, plan.host
         try:
-            to_host = self.overlay.route(plan.request.requester, host,
-                                         self.config.request_size)
-            back = self.overlay.route(host, plan.request.requester)
+            hop = self.overlay.route(requester, host)
         except Unreachable:
-            plan.outcome = "unreachable"
+            plan.outcome, plan.host = "unreachable", None
             return
         actual = plan.request.actual
-        f = budget_fraction(actual, desc.declared)
         rate = max(1, self.overlay.records[host].capacity.compute)
         full = math.ceil(actual.compute / rate) if actual.compute else 0
-        duration = math.ceil(f * full)
-        start = max(ready_at + to_host, self.busy_until.get(host, 0))
-        self.busy_until[host] = start + duration
-        plan.host = host
-        plan.fraction = f
-        plan.start = start
-        plan.done_at = start + duration
-        plan.latency = plan.done_at + back - issued_at
-        if f == 1:
+        plan.start = max(plan.start + hop, self.busy_until.get(host, 0))
+        if budget.covers(actual):
             plan.outcome = COMPLETED
             plan.consumed = actual
-            plan.charged = plan.gross
+            plan.done_at = plan.start + full
+            plan.bill(plan.gross)
         else:
+            f = plan.fraction = budget_fraction(actual, budget)
             plan.outcome = TERMINATED
             plan.consumed = ResourceVector(*(
-                min(desc.declared.get(k), math.ceil(f * actual.get(k)))
+                min(budget.get(k), math.ceil(f * actual.get(k)))
                 for k in RESOURCE_KINDS))
-            plan.charged = math.ceil(f * plan.gross)
-        plan.subsidy_part = min(desc.subsidy, plan.charged)
+            plan.done_at = plan.start + math.ceil(f * full)
+            plan.bill(math.ceil(f * plan.gross))
+        self.busy_until[host] = plan.done_at
+        plan.latency = plan.done_at + hop - plan.request.issued_at
 
     def settlement_rows(self, plan: InvokePlan, at: SimTime):
         desc = plan.descriptor
@@ -360,7 +378,7 @@ class ServiceRuntime:
             raw = 0
             if total > 0:
                 share = counts.get(region, 0) / total
-                raw = math.ceil(share / self.config.kappa_share) if share > 0 else 0
+                raw = math.ceil(share / KAPPA_SHARE) if share > 0 else 0
             past = history.setdefault(region, [])
             past.append(raw)
             del past[:-self.config.cool_down]

@@ -154,11 +154,6 @@ class TestStreams:
         assert RngStream(4, "x").random() != RngStream(4, "y").random()
         assert RngStream(4, "x").random() != RngStream(5, "x").random()
 
-    def test_fork_is_deterministic_and_distinct(self):
-        parent = RngStream(4, "x")
-        assert parent.fork("sub").random() == RngStream(4, "x").fork("sub").random()
-        assert parent.fork("sub").random() != parent.random()
-
 
 def test_poisson_arrival_count_within_three_sigma():
     """Self-rescheduling arrivals at rate 0.01/tick over 10^7 ticks.

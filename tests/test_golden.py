@@ -1,9 +1,10 @@
 """Behaviour oracle: pinned log digests of the shipped scenarios.
 
-Each shipped scenario runs at seeds 1-5. The SHA-256 of its canonical log
-tables must match the pinned value, and the run must pass every audit. A
-change that alters any log row changes a digest; such a change must say
-why, and re-pin only the runs it moves.
+Each shipped scenario runs at seeds 1-5, once as shipped (community mode)
+and once on the vendor baseline. The SHA-256 of its canonical log tables
+must match the pinned value, and the run must pass every audit. A change
+that alters any log row changes a digest; such a change must say why, and
+re-pin only the runs it moves.
 """
 from __future__ import annotations
 
@@ -36,13 +37,43 @@ GOLDEN = {
     ("wiki_small", 5): "04368f2e55d20fe36abd4bcefaa601821f9f6b198c4c4e38a7a5b54a5ce8749d",
 }
 
+VENDOR_GOLDEN = {
+    ("mixed_churn", 1): "c7a1219743f0e3a95fccdc262ee68f5886a70d13adfbfab0f3ab29afedc74a5c",
+    ("mixed_churn", 2): "c8b95e0d33a33636618415356f2b124f0cf981d22ec2f5dbfbdce54f9f96e0a6",
+    ("mixed_churn", 3): "ee302ba473615e8304ec2c0bd4685c2bf5f30c7c0444c40f023e01187c75efba",
+    ("mixed_churn", 4): "781b81865ca8ccc9e009c766505220e09e7253a13d4574c02b4060c9eccce794",
+    ("mixed_churn", 5): "d3c9d287ebf6d7d22137103879ed0c8e9719a8e4682205e5bdb65e92e2192418",
+    ("video_small", 1): "af05b6a11b7271168f2e8375fd47a4f60d8ddbc0e5ad9c7f731f89053de5c3f7",
+    ("video_small", 2): "5652409697ef8d66f8cd2b4a4e8db0fd61b6ed938bcff328bfbe4c58e7397793",
+    ("video_small", 3): "62d8e1b2e65dbdc49101403ac28997ca5e90e229828bca5160cd0920457e3319",
+    ("video_small", 4): "c2ff3c4c31a2ae4d17c0ac1441e5b105555694814253c80439e62ff4e84bbeba",
+    ("video_small", 5): "43b9a47aa9aac608f58ddd3dda69b62370184b45c0ff211939f647916fb0d230",
+    ("wiki_small", 1): "77692da2f03119e5003892401e1ef00867d4cc8ea913ccdbc1e9f8d1dc987652",
+    ("wiki_small", 2): "21dbd638a79b02b4321558fcb16f6a7c0ad05e72e2ae20e6e3c3fb6006c781f9",
+    ("wiki_small", 3): "18af89e8e8528726ae4dfb09ea4efa1460a64605427e2cfcc847afa6fc72bfe6",
+    ("wiki_small", 4): "6cf0d2e9b310d03bebe30296fc017e17bcb5dad1815f6b5923c4097e83d84310",
+    ("wiki_small", 5): "35b5a61e81c361d9bfc113181dfb38c650ee1cf77c213e21dc0963cca066b20f",
+}
 
-@pytest.mark.parametrize("scenario,seed", sorted(GOLDEN))
-def test_shipped_run_matches_its_digest_and_passes_audits(scenario, seed):
+
+def _digest_and_audits(scenario: str, seed: int, mode: str):
     config = with_overrides(parse_scenario(SCENARIO_DIR / f"{scenario}.ini"),
-                            seed=seed)
+                            seed=seed, mode=mode)
     runner = run_scenario(config)
     digest = hashlib.sha256(
         repr(sorted(runner.logs.items())).encode()).hexdigest()
+    return digest, run_audits(runner.logs)
+
+
+@pytest.mark.parametrize("scenario,seed", sorted(GOLDEN))
+def test_shipped_run_matches_its_digest_and_passes_audits(scenario, seed):
+    digest, violations = _digest_and_audits(scenario, seed, "community")
     assert digest == GOLDEN[scenario, seed]
-    assert run_audits(runner.logs) == []
+    assert violations == []
+
+
+@pytest.mark.parametrize("scenario,seed", sorted(VENDOR_GOLDEN))
+def test_vendor_run_matches_its_digest_and_passes_audits(scenario, seed):
+    digest, violations = _digest_and_audits(scenario, seed, "vendor")
+    assert digest == VENDOR_GOLDEN[scenario, seed]
+    assert violations == []

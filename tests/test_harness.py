@@ -1,11 +1,16 @@
 """Scenario harness: config schema, workload streams, metrics, audits, outputs, CLI."""
 from __future__ import annotations
 
+import configparser
+import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from c3sim.engine import RngStream
 from c3sim.harness import cli
@@ -176,6 +181,9 @@ class TestScenarioParsing:
         (small_scenario(workload={"session_rate": "inf"}), "[workload] session_rate"),
         (small_scenario(workload={"session_rate": 0}), "[workload] session_rate"),
         (small_scenario(population={"box.mean_offline": 800}), "box.mean_online"),
+        (small_scenario(failures={"churn_multiplier": "nan"}), "churn_multiplier"),
+        (small_scenario(failures={"churn_multiplier": "inf"}), "churn_multiplier"),
+        (small_scenario(failures={"churn_multiplier": -1}), "churn_multiplier"),
         (small_scenario(market={"initial_compute": 2000}), "initial_compute"),
         (small_scenario(market={"p_min": 5}), "initial_storage"),
         (small_scenario(workload={"kind": "batch"}), "kind"),
@@ -636,6 +644,62 @@ class TestEndToEnd:
             assert r[outcome] == "completed"
             assert r[consumed_b] == r[actual_b]  # rate times duration, in full
         assert run_audits(runner.logs) == []
+
+
+def shipped_variant(scenario: str, mode: str, seed: int, horizon: int,
+                    initial_balance: int, credit_limit: int,
+                    churn_multiplier: float) -> str:
+    """A shipped scenario's text with run, economy and churn values replaced."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(SCENARIO_DIR / f"{scenario}.ini")
+    sim = parser["simulation"]
+    sim["mode"], sim["seed"], sim["horizon"] = mode, str(seed), str(horizon)
+    population = parser["population"]
+    for klass in population["classes"].split(","):
+        population[f"{klass.strip()}.initial_balance"] = str(initial_balance)
+        population[f"{klass.strip()}.credit_limit"] = str(credit_limit)
+    parser["failures"]["churn_multiplier"] = repr(churn_multiplier)
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+class TestRequestPath:
+    @given(scenario=st.sampled_from(["mixed_churn", "video_small", "wiki_small"]),
+           mode=st.sampled_from(["community", "vendor", "cloud"]),
+           seed=st.integers(min_value=0, max_value=2 ** 16),
+           horizon=st.integers(min_value=0, max_value=20_000),
+           initial_balance=st.integers(min_value=-100, max_value=6000),
+           credit_limit=st.integers(min_value=-10, max_value=300),
+           churn_multiplier=st.floats(min_value=-1.0, max_value=30.0))
+    # a requester that has lost every route to the vendor's one host
+    @example(scenario="mixed_churn", mode="vendor", seed=3, horizon=80_000,
+             initial_balance=3000, credit_limit=50, churn_multiplier=1.5)
+    # the churn rate underflows to zero or the first gap to infinity
+    @example(scenario="mixed_churn", mode="community", seed=0, horizon=1,
+             initial_balance=0, credit_limit=0,
+             churn_multiplier=2.225073858507203e-309)
+    @example(scenario="mixed_churn", mode="community", seed=0, horizon=1,
+             initial_balance=0, credit_limit=0, churn_multiplier=5e-324)
+    # churn cuts a replica host off from the replica that applies a write
+    @example(scenario="mixed_churn", mode="community", seed=0, horizon=1621,
+             initial_balance=0, credit_limit=0, churn_multiplier=28.0)
+    # no requester can pay, so every session fails to start
+    @example(scenario="video_small", mode="community", seed=7, horizon=20_000,
+             initial_balance=0, credit_limit=0, churn_multiplier=1.0)
+    @settings(max_examples=60, deadline=None)
+    def test_any_variant_is_rejected_or_runs_clean(self, **values):
+        try:
+            config = parse_scenario_text(shipped_variant(**values))
+        except ConfigError:
+            return
+        runner = run_scenario(config)
+        assert run_audits(runner.logs) == []
+        width = len(COLUMNS["requests"])
+        assert all(len(r) == width for r in runner.logs["requests"])
+        with tempfile.TemporaryDirectory() as out:
+            write_outputs(runner.logs, runner.report, Path(out))
+            assert recompute(out) == runner.report
 
 
 # ---------------------------------------------------------------- outputs

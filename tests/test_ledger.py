@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from c3sim.harness.audits import audit_conservation
 from c3sim.ledger import (
     BURN,
     MINT,
     CreditLimitExceeded,
-    Ledger,
     MarketConfig,
     MarketPrice,
     Transfer,
@@ -225,19 +225,6 @@ class TestSettlements:
         assert ledger.burned == 6
         assert ledger.conservation_drift() == 0
 
-    def test_hosting_reward_three_compute_at_price_two_is_six(self):
-        ledger = small_ledger([("host", 0)], market=flat_market(
-            price=2, minting=True))
-        row = ledger.settle_hosting_reward("host", ResourceVector(compute=3),
-                                           at=4)
-        assert row.amount == 6
-        assert ledger.balance("host") == 6
-
-    def test_zero_consumption_zero_reward(self):
-        ledger = small_ledger([("host", 0)], market=flat_market(minting=True))
-        assert ledger.settle_hosting_reward("host", ResourceVector(), at=4) is None
-        assert ledger.log == []
-
 
 class TestAudits:
     @given(st.lists(
@@ -256,8 +243,14 @@ class TestAudits:
             except CreditLimitExceeded:
                 pass
             assert ledger.credit_floor_ok()
-        replayed = Ledger.replay(ledger.log, ledger.opening_by_label())
-        assert replayed == ledger.balances_by_label()
+        opening = ledger.opening_by_label()
+        logs = {
+            "transfers": [(r.at, r.src, r.dst, r.amount, r.reason)
+                          for r in ledger.log],
+            "balances": [(label, opening[label], closing, 0)
+                         for label, closing in ledger.balances_by_label().items()],
+        }
+        assert audit_conservation(logs) == []
         assert ledger.conservation_drift() == 0
 
     def test_drift_definition_tracks_mint_and_burn(self):

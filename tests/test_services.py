@@ -11,6 +11,7 @@ from c3sim.replication import ReplicaStore
 from c3sim.resource_repo import NodeResourceRecord, Repository
 from c3sim.resources import ResourceVector
 from c3sim.services import (
+    ADMITTED,
     COMPLETED,
     TERMINATED,
     Request,
@@ -185,21 +186,43 @@ class TestScheduling:
         assert p2.start == p1.done_at and p2.done_at == 107
         assert p1.latency == 11 and p2.latency == 12
 
-    def test_request_payload_adds_a_transfer_term(self):
-        rt, ids = make_runtime(bandwidth=10, request_size=100)
-        rt.publish(descriptor(declared=(5, 0, 0)), ids[0], 0)
-        host = rt.warm_instances("svc", 100)[0].host
-        requester = next(i for i in ids if i != host)
-        plan = rt.plan_invoke(request("svc", requester, 50, (5, 0, 0)), 50)
-        assert plan.start == 50 + 5 + 10  # latency plus 100 units at bw 10
-        assert plan.latency == plan.done_at + 5 - 50
-
     def test_traffic_counts_admitted_requests_by_region(self):
         rt, ids = make_runtime()
         rt.publish(descriptor(declared=(5, 0, 0)), ids[0], 0)
         for _ in range(3):
             rt.plan_invoke(request("svc", ids[4], 50, (1, 0, 0)), 50)
         assert rt.traffic["svc"] == {"main": 3}
+
+    def test_admission_places_without_queueing_or_counting(self):
+        rt, ids = make_runtime()
+        rt.publish(descriptor(declared=(5, 0, 0)), ids[0], 0)
+        host = rt.warm_instances("svc", 100)[0].host
+        requester = next(i for i in ids if i != host)
+        plan = rt.admit(request("svc", requester, 100, (5, 0, 0)), 100)
+        assert plan.outcome == ADMITTED
+        assert (plan.host, plan.start, plan.gross) == (host, 100, 5)
+        assert plan.charged == 0 and rt.busy_until == {}
+        assert rt.traffic["svc"] == {}
+
+    def test_own_draw_as_budget_never_terminates(self):
+        rt, ids = make_runtime()
+        rt.publish(descriptor(declared=(5, 0, 0)), ids[0], 0)
+        actual = ResourceVector(50, 0, 0)
+        plan = rt.admit(request("svc", ids[4], 100, (50, 0, 0)), 100)
+        rt.run_on_host(plan, budget=actual)
+        assert plan.outcome == COMPLETED and plan.fraction == 1
+        assert plan.consumed == actual and plan.charged == plan.gross
+
+    def test_host_gone_after_admission_is_unreachable(self):
+        rt, ids = make_runtime()
+        rt.publish(descriptor(declared=(5, 0, 0)), ids[0], 0)
+        host = rt.warm_instances("svc", 100)[0].host
+        requester = next(i for i in ids if i != host)
+        plan = rt.admit(request("svc", requester, 100, (5, 0, 0)), 100)
+        rt.overlay.leave(host, 100)
+        rt.run_on_host(plan, plan.descriptor.declared)
+        assert plan.outcome == "unreachable"
+        assert plan.host is None and plan.charged == 0
 
 
 class TestPullPlacement:
