@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .audits import run_audits
 from .config import ConfigError, parse_scenario, with_overrides
-from .failures import UnknownTarget
 from .io import report_json, write_outputs
 from .runner import run_scenario
 
@@ -51,7 +50,7 @@ def main(argv=None) -> int:
         config = with_overrides(config, seed=args.seed, horizon=args.until,
                                 mode=args.mode)
         runner = run_scenario(config)
-    except (ConfigError, UnknownTarget, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.out is not None:

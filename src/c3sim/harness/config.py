@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ..resources import ResourceVector
@@ -62,12 +62,12 @@ class PopulationClass:
     compute: int
     storage: int
     bandwidth: int
-    credit_limit: int = 0
-    initial_balance: int = 100_000
-    mean_online: int = 0
-    mean_offline: int = 0
-    cost_factor: float = 1.0
-    regions: tuple[str, ...] = ()
+    credit_limit: int
+    initial_balance: int
+    mean_online: int
+    mean_offline: int
+    cost_factor: float
+    regions: tuple[str, ...]
 
     @property
     def capacity(self) -> ResourceVector:
@@ -79,52 +79,51 @@ class ServiceEntry:
     service_id: str
     declared: ResourceVector
     code_size: int
-    min_replicas: int = 3
-    subsidy: int = 0
-    developer_balance: int = 0
-    share: float = 1.0
-    actual_min: ResourceVector = ResourceVector()
-    actual_max: ResourceVector = ResourceVector()
-    chain_next: str | None = None
-    update_at: int | None = None
-    update_fitness: float | None = None
-    fitness: float = 1.0
+    min_replicas: int
+    subsidy: int
+    developer_balance: int
+    share: float
+    actual_min: ResourceVector
+    actual_max: ResourceVector
+    chain_next: str | None
+    update_at: int | None
+    update_fitness: float | None
+    fitness: float
 
 
 @dataclass(frozen=True, slots=True)
 class TopologySpec:
-    regions: tuple[str, ...] = ("r0", "r1")
-    degree: int = 6
-    inter_region_links: int = 3
-    intra_latency: int = 5
-    inter_latency: int = 50
-    vendor_latency: int = 40
-    m_target: int = 5
+    regions: tuple[str, ...]
+    degree: int
+    inter_region_links: int
+    intra_latency: int
+    inter_latency: int
+    vendor_latency: int
+    m_target: int
 
 
 @dataclass(frozen=True, slots=True)
 class MarketSpec:
-    alpha: float = 0.5
-    p_min: int = 1
-    p_max: int = 1000
-    initial: dict[str, Fraction] = field(default_factory=lambda: {
-        "compute": Fraction(10), "storage": Fraction(2), "bandwidth": Fraction(4)})
-    minting: bool = False
+    alpha: float
+    p_min: int
+    p_max: int
+    initial: dict[str, Fraction]
+    minting: bool
 
 
 @dataclass(frozen=True, slots=True)
 class WorkloadSpec:
-    kind: str = "wiki"
-    rate: float = 0.01
-    read_fraction: float = 0.95
-    pages: int = 50
-    write_size: int = 5
-    session_rate: float = 0.0005
-    mean_duration: int = 20_000
-    stream_rate: int = 2
-    floor: float = 0.8
-    sustain_window: int = 2000
-    service: str = ""
+    kind: str
+    rate: float
+    read_fraction: float
+    pages: int
+    write_size: int
+    session_rate: float
+    mean_duration: int
+    stream_rate: int
+    floor: float
+    sustain_window: int
+    service: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,31 +136,31 @@ class FailureEntry:
 
 @dataclass(frozen=True, slots=True)
 class EvolutionSpec:
-    trust_out_degree: int = 3
-    theta: float = 0.5
+    trust_out_degree: int
+    theta: float
 
 
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
-    seed: int = 42
-    horizon: int = 100_000
-    mode: str = "community"
-    gossip_period: int = 1000
-    heartbeat_interval: int = 500
-    price_window: int = 5000
-    placement_window: int = 5000
-    push_placement: bool = True
-    replication_r: int = 3
-    dsr_r: int = 3
-    cool_down_windows: int = 3
-    topology: TopologySpec = TopologySpec()
-    population: tuple[PopulationClass, ...] = ()
-    market: MarketSpec = MarketSpec()
-    services: tuple[ServiceEntry, ...] = ()
-    workload: WorkloadSpec = WorkloadSpec()
-    failures: tuple[FailureEntry, ...] = ()
-    churn_multiplier: float = 1.0
-    evolution: EvolutionSpec = EvolutionSpec()
+    seed: int
+    horizon: int
+    mode: str
+    gossip_period: int
+    heartbeat_interval: int
+    price_window: int
+    placement_window: int
+    push_placement: bool
+    replication_r: int
+    dsr_r: int
+    cool_down_windows: int
+    topology: TopologySpec
+    population: tuple[PopulationClass, ...]
+    market: MarketSpec
+    services: tuple[ServiceEntry, ...]
+    workload: WorkloadSpec
+    failures: tuple[FailureEntry, ...]
+    churn_multiplier: float
+    evolution: EvolutionSpec
 
 
 _SECTIONS = ("simulation", "topology", "population", "market", "services",

@@ -1,55 +1,57 @@
 """Scripted failure injection: who dies or returns, and when.
 
 Targets are resolved when the entry fires, against the population as it is
-at that moment. The grammar is validated at build time so a bad target name
-fails the run before it starts instead of halfway through.
+at that moment. Each target is validated at build time (its grammar, and
+that its region, class and class index exist), so a bad target fails the
+run with a ConfigError before it starts instead of halfway through.
 """
 from __future__ import annotations
 
 from ..engine import RngStream
 from ..overlay import NodeId
-from .config import FailureEntry, ScenarioConfig
-
-
-class UnknownTarget(Exception):
-    pass
+from .config import ConfigError, FailureEntry, ScenarioConfig
 
 
 def validate_target(entry: FailureEntry, config: ScenarioConfig) -> None:
+    """Raise ConfigError unless the entry's target names nodes of this run."""
     parts = entry.target.split(":")
     head = parts[0]
+    where = f"[failures] {entry.name}.target"
     if head == "vendor":
         if config.mode != "vendor":
-            raise UnknownTarget(f"{entry.name}: vendor target in community mode")
+            raise ConfigError(where, "vendor target in community mode")
         return
     if head == "region":
         if len(parts) != 2 or parts[1] not in config.topology.regions:
-            raise UnknownTarget(f"{entry.name}: unknown region {entry.target!r}")
+            raise ConfigError(where, f"unknown region {entry.target!r}")
         return
     if head == "dvsp":
         if len(parts) != 3 or parts[1] not in config.topology.regions:
-            raise UnknownTarget(f"{entry.name}: unknown region {entry.target!r}")
+            raise ConfigError(where, f"unknown region {entry.target!r}")
         if not parts[2].isdigit():
-            raise UnknownTarget(f"{entry.name}: bad member count {entry.target!r}")
+            raise ConfigError(where, f"bad member count {entry.target!r}")
         return
     if head == "nodes":
         if len(parts) != 3 or parts[1] != "random":
-            raise UnknownTarget(f"{entry.name}: bad target {entry.target!r}")
+            raise ConfigError(where, f"bad target {entry.target!r}")
         try:
             fraction = float(parts[2])
         except ValueError:
-            raise UnknownTarget(f"{entry.name}: bad fraction {entry.target!r}") from None
+            raise ConfigError(where, f"bad fraction {entry.target!r}") from None
         if not 0.0 < fraction <= 1.0:
-            raise UnknownTarget(f"{entry.name}: fraction out of (0, 1]")
+            raise ConfigError(where, "fraction out of (0, 1]")
         return
     if head == "class":
         if len(parts) != 3 or not parts[2].isdigit():
-            raise UnknownTarget(f"{entry.name}: bad target {entry.target!r}")
-        known = {c.name for c in config.population}
-        if parts[1] not in known:
-            raise UnknownTarget(f"{entry.name}: unknown class {entry.target!r}")
+            raise ConfigError(where, f"bad target {entry.target!r}")
+        counts = {c.name: c.count for c in config.population}
+        if parts[1] not in counts:
+            raise ConfigError(where, f"unknown class {entry.target!r}")
+        if int(parts[2]) >= counts[parts[1]]:
+            raise ConfigError(where, f"index {parts[2]} out of range, class "
+                                     f"{parts[1]} has {counts[parts[1]]} nodes")
         return
-    raise UnknownTarget(f"{entry.name}: bad target {entry.target!r}")
+    raise ConfigError(where, f"bad target {entry.target!r}")
 
 
 def resolve_target(entry: FailureEntry, *, overlay, rng: RngStream,
@@ -68,11 +70,7 @@ def resolve_target(entry: FailureEntry, *, overlay, rng: RngStream,
         members = list(vsp.members) if vsp else []
         return [m for m in members if overlay.is_online(m) == want_online][: int(parts[2])]
     elif head == "class":
-        nodes = by_class.get(parts[1], [])
-        index = int(parts[2])
-        if index >= len(nodes):
-            raise UnknownTarget(f"{entry.name}: index {index} out of range")
-        return [nodes[index]]
+        return [by_class[parts[1]][int(parts[2])]]
     else:  # nodes:random:<fraction>
         pool = [n for n in sorted(overlay.records)
                 if n != vendor_node]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from ..engine import Event, RunSummary, SimTime, Simulator
 from ..evolution import UpdateDiffusion
@@ -111,9 +112,7 @@ class Runner:
                       1.0, 0, 0, 1)
 
         self.overlay.build(0)
-        if self.vendor_node is not None:
-            for node in self.node_list:
-                self.overlay.add_link(self.vendor_node, node, topo.vendor_latency)
+        self._link_vendor(self.node_list)
         for region in topo.regions:
             if self.overlay.online_in_region(region):
                 self.overlay.form_dvsp(region, 0)
@@ -126,8 +125,9 @@ class Runner:
         self.ledger = Ledger(market)
         self.repo = Repository(
             heartbeat_interval=cfg.heartbeat_interval,
-            region_gate=self._region_gate)
-        self.store = ReplicaStore(cfg.replication_r, log=self._replication_log)
+            region_gate=self.overlay.dvsp_has_quorum)
+        self.store = ReplicaStore(cfg.replication_r,
+                                  log=partial(self._log, "replication"))
         self.services = ServiceRuntime(
             ServicesConfig(regions=topo.regions, dsr_r=cfg.dsr_r,
                            cool_down=cfg.cool_down_windows),
@@ -137,8 +137,8 @@ class Runner:
         trust_rng = self.sim.stream("evolution")
         trust = {}
         pool = sorted(self.node_list)
-        for node in pool:
-            others = [n for n in pool if n != node]
+        for i, node in enumerate(pool):
+            others = pool[:i] + pool[i + 1:]
             k = min(cfg.evolution.trust_out_degree, len(others))
             trust[node] = tuple(trust_rng.sample(others, k))
         self.evolution = UpdateDiffusion(trust, cfg.evolution.theta)
@@ -164,8 +164,9 @@ class Runner:
                 self.repo.register(NodeResourceRecord(
                     node, self.overlay.records[node].region, klass.capacity,
                     cost_factor=klass.cost_factor))
-        self.repo.sweep(0, self.overlay.is_online, self._free_capacity,
-                        self._unit_cost)
+        # Nothing is deployed yet, so no node holds any storage.
+        self.repo.sweep(0, self.overlay.is_online, {},
+                        self.ledger.market.basket())
         publisher = min(self.node_list)
         for svc in cfg.services:
             self.ledger.open_account(f"dev:{svc.service_id}",
@@ -266,30 +267,6 @@ class Runner:
     def _log(self, name: str, *row) -> None:
         self.logs[name].append(row)
 
-    def _replication_log(self, at, key, action, node) -> None:
-        self._log("replication", at, key, action, node)
-
-    # -- repo hooks ----------------------------------------------------------------
-
-    def _free_capacity(self, node: NodeId) -> ResourceVector:
-        cap = self.overlay.records[node].capacity
-        used = 0
-        for insts in self.services.instances.values():
-            for inst in insts:
-                if inst.host == node and not inst.retired:
-                    used += self.services_by_id[inst.service_id].code_size
-        return ResourceVector(cap.compute, max(0, cap.storage - used),
-                              cap.bandwidth)
-
-    def _unit_cost(self, node: NodeId) -> float:
-        basket = float(sum(self.ledger.market.prices.values()))
-        return self.overlay.records[node].cost_factor * basket
-
-    def _region_gate(self, region: str) -> bool:
-        if region not in self.config.topology.regions:
-            return True
-        return self.overlay.dvsp_has_quorum(region)
-
     # -- arrival handling ------------------------------------------------------------
 
     def _on_arrival(self, event: Event) -> None:
@@ -380,13 +357,12 @@ class Runner:
     # -- wiki writes ------------------------------------------------------------------
 
     def _wiki_write(self, requester: NodeId, page: int, at: SimTime) -> None:
+        key = f"page/{page}"
         if self.config.mode == "vendor":
-            key = f"page/{page}"
             if self.overlay.is_online(self.vendor_node):
                 self._log("replication", at, key, "put", requester.short)
                 self._log("replication", at, key, "converged", "")
             return
-        key = f"page/{page}"
         size = self.config.workload.write_size
         if key not in self.store.hosts:
             result = self.repo.query(ResourceQuery(
@@ -397,18 +373,16 @@ class Runner:
                 return
             self.store.ensure(key, list(result.nodes))
             self._key_size[key] = size
-        alive = [h for h in self.store.replica_hosts(key)
-                 if self.overlay.is_online(h)
-                 and self.overlay.reachable(requester, h)]
-        if not alive:
+        apply_at = self.overlay.nearest(requester, self.store.replica_hosts(key))
+        if apply_at is None:
             self._log("replication", at, key, "put-dropped", requester.short)
             return
-        apply_at = min(alive, key=lambda h: (self.overlay.route(requester, h), h))
         value = f"{at}:{requester.short}"
         for d in self.store.put(key, value, requester, at, apply_at):
-            if not self.overlay.reachable(apply_at, d.host):
+            try:
+                delay = self.overlay.route(apply_at, d.host, size)
+            except Unreachable:  # a cut-off host misses the broadcast
                 continue
-            delay = self.overlay.route(apply_at, d.host, size)
             self.sim.at(at + delay, "replica-deliver", key=key, host=d.host,
                         obj=d.obj)
 
@@ -493,8 +467,6 @@ class Runner:
     def _on_gossip(self, event: Event) -> None:
         at = self.sim.now
         self.overlay.maintenance(at)
-        if self.config.mode != "community":
-            return
         rng = self.sim.stream("replication")
         self.store.gossip_round(at, rng, self.overlay.is_online)
         self.store.rereplicate(at, self.overlay.is_online, self._pick_replica)
@@ -519,9 +491,9 @@ class Runner:
         return None
 
     def _on_sweep(self, event: Event) -> None:
-        if self.config.mode == "community":
-            self.repo.sweep(self.sim.now, self.overlay.is_online,
-                            self._free_capacity, self._unit_cost)
+        self.repo.sweep(self.sim.now, self.overlay.is_online,
+                        self.services.held_storage(),
+                        self.ledger.market.basket())
 
     def _on_price(self, event: Event) -> None:
         if self.config.mode != "community":
@@ -534,11 +506,9 @@ class Runner:
             sum(r.capacity.compute for r in online) * window,
             sum(r.capacity.storage for r in online),
             sum(r.capacity.bandwidth for r in online) * window)
-        occupied = sum(
-            self.services_by_id[i.service_id].code_size
-            for insts in self.services.instances.values()
-            for i in insts if not i.retired and self.overlay.is_online(i.host))
-        demand = ResourceVector(self._demand.compute, occupied,
+        held = self.services.held_storage()
+        demand = ResourceVector(self._demand.compute,
+                                sum(held.get(r.node_id, 0) for r in online),
                                 self._demand.bandwidth)
         self.ledger.market.update(demand, supply)
         prices = self.ledger.market.prices
@@ -547,8 +517,6 @@ class Runner:
         self._demand = ResourceVector()
 
     def _on_placement(self, event: Event) -> None:
-        if self.config.mode != "community":
-            return
         for act in self.services.placement_tick(self.sim.now,
                                                 self.config.push_placement):
             self._log("placements", act.at, act.service_id, act.action,
@@ -587,14 +555,25 @@ class Runner:
         if self.overlay.is_online(node):
             return
         self.overlay.join(node, at)
+        self._link_vendor(self.node_list if node == self.vendor_node else (node,))
         self._log("membership", at, node.short, "join", cause)
         if node == self.vendor_node:
             for svc in self.config.services:
                 self._log("placements", at, svc.service_id, "deployed",
                           node.short, VENDOR_REGION)
         elif self.config.mode == "community":
-            self.repo.heartbeat(node, self._free_capacity(node), at,
-                                projected_cost=self._unit_cost(node))
+            self.repo.offer(node, at, self.services.held_storage().get(node, 0),
+                            self.ledger.market.basket())
+
+    def _link_vendor(self, nodes) -> None:
+        """Direct vendor links to the online nodes, while the vendor is up:
+        a leave drops them, so each join restores them."""
+        if self.vendor_node is None or not self.overlay.is_online(self.vendor_node):
+            return
+        for node in nodes:
+            if self.overlay.is_online(node):
+                self.overlay.add_link(self.vendor_node, node,
+                                      self.config.topology.vendor_latency)
 
     def _on_leave(self, event: Event) -> None:
         node = event.payload["node"]

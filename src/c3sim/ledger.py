@@ -98,6 +98,10 @@ class MarketPrice:
         snapped = Fraction(round(raw * PRICE_SNAP), PRICE_SNAP)
         return min(max(snapped, cfg.p_min), cfg.p_max)
 
+    def basket(self) -> float:
+        """Price of one unit of every resource."""
+        return float(sum(self.prices.values()))
+
     def value_of(self, amounts: ResourceVector) -> int:
         """Currency owed for the amounts at current prices, rounded up."""
         total = sum((self.prices[k] * amounts.get(k) for k in RESOURCE_KINDS),

@@ -14,6 +14,7 @@ super-peer whose membership decayed.
 """
 from __future__ import annotations
 
+import bisect
 import hashlib
 import heapq
 from dataclasses import dataclass
@@ -154,8 +155,7 @@ class Overlay:
         if record.node_id in self.records:
             raise DuplicateJoin(f"{record.node_id!r} already registered")
         self.records[record.node_id] = record
-        self.regions.setdefault(record.region, []).append(record.node_id)
-        self.regions[record.region].sort()
+        bisect.insort(self.regions.setdefault(record.region, []), record.node_id)
         self.adj[record.node_id] = {}
         self._index = None
 
@@ -367,6 +367,18 @@ class Overlay:
         if size > 0:
             latency += -(-size // bottleneck[index[to]])
         return latency
+
+    def nearest(self, frm: NodeId, candidates) -> NodeId | None:
+        """The candidate frm reaches at the smallest (route latency, id),
+        or None if it reaches none."""
+        best = None
+        for cand in candidates:
+            try:
+                key = (self.route(frm, cand), cand)
+            except Unreachable:
+                continue
+            best = key if best is None else min(best, key)
+        return best[1] if best else None
 
     def reachable(self, frm: NodeId, to: NodeId) -> bool:
         if not self.is_online(frm) or not self.is_online(to):

@@ -1,5 +1,10 @@
 """Registry of contributed capacity and score-weighted node selection.
 
+A record keeps the capacity its node contributes. The repository computes
+each heartbeat's offer from it (`offer`, and `sweep` for every record):
+that capacity less the storage the node's instances hold, at a projected
+cost of the record's cost factor times the basket of unit prices.
+
 Records age out: a record whose last heartbeat is older than the staleness
 horizon (three heartbeat intervals by default) is invisible to queries, so a
 silent node stops being offered work without any explicit deregistration.
@@ -31,8 +36,9 @@ class UnknownNode(RepoError):
 class NodeResourceRecord:
     node_id: NodeId
     region: str
-    free_capacity: ResourceVector
+    capacity: ResourceVector
     cost_factor: float = 1.0
+    free_capacity: ResourceVector = ResourceVector()
     projected_cost: float = 0.0
     availability: float | None = None
     perf_history: float = 1.0
@@ -87,12 +93,23 @@ class Repository:
         if rec.availability is not None:
             rec.availability = (1 - self.beta) * rec.availability
 
-    def sweep(self, at: SimTime, online, free_capacity_of, unit_cost_of) -> None:
-        """Batch heartbeat pass: online records beat, the rest decay."""
+    def offer(self, node_id: NodeId, at: SimTime, held: int,
+              basket: float) -> None:
+        """Heartbeat with the offer computed from the node's own record:
+        its capacity less `held` storage, at cost_factor x basket."""
+        rec = self._record(node_id)
+        cap = rec.capacity
+        free = cap if held == 0 else ResourceVector(
+            cap.compute, max(0, cap.storage - held), cap.bandwidth)
+        self.heartbeat(node_id, free, at,
+                       projected_cost=rec.cost_factor * basket)
+
+    def sweep(self, at: SimTime, online, held: dict[NodeId, int],
+              basket: float) -> None:
+        """Batch heartbeat pass: online records offer, the rest decay."""
         for node_id in self.records:
             if online(node_id):
-                self.heartbeat(node_id, free_capacity_of(node_id), at,
-                               projected_cost=unit_cost_of(node_id))
+                self.offer(node_id, at, held.get(node_id, 0), basket)
             else:
                 self.miss(node_id)
 

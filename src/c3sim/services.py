@@ -4,8 +4,9 @@ A published service is a descriptor plus code blob replicated across a small
 host set, resolvable from anywhere while at least one of those hosts is up.
 Every request takes one path. `admit` resolves the service, quotes a price
 from the declared budget at current unit prices, turns away requesters who
-cannot cover it and places the request on the warm instance nearest by route
-latency (deploying one on demand when none exists). `run_on_host` then
+cannot cover it and places the request on the warm instance the overlay
+names nearest (`Overlay.nearest`: smallest route latency, then smallest id),
+deploying one on demand when none exists. `run_on_host` then
 queues it on that host and meters the actual draw against a budget: within
 budget completes, strict excess terminates the request at the exhaustion
 point with a pro-rata charge. `settlement_rows` turns the charge into ledger
@@ -67,6 +68,7 @@ class Instance:
     warm_at: SimTime
     seq: int
     region: str
+    size: int
     retired: bool = False
 
 
@@ -175,7 +177,7 @@ class ServiceRuntime:
             if current is not None and current.version == desc.version:
                 return list(self.store.replica_hosts(key))
         hosts = list(self.store.replica_hosts(key))
-        apply_at = self._nearest_online(publisher, hosts) or hosts[0]
+        apply_at = self.overlay.nearest(publisher, hosts) or hosts[0]
         for delivery in self.store.put(key, desc, publisher, at, apply_at):
             self.store.deliver(key, delivery.host, delivery.obj, at)
         fresh = desc.service_id not in self.instances
@@ -208,6 +210,15 @@ class ServiceRuntime:
         return sorted(set(alive))
 
     # -- invocation --------------------------------------------------------------
+
+    def held_storage(self) -> dict[NodeId, int]:
+        """Storage each host holds for its live instances' code."""
+        held: dict[NodeId, int] = {}
+        for insts in self.instances.values():
+            for inst in insts:
+                if not inst.retired:
+                    held[inst.host] = held.get(inst.host, 0) + inst.size
+        return held
 
     def warm_instances(self, service_id: str, at: SimTime) -> list[Instance]:
         return [i for i in self.instances.get(service_id, ())
@@ -250,16 +261,10 @@ class ServiceRuntime:
     def _place_request(self, request: Request, desc: ServiceDescriptor,
                        at: SimTime):
         """Nearest warm instance, else a pull deployment near the requester."""
-        best = None
-        for inst in self.warm_instances(desc.service_id, at):
-            try:
-                d = self.overlay.route(request.requester, inst.host)
-            except Unreachable:
-                continue
-            if best is None or (d, inst.host) < (best[0], best[1]):
-                best = (d, inst.host, at)
-        if best is not None:
-            return best[1], best[2]
+        warm = [i.host for i in self.warm_instances(desc.service_id, at)]
+        host = self.overlay.nearest(request.requester, warm)
+        if host is not None:
+            return host, at
         sources = self._code_sources(desc.service_id)
         sources = [s for s in sources
                    if self.overlay.reachable(request.requester, s)]
@@ -334,7 +339,7 @@ class ServiceRuntime:
             desc.code_size if source != host else 0)
         self._seq += 1
         inst = Instance(desc.service_id, host, at, at + delay, self._seq,
-                        self.overlay.records[host].region)
+                        self.overlay.records[host].region, desc.code_size)
         self.instances[desc.service_id].append(inst)
         return inst
 
@@ -423,7 +428,7 @@ class ServiceRuntime:
                                     region or "")] * n
         hosts = self._pick_hosts(desc, n, region, at)
         for host in hosts[:n]:
-            source = self._nearest_online(host, sources) or sources[0]
+            source = self.overlay.nearest(host, sources) or sources[0]
             inst = self._deploy(desc, host, source, at)
             if inst is not None:
                 actions.append(PlacementAction(at, desc.service_id, "deployed",
@@ -432,21 +437,6 @@ class ServiceRuntime:
             actions.append(PlacementAction(at, desc.service_id, "shortfall",
                                            None, region or ""))
         return actions
-
-    def _nearest_online(self, frm: NodeId, candidates: list[NodeId]) -> NodeId | None:
-        best = None
-        for cand in sorted(candidates):
-            if not self.overlay.is_online(cand):
-                continue
-            if not self.overlay.is_online(frm):
-                return cand
-            try:
-                d = self.overlay.route(frm, cand)
-            except Unreachable:
-                continue
-            if best is None or d < best[0]:
-                best = (d, cand)
-        return best[1] if best else None
 
     # -- content distribution ------------------------------------------------------
 

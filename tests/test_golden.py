@@ -1,20 +1,23 @@
 """Behaviour oracle: pinned log digests of the shipped scenarios.
 
 Each shipped scenario runs at seeds 1-5, once as shipped (community mode)
-and once on the vendor baseline. The SHA-256 of its canonical log tables
-must match the pinned value, and the run must pass every audit. A change
-that alters any log row changes a digest; such a change must say why, and
-re-pin only the runs it moves.
+and once on the vendor baseline; wiki_small also runs scaled x4. The
+SHA-256 of its canonical log tables must match the pinned value, and the
+run must pass every audit. A change that alters any log row changes a
+digest; such a change must say why, and re-pin only the runs it moves.
 """
 from __future__ import annotations
 
+import configparser
 import hashlib
+import io
 from pathlib import Path
 
 import pytest
 
 from c3sim.harness.audits import run_audits
-from c3sim.harness.config import parse_scenario, with_overrides
+from c3sim.harness.config import (parse_scenario, parse_scenario_text,
+                                  with_overrides)
 from c3sim.harness.runner import run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -38,27 +41,51 @@ GOLDEN = {
 }
 
 VENDOR_GOLDEN = {
-    ("mixed_churn", 1): "c7a1219743f0e3a95fccdc262ee68f5886a70d13adfbfab0f3ab29afedc74a5c",
-    ("mixed_churn", 2): "c8b95e0d33a33636618415356f2b124f0cf981d22ec2f5dbfbdce54f9f96e0a6",
-    ("mixed_churn", 3): "ee302ba473615e8304ec2c0bd4685c2bf5f30c7c0444c40f023e01187c75efba",
-    ("mixed_churn", 4): "781b81865ca8ccc9e009c766505220e09e7253a13d4574c02b4060c9eccce794",
-    ("mixed_churn", 5): "d3c9d287ebf6d7d22137103879ed0c8e9719a8e4682205e5bdb65e92e2192418",
-    ("video_small", 1): "af05b6a11b7271168f2e8375fd47a4f60d8ddbc0e5ad9c7f731f89053de5c3f7",
-    ("video_small", 2): "5652409697ef8d66f8cd2b4a4e8db0fd61b6ed938bcff328bfbe4c58e7397793",
-    ("video_small", 3): "62d8e1b2e65dbdc49101403ac28997ca5e90e229828bca5160cd0920457e3319",
-    ("video_small", 4): "c2ff3c4c31a2ae4d17c0ac1441e5b105555694814253c80439e62ff4e84bbeba",
-    ("video_small", 5): "43b9a47aa9aac608f58ddd3dda69b62370184b45c0ff211939f647916fb0d230",
-    ("wiki_small", 1): "77692da2f03119e5003892401e1ef00867d4cc8ea913ccdbc1e9f8d1dc987652",
-    ("wiki_small", 2): "21dbd638a79b02b4321558fcb16f6a7c0ad05e72e2ae20e6e3c3fb6006c781f9",
-    ("wiki_small", 3): "18af89e8e8528726ae4dfb09ea4efa1460a64605427e2cfcc847afa6fc72bfe6",
-    ("wiki_small", 4): "6cf0d2e9b310d03bebe30296fc017e17bcb5dad1815f6b5923c4097e83d84310",
-    ("wiki_small", 5): "35b5a61e81c361d9bfc113181dfb38c650ee1cf77c213e21dc0963cca066b20f",
+    ("mixed_churn", 1): "5d73925ab6ad5a58ea4c0151f8d1bcd1b2afb806f7f7d9eccc3d3877fcd8c9b9",
+    ("mixed_churn", 2): "5ed6d84519cc4ea3694019660a8e8194b245469a77a7c8774e699d82879702d9",
+    ("mixed_churn", 3): "a15d868e3e0c9609a6dd573f1f705371c4791e5fa1aa692e551f25fd03fca702",
+    ("mixed_churn", 4): "427c3a31ce6b989020558fc91f464b31b4b1838475cf0f55f8c94f5691f5611b",
+    ("mixed_churn", 5): "3212f5b0c1d3c4095a5c2d32a7256b162dc26cda39eeea3bb2264ff076a4ba20",
+    ("video_small", 1): "96a2da54b9105758cd54abbaf7ccf9b876bf73e989e0d31dbfa4aef974962284",
+    ("video_small", 2): "337f0922c8d7fb3bc58fbdba94acfc00ec00ab254ee392569aecb6a106050f46",
+    ("video_small", 3): "3711930f1930487ce8d26b06c389fd564f7ad1df0e6bbdf09de8bfe6f89a56ef",
+    ("video_small", 4): "623906e077867c4f0100e2cfb4ad30950146167962a470f30657118cffe3bb3d",
+    ("video_small", 5): "ae3b8c1c2c569bf8ee4487c9a9c3c7573035605d6f302b929e08df80009506c8",
+    ("wiki_small", 1): "a68dc50edec1e503c430049ffe4cfc426fdb52f0487b5347620b1b1cb2475dfe",
+    ("wiki_small", 2): "8f668269d85c4453a27c227faba5056173a727fef0eb1b5f0942d2e2913944ac",
+    ("wiki_small", 3): "3dae2a0a2156759f0de3658cb0fd1f55b1d5fb7aa34cb4347ba27ba82b4d015c",
+    ("wiki_small", 4): "4059a5d47f176b8a5ec3e98ea1b83f8820c55fa1d12a86a2cc64491214735c64",
+    ("wiki_small", 5): "469d672229a0357fd057f76d0278d971e5a69ca57b8ae709b7b6d66fdcf4e8d5",
 }
 
 
-def _digest_and_audits(scenario: str, seed: int, mode: str):
-    config = with_overrides(parse_scenario(SCENARIO_DIR / f"{scenario}.ini"),
-                            seed=seed, mode=mode)
+SCALED_GOLDEN = {
+    ("wiki_small", 4, 42): "a1f3478e8e807f332966f80d67e6b1a74c298db2fa4608efac939786e8884372",
+}
+
+
+def _shipped(scenario: str, seed: int, mode: str):
+    return with_overrides(parse_scenario(SCENARIO_DIR / f"{scenario}.ini"),
+                          seed=seed, mode=mode)
+
+
+def _scaled(scenario: str, k: int) -> str:
+    """Scenario text with every class count and the workload rates x k."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(SCENARIO_DIR / f"{scenario}.ini")
+    population = parser["population"]
+    for name in (c.strip() for c in population["classes"].split(",")):
+        if name:
+            population[f"{name}.count"] = str(int(population[f"{name}.count"]) * k)
+    for key in ("rate", "session_rate"):
+        if key in parser["workload"]:
+            parser["workload"][key] = repr(float(parser["workload"][key]) * k)
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()
+
+
+def _digest_and_audits(config):
     runner = run_scenario(config)
     digest = hashlib.sha256(
         repr(sorted(runner.logs.items())).encode()).hexdigest()
@@ -67,13 +94,21 @@ def _digest_and_audits(scenario: str, seed: int, mode: str):
 
 @pytest.mark.parametrize("scenario,seed", sorted(GOLDEN))
 def test_shipped_run_matches_its_digest_and_passes_audits(scenario, seed):
-    digest, violations = _digest_and_audits(scenario, seed, "community")
+    digest, violations = _digest_and_audits(_shipped(scenario, seed, "community"))
     assert digest == GOLDEN[scenario, seed]
     assert violations == []
 
 
 @pytest.mark.parametrize("scenario,seed", sorted(VENDOR_GOLDEN))
 def test_vendor_run_matches_its_digest_and_passes_audits(scenario, seed):
-    digest, violations = _digest_and_audits(scenario, seed, "vendor")
+    digest, violations = _digest_and_audits(_shipped(scenario, seed, "vendor"))
     assert digest == VENDOR_GOLDEN[scenario, seed]
+    assert violations == []
+
+
+@pytest.mark.parametrize("scenario,k,seed", sorted(SCALED_GOLDEN))
+def test_scaled_run_matches_its_digest_and_passes_audits(scenario, k, seed):
+    config = with_overrides(parse_scenario_text(_scaled(scenario, k)), seed=seed)
+    digest, violations = _digest_and_audits(config)
+    assert digest == SCALED_GOLDEN[scenario, k, seed]
     assert violations == []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from c3sim.engine import RngStream
+from c3sim.engine import RngStream, Simulator
 from c3sim.harness import cli
 from c3sim.harness.audits import (
     audit_conservation,
@@ -29,7 +29,7 @@ from c3sim.harness.config import (
     parse_scenario_text,
     with_overrides,
 )
-from c3sim.harness.failures import UnknownTarget, validate_target
+from c3sim.harness.failures import validate_target
 from c3sim.harness.io import read_logs, report_csv, report_json, write_outputs
 from c3sim.harness.metrics import COLUMNS, column_index, compute_report, percentile
 from c3sim.harness.recompute import recompute
@@ -280,17 +280,18 @@ class TestFailureGrammar:
 
     def test_vendor_target_needs_vendor_mode(self, cfg):
         entry = FailureEntry("e", 10, "kill", "vendor")
-        with pytest.raises(UnknownTarget):
+        with pytest.raises(ConfigError, match=r"\[failures\] e\.target"):
             validate_target(entry, cfg)
         validate_target(entry, with_overrides(cfg, mode="vendor"))
 
     @pytest.mark.parametrize("target", [
         "region:zz", "region", "dvsp:zz:1", "dvsp:r0:x", "dvsp:r0",
         "nodes:random:0", "nodes:random:1.5", "nodes:random:abc",
-        "nodes:chosen:0.5", "class:ghost:0", "class:box:x", "asteroid",
+        "nodes:chosen:0.5", "class:ghost:0", "class:box:x", "class:box:12",
+        "asteroid",
     ])
     def test_bad_targets_are_rejected(self, cfg, target):
-        with pytest.raises(UnknownTarget):
+        with pytest.raises(ConfigError, match=r"\[failures\] e\.target"):
             validate_target(FailureEntry("e", 10, "kill", target), cfg)
 
 
@@ -596,6 +597,26 @@ class TestEndToEnd:
         assert runner.report["mode"] == "vendor"
         assert run_audits(runner.logs) == []
 
+    def test_vendor_links_survive_a_leave_and_rejoin(self):
+        text = small_scenario(
+            simulation={"mode": "vendor"},
+            failures={"entries": "down, up, out, back",
+                      "down.at": 1000, "down.action": "kill",
+                      "down.target": "vendor",
+                      "up.at": 2000, "up.action": "restore",
+                      "up.target": "vendor",
+                      "out.at": 3000, "out.action": "kill",
+                      "out.target": "class:box:0",
+                      "back.at": 4000, "back.action": "restore",
+                      "back.target": "class:box:0"})
+        runner = run_scenario(parse_scenario_text(text))
+        latency = runner.config.topology.vendor_latency
+        # any path to the vendor ends on a direct link, so only a direct
+        # link has exactly the vendor latency
+        for node in runner.node_list:
+            assert runner.overlay.route(node, runner.vendor_node) == latency
+        assert run_audits(runner.logs) == []
+
     def test_scripted_region_outage_and_recovery(self):
         text = small_scenario(
             topology={"regions": "r0, r1", "inter_region_links": 2},
@@ -784,6 +805,16 @@ class TestCli:
             failures={"entries": "e", "e.at": 10, "e.action": "kill",
                       "e.target": "dvsp:zz:1"}))
         assert cli.main(["--scenario", str(path)]) == 2
+
+    def test_class_index_past_the_count_fails_before_the_run(
+            self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "bad_index.ini"
+        path.write_text(small_scenario(
+            failures={"entries": "e1", "e1.at": 10, "e1.action": "kill",
+                      "e1.target": "class:box:12"}))
+        monkeypatch.setattr(Simulator, "run", lambda self: pytest.fail("ran"))
+        assert cli.main(["--scenario", str(path)]) == 2
+        assert "[failures] e1.target" in capsys.readouterr().err
 
     def test_violations_flip_the_exit_code(self, scenario_file, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_audits", lambda logs: ["planted violation"])

@@ -165,6 +165,25 @@ class TestRouting:
         overlay.join(ids[1], 2)  # alone in its region: the join adds no edge
         assert overlay.route(ids[0], ids[2]) == 12
 
+    def test_nearest_breaks_latency_ties_by_smaller_id(self):
+        overlay, ids = chain_overlay([5, 5, 5, 5])
+        # ids[1] and ids[3] are both 5 from ids[2]
+        assert overlay.nearest(ids[2], [ids[3], ids[1], ids[0]]) == ids[1]
+        assert overlay.nearest(ids[2], [ids[4], ids[0]]) == ids[0]
+        assert overlay.nearest(ids[2], [ids[2], ids[1]]) == ids[2]
+
+    def test_nearest_skips_offline_and_unreachable_candidates(self):
+        overlay, ids = chain_overlay([5, 7, 9])
+        overlay.leave(ids[1], 1)  # cuts ids[0] off, and ids[1] is offline
+        assert overlay.nearest(ids[2], [ids[0], ids[1], ids[3]]) == ids[3]
+        assert overlay.nearest(ids[2], [ids[0], ids[1]]) is None
+        assert overlay.nearest(ids[2], []) is None
+
+    def test_nearest_from_an_offline_node_is_none(self):
+        overlay, ids = chain_overlay([5, 7])
+        overlay.leave(ids[0], 1)
+        assert overlay.nearest(ids[0], ids) is None
+
     def test_single_node_removal_never_partitions_after_repair(self):
         cfg = OverlayConfig(degree=6, min_degree=3, inter_region_links=3,
                             m_target=3)

@@ -88,14 +88,26 @@ class TestHeartbeats:
         assert repo.records[ids[0]].perf_history == pytest.approx(0.91)
 
     def test_sweep_beats_online_and_decays_offline(self):
-        repo, ids = make_repo(2)
-        online = {ids[0]}
-        repo.sweep(500, online.__contains__,
-                   lambda n: ResourceVector(1, 1, 1), lambda n: 2.5)
-        assert repo.records[ids[0]].last_heartbeat == 500
-        assert repo.records[ids[0]].projected_cost == 2.5
-        assert repo.records[ids[1]].last_heartbeat == 0
-        assert repo.records[ids[1]].availability == pytest.approx(0.9)
+        repo, ids = make_repo(3)
+        repo.records[ids[0]].cost_factor = 1.5
+        online = {ids[0], ids[1]}
+        repo.sweep(500, online.__contains__, {ids[0]: 30, ids[2]: 7}, 4.0)
+        first, second, offline = (repo.records[n] for n in ids)
+        # the offer is the contributed capacity less the held storage
+        assert first.free_capacity == ResourceVector(8, 70, 20)
+        assert second.free_capacity == ResourceVector(8, 100, 20)
+        # projected cost is the record's cost factor times the basket
+        assert first.projected_cost == 1.5 * 4.0
+        assert second.projected_cost == 4.0
+        assert first.last_heartbeat == second.last_heartbeat == 500
+        assert offline.last_heartbeat == 0
+        assert offline.availability == pytest.approx(0.9)
+
+    def test_held_storage_beyond_capacity_offers_none(self):
+        repo, ids = make_repo(1)
+        repo.offer(ids[0], 10, held=150, basket=2.0)
+        assert repo.records[ids[0]].free_capacity == ResourceVector(8, 0, 20)
+        assert repo.records[ids[0]].last_heartbeat == 10
 
 
 class TestEligibility:

@@ -85,6 +85,19 @@ class TestPublication:
         assert rt.resolve("svc", 20).version == "2.0"
         assert len(rt.instances["svc"]) == 1
 
+    def test_held_storage_counts_live_instances_only(self):
+        rt, ids = make_runtime()
+        rt.publish(descriptor("a", code_size=8, min_replicas=2), ids[0], 0)
+        rt.publish(descriptor("b", code_size=5, min_replicas=2), ids[0], 0)
+        expected = {}
+        for inst in rt.instances["a"] + rt.instances["b"]:
+            expected[inst.host] = expected.get(inst.host, 0) + inst.size
+        assert rt.held_storage() == expected
+        assert sum(expected.values()) == 2 * 8 + 2 * 5
+        lost = rt.instances["a"][0].host
+        rt.host_lost(lost, 10)
+        assert lost not in rt.held_storage()
+
     def test_publish_fails_when_no_host_qualifies(self):
         rt, ids = make_runtime()
         # every repository record is stale by now
