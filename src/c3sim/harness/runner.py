@@ -8,11 +8,11 @@ Reads, chained calls and video sessions share one request path: admission
 and placement (`ServiceRuntime.admit`), execution (`run_on_host` for calls;
 for sessions, a share of the host's bandwidth over the stream's duration),
 settlement (`_settle`, the one ledger transaction) and one `requests` row
-(`_request_row`). Community mode runs the full stack. Vendor-baseline mode
-serves the same pre-generated workload on the same path from one fixed,
-always-on, high-capacity host with no price and no budget, and without
-currency, placement, replication or evolution mechanics; it exists so the
-two architectures can be compared under identical demand.
+(`_request_row`). The two architectures differ only in what `_build`
+puts behind that path. Community mode runs the full stack. The vendor
+baseline (`VendorRuntime`) serves the same pre-generated workload from one
+fixed, high-capacity host at no price, with no currency, no placement and
+no evolution, so the two can be compared under identical demand.
 """
 from __future__ import annotations
 
@@ -29,7 +29,8 @@ from ..replication import ReplicaStore
 from ..resource_repo import NodeResourceRecord, Repository, ResourceQuery
 from ..resources import ResourceVector
 from ..services import (ADMITTED, COMPLETED, InvokePlan, Request,
-                        ServiceDescriptor, ServiceRuntime, ServicesConfig)
+                        ServiceDescriptor, ServiceRuntime, ServicesConfig,
+                        VendorRuntime)
 from .config import ScenarioConfig
 from .failures import resolve_target, validate_target
 from .metrics import COLUMNS, compute_report
@@ -60,7 +61,9 @@ class Runner:
         self.report: dict | None = None
         self.summary: RunSummary | None = None
         self._req_seq = 0
-        self._pending: dict[NodeId, set[Event]] = {}
+        # Per host, its in-flight calls in scheduling order, so a leave
+        # writes their rows in a fixed order.
+        self._pending: dict[NodeId, dict[Event, None]] = {}
         self._churn_event: dict[NodeId, Event] = {}
         self._sessions: dict[NodeId, list[_Session]] = {}
         self._session_clock: dict[NodeId, SimTime] = {}
@@ -83,7 +86,6 @@ class Runner:
         ids = self.sim.stream("identity")
         self.node_list: list[NodeId] = []
         self.by_class: dict[str, list[NodeId]] = {}
-        self.node_class: dict[NodeId, str] = {}
         for klass in cfg.population:
             for i in range(klass.count):
                 node_id = generate_identity(ids).node_id
@@ -94,7 +96,6 @@ class Runner:
                     online=True, online_since=0))
                 self.node_list.append(node_id)
                 self.by_class.setdefault(klass.name, []).append(node_id)
-                self.node_class[node_id] = klass.name
                 self._log("nodes", node_id.short, region, klass.name,
                           klass.compute, klass.storage, klass.bandwidth,
                           klass.cost_factor, klass.credit_limit,
@@ -112,8 +113,7 @@ class Runner:
                       1.0, 0, 0, 1)
 
         self.overlay.build(0)
-        self._link_vendor(self.node_list)
-        for region in topo.regions:
+        for region in self.overlay.regions:
             if self.overlay.online_in_region(region):
                 self.overlay.form_dvsp(region, 0)
 
@@ -128,11 +128,13 @@ class Runner:
             region_gate=self.overlay.dvsp_has_quorum)
         self.store = ReplicaStore(cfg.replication_r,
                                   log=partial(self._log, "replication"))
-        self.services = ServiceRuntime(
-            ServicesConfig(regions=topo.regions, dsr_r=cfg.dsr_r,
-                           cool_down=cfg.cool_down_windows),
-            self.overlay, self.repo, self.ledger, self.store,
-            self.sim.stream("services"))
+        runtime = (ServicesConfig(regions=topo.regions, dsr_r=cfg.dsr_r,
+                                  cool_down=cfg.cool_down_windows),
+                   self.overlay, self.repo, self.ledger, self.store,
+                   self.sim.stream("services"))
+        self.services = (
+            ServiceRuntime(*runtime) if self.vendor_node is None
+            else VendorRuntime(*runtime, self.vendor_node, topo.vendor_latency))
 
         trust_rng = self.sim.stream("evolution")
         trust = {}
@@ -144,33 +146,24 @@ class Runner:
         self.evolution = UpdateDiffusion(trust, cfg.evolution.theta)
 
         if cfg.mode == "community":
-            self._build_community()
-        else:
-            self._build_vendor()
-
-        self._meta()
-        self._schedule_workload()
-        self._schedule_churn()
-        self._schedule_periodic()
-        self._schedule_failures()
-        self._subscribe()
-
-    def _build_community(self) -> None:
-        cfg = self.config
-        for klass in cfg.population:
-            for node in self.by_class[klass.name]:
-                self.ledger.open_account(node, klass.initial_balance,
-                                         klass.credit_limit)
-                self.repo.register(NodeResourceRecord(
-                    node, self.overlay.records[node].region, klass.capacity,
-                    cost_factor=klass.cost_factor))
-        # Nothing is deployed yet, so no node holds any storage.
-        self.repo.sweep(0, self.overlay.is_online, {},
-                        self.ledger.market.basket())
+            for klass in cfg.population:
+                for node in self.by_class[klass.name]:
+                    self.ledger.open_account(node, klass.initial_balance,
+                                             klass.credit_limit)
+                    self.repo.register(NodeResourceRecord(
+                        node, self.overlay.records[node].region,
+                        klass.capacity, cost_factor=klass.cost_factor))
+            # Nothing is deployed yet, so no node holds any storage.
+            self.repo.sweep(0, self.overlay.is_online, {},
+                            self.ledger.market.basket())
+            for svc in cfg.services:
+                self.ledger.open_account(f"dev:{svc.service_id}",
+                                         svc.developer_balance)
+                self.evolution.register_root(svc.service_id, "1.0", svc.fitness, 0)
+                if svc.update_at is not None:
+                    self.sim.at(svc.update_at, "release", service_id=svc.service_id)
         publisher = min(self.node_list)
         for svc in cfg.services:
-            self.ledger.open_account(f"dev:{svc.service_id}",
-                                     svc.developer_balance)
             desc = ServiceDescriptor(
                 svc.service_id, f"dev:{svc.service_id}", svc.declared,
                 svc.code_size, svc.min_replicas, svc.subsidy,
@@ -180,14 +173,13 @@ class Runner:
             for inst in self.services.instances[svc.service_id]:
                 self._log("placements", 0, svc.service_id, "deployed",
                           inst.host.short, inst.region)
-            self.evolution.register_root(svc.service_id, "1.0", svc.fitness, 0)
-            if svc.update_at is not None:
-                self.sim.at(svc.update_at, "release", service_id=svc.service_id)
 
-    def _build_vendor(self) -> None:
-        for svc in self.config.services:
-            self._log("placements", 0, svc.service_id, "deployed",
-                      self.vendor_node.short, VENDOR_REGION)
+        self._meta()
+        self._schedule_workload()
+        self._schedule_churn()
+        self._schedule_periodic()
+        self._schedule_failures()
+        self._subscribe()
 
     def _meta(self) -> None:
         cfg = self.config
@@ -255,7 +247,8 @@ class Runner:
         sub("replica-deliver", self._on_deliver)
         sub("gossip-round", self._on_gossip)
         sub("heartbeat-sweep", self._on_sweep)
-        sub("price-tick", self._on_price)
+        if self.config.mode == "community":  # the vendor has no market
+            sub("price-tick", self._on_price)
         sub("placement-tick", self._on_placement)
         sub("node-leave", self._on_leave)
         sub("node-join", self._on_join)
@@ -286,24 +279,13 @@ class Runner:
         self._req_seq += 1
         return self._req_seq
 
-    def _admit(self, req: Request, at: SimTime) -> InvokePlan:
-        if self.vendor_node is None:
-            return self.services.admit(req, at)
-        # The vendor baseline: one fixed host, no price, no budget.
-        return InvokePlan(req, ADMITTED, host=self.vendor_node, start=at)
-
     def _invoke(self, requester: NodeId, service_id: str,
                 actual: ResourceVector, at: SimTime, kind: str) -> None:
         req = Request(self._next_req(), service_id, requester, at, actual, kind)
-        if self.vendor_node is None:
-            plan = self.services.plan_invoke(req, at)
-        else:
-            # The vendor bills after the fact: its draw is its budget.
-            plan = self._admit(req, at)
-            self.services.run_on_host(plan, budget=actual)
+        plan = self.services.plan_invoke(req, at)
         if plan.served:
             ev = self.sim.at(plan.done_at, "request-complete", plan=plan)
-            self._pending.setdefault(plan.host, set()).add(ev)
+            self._pending.setdefault(plan.host, {})[ev] = None
         else:
             self._request_row(plan)
 
@@ -312,14 +294,11 @@ class Runner:
     def _on_complete(self, event: Event) -> None:
         plan: InvokePlan = event.payload["plan"]
         at = self.sim.now
-        if plan.host is not None:
-            self._pending.get(plan.host, set()).discard(event)
-        if self.config.mode == "community":
-            self._settle(plan, at)
-            self.repo.record_task(plan.host, plan.outcome == COMPLETED)
+        self._pending.get(plan.host, {}).pop(event, None)
+        self._settle(plan, at)
+        self.repo.record_task(plan.host, plan.outcome == COMPLETED)
         self._request_row(plan)
-        if (plan.outcome == COMPLETED and plan.descriptor
-                and plan.descriptor.chain_next):
+        if plan.outcome == COMPLETED and plan.descriptor.chain_next:
             nxt = self.services_by_id[plan.descriptor.chain_next]
             actual = draw_actual(nxt, self.sim.stream("chain"))
             self._invoke(plan.request.requester, nxt.service_id, actual, at,
@@ -358,11 +337,6 @@ class Runner:
 
     def _wiki_write(self, requester: NodeId, page: int, at: SimTime) -> None:
         key = f"page/{page}"
-        if self.config.mode == "vendor":
-            if self.overlay.is_online(self.vendor_node):
-                self._log("replication", at, key, "put", requester.short)
-                self._log("replication", at, key, "converged", "")
-            return
         size = self.config.workload.write_size
         if key not in self.store.hosts:
             result = self.repo.query(ResourceQuery(
@@ -396,8 +370,9 @@ class Runner:
     def _session_start(self, requester: NodeId, item: WorkloadItem,
                        at: SimTime) -> None:
         streamed = ResourceVector(bandwidth=item.stream_rate * item.duration)
-        plan = self._admit(Request(self._next_req(), item.service_id,
-                                   requester, at, streamed, "session"), at)
+        plan = self.services.admit(Request(
+            self._next_req(), item.service_id, requester, at, streamed,
+            "session"), at)
         if plan.outcome == ADMITTED:
             try:
                 plan.start += self.overlay.route(requester, plan.host)
@@ -458,8 +433,7 @@ class Runner:
         plan.outcome = outcome
         plan.consumed = ResourceVector(bandwidth=int(session.acc))
         plan.bill(plan.gross if outcome == COMPLETED else 0)
-        if self.config.mode == "community":
-            self._settle(plan, at)
+        self._settle(plan, at)
         self._request_row(plan)
 
     # -- periodic upkeep -------------------------------------------------------------------
@@ -496,8 +470,6 @@ class Runner:
                         self.ledger.market.basket())
 
     def _on_price(self, event: Event) -> None:
-        if self.config.mode != "community":
-            return
         at = self.sim.now
         window = self.config.price_window
         online = [self.overlay.records[n] for n in self.node_list
@@ -517,8 +489,11 @@ class Runner:
         self._demand = ResourceVector()
 
     def _on_placement(self, event: Event) -> None:
-        for act in self.services.placement_tick(self.sim.now,
-                                                self.config.push_placement):
+        self._log_placements(self.services.placement_tick(
+            self.sim.now, self.config.push_placement))
+
+    def _log_placements(self, actions) -> None:
+        for act in actions:
             self._log("placements", act.at, act.service_id, act.action,
                       act.host.short if act.host else "", act.region)
 
@@ -532,11 +507,7 @@ class Runner:
         for inst in self.services.host_lost(node, at):
             self._log("placements", at, inst.service_id, "host-lost",
                       node.short, inst.region)
-        if node == self.vendor_node:
-            for svc in self.config.services:
-                self._log("placements", at, svc.service_id, "host-lost",
-                          node.short, VENDOR_REGION)
-        for ev in self._pending.pop(node, set()):
+        for ev in self._pending.pop(node, {}):
             if self.sim.cancel(ev):
                 # Nothing was delivered or settled: no charge, no usage.
                 plan: InvokePlan = ev.payload["plan"]
@@ -555,25 +526,8 @@ class Runner:
         if self.overlay.is_online(node):
             return
         self.overlay.join(node, at)
-        self._link_vendor(self.node_list if node == self.vendor_node else (node,))
         self._log("membership", at, node.short, "join", cause)
-        if node == self.vendor_node:
-            for svc in self.config.services:
-                self._log("placements", at, svc.service_id, "deployed",
-                          node.short, VENDOR_REGION)
-        elif self.config.mode == "community":
-            self.repo.offer(node, at, self.services.held_storage().get(node, 0),
-                            self.ledger.market.basket())
-
-    def _link_vendor(self, nodes) -> None:
-        """Direct vendor links to the online nodes, while the vendor is up:
-        a leave drops them, so each join restores them."""
-        if self.vendor_node is None or not self.overlay.is_online(self.vendor_node):
-            return
-        for node in nodes:
-            if self.overlay.is_online(node):
-                self.overlay.add_link(self.vendor_node, node,
-                                      self.config.topology.vendor_latency)
+        self._log_placements(self.services.host_joined(node, at))
 
     def _on_leave(self, event: Event) -> None:
         node = event.payload["node"]

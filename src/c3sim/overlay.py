@@ -53,17 +53,18 @@ class NoQuorum(OverlayError):
     pass
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class NodeId:
-    value: int
+class NodeId(int):
+    """A 256-bit node id; an int, so hashing and ordering run in C."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.value < 1 << ID_BITS):
+    def __new__(cls, value: int):
+        if not 0 <= value < 1 << ID_BITS:
             raise ValueError("node id out of range")
+        return super().__new__(cls, value)
 
     @property
     def short(self) -> str:
-        return f"{self.value:064x}"[:16]
+        return f"{self:064x}"[:16]
 
     def __repr__(self) -> str:
         return f"NodeId({self.short})"
@@ -302,7 +303,7 @@ class Overlay:
         if rec.fingerprint is None or node_id in self._dirty_fp:
             h = hashlib.sha256()
             for peer in sorted(self.adj[node_id]):
-                h.update(peer.value.to_bytes(32, "big"))
+                h.update(peer.to_bytes(32, "big"))
             rec.fingerprint = int.from_bytes(h.digest(), "big")
             self._dirty_fp.discard(node_id)
         return rec.fingerprint

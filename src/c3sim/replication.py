@@ -113,8 +113,9 @@ class ReplicaStore:
         owner = base.owner if base else writer
         enc = base.encrypted if base else encrypted
         obj = ReplicatedObject(key, value, owner, enc, vv, (at, writer))
-        self._absorb(key, apply_at, obj, at)
         self.log(at, key, "put", apply_at.short)
+        self.dirty.add(key)  # so a lone replica logs converged at once
+        self._absorb(key, apply_at, obj, at)
         return [Delivery(h, obj) for h in hosts if h != apply_at]
 
     def deliver(self, key: str, host: NodeId, obj: ReplicatedObject,

@@ -10,9 +10,10 @@ deploying one on demand when none exists. `run_on_host` then
 queues it on that host and meters the actual draw against a budget: within
 budget completes, strict excess terminates the request at the exhaustion
 point with a pro-rata charge. `settlement_rows` turns the charge into ledger
-rows. `plan_invoke` is admission then execution for one request. The vendor
-baseline skips admission: its plan names one fixed host, carries no price
-and is run with its own draw as the budget, so it is never terminated.
+rows. `plan_invoke` is admission then execution for one request. Admission
+counts every request it places, call or session, as its region's demand.
+`VendorRuntime` is the vendor baseline as a placement policy: its plans name
+one fixed host, carry no price and run with their own draw as the budget.
 
 Placement is demand-following when push mode is on: each window the traffic
 share per region sets a replica target (one replica per KAPPA_SHARE of
@@ -32,7 +33,7 @@ from .engine import RngStream, SimTime
 from .ledger import Ledger
 from .overlay import NodeId, Overlay, Unreachable
 from .replication import ReplicaStore
-from .resource_repo import Repository, ResourceQuery
+from .resource_repo import NodeResourceRecord, Repository, ResourceQuery
 from .resources import RESOURCE_KINDS, ResourceVector
 
 ADMITTED = "admitted"
@@ -226,18 +227,15 @@ class ServiceRuntime:
                 and self.overlay.is_online(i.host)]
 
     def plan_invoke(self, request: Request, at: SimTime) -> InvokePlan:
-        """Admit, run and count one request toward its region's traffic."""
+        """Admit one request and run it within its declared budget."""
         plan = self.admit(request, at)
-        if plan.outcome != ADMITTED:
-            return plan
-        self.run_on_host(plan, plan.descriptor.declared)
-        counts = self.traffic.setdefault(request.service_id, {})
-        region = self.overlay.records[request.requester].region
-        counts[region] = counts.get(region, 0) + 1
+        if plan.outcome == ADMITTED:
+            self.run_on_host(plan, plan.descriptor.declared)
         return plan
 
     def admit(self, request: Request, at: SimTime) -> InvokePlan:
-        """Resolve, quote, check funds and place.
+        """Resolve, quote, check funds, place and count the request toward
+        its region's traffic.
 
         An admitted plan has its host, and in `start` the tick that host is
         ready; any other outcome names the reason it was turned away.
@@ -256,6 +254,9 @@ class ServiceRuntime:
             plan.outcome = ready_at  # failure label from placement
             return plan
         plan.outcome, plan.host, plan.start = ADMITTED, host, max(at, ready_at)
+        counts = self.traffic.setdefault(request.service_id, {})
+        region = self.overlay.records[request.requester].region
+        counts[region] = counts.get(region, 0) + 1
         return plan
 
     def _place_request(self, request: Request, desc: ServiceDescriptor,
@@ -353,6 +354,12 @@ class ServiceRuntime:
                     lost.append(inst)
         self.busy_until.pop(host, None)
         return lost
+
+    def host_joined(self, host: NodeId, at: SimTime) -> list[PlacementAction]:
+        """A host came back: it offers its capacity at once."""
+        self.repo.offer(host, at, self.held_storage().get(host, 0),
+                        self.ledger.market.basket())
+        return []
 
     def placement_tick(self, at: SimTime, push_enabled: bool) -> list[PlacementAction]:
         actions: list[PlacementAction] = []
@@ -467,3 +474,54 @@ class ServiceRuntime:
                 senders.append((arrive, consumer))
                 i += 1
         return delivered
+
+
+class VendorRuntime(ServiceRuntime):
+    """The vendor baseline: every service runs on one fixed host, linked to
+    every online node at `latency`. Plans carry no price and a request's own
+    draw is its budget, so none is terminated. The host is the one record in
+    the repository, so every write lands on it too."""
+
+    def __init__(self, config: ServicesConfig, overlay: Overlay,
+                 repo: Repository, ledger: Ledger, store: ReplicaStore,
+                 rng: RngStream, host: NodeId, latency: int):
+        super().__init__(config, overlay, repo, ledger, store, rng)
+        self.host, self.latency = host, latency
+        self.descriptors: dict[str, ServiceDescriptor] = {}
+        rec = overlay.records[host]
+        repo.register(NodeResourceRecord(host, rec.region, rec.capacity))
+        self.host_joined(host, 0)
+
+    def publish(self, desc: ServiceDescriptor, publisher: NodeId,
+                at: SimTime) -> list[NodeId]:
+        self.descriptors[desc.service_id] = desc
+        self.instances[desc.service_id] = []
+        self._deploy(desc, self.host, self.host, at)
+        return [self.host]
+
+    def admit(self, request: Request, at: SimTime) -> InvokePlan:
+        return InvokePlan(request, ADMITTED,
+                          self.descriptors[request.service_id],
+                          self.host, start=at)
+
+    def plan_invoke(self, request: Request, at: SimTime) -> InvokePlan:
+        plan = self.admit(request, at)
+        self.run_on_host(plan, request.actual)
+        return plan
+
+    def placement_tick(self, at: SimTime, push_enabled: bool) -> list[PlacementAction]:
+        return []
+
+    def host_joined(self, host: NodeId, at: SimTime) -> list[PlacementAction]:
+        """Link a joining node to the host; a returning host relinks every
+        online node and runs every service again."""
+        if host != self.host:
+            if self.overlay.is_online(self.host):
+                self.overlay.add_link(self.host, host, self.latency)
+            return []
+        super().host_joined(host, at)
+        for node in self.overlay.online_nodes():
+            self.overlay.add_link(host, node, self.latency)
+        return [PlacementAction(at, s, "deployed", host, inst.region)
+                for s, desc in self.descriptors.items()
+                for inst in [self._deploy(desc, host, host, at)]]

@@ -28,11 +28,11 @@ GOLDEN = {
     ("mixed_churn", 3): "7c78856309a8c737acf6e6b346198ffc23637613fed706332fa6fced79c3df72",
     ("mixed_churn", 4): "55bc49e333afa86b89baa583bd14cc7489929994406999eca957e50f7f6bcced",
     ("mixed_churn", 5): "3a0ee9fde665c10552dd57c7446106befdf6232b64e43647d31a66f9074e90f7",
-    ("video_small", 1): "2d69e275d96600873c13f3f3a3db3e4cde21dc86c1f6f515960126351d7e6ff8",
-    ("video_small", 2): "f2bd696bd1c5752b3b5893def55f4d29328f0a68b04fdd59133ebd9f8b16fcf9",
-    ("video_small", 3): "deee3004cea6adb03b11f19bb22799fdbff679e6fd80a23afd5f339f9890e6f8",
-    ("video_small", 4): "208c8e0c1e1b23a0350fe160a63859676fd921eaa1fae42b7681d60e27cad7f3",
-    ("video_small", 5): "f51bade1ae9a38280b3f22c3fe27218a8e49467ec029221992341ef94ad3407a",
+    ("video_small", 1): "a414e5390991865e22f16942f9f8e50f1f0ca1e6fd05d9c8b0fffdab2c87eb88",
+    ("video_small", 2): "cb31c7e41b44563f7033b5d400f134aa213b3faee2b2ac5ef9a5f562154adb41",
+    ("video_small", 3): "0e35bb810ec0af4e4e8daa190cccb17641bd539624309e24c18d8a636b63adec",
+    ("video_small", 4): "09e17a894cc25485fed6c579a1fbb4a259c3fd8bea84f9e3dec41f677d854571",
+    ("video_small", 5): "6c892a3d4cc2f7c4c1ff36c8fd95adcf15facd7446a92ba92828e8ea60947bdb",
     ("wiki_small", 1): "a179127683566cfe3910a6ebfa6f7020da09cfb593314d512d299dcaa87ae760",
     ("wiki_small", 2): "524b91e8321e89ca2b9fb01e6b5cd901fb4b7b55ca3d7955472e099b7dbda46d",
     ("wiki_small", 3): "4f180cf4caec2e122defb3a08e53f3726d3cd3b8dabb3e6ec869b45c23c852ad",
@@ -41,21 +41,21 @@ GOLDEN = {
 }
 
 VENDOR_GOLDEN = {
-    ("mixed_churn", 1): "5d73925ab6ad5a58ea4c0151f8d1bcd1b2afb806f7f7d9eccc3d3877fcd8c9b9",
-    ("mixed_churn", 2): "5ed6d84519cc4ea3694019660a8e8194b245469a77a7c8774e699d82879702d9",
-    ("mixed_churn", 3): "a15d868e3e0c9609a6dd573f1f705371c4791e5fa1aa692e551f25fd03fca702",
-    ("mixed_churn", 4): "427c3a31ce6b989020558fc91f464b31b4b1838475cf0f55f8c94f5691f5611b",
-    ("mixed_churn", 5): "3212f5b0c1d3c4095a5c2d32a7256b162dc26cda39eeea3bb2264ff076a4ba20",
+    ("mixed_churn", 1): "1fdbf7b433bc0ded2d9483968088c25696b4fa50f50b3bdcb574d319b83ee948",
+    ("mixed_churn", 2): "1099494f625da617c507edfde537068b4f509b7f35777780d36466923a71bfda",
+    ("mixed_churn", 3): "08ae3ce2eaeea1c7f593e6146ddb690658d1c05bd8e50e961a63cfa648b6e19c",
+    ("mixed_churn", 4): "b4616f771a5e9445cb5c26c29a186ac94ad094d9b1d84ae72cc3c1572bc61c83",
+    ("mixed_churn", 5): "c3de539417bb181de8e86eb9c1491116d17a484c3f03c6123161f9471c3d12bc",
     ("video_small", 1): "96a2da54b9105758cd54abbaf7ccf9b876bf73e989e0d31dbfa4aef974962284",
     ("video_small", 2): "337f0922c8d7fb3bc58fbdba94acfc00ec00ab254ee392569aecb6a106050f46",
     ("video_small", 3): "3711930f1930487ce8d26b06c389fd564f7ad1df0e6bbdf09de8bfe6f89a56ef",
     ("video_small", 4): "623906e077867c4f0100e2cfb4ad30950146167962a470f30657118cffe3bb3d",
     ("video_small", 5): "ae3b8c1c2c569bf8ee4487c9a9c3c7573035605d6f302b929e08df80009506c8",
-    ("wiki_small", 1): "a68dc50edec1e503c430049ffe4cfc426fdb52f0487b5347620b1b1cb2475dfe",
-    ("wiki_small", 2): "8f668269d85c4453a27c227faba5056173a727fef0eb1b5f0942d2e2913944ac",
-    ("wiki_small", 3): "3dae2a0a2156759f0de3658cb0fd1f55b1d5fb7aa34cb4347ba27ba82b4d015c",
-    ("wiki_small", 4): "4059a5d47f176b8a5ec3e98ea1b83f8820c55fa1d12a86a2cc64491214735c64",
-    ("wiki_small", 5): "469d672229a0357fd057f76d0278d971e5a69ca57b8ae709b7b6d66fdcf4e8d5",
+    ("wiki_small", 1): "35868a954ba5e10e0542def6ee0ca2f056cd5c7005820e3a6b136dab98343e86",
+    ("wiki_small", 2): "dfb240b99ae4074e4cf7e65b8b64f58502d649dfa8defbd6861e6502e8e81a94",
+    ("wiki_small", 3): "d561e0dece06afdec761635f521b131f3cb2563f19465c2a6bb6144791968f76",
+    ("wiki_small", 4): "68abdbb7756ff19b1914e3e03e23e943b9a9ed261484d92b55185ba3d8b04109",
+    ("wiki_small", 5): "534a53c08f524c928c119fe0df94c03d9f4fcaa0eb91412c60e4916bd2723104",
 }
 
 

@@ -4,7 +4,11 @@ from __future__ import annotations
 import configparser
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -597,9 +601,21 @@ class TestEndToEnd:
         assert runner.report["mode"] == "vendor"
         assert run_audits(runner.logs) == []
 
-    def test_vendor_links_survive_a_leave_and_rejoin(self):
+    def test_vendor_serves_chained_calls_at_no_charge(self):
+        runner = run_scenario(with_overrides(
+            parse_scenario(SCENARIO_DIR / "mixed_churn.ini"), seed=1,
+            mode="vendor"))
+        kind = column_index("requests", "kind")
+        charged = column_index("requests", "charged")
+        chained = [r for r in runner.logs["requests"] if r[kind] == "chained"]
+        assert chained and all(r[charged] == 0 for r in chained)
+        assert run_audits(runner.logs) == []
+
+    def test_vendor_links_and_services_survive_a_leave_and_rejoin(self):
         text = small_scenario(
             simulation={"mode": "vendor"},
+            services={"catalog": "svc, img", "img.declared_compute": 2,
+                      "img.code_size": 5, "img.min_replicas": 1},
             failures={"entries": "down, up, out, back",
                       "down.at": 1000, "down.action": "kill",
                       "down.target": "vendor",
@@ -615,6 +631,12 @@ class TestEndToEnd:
         # link has exactly the vendor latency
         for node in runner.node_list:
             assert runner.overlay.route(node, runner.vendor_node) == latency
+        vendor = runner.vendor_node.short
+        assert [r for r in runner.logs["placements"] if r[0] > 0] == [
+            (1000, "svc", "host-lost", vendor, "core"),
+            (1000, "img", "host-lost", vendor, "core"),
+            (2000, "svc", "deployed", vendor, "core"),
+            (2000, "img", "deployed", vendor, "core")]
         assert run_audits(runner.logs) == []
 
     def test_scripted_region_outage_and_recovery(self):
@@ -635,6 +657,15 @@ class TestEndToEnd:
         assert len(leaves) == 8 and all(r[0] == 1000 for r in leaves)
         assert len(joins) == 8 and all(r[0] == 3000 for r in joins)
         assert {r[1] for r in leaves} == {r[1] for r in joins}
+        assert run_audits(runner.logs) == []
+
+    def test_single_replica_writes_log_their_convergence(self):
+        config = replace(with_overrides(parse_scenario(
+            SCENARIO_DIR / "wiki_small.ini"), seed=42), replication_r=1)
+        runner = run_scenario(config)
+        actions = [r[2] for r in runner.logs["replication"]]
+        assert actions.count("put") == actions.count("converged") == 54
+        assert runner.report["convergence_lag_max"] == 0
         assert run_audits(runner.logs) == []
 
     def test_write_heavy_run_converges_pages(self):
@@ -721,6 +752,46 @@ class TestRequestPath:
         with tempfile.TemporaryDirectory() as out:
             write_outputs(runner.logs, runner.report, Path(out))
             assert recompute(out) == runner.report
+
+    def test_rows_at_a_leave_keep_request_order_in_any_process(self):
+        # Each process allocates a different amount of padding first, so its
+        # objects land at other addresses: an order that follows addresses
+        # shows up as differing row orders between the processes.
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(SCENARIO_DIR / "mixed_churn.ini")
+        parser["simulation"]["horizon"] = "20000"
+        parser["workload"]["rate"] = repr(float(parser["workload"]["rate"]) * 30)
+        text = io.StringIO()
+        parser.write(text)
+        child = ("import json, sys\n"
+                 "pad = [object() for _ in range(int(sys.argv[1]))]\n"
+                 "from c3sim.harness.config import parse_scenario_text\n"
+                 "from c3sim.harness.runner import run_scenario\n"
+                 "runner = run_scenario(parse_scenario_text(sys.stdin.read()))\n"
+                 "json.dump(runner.logs['requests'], sys.stdout)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        tables = [json.loads(subprocess.run(
+            [sys.executable, "-c", child, str(padding)], input=text.getvalue(),
+            capture_output=True, text=True, check=True, env=env).stdout)
+            for padding in (0, 1_000, 20_000)]
+        req_id = column_index("requests", "req_id")
+        host = column_index("requests", "host")
+        outcome = column_index("requests", "outcome")
+        # consecutive host-offline rows naming one host come from one leave
+        leaves, last = [], None
+        for r in tables[0]:
+            if r[outcome] != "host-offline":
+                last = None
+                continue
+            if last != r[host]:
+                leaves.append([])
+            leaves[-1].append(r[req_id])
+            last = r[host]
+        assert [981, 985, 987, 988] in leaves
+        assert all(ids == sorted(ids) for ids in leaves)
+        assert tables[1] == tables[0] and tables[2] == tables[0]
 
 
 # ---------------------------------------------------------------- outputs

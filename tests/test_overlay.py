@@ -37,7 +37,7 @@ class TestIdentity:
     def test_id_fits_in_256_bits(self):
         assert ID_BITS == 256
         ident = generate_identity(RngStream(5, "identity"))
-        assert 0 <= ident.node_id.value < 1 << 256
+        assert 0 <= ident.node_id < 1 << 256
 
     def test_hundred_thousand_draws_all_distinct(self):
         rng = RngStream(5, "identity")

@@ -166,6 +166,15 @@ class TestStoreFlow:
         assert store.converged("k") and "k" not in store.dirty
         assert entries.count((3, "k", "converged")) == 1
 
+    def test_a_single_replica_put_converges_at_once(self):
+        entries = []
+        store = ReplicaStore(target_r=1, log=lambda at, key, action, node:
+                             entries.append((at, key, action, node)))
+        store.ensure("k", [A])
+        assert store.put("k", "v", writer=B, at=4, apply_at=A) == []
+        assert entries == [(4, "k", "put", A.short), (4, "k", "converged", "")]
+        assert store.converged("k") and "k" not in store.dirty
+
     def test_stale_read_then_gossip_catches_up(self):
         store = ReplicaStore()
         store.ensure("k", [A, B, C])

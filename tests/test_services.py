@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from c3sim.engine import RngStream
+from c3sim.overlay import NodeRecord
 from c3sim.replication import ReplicaStore
 from c3sim.resource_repo import NodeResourceRecord, Repository
 from c3sim.resources import ResourceVector
@@ -19,10 +20,11 @@ from c3sim.services import (
     ServiceError,
     ServiceRuntime,
     ServicesConfig,
+    VendorRuntime,
     budget_fraction,
 )
 
-from conftest import clique_overlay, flat_market, small_ledger
+from conftest import clique_overlay, flat_market, nid, small_ledger
 
 _req_ids = itertools.count(1)
 
@@ -206,7 +208,7 @@ class TestScheduling:
             rt.plan_invoke(request("svc", ids[4], 50, (1, 0, 0)), 50)
         assert rt.traffic["svc"] == {"main": 3}
 
-    def test_admission_places_without_queueing_or_counting(self):
+    def test_admission_places_and_counts_without_queueing(self):
         rt, ids = make_runtime()
         rt.publish(descriptor(declared=(5, 0, 0)), ids[0], 0)
         host = rt.warm_instances("svc", 100)[0].host
@@ -215,7 +217,7 @@ class TestScheduling:
         assert plan.outcome == ADMITTED
         assert (plan.host, plan.start, plan.gross) == (host, 100, 5)
         assert plan.charged == 0 and rt.busy_until == {}
-        assert rt.traffic["svc"] == {}
+        assert rt.traffic["svc"] == {"main": 1}
 
     def test_own_draw_as_budget_never_terminates(self):
         rt, ids = make_runtime()
@@ -294,6 +296,16 @@ class TestPushPlacement:
         assert len(live) == 1
         assert live[0].seq == min(i.seq for i in rt.instances["svc"])
 
+    def test_session_admissions_alone_scale_out_above_the_floor(self):
+        rt, ids = self.burst_runtime()
+        for _ in range(8):
+            plan = rt.admit(Request(next(_req_ids), "svc", ids[4], 10,
+                                    ResourceVector(bandwidth=40), "session"), 10)
+            assert plan.outcome == ADMITTED
+        actions = rt.placement_tick(10, push_enabled=True)
+        assert [a.action for a in actions] == ["deployed"] * 3
+        assert len(rt.warm_instances("svc", 100)) == 4
+
     def test_pull_mode_only_repairs_the_floor(self):
         rt, ids = make_runtime()
         rt.publish(descriptor(declared=(5, 0, 0), min_replicas=2), ids[0], 0)
@@ -310,6 +322,39 @@ class TestPushPlacement:
         actions = rt.placement_tick(2000, push_enabled=False)
         assert len(actions) == 1
         assert actions[0].action == "shortfall" and actions[0].host is None
+
+
+class TestVendorRuntime:
+    def vendor_runtime(self):
+        overlay, ids = clique_overlay(4)
+        vendor = nid(100)
+        overlay.add_record(NodeRecord(vendor, "core", ResourceVector(
+            10**6, 10**9, 10**6), online=True))
+        rt = VendorRuntime(ServicesConfig(regions=("main",)), overlay,
+                           Repository(), small_ledger([]), ReplicaStore(),
+                           RngStream(11, "services"), vendor, latency=30)
+        rt.publish(descriptor(declared=(5, 0, 0)), ids[0], 0)
+        return rt, ids, vendor
+
+    def test_a_plan_names_the_vendor_at_no_price(self):
+        rt, ids, vendor = self.vendor_runtime()
+        plan = rt.admit(request("svc", ids[1], 50, (1, 0, 0)), 50)
+        assert (plan.outcome, plan.host, plan.gross) == (ADMITTED, vendor, 0)
+        assert plan.descriptor.service_id == "svc"
+
+    def test_a_draw_over_the_declared_budget_completes_uncharged(self):
+        rt, ids, vendor = self.vendor_runtime()
+        plan = rt.plan_invoke(request("svc", ids[1], 50, (50, 0, 0)), 50)
+        assert plan.outcome == COMPLETED and plan.fraction == 1
+        assert plan.consumed == ResourceVector(50, 0, 0)
+        assert plan.charged == 0 and rt.settlement_rows(plan, 50) == []
+        assert plan.latency == 30 + 1 + 30  # direct link there and back
+
+    def test_placement_never_acts(self):
+        rt, ids, vendor = self.vendor_runtime()
+        rt.traffic["svc"] = {"main": 50}
+        assert rt.placement_tick(10, push_enabled=True) == []
+        assert [i.host for i in rt.instances["svc"]] == [vendor]
 
 
 class TestDistribution:
