@@ -146,9 +146,13 @@ class Overlay:
         self._index: dict[NodeId, int] | None = None
         self._links: list[dict[int, tuple[int, int]]] = []
         self._up: list[bool] = []
-        # Per source index: (latency, bottleneck) lists over all indices,
-        # dropped whenever an edge or an online flag changes.
-        self._dist_cache: dict[int, tuple[list[int], list[int]]] = {}
+        # Per source index, a resumable Dijkstra [dist, bottleneck, heap]:
+        # each index's best latency so far (_UNBOUNDED if unreached), the
+        # bottleneck bandwidth of that path, and the entries not yet popped.
+        # A query advances a search only until its answer is final (see
+        # _settle). Every search is dropped whenever an edge or an online
+        # flag changes.
+        self._searches: dict[int, list] = {}
 
     # -- membership ---------------------------------------------------------
 
@@ -198,7 +202,7 @@ class Overlay:
         rec.online = online
         if self._index is not None:
             self._up[self._index[rec.node_id]] = online
-        self._dist_cache.clear()
+        self._searches.clear()
 
     # -- topology -----------------------------------------------------------
 
@@ -237,6 +241,8 @@ class Overlay:
         raise OverlayError(f"no connected {d}-regular graph on {n} nodes")
 
     def _add_edge(self, a: NodeId, b: NodeId, latency: int) -> None:
+        if latency < 1:  # routing's early stop relies on it
+            raise ValueError(f"link latency {latency} is below 1")
         if a == b:
             return
         if self.adj[a].get(b) != latency:
@@ -245,7 +251,7 @@ class Overlay:
                 link = (latency, self._link_bandwidth(a, b))
                 self._links[ia][ib] = link
                 self._links[ib][ia] = link
-            self._dist_cache.clear()
+            self._searches.clear()
         self.adj[a][b] = latency
         self.adj[b][a] = latency
         self._dirty_fp.update((a, b))
@@ -256,7 +262,7 @@ class Overlay:
             if self._index is not None:
                 ia, ib = self._index[a], self._index[b]
                 del self._links[ia][ib], self._links[ib][ia]
-            self._dist_cache.clear()
+            self._searches.clear()
         self._dirty_fp.update((a, b))
 
     def add_link(self, a: NodeId, b: NodeId, latency: int) -> None:
@@ -324,22 +330,34 @@ class Overlay:
                 for n in order
             ]
             self._up = [self.records[n].online for n in order]
-            self._dist_cache.clear()
+            self._searches.clear()
             self._index = index
         return self._index
 
-    def _distances(self, src: int) -> tuple[list[int], list[int]]:
-        """Dijkstra from src over online nodes: each index's latency
-        (_UNBOUNDED if unreached) and the bottleneck bandwidth of its path.
-        A path replaces another only when strictly shorter."""
-        cached = self._dist_cache.get(src)
-        if cached is not None:
-            return cached
+    def _search(self, src: int) -> list:
+        search = self._searches.get(src)
+        if search is None:
+            dist = [_UNBOUNDED] * len(self._links)
+            bottleneck = [0] * len(self._links)
+            dist[src], bottleneck[src] = 0, _UNBOUNDED
+            search = self._searches[src] = [dist, bottleneck, [(0, src)]]
+        return search
+
+    def _settle(self, search: list, targets) -> tuple[int, int] | None:
+        """Advance search until the least (latency, index) among the target
+        indices is final, and return it; None if the search reaches none.
+
+        Dijkstra pops in (dist, index) order whether or not it pauses, and
+        a path replaces another only when strictly shorter. Every link
+        latency is at least 1, so each pop is above the one before: a
+        target whose entry is popped, or is no longer above the heap top,
+        is final in latency and bottleneck, and the first target popped
+        is the least of them."""
+        dist, bottleneck, heap = search
+        best = min((dist[t], t) for t in targets)
+        if not heap or heap[0] >= best:
+            return best if best[0] < _UNBOUNDED else None
         links, up = self._links, self._up
-        dist = [_UNBOUNDED] * len(links)
-        bottleneck = [0] * len(links)
-        dist[src], bottleneck[src] = 0, _UNBOUNDED
-        heap = [(0, src)]
         while heap:
             d, node = heapq.heappop(heap)
             if d > dist[node]:
@@ -351,41 +369,63 @@ class Overlay:
                     dist[peer] = nd
                     bottleneck[peer] = bw if bw < bw_here else bw_here
                     heapq.heappush(heap, (nd, peer))
-        self._dist_cache[src] = dist, bottleneck
-        return dist, bottleneck
+            if node in targets:
+                return d, node
+        return None
 
-    def route(self, frm: NodeId, to: NodeId, size: int = 0) -> int:
-        """Latency of the cheapest path plus the transfer term for size."""
-        if not self.is_online(frm) or not self.is_online(to):
-            raise Unreachable(f"{frm!r} -> {to!r}")
+    def _cost(self, frm: NodeId, to: NodeId, size: int) -> int | None:
+        """Latency of the cheapest online path plus the transfer term for
+        size, or None if either end is offline or no path joins them.
+
+        Latency is symmetric, so a size-0 query from a source without a
+        search reads the target's search instead, starting it if need be.
+        The bottleneck follows the tie-breaks of one direction, so a
+        size > 0 query always reads the source's own search."""
+        if not (self.is_online(frm) and self.is_online(to)):
+            return None
         if frm == to:
             return 0
         index = self._indexed()
-        dist, bottleneck = self._distances(index[frm])
-        latency = dist[index[to]]
-        if latency == _UNBOUNDED:
-            raise Unreachable(f"{frm!r} -> {to!r}")
+        src, dst = index[frm], index[to]
+        if size == 0 and src not in self._searches:
+            src, dst = dst, src
+        search = self._search(src)
+        found = self._settle(search, (dst,))
+        if found is None:
+            return None
+        latency = found[0]
         if size > 0:
-            latency += -(-size // bottleneck[index[to]])
+            latency += -(-size // search[1][dst])
+        return latency
+
+    def route(self, frm: NodeId, to: NodeId, size: int = 0) -> int:
+        """Latency of the cheapest path plus the transfer term for size:
+        ceil(size / the bottleneck bandwidth of the tie-broken path from
+        frm). Raises Unreachable if either end is offline or cut off."""
+        latency = self._cost(frm, to, size)
+        if latency is None:
+            raise Unreachable(f"{frm!r} -> {to!r}")
         return latency
 
     def nearest(self, frm: NodeId, candidates) -> NodeId | None:
         """The candidate frm reaches at the smallest (route latency, id),
-        or None if it reaches none."""
-        best = None
-        for cand in candidates:
-            try:
-                key = (self.route(frm, cand), cand)
-            except Unreachable:
-                continue
-            best = key if best is None else min(best, key)
-        return best[1] if best else None
+        or None if it reaches none. Dense indices follow NodeId order, so
+        this is the first candidate frm's search settles; one candidate
+        is a single route, which may read the candidate's search."""
+        if not self.is_online(frm):
+            return None
+        index = self._indexed()
+        targets = {index[c]: c for c in candidates if self.is_online(c)}
+        if not targets:
+            return None
+        if len(targets) == 1:
+            (cand,) = targets.values()
+            return cand if self._cost(frm, cand, 0) is not None else None
+        found = self._settle(self._search(index[frm]), targets)
+        return targets[found[1]] if found else None
 
     def reachable(self, frm: NodeId, to: NodeId) -> bool:
-        if not self.is_online(frm) or not self.is_online(to):
-            return False
-        index = self._indexed()
-        return frm == to or self._distances(index[frm])[0][index[to]] < _UNBOUNDED
+        return self._cost(frm, to, 0) is not None
 
     # -- super-peers ---------------------------------------------------------
 

@@ -184,6 +184,26 @@ class TestRouting:
         overlay.leave(ids[0], 1)
         assert overlay.nearest(ids[0], ids) is None
 
+    def test_sized_route_reads_the_source_search_not_the_target_one(self):
+        # a -3- x -7- b and a -7- y -3- b tie at 10. From a, x settles
+        # first and b keeps the path through x, 1 wide; from b, y settles
+        # first and a keeps the path through y, 1000 wide.
+        cfg = OverlayConfig(degree=2, min_degree=1, inter_region_links=0)
+        overlay = Overlay(cfg, RngStream(7, "overlay"))
+        a, x, y, b = (nid(i) for i in (1, 2, 3, 4))
+        for node, region, bandwidth in ((a, "ra", 1000), (x, "rx", 1),
+                                        (y, "ry", 1000), (b, "rb", 1000)):
+            # one region each, so joins add no links of their own
+            overlay.add_record(NodeRecord(node, region,
+                                          ResourceVector(10, 1000, bandwidth)))
+            overlay.join(node, 0)
+        for u, v, latency in ((a, x, 3), (x, b, 7), (a, y, 7), (y, b, 3)):
+            overlay.add_link(u, v, latency)
+        assert overlay.route(b, a, 100) == 10 + 1  # warms b's search
+        assert reference_distances(overlay, a)[b] == (10, 1)
+        assert overlay.route(a, b, 100) == 10 + 100
+        assert overlay.route(a, b) == overlay.route(b, a) == 10
+
     def test_single_node_removal_never_partitions_after_repair(self):
         cfg = OverlayConfig(degree=6, min_degree=3, inter_region_links=3,
                             m_target=3)
@@ -252,6 +272,16 @@ def check_routes_from(overlay, a, nodes, size):
             assert overlay.route(a, b, size) == want
 
 
+def nearest_reference(overlay, frm, candidates):
+    """The smallest (latency, id) over the online candidates frm reaches."""
+    if not overlay.is_online(frm):
+        return None
+    dist = reference_distances(overlay, frm)
+    reached = [(dist[c][0], c) for c in candidates
+               if overlay.is_online(c) and c in dist]
+    return min(reached)[1] if reached else None
+
+
 CHURN_NODES = 8
 CHURN_REGIONS = ("a", "b")
 # (op, node, node, value): nodes are taken modulo the current count; value
@@ -262,6 +292,15 @@ churn_ops = st.lists(st.tuples(
     st.integers(0, 2 * CHURN_NODES), st.integers(0, 2 * CHURN_NODES),
     st.sampled_from((0, 1, 3, 5, 7, 10, 25, 40, 50, 999)),
 ), min_size=5, max_size=20)
+# (query, node, node, size, candidates) asked between ops, before the full
+# check, so that they meet searches that earlier queries advanced part way;
+# a route query also asks reachable
+churn_queries = st.lists(st.tuples(
+    st.sampled_from(("route", "nearest")),
+    st.integers(0, 2 * CHURN_NODES), st.integers(0, 2 * CHURN_NODES),
+    st.sampled_from((0, 0, 1, 25, 999)),
+    st.lists(st.integers(0, 2 * CHURN_NODES), max_size=4),
+), max_size=6)
 
 
 class TestRouteCacheUnderChurn:
@@ -270,10 +309,10 @@ class TestRouteCacheUnderChurn:
                            min_size=CHURN_NODES, max_size=CHURN_NODES),
            bandwidths=st.lists(st.sampled_from([1, 3, 10, 40]),
                                min_size=CHURN_NODES, max_size=CHURN_NODES),
-           ops=churn_ops)
+           ops=churn_ops, data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_every_answer_matches_a_fresh_dijkstra(self, seed, online,
-                                                   bandwidths, ops):
+                                                   bandwidths, ops, data):
         cfg = OverlayConfig(degree=3, min_degree=2, inter_region_links=1,
                             intra_latency=5, inter_latency=50, m_target=3)
         overlay = Overlay(cfg, RngStream(seed, "overlay"))
@@ -286,11 +325,22 @@ class TestRouteCacheUnderChurn:
                 ids[-1], CHURN_REGIONS[len(ids) % len(CHURN_REGIONS)],
                 ResourceVector(4, 100, bandwidth)))
 
+        def ask(queries):
+            for query, i, j, size, cands in queries:
+                a, b = ids[i % len(ids)], ids[j % len(ids)]
+                if query == "route":
+                    check_routes_from(overlay, a, [b], size)
+                else:
+                    cands = [ids[k % len(ids)] for k in cands]
+                    assert overlay.nearest(a, cands) == nearest_reference(
+                        overlay, a, cands)
+
         for i in range(CHURN_NODES):
             add(bandwidths[i])
             if online[i]:
                 overlay.join(ids[i], 0)
         overlay.build(0)
+        ask(data.draw(churn_queries))
         for src in ids:
             check_routes_from(overlay, src, ids, 0)
         for op, i, j, value in ops:
@@ -301,10 +351,14 @@ class TestRouteCacheUnderChurn:
                 overlay.leave(a, 1)
             elif op == "maintenance":
                 overlay.maintenance(1)
+            elif op == "add_link" and value < 1:
+                with pytest.raises(ValueError):  # every link takes a tick
+                    overlay.add_link(a, b, value)
             elif op == "add_link":
                 overlay.add_link(a, b, value)
             elif op == "add_record":
                 add(value)
+            ask(data.draw(churn_queries))
             # every source, so that a stale cached search shows at once
             for src in ids:
                 check_routes_from(overlay, src, ids, value)
