@@ -24,14 +24,14 @@ from ..engine import Event, RunSummary, SimTime, Simulator
 from ..evolution import UpdateDiffusion
 from ..ledger import Ledger, MarketConfig, MarketPrice, account_label
 from ..overlay import (NodeId, NodeRecord, NoQuorum, Overlay, OverlayConfig,
-                       Unreachable, generate_identity)
+                       OverlayError, Unreachable, generate_identity)
 from ..replication import ReplicaStore
 from ..resource_repo import NodeResourceRecord, Repository, ResourceQuery
 from ..resources import ResourceVector
 from ..services import (ADMITTED, COMPLETED, InvokePlan, Request,
                         ServiceDescriptor, ServiceRuntime, ServicesConfig,
                         VendorRuntime)
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .failures import resolve_target, validate_target
 from .metrics import COLUMNS, compute_report
 from .workloads import WorkloadItem, draw_actual, generate
@@ -112,7 +112,10 @@ class Runner:
                       VENDOR_CLASS, cap.compute, cap.storage, cap.bandwidth,
                       1.0, 0, 0, 1)
 
-        self.overlay.build(0)
+        try:
+            self.overlay.build(0)
+        except OverlayError as exc:  # no connected graph of this degree
+            raise ConfigError("[topology] degree", str(exc)) from None
         for region in self.overlay.regions:
             if self.overlay.online_in_region(region):
                 self.overlay.form_dvsp(region, 0)

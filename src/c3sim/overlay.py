@@ -8,6 +8,11 @@ ids and changes exactly when its neighborhood does.
 
 Each region keeps a random regular graph of configurable degree among its
 online members plus a configurable number of links to every other region.
+The initial graph is drawn by Steger & Wormald's stub pairing ("Generating
+random regular graphs quickly", 1999), ported step for step from
+networkx 3.6.1's random_regular_graph and redrawn until connected. Its
+draw order is part of the log-digest contract: another pairing order, or
+another seeding of its random.Random, changes every run's topology.
 Departures tear edges down; a maintenance pass (run at gossip rounds)
 restores minimum degree and inter-region connectivity, and re-forms any
 super-peer whose membership decayed.
@@ -17,9 +22,8 @@ from __future__ import annotations
 import bisect
 import hashlib
 import heapq
+import random
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .engine import RngStream, SimTime
 from .resources import ResourceVector
@@ -226,18 +230,18 @@ class Overlay:
         if (n * d) % 2:
             odd_one = nodes[-1]
             nodes = nodes[:-1]
-        graph = self._regular_graph(d, len(nodes))
-        for i, j in sorted(graph.edges()):
+        for i, j in sorted(self._regular_graph(d, len(nodes))):
             self._add_edge(nodes[i], nodes[j], self.config.intra_latency)
         if odd_one is not None:
             for peer in self.rng.sample(nodes, d):
                 self._add_edge(odd_one, peer, self.config.intra_latency)
 
-    def _regular_graph(self, d: int, n: int) -> nx.Graph:
+    def _regular_graph(self, d: int, n: int) -> set[tuple[int, int]]:
         for attempt in range(64):
-            g = nx.random_regular_graph(d, n, seed=self.rng.randrange(1 << 32))
-            if nx.is_connected(g):
-                return g
+            rng = random.Random(self.rng.randrange(1 << 32))
+            edges = random_regular_edges(d, n, rng)
+            if _connected(n, edges):
+                return edges
         raise OverlayError(f"no connected {d}-regular graph on {n} nodes")
 
     def _add_edge(self, a: NodeId, b: NodeId, latency: int) -> None:
@@ -494,3 +498,77 @@ class Overlay:
         except Exception as exc:  # precondition failures abort, never partially apply
             return TransactionResult(False, f"{type(exc).__name__}")
         return TransactionResult(True)
+
+
+# -- random regular graphs ----------------------------------------------------
+
+def random_regular_edges(d: int, n: int, rng: random.Random) -> set[tuple[int, int]]:
+    """Edges (i, j), i < j, of a random d-regular simple graph on nodes
+    0..n-1 (n * d even, d < n), by Steger & Wormald's stub pairing.
+
+    The same draws as networkx 3.6.1's random_regular_graph(d, n, seed)
+    on this rng, in the same order, so it returns the same edge set."""
+    if (n * d) % 2 or not 0 <= d < n:  # no such graph: pairing never ends
+        raise ValueError(f"no {d}-regular graph on {n} nodes")
+    while True:
+        edges = _pair_stubs(d, n, rng)
+        if edges is not None:
+            return edges
+
+
+def _pair_stubs(d: int, n: int, rng: random.Random) -> set[tuple[int, int]] | None:
+    """One pairing attempt: pair shuffled stubs, keep every new non-loop
+    edge and re-pair the stubs of the rest; None once no rest can pair."""
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(n)) * d
+    while stubs:
+        leftover: dict[int, int] = {}
+        rng.shuffle(stubs)
+        pairs = iter(stubs)
+        for s1, s2 in zip(pairs, pairs):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                leftover[s1] = leftover.get(s1, 0) + 1
+                leftover[s2] = leftover.get(s2, 0) + 1
+        if not _suitable(edges, leftover):
+            return None
+        stubs = [node for node, k in leftover.items() for _ in range(k)]
+    return edges
+
+
+def _suitable(edges: set[tuple[int, int]], leftover: dict[int, int]) -> bool:
+    """Whether some pair of leftover nodes may still be joined.
+
+    The swap rebinds s1 for the rest of the inner loop. networkx does the
+    same, and which pairs are tried decides which attempts are retried."""
+    if not leftover:
+        return True
+    for s1 in leftover:
+        for s2 in leftover:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
+
+
+def _connected(n: int, edges: set[tuple[int, int]]) -> bool:
+    """Whether the graph on nodes 0..n-1 (n >= 1) with these edges is
+    connected."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for peer in adj[stack.pop()]:
+            if peer not in seen:
+                seen.add(peer)
+                stack.append(peer)
+    return len(seen) == n

@@ -128,6 +128,7 @@ class Repository:
 
     def eligible(self, query: ResourceQuery, at: SimTime) -> list[NodeResourceRecord]:
         out = []
+        gate: dict[str, bool] = {}   # region_gate once per region per query
         for node_id in sorted(self.records):
             rec = self.records[node_id]
             if rec.last_heartbeat is None or at - rec.last_heartbeat > self.staleness:
@@ -136,7 +137,9 @@ class Repository:
                 continue
             if not rec.free_capacity.covers(query.required):
                 continue
-            if not self.region_gate(rec.region):
+            if rec.region not in gate:
+                gate[rec.region] = self.region_gate(rec.region)
+            if not gate[rec.region]:
                 continue
             out.append(rec)
         return out

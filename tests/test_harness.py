@@ -699,6 +699,16 @@ class TestEndToEnd:
         assert run_audits(runner.logs) == []
 
 
+def fresh_python(code: str, *args: str, stdin: str = "") -> str:
+    """Stdout of code run in a new interpreter that imports c3sim from src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], input=stdin,
+                          capture_output=True, text=True, check=True,
+                          env=env).stdout
+
+
 def log_digest(logs) -> str:
     return hashlib.sha256(repr(sorted(logs.items())).encode()).hexdigest()
 
@@ -790,13 +800,9 @@ class TestRequestPath:
                  "from c3sim.harness.runner import run_scenario\n"
                  "runner = run_scenario(parse_scenario_text(sys.stdin.read()))\n"
                  "json.dump(runner.logs['requests'], sys.stdout)\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        tables = [json.loads(subprocess.run(
-            [sys.executable, "-c", child, str(padding)], input=text.getvalue(),
-            capture_output=True, text=True, check=True, env=env).stdout)
-            for padding in (0, 1_000, 20_000)]
+        tables = [json.loads(fresh_python(child, str(padding),
+                                          stdin=text.getvalue()))
+                  for padding in (0, 1_000, 20_000)]
         req_id = column_index("requests", "req_id")
         host = column_index("requests", "host")
         outcome = column_index("requests", "outcome")
@@ -907,6 +913,28 @@ class TestCli:
         monkeypatch.setattr(Simulator, "run", lambda self: pytest.fail("ran"))
         assert cli.main(["--scenario", str(path)]) == 2
         assert "[failures] e1.target" in capsys.readouterr().err
+
+    def test_degree_without_a_connected_graph_is_a_config_error(
+            self, tmp_path, capsys):
+        # At this seed, all 64 draws of a 2-regular graph on a region's
+        # 300 nodes fall apart into several cycles.
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(SCENARIO_DIR / "video_small.ini")
+        parser["topology"]["degree"] = "2"
+        parser["population"]["homelab.count"] = "600"
+        path = tmp_path / "rings.ini"
+        with path.open("w") as f:
+            parser.write(f)
+        assert cli.main(["--scenario", str(path), "--seed", "37"]) == 2
+        assert "[topology] degree" in capsys.readouterr().err
+
+    def test_a_run_leaves_networkx_unimported(self, scenario_file, tmp_path):
+        child = ("import sys\n"
+                 "from c3sim.harness import cli\n"
+                 "code = cli.main(['--scenario', sys.argv[1], '--out', sys.argv[2]])\n"
+                 "print(code, 'networkx' in sys.modules)\n")
+        out = fresh_python(child, str(scenario_file), str(tmp_path / "out"))
+        assert out.split() == ["0", "False"]
 
     def test_violations_flip_the_exit_code(self, scenario_file, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_audits", lambda logs: ["planted violation"])

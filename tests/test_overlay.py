@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import heapq
+import random
 
 import networkx as nx
 import pytest
@@ -20,7 +21,10 @@ from c3sim.overlay import (
     OverlayConfig,
     Unreachable,
     UnknownNode,
+    _connected,
+    _pair_stubs,
     generate_identity,
+    random_regular_edges,
 )
 from c3sim.resources import ResourceVector
 
@@ -301,6 +305,32 @@ churn_queries = st.lists(st.tuples(
     st.sampled_from((0, 0, 1, 25, 999)),
     st.lists(st.integers(0, 2 * CHURN_NODES), max_size=4),
 ), max_size=6)
+
+
+class TestRegularGraph:
+    def test_port_draws_the_networkx_graph(self):
+        """networkx is the reference: the port makes the same draws, so it
+        returns the same edges at every (d, n, seed), and its connectivity
+        check agrees with networkx's."""
+        retried = disconnected = 0
+        for d in range(2, 9):
+            for n in range(d + 1, 25):
+                if n * d % 2:
+                    continue
+                for seed in range(5):
+                    graph = nx.random_regular_graph(d, n, seed=seed)
+                    edges = random_regular_edges(d, n, random.Random(seed))
+                    assert edges == set(graph.edges()), (d, n, seed)
+                    assert _connected(n, edges) == nx.is_connected(graph)
+                    disconnected += not nx.is_connected(graph)
+                    retried += _pair_stubs(d, n, random.Random(seed)) is None
+        # the grid reaches failed pairings and graphs in pieces
+        assert retried > 0 and disconnected > 0
+
+    @pytest.mark.parametrize("d,n", [(3, 5), (4, 4), (5, 3)])
+    def test_no_regular_graph_is_an_error_not_an_endless_pairing(self, d, n):
+        with pytest.raises(ValueError):
+            random_regular_edges(d, n, random.Random(0))
 
 
 class TestRouteCacheUnderChurn:

@@ -132,13 +132,20 @@ class TestEligibility:
         assert not repo.eligible(q, at=1501)
 
     def test_region_gate_excludes_partitioned_records(self):
-        repo = Repository(region_gate=lambda r: r != "south")
-        for i, region in enumerate(("north", "south")):
+        asked = []
+
+        def gate(region):
+            asked.append(region)
+            return region != "south"
+
+        repo = Repository(region_gate=gate)
+        for i, region in enumerate(("north", "south") * 2):
             repo.register(NodeResourceRecord(nid(i + 1), region,
                                              ResourceVector(4, 4, 4)))
             repo.heartbeat(nid(i + 1), ResourceVector(4, 4, 4), at=0)
         got = repo.eligible(ResourceQuery(ResourceVector(1, 1, 1)), at=10)
-        assert [r.node_id for r in got] == [nid(1)]
+        assert [r.node_id for r in got] == [nid(1), nid(3)]
+        assert asked == ["north", "south"]   # once per region per query
 
     @given(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10),
                               st.integers(0, 10), st.integers(0, 2000)),
