@@ -11,14 +11,13 @@ scarcity phase and a glut phase; the second half runs the small wiki
 scenario and shows where prices settle in an over-provisioned community.
 """
 from dataclasses import replace
-from fractions import Fraction
 
 from c3sim.ledger import MarketConfig, MarketPrice
 from c3sim.resources import ResourceVector
 
-market = MarketPrice(
-    {"compute": Fraction(10), "storage": Fraction(10), "bandwidth": Fraction(10)},
-    MarketConfig(alpha=0.5, p_min=Fraction(1), p_max=Fraction(40)))
+market = MarketPrice(MarketConfig(
+    initial={"compute": 10, "storage": 10, "bandwidth": 10},
+    alpha=0.5, p_min=1, p_max=40))
 
 # Eight windows of scarcity: the community consumes twice what it could
 # supply, so each window multiplies the price by sqrt(2) until the cap.
@@ -26,7 +25,7 @@ print("scarcity, demand = 2x supply")
 for window in range(8):
     market.update(demand=ResourceVector(200, 200, 200),
                   supply=ResourceVector(100, 100, 100))
-    print(f"  window {window}: compute price {float(market.prices['compute']):.3f}")
+    print(f"  window {window}: compute price {market.price('compute'):.3f}")
 
 # Then the crowd leaves. Demand at a quarter of supply halves the price
 # per window; the floor stops the slide.
@@ -34,13 +33,13 @@ print("glut, demand = supply / 4")
 for window in range(8):
     market.update(demand=ResourceVector(25, 25, 25),
                   supply=ResourceVector(100, 100, 100))
-    print(f"  window {window}: compute price {float(market.prices['compute']):.3f}")
+    print(f"  window {window}: compute price {market.price('compute'):.3f}")
 
-assert market.prices["compute"] == Fraction(1), "floor should have caught it"
+assert market.price("compute") == 1, "floor should have caught it"
 
 # A window with no supply at all is priced as maximal scarcity.
 market.update(ResourceVector(), ResourceVector())
-assert market.prices["compute"] == Fraction(40)
+assert market.price("compute") == 40
 print("no supply at all jumps straight to the cap")
 
 # The same rule inside a full run. The small wiki community has far more
@@ -57,7 +56,7 @@ busy = run_scenario(crowded)
 
 print()
 print(f"wiki_small, initial compute price "
-      f"{float(config.market.initial['compute']):g}, "
+      f"{config.market.initial['compute']:g}, "
       f"band [{config.market.p_min}, {config.market.p_max}]")
 first = baseline.logs["prices"][0]
 last = baseline.logs["prices"][-1]

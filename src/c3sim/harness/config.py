@@ -44,8 +44,8 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
+from ..ledger import MarketConfig
 from ..resources import ResourceVector
 
 
@@ -103,15 +103,6 @@ class TopologySpec:
 
 
 @dataclass(frozen=True, slots=True)
-class MarketSpec:
-    alpha: float
-    p_min: int
-    p_max: int
-    initial: dict[str, Fraction]
-    minting: bool
-
-
-@dataclass(frozen=True, slots=True)
 class WorkloadSpec:
     kind: str
     rate: float
@@ -155,7 +146,7 @@ class ScenarioConfig:
     cool_down_windows: int
     topology: TopologySpec
     population: tuple[PopulationClass, ...]
-    market: MarketSpec
+    market: MarketConfig
     services: tuple[ServiceEntry, ...]
     workload: WorkloadSpec
     failures: tuple[FailureEntry, ...]
@@ -306,7 +297,7 @@ def _topology(sec: _Section) -> TopologySpec:
     regions = sec.names("regions") or ("r0", "r1")
     spec = TopologySpec(
         regions=regions,
-        degree=sec.integer("degree", 6, minimum=2),
+        degree=sec.integer("degree", 6, minimum=3),
         inter_region_links=sec.integer("inter_region_links", 3, minimum=1),
         intra_latency=sec.integer("intra_latency", 5, minimum=1),
         inter_latency=sec.integer("inter_latency", 50, minimum=1),
@@ -347,25 +338,25 @@ def _population(sec: _Section, regions: tuple[str, ...]) -> tuple[PopulationClas
     return tuple(out)
 
 
-def _market(sec: _Section) -> MarketSpec:
-    spec = MarketSpec(
+def _market(sec: _Section) -> MarketConfig:
+    market = MarketConfig(
         alpha=sec.number("alpha", 0.5),
         p_min=sec.integer("p_min", 1, minimum=0),
         p_max=sec.integer("p_max", 1000, minimum=1),
         initial={
-            "compute": Fraction(sec.integer("initial_compute", 10, minimum=1)),
-            "storage": Fraction(sec.integer("initial_storage", 2, minimum=1)),
-            "bandwidth": Fraction(sec.integer("initial_bandwidth", 4, minimum=1)),
+            "compute": sec.integer("initial_compute", 10, minimum=1),
+            "storage": sec.integer("initial_storage", 2, minimum=1),
+            "bandwidth": sec.integer("initial_bandwidth", 4, minimum=1),
         },
         minting=sec.flag("minting", False),
     )
     sec.finish()
-    for kind, price in spec.initial.items():
-        if not spec.p_min <= price <= spec.p_max:
+    for kind, price in market.initial.items():
+        if not market.p_min <= price <= market.p_max:
             raise ConfigError(f"[market] initial_{kind}",
                               f"must be in [p_min, p_max] = "
-                              f"[{spec.p_min}, {spec.p_max}]")
-    return spec
+                              f"[{market.p_min}, {market.p_max}]")
+    return market
 
 
 def _services(sec: _Section) -> tuple[ServiceEntry, ...]:

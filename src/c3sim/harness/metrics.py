@@ -8,7 +8,6 @@ the writer and the reader, which is what keeps the round trip exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # column name -> converter applied when reading back from CSV text
 _I = int

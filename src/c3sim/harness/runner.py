@@ -17,12 +17,11 @@ no evolution, so the two can be compared under identical demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from ..engine import Event, RunSummary, SimTime, Simulator
 from ..evolution import UpdateDiffusion
-from ..ledger import Ledger, MarketConfig, MarketPrice, account_label
+from ..ledger import Ledger, MarketPrice, account_label
 from ..overlay import (NodeId, NodeRecord, NoQuorum, Overlay, OverlayConfig,
                        OverlayError, Unreachable, generate_identity)
 from ..replication import ReplicaStore
@@ -120,12 +119,7 @@ class Runner:
             if self.overlay.online_in_region(region):
                 self.overlay.form_dvsp(region, 0)
 
-        market = MarketPrice(dict(cfg.market.initial), MarketConfig(
-            alpha=cfg.market.alpha,
-            p_min=Fraction(cfg.market.p_min),
-            p_max=Fraction(cfg.market.p_max),
-            minting=cfg.market.minting))
-        self.ledger = Ledger(market)
+        self.ledger = Ledger(MarketPrice(cfg.market))
         self.repo = Repository(
             heartbeat_interval=cfg.heartbeat_interval,
             region_gate=self.overlay.dvsp_has_quorum)
@@ -486,9 +480,9 @@ class Runner:
                                 sum(held.get(r.node_id, 0) for r in online),
                                 self._demand.bandwidth)
         self.ledger.market.update(demand, supply)
-        prices = self.ledger.market.prices
-        self._log("prices", at, float(prices["compute"]),
-                  float(prices["storage"]), float(prices["bandwidth"]))
+        price = self.ledger.market.price
+        self._log("prices", at, price("compute"), price("storage"),
+                  price("bandwidth"))
         self._demand = ResourceVector()
 
     def _on_placement(self, event: Event) -> None:

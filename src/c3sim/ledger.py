@@ -8,17 +8,18 @@ units); a minting policy can be switched on, in which case rewards enter as
 rows from the reserved account "mint" and payments leave through "burn", and
 the conservation audit accounts for both.
 
-Prices are exact rationals. The demand-response update multiplies by
-(demand/supply)**alpha and is snapped to denominator 10**6 before clamping
-into [p_min, p_max], which keeps the arithmetic exact while the exponent is
-irrational. Zero supply pegs a price to p_max; zero demand walks it down to
-p_min.
+Prices are integer micro-credits: a stored price k means k / PRICE_SNAP
+credits, and no other module knows the unit. The demand-response update
+multiplies the price by (demand/supply)**alpha in floats, rounds to the
+nearest micro-credit and clamps into [p_min, p_max], so prices stay exact
+while the exponent is irrational. A charge is the exact sum of k * amount,
+divided by PRICE_SNAP and rounded up. Zero supply pegs a price to p_max;
+zero demand walks it down to p_min.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .overlay import NodeId
 from .resources import RESOURCE_KINDS, ResourceVector
@@ -64,49 +65,54 @@ class Transfer:
 
 @dataclass(frozen=True, slots=True)
 class MarketConfig:
+    initial: dict[str, int]  # credits per unit, by resource kind
     alpha: float = 0.5
-    p_min: Fraction = Fraction(1)
-    p_max: Fraction = Fraction(1000)
+    p_min: int = 1
+    p_max: int = 1000
     minting: bool = False
 
 
 class MarketPrice:
     """Per-resource unit prices under the damped demand/supply rule."""
 
-    def __init__(self, initial: dict[str, Fraction], config: MarketConfig):
+    def __init__(self, config: MarketConfig):
         for kind in RESOURCE_KINDS:
-            if not config.p_min <= initial[kind] <= config.p_max:
+            if not config.p_min <= config.initial[kind] <= config.p_max:
                 raise ValueError(f"initial {kind} price outside [p_min, p_max]")
-        self.prices: dict[str, Fraction] = dict(initial)
         self.config = config
+        # micro-credits per unit, by resource kind
+        self.micro = {k: config.initial[k] * PRICE_SNAP for k in RESOURCE_KINDS}
+
+    def price(self, kind: str) -> float:
+        """Current unit price of one resource kind, in credits."""
+        return self.micro[kind] / PRICE_SNAP
 
     def update(self, demand: ResourceVector, supply: ResourceVector) -> None:
         for kind in RESOURCE_KINDS:
-            self.prices[kind] = self._step(self.prices[kind],
-                                           demand.get(kind), supply.get(kind))
+            self.micro[kind] = self._step(self.micro[kind],
+                                          demand.get(kind), supply.get(kind))
 
-    def _step(self, price: Fraction, demand: int, supply: int) -> Fraction:
+    def _step(self, micro: int, demand: int, supply: int) -> int:
         cfg = self.config
+        cap = cfg.p_max * PRICE_SNAP
         if supply <= 0:
-            return cfg.p_max
+            return cap
         ratio = demand / supply
         if cfg.alpha == 0.5:
             factor = math.sqrt(ratio)
         else:
             factor = ratio ** cfg.alpha
-        raw = float(price) * factor
-        snapped = Fraction(round(raw * PRICE_SNAP), PRICE_SNAP)
-        return min(max(snapped, cfg.p_min), cfg.p_max)
+        raw = micro / PRICE_SNAP * factor
+        return min(max(round(raw * PRICE_SNAP), cfg.p_min * PRICE_SNAP), cap)
 
     def basket(self) -> float:
         """Price of one unit of every resource."""
-        return float(sum(self.prices.values()))
+        return sum(self.micro.values()) / PRICE_SNAP
 
     def value_of(self, amounts: ResourceVector) -> int:
         """Currency owed for the amounts at current prices, rounded up."""
-        total = sum((self.prices[k] * amounts.get(k) for k in RESOURCE_KINDS),
-                    Fraction(0))
-        return -(-total.numerator // total.denominator) if total > 0 else 0
+        total = sum(self.micro[k] * amounts.get(k) for k in RESOURCE_KINDS)
+        return -(-total // PRICE_SNAP) if total > 0 else 0
 
 
 class Ledger:
@@ -157,7 +163,8 @@ class Ledger:
     def apply_batch(self, ops: list[Transfer], at: int) -> list[Transfer]:
         """All rows or none: stage every balance change, then commit."""
         staged: dict[AccountKey, int] = {}
-        stamped = [replace(op, at=at) for op in ops]
+        stamped = [Transfer(at, op.src, op.dst, op.amount, op.reason)
+                   for op in ops]
         for row in stamped:
             self._check(row, staged)
             if row.src != MINT:

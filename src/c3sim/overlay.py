@@ -100,7 +100,6 @@ class NodeRecord:
     mean_offline: int = 0
     online: bool = False
     online_since: SimTime = 0
-    fingerprint: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,7 +140,6 @@ class Overlay:
         self.dvsps: dict[str, VirtualSuperPeer] = {}
         self._epochs: dict[str, int] = {}
         self._reform: set[str] = set()
-        self._dirty_fp: set[NodeId] = set()
         # Routing runs on dense indices in sorted-NodeId order, so the heap
         # tie-break on (dist, index) is the tie-break on (dist, NodeId).
         # _links mirrors adj in the same order, with each link's bandwidth;
@@ -258,7 +256,6 @@ class Overlay:
             self._searches.clear()
         self.adj[a][b] = latency
         self.adj[b][a] = latency
-        self._dirty_fp.update((a, b))
 
     def _drop_edge(self, a: NodeId, b: NodeId) -> None:
         if b in self.adj[a]:
@@ -267,7 +264,6 @@ class Overlay:
                 ia, ib = self._index[a], self._index[b]
                 del self._links[ia][ib], self._links[ib][ia]
             self._searches.clear()
-        self._dirty_fp.update((a, b))
 
     def add_link(self, a: NodeId, b: NodeId, latency: int) -> None:
         """Direct link, used for vendor stars and scripted topologies."""
@@ -308,15 +304,11 @@ class Overlay:
     # -- position fingerprints ---------------------------------------------
 
     def fingerprint(self, node_id: NodeId) -> int:
-        """Hash of the sorted neighbor set; recomputed when edges moved."""
-        rec = self.records[node_id]
-        if rec.fingerprint is None or node_id in self._dirty_fp:
-            h = hashlib.sha256()
-            for peer in sorted(self.adj[node_id]):
-                h.update(peer.to_bytes(32, "big"))
-            rec.fingerprint = int.from_bytes(h.digest(), "big")
-            self._dirty_fp.discard(node_id)
-        return rec.fingerprint
+        """Hash of the sorted neighbor set."""
+        h = hashlib.sha256()
+        for peer in sorted(self.adj[node_id]):
+            h.update(peer.to_bytes(32, "big"))
+        return int.from_bytes(h.digest(), "big")
 
     # -- routing ------------------------------------------------------------
 

@@ -15,7 +15,7 @@ smoothed performance, smoothed availability, projected cost and region match.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import RngStream, SimTime
 from .overlay import NodeId

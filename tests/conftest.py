@@ -6,8 +6,6 @@ cliques give a fully connected single region for placement and DVSP work.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from c3sim.engine import RngStream
 from c3sim.ledger import Ledger, MarketConfig, MarketPrice
 from c3sim.overlay import NodeId, NodeRecord, Overlay, OverlayConfig
@@ -20,11 +18,9 @@ def nid(i: int) -> NodeId:
 
 def flat_market(price: int = 1, minting: bool = False,
                 p_max: int = 1000) -> MarketPrice:
-    p = Fraction(price)
-    return MarketPrice(
-        {"compute": p, "storage": p, "bandwidth": p},
-        MarketConfig(p_min=Fraction(1), p_max=Fraction(p_max), minting=minting),
-    )
+    return MarketPrice(MarketConfig(
+        initial={"compute": price, "storage": price, "bandwidth": price},
+        p_min=1, p_max=p_max, minting=minting))
 
 
 def chain_overlay(latencies, bandwidths=None, m_target=3):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 
 import pytest

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c3sim.engine import Event, PastEvent, RngStream, Simulator, derive_seed
+from c3sim.engine import PastEvent, RngStream, Simulator, derive_seed
 
 
 def collect(sim: Simulator, kind: str) -> list:

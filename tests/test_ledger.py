@@ -1,6 +1,7 @@
 """Currency: transfers, batches, market prices, settlements, audits."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from c3sim.ledger import (
     Transfer,
     UnknownAccount,
 )
-from c3sim.resources import ResourceVector
+from c3sim.resources import RESOURCE_KINDS, ResourceVector
 
 from conftest import flat_market, small_ledger
 
@@ -114,44 +115,56 @@ class TestBatches:
         assert ledger.conservation_drift() == 0
 
 
+MICRO = 10 ** 6  # micro-credits per credit: the ledger's price unit
+
+
+def snapped_step(price: Fraction, demand: int, supply: int, alpha: float,
+                 p_min: int, p_max: int) -> Fraction:
+    """The demand-response rule on exact rationals, snapped to 1/MICRO."""
+    if supply <= 0:
+        return Fraction(p_max)
+    ratio = demand / supply
+    factor = math.sqrt(ratio) if alpha == 0.5 else ratio ** alpha
+    snapped = Fraction(round(float(price) * factor * MICRO), MICRO)
+    return min(max(snapped, Fraction(p_min)), Fraction(p_max))
+
+
 class TestPrices:
     def test_demand_equals_supply_price_unchanged(self):
         market = flat_market(price=10)
         market.update(ResourceVector(5, 5, 5), ResourceVector(5, 5, 5))
-        assert market.prices["compute"] == Fraction(10)
-        assert market.prices["storage"] == Fraction(10)
-        assert market.prices["bandwidth"] == Fraction(10)
+        assert market.price("compute") == 10
+        assert market.price("storage") == 10
+        assert market.price("bandwidth") == 10
 
     def test_demand_four_times_supply_doubles_price(self):
         # sqrt(4) = 2 exactly, p_max=100 leaves room: 10 -> 20.
-        market = MarketPrice(
-            {k: Fraction(10) for k in ("compute", "storage", "bandwidth")},
-            MarketConfig(alpha=0.5, p_min=Fraction(1), p_max=Fraction(100)))
+        market = MarketPrice(MarketConfig(
+            initial={k: 10 for k in RESOURCE_KINDS},
+            alpha=0.5, p_min=1, p_max=100))
         market.update(ResourceVector(8, 8, 8), ResourceVector(2, 2, 2))
-        assert market.prices["compute"] == Fraction(20)
+        assert market.price("compute") == 20
 
     def test_zero_demand_walks_to_p_min(self):
         market = flat_market(price=700)
         for _ in range(3):
             market.update(ResourceVector(), ResourceVector(5, 5, 5))
-        assert market.prices["compute"] == market.config.p_min
+        assert market.price("compute") == market.config.p_min
 
     def test_zero_supply_pegs_to_p_max(self):
         market = flat_market(price=10)
         market.update(ResourceVector(5, 5, 5), ResourceVector(0, 1, 1))
-        assert market.prices["compute"] == market.config.p_max
-        assert market.prices["storage"] < market.config.p_max
+        assert market.price("compute") == market.config.p_max
+        assert market.price("storage") < market.config.p_max
 
     def test_clamped_at_p_max(self):
         market = flat_market(price=900)
         market.update(ResourceVector(10**6, 0, 0), ResourceVector(1, 1, 1))
-        assert market.prices["compute"] == market.config.p_max
+        assert market.price("compute") == market.config.p_max
 
     def test_initial_price_outside_bounds_rejected(self):
         with pytest.raises(ValueError):
-            MarketPrice({k: Fraction(0) for k in ("compute", "storage",
-                                                  "bandwidth")},
-                        MarketConfig())
+            MarketPrice(MarketConfig(initial={k: 0 for k in RESOURCE_KINDS}))
 
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)),
                     min_size=1, max_size=40))
@@ -164,7 +177,7 @@ class TestPrices:
             for demand, supply in series:
                 market.update(ResourceVector(demand, demand, demand),
                               ResourceVector(supply, supply, supply))
-                price = market.prices["compute"]
+                price = market.price("compute")
                 assert market.config.p_min <= price <= market.config.p_max
                 seen.append(price)
             runs.append(seen)
@@ -174,8 +187,38 @@ class TestPrices:
         market = flat_market(price=2)
         assert market.value_of(ResourceVector(compute=3)) == 6
         assert market.value_of(ResourceVector()) == 0
-        market.prices["compute"] = Fraction(3, 2)
+        market.micro["compute"] = 3 * MICRO // 2
         assert market.value_of(ResourceVector(compute=1)) == 2  # ceil(1.5)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_integer_prices_match_exact_rationals(self, data):
+        p_min = data.draw(st.integers(0, 5), label="p_min")
+        p_max = data.draw(st.integers(max(p_min, 1), 1000), label="p_max")
+        alpha = data.draw(st.sampled_from([0.5, 0.25, 1.0, 2.0]), label="alpha")
+        grid = st.integers(p_min * MICRO, p_max * MICRO)
+        counts = st.integers(0, 10**6)
+        micro = {k: data.draw(grid, label=k) for k in RESOURCE_KINDS}
+        amounts = ResourceVector(*(data.draw(counts) for _ in RESOURCE_KINDS))
+        demand = ResourceVector(*(data.draw(counts) for _ in RESOURCE_KINDS))
+        supply = ResourceVector(*(data.draw(counts) for _ in RESOURCE_KINDS))
+        market = MarketPrice(MarketConfig(
+            initial={k: p_min for k in RESOURCE_KINDS},
+            alpha=alpha, p_min=p_min, p_max=p_max))
+        market.micro.update(micro)
+        exact = {k: Fraction(micro[k], MICRO) for k in RESOURCE_KINDS}
+
+        owed = sum(exact[k] * amounts.get(k) for k in RESOURCE_KINDS)
+        assert market.value_of(amounts) == math.ceil(owed)
+        assert market.basket() == float(sum(exact.values()))
+        for kind in RESOURCE_KINDS:
+            assert market.price(kind) == float(exact[kind])
+
+        market.update(demand, supply)
+        for kind in RESOURCE_KINDS:
+            want = snapped_step(exact[kind], demand.get(kind), supply.get(kind),
+                                alpha, p_min, p_max)
+            assert Fraction(market.micro[kind], MICRO) == want
 
 
 class TestSettlements:
