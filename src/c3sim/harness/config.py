@@ -34,6 +34,8 @@ A scenario is an INI-style text file. Sections and keys:
   targets: nodes:random:<fraction> | region:<name> | dvsp:<region>:<k>
            | vendor | class:<name>:<index>
   churn_multiplier (scales mean_online/mean_offline; 0 freezes churn)
+  Each target is parsed once into FailureEntry fields. A vendor target is
+  checked when a run is built, after --mode applies.
 [evolution]
   trust_out_degree, theta
 
@@ -119,10 +121,16 @@ class WorkloadSpec:
 
 @dataclass(frozen=True, slots=True)
 class FailureEntry:
+    """One scripted kill or restore. `kind` is the target's head, `scope`
+    the region or class it names, `k` the dvsp count or class index and
+    `fraction` the random share; unused fields are "", 0 and 0.0."""
     name: str
     at: int
     action: str
-    target: str
+    kind: str
+    scope: str
+    k: int
+    fraction: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -432,17 +440,37 @@ def _failures(sec: _Section) -> tuple[tuple[FailureEntry, ...], float]:
         if action not in ("kill", "restore"):
             raise ConfigError(f"[failures] {name}.action",
                               f"must be kill or restore, got {action!r}")
-        out.append(FailureEntry(
-            name=name,
-            at=sec.integer(p + "at", _REQUIRED, minimum=0),
-            action=action,
-            target=sec.text(p + "target", _REQUIRED),
-        ))
+        at = sec.integer(p + "at", _REQUIRED, minimum=0)
+        target = _target(f"[failures] {name}.target",
+                         sec.text(p + "target", _REQUIRED))
+        out.append(FailureEntry(name, at, action, *target))
     churn_mult = sec.number("churn_multiplier", 1.0)
     sec.finish()
     if not (math.isfinite(churn_mult) and churn_mult >= 0):
         raise ConfigError("[failures] churn_multiplier", "must be finite and >= 0")
     return tuple(out), churn_mult
+
+
+def _target(where: str, text: str) -> tuple[str, str, int, float]:
+    """A target's (kind, scope, k, fraction); see FailureEntry."""
+    head, *args = text.split(":")
+    if head == "vendor" and not args:
+        return head, "", 0, 0.0
+    if head == "region" and len(args) == 1:
+        return head, args[0], 0, 0.0
+    if head in ("dvsp", "class") and len(args) == 2:
+        if not args[1].isdigit():
+            raise ConfigError(where, f"bad count or index {text!r}")
+        return head, args[0], int(args[1]), 0.0
+    if head == "nodes" and len(args) == 2 and args[0] == "random":
+        try:
+            fraction = float(args[1])
+        except ValueError:
+            raise ConfigError(where, f"bad fraction {text!r}") from None
+        if not 0.0 < fraction <= 1.0:
+            raise ConfigError(where, "fraction out of (0, 1]")
+        return head, "", 0, fraction
+    raise ConfigError(where, f"bad target {text!r}")
 
 
 def _validate(config: ScenarioConfig) -> None:
@@ -467,6 +495,19 @@ def _validate(config: ScenarioConfig) -> None:
                           f"unknown service {config.workload.service!r}")
     if not 0.0 < config.evolution.theta <= 1.0:
         raise ConfigError("[evolution] theta", "must be in (0, 1]")
+    counts = {c.name: c.count for c in config.population}
+    for entry in config.failures:
+        where = f"[failures] {entry.name}.target"
+        if (entry.kind in ("region", "dvsp")
+                and entry.scope not in config.topology.regions):
+            raise ConfigError(where, f"unknown region {entry.scope!r}")
+        if entry.kind == "class":
+            count = counts.get(entry.scope)
+            if count is None:
+                raise ConfigError(where, f"unknown class {entry.scope!r}")
+            if entry.k >= count:
+                raise ConfigError(where, f"index {entry.k} out of range, class "
+                                         f"{entry.scope} has {count} nodes")
 
 
 def with_overrides(config: ScenarioConfig, seed: int | None = None,

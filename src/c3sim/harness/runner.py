@@ -30,8 +30,7 @@ from ..resources import ResourceVector
 from ..services import (ADMITTED, COMPLETED, InvokePlan, Request,
                         ServiceDescriptor, ServiceRuntime, ServicesConfig,
                         VendorRuntime)
-from .config import ConfigError, ScenarioConfig
-from .failures import resolve_target, validate_target
+from .config import ConfigError, FailureEntry, ScenarioConfig
 from .metrics import COLUMNS, compute_report
 from .workloads import WorkloadItem, draw_actual, generate
 
@@ -52,8 +51,10 @@ class _Session:
 
 class Runner:
     def __init__(self, config: ScenarioConfig):
-        for entry in config.failures:
-            validate_target(entry, config)
+        for entry in config.failures:  # --mode may have changed since parsing
+            if entry.kind == "vendor" and config.mode != "vendor":
+                raise ConfigError(f"[failures] {entry.name}.target",
+                                  "vendor target in community mode")
         self.config = config
         self.sim = Simulator(config.seed, config.horizon)
         self.logs: dict[str, list[tuple]] = {name: [] for name in COLUMNS}
@@ -538,15 +539,34 @@ class Runner:
         self._do_join(node, self.sim.now, "churn")
         self._next_churn(node, "node-leave")
 
+    def _targets(self, entry: FailureEntry) -> list[NodeId]:
+        """The entry's nodes as of now: kills take online ones, restores
+        offline ones; class and vendor targets name one node either way."""
+        if entry.kind == "vendor":
+            return [self.vendor_node]
+        if entry.kind == "class":
+            return [self.by_class[entry.scope][entry.k]]
+        overlay = self.overlay
+        if entry.kind == "region":
+            pool = overlay.regions.get(entry.scope, [])
+        elif entry.kind == "dvsp":
+            vsp = overlay.dvsp(entry.scope)
+            pool = vsp.members if vsp else []
+        else:  # nodes:random
+            pool = [n for n in sorted(overlay.records) if n != self.vendor_node]
+        want_online = entry.action == "kill"
+        pool = [n for n in pool if overlay.is_online(n) == want_online]
+        if entry.kind == "dvsp":
+            return pool[:entry.k]
+        if entry.kind == "nodes":  # a fraction in (0, 1] never overdraws
+            return self.sim.stream("failures").sample(
+                pool, round(len(pool) * entry.fraction))
+        return pool
+
     def _on_failure(self, event: Event) -> None:
         entry = event.payload["entry"]
         at = self.sim.now
-        rng = self.sim.stream("failures")
-        targets = resolve_target(entry, overlay=self.overlay, rng=rng,
-                                 by_class=self.by_class,
-                                 vendor_node=self.vendor_node,
-                                 want_online=entry.action == "kill")
-        for node in targets:
+        for node in self._targets(entry):
             pending = self._churn_event.pop(node, None)
             if pending is not None:
                 self.sim.cancel(pending)

@@ -28,16 +28,14 @@ from c3sim.harness.audits import (
 )
 from c3sim.harness.config import (
     ConfigError,
-    FailureEntry,
     parse_scenario,
     parse_scenario_text,
     with_overrides,
 )
-from c3sim.harness.failures import validate_target
 from c3sim.harness.io import read_logs, report_csv, report_json, write_outputs
 from c3sim.harness.metrics import COLUMNS, column_index, compute_report, percentile
 from c3sim.harness.recompute import recompute
-from c3sim.harness.runner import run_scenario
+from c3sim.harness.runner import Runner, run_scenario
 from c3sim.harness.workloads import generate
 from c3sim.resources import ResourceVector
 
@@ -271,32 +269,42 @@ class TestWorkloadStreams:
 
 
 class TestFailureGrammar:
-    @pytest.fixture()
-    def cfg(self):
-        return parse_scenario_text(small_scenario())
+    @staticmethod
+    def parse(target):
+        return parse_scenario_text(small_scenario(failures={
+            "entries": "e", "e.at": 10, "e.action": "kill", "e.target": target}))
 
     @pytest.mark.parametrize("target", [
         "region:r0", "dvsp:r0:2", "nodes:random:0.5", "nodes:random:1",
         "class:box:0", "class:box:11",
     ])
-    def test_valid_targets_pass(self, cfg, target):
-        validate_target(FailureEntry("e", 10, "kill", target), cfg)
+    def test_valid_targets_pass(self, target):
+        Runner(self.parse(target))
 
-    def test_vendor_target_needs_vendor_mode(self, cfg):
-        entry = FailureEntry("e", 10, "kill", "vendor")
+    def test_vendor_target_needs_vendor_mode(self):
+        cfg = self.parse("vendor")
         with pytest.raises(ConfigError, match=r"\[failures\] e\.target"):
-            validate_target(entry, cfg)
-        validate_target(entry, with_overrides(cfg, mode="vendor"))
+            Runner(cfg)
+        Runner(with_overrides(cfg, mode="vendor"))
 
     @pytest.mark.parametrize("target", [
         "region:zz", "region", "dvsp:zz:1", "dvsp:r0:x", "dvsp:r0",
         "nodes:random:0", "nodes:random:1.5", "nodes:random:abc",
         "nodes:chosen:0.5", "class:ghost:0", "class:box:x", "class:box:12",
-        "asteroid",
+        "asteroid", "vendor:core",
     ])
-    def test_bad_targets_are_rejected(self, cfg, target):
+    def test_bad_targets_are_rejected(self, target):
         with pytest.raises(ConfigError, match=r"\[failures\] e\.target"):
-            validate_target(FailureEntry("e", 10, "kill", target), cfg)
+            self.parse(target)
+
+    def test_targets_parse_into_typed_fields(self):
+        fields = [(e.kind, e.scope, e.k, e.fraction) for e in (
+            self.parse(t).failures[0] for t in (
+                "region:r0", "dvsp:r0:2", "nodes:random:0.5", "class:box:3",
+                "vendor"))]
+        assert fields == [("region", "r0", 0, 0.0), ("dvsp", "r0", 2, 0.0),
+                          ("nodes", "", 0, 0.5), ("class", "box", 3, 0.0),
+                          ("vendor", "", 0, 0.0)]
 
 
 # ---------------------------------------------------------------- metrics
