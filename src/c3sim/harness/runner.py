@@ -564,16 +564,25 @@ class Runner:
         return pool
 
     def _on_failure(self, event: Event) -> None:
+        """A killed node's churn is cancelled, so it stays down until a
+        restore names it; a region kill holds the region's offline nodes
+        down too. A restored node draws its next churn leave."""
         entry = event.payload["entry"]
         at = self.sim.now
-        for node in self._targets(entry):
+        kill = entry.action == "kill"
+        targets = self._targets(entry)
+        held = (self.overlay.regions.get(entry.scope, [])
+                if kill and entry.kind == "region" else targets)
+        for node in held:
             pending = self._churn_event.pop(node, None)
             if pending is not None:
                 self.sim.cancel(pending)
-            if entry.action == "kill":
+        for node in targets:
+            if kill:
                 self._do_leave(node, at, "scripted")
             else:
                 self._do_join(node, at, "scripted")
+                self._next_churn(node, "node-leave")
 
     def _on_release(self, event: Event) -> None:
         service_id = event.payload["service_id"]

@@ -23,11 +23,11 @@ from c3sim.harness.runner import run_scenario
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
-    ("mixed_churn", 1): "5600d7e5cb3934b8ba818cf7b5e842c02502b764993e0044351d79f1acabee95",
-    ("mixed_churn", 2): "1b086aec562eca58c208dd4250df413c11c94c593aa561f1bb55e945c256ab8e",
-    ("mixed_churn", 3): "7c78856309a8c737acf6e6b346198ffc23637613fed706332fa6fced79c3df72",
-    ("mixed_churn", 4): "55bc49e333afa86b89baa583bd14cc7489929994406999eca957e50f7f6bcced",
-    ("mixed_churn", 5): "3a0ee9fde665c10552dd57c7446106befdf6232b64e43647d31a66f9074e90f7",
+    ("mixed_churn", 1): "2295c1e9dc44d2b693aea1f2de8efb7e0b42818698c156962ab480406e920748",
+    ("mixed_churn", 2): "e083b9f27ff570d15a3e940f75378361a78db489ef7bdb947e85b29ed49a90af",
+    ("mixed_churn", 3): "4c2a86a6bd56f34498bd6e85ba56909801b3ed0921fadc3d16d0187779dfb513",
+    ("mixed_churn", 4): "2671e13c62cccfdf16160dfa66496c141ed156f0a46f237e27ad9896dc0a218f",
+    ("mixed_churn", 5): "0e84cbe31d71ea6ba81cd2d19b208ff9f33ed5fc5e4aec26523a5bdf7e98b33f",
     ("video_small", 1): "a414e5390991865e22f16942f9f8e50f1f0ca1e6fd05d9c8b0fffdab2c87eb88",
     ("video_small", 2): "cb31c7e41b44563f7033b5d400f134aa213b3faee2b2ac5ef9a5f562154adb41",
     ("video_small", 3): "0e35bb810ec0af4e4e8daa190cccb17641bd539624309e24c18d8a636b63adec",
@@ -41,11 +41,11 @@ GOLDEN = {
 }
 
 VENDOR_GOLDEN = {
-    ("mixed_churn", 1): "1fdbf7b433bc0ded2d9483968088c25696b4fa50f50b3bdcb574d319b83ee948",
-    ("mixed_churn", 2): "1099494f625da617c507edfde537068b4f509b7f35777780d36466923a71bfda",
-    ("mixed_churn", 3): "08ae3ce2eaeea1c7f593e6146ddb690658d1c05bd8e50e961a63cfa648b6e19c",
-    ("mixed_churn", 4): "b4616f771a5e9445cb5c26c29a186ac94ad094d9b1d84ae72cc3c1572bc61c83",
-    ("mixed_churn", 5): "c3de539417bb181de8e86eb9c1491116d17a484c3f03c6123161f9471c3d12bc",
+    ("mixed_churn", 1): "9a5aefe49ba63586b89981d46ada653bb35fceac897396c66e6f9ade342ae70a",
+    ("mixed_churn", 2): "eb2e511a9cb96a8d949182393c8b1f1ce15f6fc064b8901ec9e760496058595e",
+    ("mixed_churn", 3): "daafd6f6968be876a6a8fb728d78269f7827cbc21e25aafcc9dd84f19ae4a271",
+    ("mixed_churn", 4): "b8086d9d97ae388007c9edbf6a177995d71dca42b0c88c849625b46904cfe18a",
+    ("mixed_churn", 5): "f2fb1247ca65f4f1928e4bdf1c30a7948ee599e68336aabc8d694e9c89271ba5",
     ("video_small", 1): "96a2da54b9105758cd54abbaf7ccf9b876bf73e989e0d31dbfa4aef974962284",
     ("video_small", 2): "337f0922c8d7fb3bc58fbdba94acfc00ec00ab254ee392569aecb6a106050f46",
     ("video_small", 3): "3711930f1930487ce8d26b06c389fd564f7ad1df0e6bbdf09de8bfe6f89a56ef",

@@ -667,6 +667,28 @@ class TestEndToEnd:
         assert {r[1] for r in leaves} == {r[1] for r in joins}
         assert run_audits(runner.logs) == []
 
+    def test_a_region_outage_holds_under_churn_and_restored_nodes_churn_on(self):
+        text = small_scenario(
+            simulation={"horizon": 20000},
+            topology={"regions": "r0, r1", "inter_region_links": 2},
+            population={"box.count": 16, "box.mean_online": 2000,
+                        "box.mean_offline": 1500},
+            failures={"entries": "quake, recover",
+                      "quake.at": 4000, "quake.action": "kill",
+                      "quake.target": "region:r1",
+                      "recover.at": 8000, "recover.action": "restore",
+                      "recover.target": "region:r1"},
+        )
+        runner = run_scenario(parse_scenario_text(text))
+        r1 = {r[0] for r in runner.logs["nodes"] if r[1] == "r1"}
+        events = [r for r in runner.logs["membership"] if r[1] in r1]
+        # no r1 node comes back before the restore names it ...
+        assert not [r for r in events if 4000 <= r[0] < 8000 and r[2] == "join"]
+        # ... the restore brings back all of them, and they churn again
+        assert {r[1] for r in events if r[0] == 8000 and r[2] == "join"} == r1
+        assert {r[1] for r in events if r[0] > 8000 and r[3] == "churn"} == r1
+        assert run_audits(runner.logs) == []
+
     def test_single_replica_writes_log_their_convergence(self):
         config = replace(with_overrides(parse_scenario(
             SCENARIO_DIR / "wiki_small.ini"), seed=42), replication_r=1)
