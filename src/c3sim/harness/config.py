@@ -359,6 +359,8 @@ def _market(sec: _Section) -> MarketConfig:
         minting=sec.flag("minting", False),
     )
     sec.finish()
+    if not (math.isfinite(market.alpha) and market.alpha >= 0):
+        raise ConfigError("[market] alpha", "must be finite and >= 0")
     for kind, price in market.initial.items():
         if not market.p_min <= price <= market.p_max:
             raise ConfigError(f"[market] initial_{kind}",
@@ -483,8 +485,7 @@ def _validate(config: ScenarioConfig) -> None:
         if svc.chain_next is not None and svc.chain_next not in names:
             raise ConfigError(f"[services] {svc.service_id}.chain_next",
                               f"unknown service {svc.chain_next!r}")
-        if svc.actual_max.is_nonnegative() and not (
-                svc.actual_max.covers(svc.actual_min)):
+        if not svc.actual_max.covers(svc.actual_min):
             raise ConfigError(f"[services] {svc.service_id}.actual_*",
                               "max must cover min")
         if svc.update_at is not None and svc.update_fitness is None:

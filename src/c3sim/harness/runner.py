@@ -124,8 +124,7 @@ class Runner:
         self.repo = Repository(
             heartbeat_interval=cfg.heartbeat_interval,
             region_gate=self.overlay.dvsp_has_quorum)
-        self.store = ReplicaStore(cfg.replication_r,
-                                  log=partial(self._log, "replication"))
+        self.store = ReplicaStore(log=partial(self._log, "replication"))
         runtime = (ServicesConfig(regions=topo.regions, dsr_r=cfg.dsr_r,
                                   cool_down=cfg.cool_down_windows),
                    self.overlay, self.repo, self.ledger, self.store,

@@ -79,8 +79,7 @@ class Delivery:
 
 
 class ReplicaStore:
-    def __init__(self, target_r: int = 3, log=None):
-        self.target_r = target_r
+    def __init__(self, log=None):
         self.hosts: dict[str, list[NodeId]] = {}
         self.states: dict[str, dict[NodeId, ReplicatedObject]] = {}
         self.dirty: set[str] = set()

@@ -24,13 +24,6 @@ class ResourceVector:
             self.bandwidth + other.bandwidth,
         )
 
-    def __sub__(self, other: ResourceVector) -> ResourceVector:
-        return ResourceVector(
-            self.compute - other.compute,
-            self.storage - other.storage,
-            self.bandwidth - other.bandwidth,
-        )
-
     def covers(self, required: ResourceVector) -> bool:
         """True when every component is at least the required amount."""
         return (
@@ -38,9 +31,6 @@ class ResourceVector:
             and self.storage >= required.storage
             and self.bandwidth >= required.bandwidth
         )
-
-    def is_nonnegative(self) -> bool:
-        return self.compute >= 0 and self.storage >= 0 and self.bandwidth >= 0
 
     def get(self, kind: str) -> int:
         if kind not in RESOURCE_KINDS:

@@ -19,9 +19,11 @@ Placement is demand-following when push mode is on: each window the traffic
 share per region sets a replica target (one replica per KAPPA_SHARE of
 share, a global floor of min_replicas), deficits deploy near the demand and
 surpluses retire youngest-first after a cool-down. Pull-only mode keeps just
-the floor. Code moves through a bounded-degree repeater tree so an origin's
-egress stays at tree-degree transfers regardless of how many nodes want the
-blob.
+the floor. A deployment (`_deploy`) copies the code point to point from
+one host that holds it. `distribute` is the repeater-tree primitive that
+acceptance test 10 measures: receivers relay onward in a bounded-degree
+tree, so an origin's egress stays at tree-degree transfers however many
+nodes want the blob. No run calls it.
 """
 from __future__ import annotations
 

@@ -213,7 +213,7 @@ def service_runtime(n=6, compute=10):
     ledger = small_ledger([(node, 10 ** 6) for node in ids] + [("dev", 10 ** 6)],
                           market=flat_market(1))
     runtime = ServiceRuntime(ServicesConfig(regions=("main",)), overlay, repo,
-                             ledger, ReplicaStore(target_r=3),
+                             ledger, ReplicaStore(),
                              RngStream(11, "services"))
     return runtime, ids
 
@@ -281,7 +281,7 @@ def test_05_score_proportional_selection(capfd):
 def test_06_eventual_consistency(shipped_runs, capfd):
     with criterion(6, "gossip orderings + wiki convergence", capfd):
         a, b, c = nid(1), nid(2), nid(3)
-        store = ReplicaStore(target_r=3)
+        store = ReplicaStore()
         store.ensure("k", [a, b, c])
         store.put("k", "w1", writer=a, at=5, apply_at=a)   # broadcasts lost:
         store.put("k", "w2", writer=b, at=5, apply_at=b)   # states diverge

@@ -187,6 +187,9 @@ class TestScenarioParsing:
         (small_scenario(failures={"churn_multiplier": -1}), "churn_multiplier"),
         (small_scenario(market={"initial_compute": 2000}), "initial_compute"),
         (small_scenario(market={"p_min": 5}), "initial_storage"),
+        (small_scenario(market={"alpha": "nan"}), "[market] alpha"),
+        (small_scenario(market={"alpha": "-inf"}), "[market] alpha"),
+        (small_scenario(market={"alpha": -50}), "[market] alpha"),
         (small_scenario(topology={"degree": 2}), "[topology] degree"),
         (small_scenario(workload={"kind": "batch"}), "kind"),
         (small_scenario(workload={"kind": "video", "service": "ghost"}), "service"),

@@ -1,4 +1,5 @@
-"""Static checks on the package source; the lint step of the test suite."""
+"""Static checks on the package, test and demo sources; the lint step of
+the test suite."""
 from __future__ import annotations
 
 import ast
@@ -6,8 +7,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-MODULES = sorted(SRC.rglob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+# Package modules are named from src/, test and demo files from the root.
+MODULES = {str(p.relative_to(SRC)): p for p in sorted(SRC.rglob("*.py"))}
+MODULES.update({str(p.relative_to(ROOT)): p for d in ("tests", "demos")
+                for p in sorted((ROOT / d).glob("*.py"))})
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,6 +44,6 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
-def test_every_import_is_used(path):
-    assert unused_imports(path.read_text()) == []
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_every_import_is_used(name):
+    assert unused_imports(MODULES[name].read_text()) == []

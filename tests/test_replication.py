@@ -88,7 +88,7 @@ class TestMergeAlgebra:
 
 def diverged_store():
     """Two concurrent writes whose broadcasts were lost."""
-    store = ReplicaStore(target_r=3)
+    store = ReplicaStore()
     store.ensure("k", [A, B, C])
     store.put("k", "w1", writer=A, at=5, apply_at=A)
     store.put("k", "w2", writer=B, at=5, apply_at=B)
@@ -168,7 +168,7 @@ class TestStoreFlow:
 
     def test_a_single_replica_put_converges_at_once(self):
         entries = []
-        store = ReplicaStore(target_r=1, log=lambda at, key, action, node:
+        store = ReplicaStore(log=lambda at, key, action, node:
                              entries.append((at, key, action, node)))
         store.ensure("k", [A])
         assert store.put("k", "v", writer=B, at=4, apply_at=A) == []
@@ -214,7 +214,7 @@ class TestGossipConvergence:
             obj("w2", {hosts[-1]: 1}, (5, hosts[-1])),
         )
         for seed in range(20):
-            store = ReplicaStore(target_r=r)
+            store = ReplicaStore()
             store.ensure("k", hosts)
             store.put("k", "w1", writer=hosts[0], at=5, apply_at=hosts[0])
             store.put("k", "w2", writer=hosts[-1], at=5, apply_at=hosts[-1])

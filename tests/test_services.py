@@ -43,7 +43,7 @@ def make_runtime(n=6, region="main", regions=None, compute=10, storage=10**6,
                           market=flat_market(price, minting=minting))
     cfg = ServicesConfig(regions=regions or (region,), dsr_r=dsr_r, **cfg_kw)
     runtime = ServiceRuntime(cfg, overlay, repo, ledger,
-                             ReplicaStore(target_r=dsr_r), RngStream(11, "services"))
+                             ReplicaStore(), RngStream(11, "services"))
     return runtime, ids
 
 
