@@ -1,7 +1,9 @@
 """Behaviour oracle: pinned log digests of the shipped scenarios.
 
 Each shipped scenario runs at seeds 1-5, once as shipped (community mode)
-and once on the vendor baseline; wiki_small also runs scaled x4. The
+and once on the vendor baseline. The three benchmark workloads (wiki_small
+x4 in both modes, video_small x20) also run, scaled as the benchmark
+scales them, at both of its program seeds. The
 SHA-256 of its canonical log tables must match the pinned value, and the
 run must pass every audit. A change that alters any log row changes a
 digest; such a change must say why, and re-pin only the runs it moves.
@@ -60,7 +62,12 @@ VENDOR_GOLDEN = {
 
 
 SCALED_GOLDEN = {
-    ("wiki_small", 4, 42): "a1f3478e8e807f332966f80d67e6b1a74c298db2fa4608efac939786e8884372",
+    ("video_small", 20, "community", 4): "f1653835bea24c2f74340db1572e60c9302a8f76b05e66d6850a029c1b52cbef",
+    ("video_small", 20, "community", 7): "b81a6364a86f3b859839b2a27deb8824b0605aa65c72fab3510927ad8cabaf74",
+    ("wiki_small", 4, "community", 4): "fcfedc87407a24e3e025e0daaf57d4e3490340166257431bda06da2e9938178d",
+    ("wiki_small", 4, "community", 42): "a1f3478e8e807f332966f80d67e6b1a74c298db2fa4608efac939786e8884372",
+    ("wiki_small", 4, "vendor", 4): "9cd97d331f230d3809aa91f567d598d16a693d00dfa5f86d36965f49f004ee59",
+    ("wiki_small", 4, "vendor", 42): "63ddf4c356cdd7d581f92ec364f7d7d5dfae80500a5a3b60cc9bc26a22a67e6f",
 }
 
 
@@ -106,9 +113,10 @@ def test_vendor_run_matches_its_digest_and_passes_audits(scenario, seed):
     assert violations == []
 
 
-@pytest.mark.parametrize("scenario,k,seed", sorted(SCALED_GOLDEN))
-def test_scaled_run_matches_its_digest_and_passes_audits(scenario, k, seed):
-    config = with_overrides(parse_scenario_text(_scaled(scenario, k)), seed=seed)
+@pytest.mark.parametrize("scenario,k,mode,seed", sorted(SCALED_GOLDEN))
+def test_scaled_run_matches_its_digest_and_passes_audits(scenario, k, mode, seed):
+    config = with_overrides(parse_scenario_text(_scaled(scenario, k)),
+                            seed=seed, mode=mode)
     digest, violations = _digest_and_audits(config)
-    assert digest == SCALED_GOLDEN[scenario, k, seed]
+    assert digest == SCALED_GOLDEN[scenario, k, mode, seed]
     assert violations == []
