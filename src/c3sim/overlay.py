@@ -151,9 +151,9 @@ class Overlay:
         # Per source index, a resumable Dijkstra [dist, bottleneck, heap]:
         # each index's best latency so far (_UNBOUNDED if unreached), the
         # bottleneck bandwidth of that path, and the entries not yet popped.
-        # A query advances a search only until its answer is final (see
-        # _settle). Every search is dropped whenever an edge or an online
-        # flag changes.
+        # A query advances a search only until its answer's latency is
+        # final (see _settle). Every search is dropped whenever an edge or
+        # an online flag changes.
         self._searches: dict[int, list] = {}
 
     # -- membership ---------------------------------------------------------
@@ -340,21 +340,17 @@ class Overlay:
         return search
 
     def _settle(self, search: list, targets) -> tuple[int, int] | None:
-        """Advance search until the least (latency, index) among the target
-        indices is final, and return it; None if the search reaches none.
-
-        Dijkstra pops in (dist, index) order whether or not it pauses, and
-        a path replaces another only when strictly shorter. Every link
-        latency is at least 1, so each pop is above the one before: a
-        target whose entry is popped, or is no longer above the heap top,
-        is final in latency and bottleneck, and the first target popped
-        is the least of them."""
+        """Advance search until the least latency to a target index is
+        final; return the least (latency, index) among the targets, or
+        None if the search reaches none. Every link latency is at least 1,
+        so once no entry below best is left, every node closer is expanded
+        and each target at best is final, its bottleneck too: a path
+        replaces another only when strictly shorter. Pausing never changes
+        the (dist, index) pop order."""
         dist, bottleneck, heap = search
-        best = min((dist[t], t) for t in targets)
-        if not heap or heap[0] >= best:
-            return best if best[0] < _UNBOUNDED else None
+        best = min(dist[t] for t in targets)
         links, up = self._links, self._up
-        while heap:
+        while heap and heap[0][0] < best:
             d, node = heapq.heappop(heap)
             if d > dist[node]:
                 continue
@@ -365,9 +361,11 @@ class Overlay:
                     dist[peer] = nd
                     bottleneck[peer] = bw if bw < bw_here else bw_here
                     heapq.heappush(heap, (nd, peer))
-            if node in targets:
-                return d, node
-        return None
+                    if nd < best and peer in targets:
+                        best = nd
+        if best == _UNBOUNDED:
+            return None
+        return min((dist[t], t) for t in targets)
 
     def _cost(self, frm: NodeId, to: NodeId, size: int) -> int | None:
         """Latency of the cheapest online path plus the transfer term for
@@ -405,9 +403,9 @@ class Overlay:
 
     def nearest(self, frm: NodeId, candidates) -> NodeId | None:
         """The candidate frm reaches at the smallest (route latency, id),
-        or None if it reaches none. Dense indices follow NodeId order, so
-        this is the first candidate frm's search settles; one candidate
-        is a single route, which may read the candidate's search."""
+        or None if it reaches none. frm's search runs until that latency
+        is final, and dense indices follow NodeId order. One candidate is
+        a single route, which may read the candidate's search."""
         if not self.is_online(frm):
             return None
         index = self._indexed()

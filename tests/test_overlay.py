@@ -188,6 +188,22 @@ class TestRouting:
         overlay.leave(ids[0], 1)
         assert overlay.nearest(ids[0], ids) is None
 
+    def test_nearest_tie_reached_larger_id_first_gives_the_smaller_id(self):
+        # 1 -10- 4 and 1 -3- 3 -7- 2: 4 is pushed at 10 by the first pop,
+        # 2 only after 3 is expanded, and both are 10 from 1
+        overlay, ids = linked_overlay(4, [(1, 4, 10), (1, 3, 3), (3, 2, 7)])
+        assert overlay.nearest(ids[0], [ids[3], ids[1]]) == ids[1]
+
+    def test_a_target_reached_at_the_final_latency_needs_no_pop(self):
+        # a star: hub 1 and leaves 2..9, every link 5
+        overlay, ids = linked_overlay(9, [(1, leaf, 5) for leaf in range(2, 10)])
+        hub, leaves = ids[0], ids[1:]
+        assert overlay.route(hub, leaves[0], 1) == 5 + 1  # warms hub's search
+        heap = overlay._searches[overlay._indexed()[hub]][2]
+        left = len(heap)
+        assert overlay.route(hub, leaves[-1]) == 5
+        assert len(heap) == left
+
     def test_sized_route_reads_the_source_search_not_the_target_one(self):
         # a -3- x -7- b and a -7- y -3- b tie at 10. From a, x settles
         # first and b keeps the path through x, 1 wide; from b, y settles
@@ -226,6 +242,20 @@ class TestRouting:
             assert all(overlay.reachable(root, n) for n in alive)
             overlay.join(victim, 2)
             overlay.maintenance(2)
+
+
+def linked_overlay(n, links):
+    """Nodes 1..n, one region each, joined only by (a, b, latency) links."""
+    cfg = OverlayConfig(degree=2, min_degree=1, inter_region_links=0)
+    overlay = Overlay(cfg, RngStream(7, "overlay"))
+    ids = [nid(i + 1) for i in range(n)]
+    for i, node in enumerate(ids):
+        overlay.add_record(NodeRecord(node, f"r{i}",
+                                      ResourceVector(10, 1000, 1000)))
+        overlay.join(node, 0)
+    for a, b, latency in links:
+        overlay.add_link(nid(a), nid(b), latency)
+    return overlay, ids
 
 
 def reference_distances(overlay, src):
