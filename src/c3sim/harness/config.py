@@ -20,7 +20,8 @@ A scenario is an INI-style text file. Sections and keys:
 [services]
   catalog = s1, s2, ...     then per service:
   <svc>.declared_compute/_storage/_bandwidth, .code_size, .min_replicas,
-  .subsidy, .developer_balance, .share (workload weight),
+  .subsidy, .developer_balance, .share (workload weight, >= 0; the
+  catalog's shares must not all be 0),
   .actual_<res>_min/_max (metered draw range), .chain_next (optional),
   .update_at / .update_fitness (optional mid-run release), .fitness
 [workload]
@@ -39,12 +40,14 @@ A scenario is an INI-style text file. Sections and keys:
 [evolution]
   trust_out_degree, theta
 
-Unknown keys are rejected so a typo cannot silently change a run.
+Unknown or repeated keys and sections, and keys before the first section,
+are rejected so a typo cannot silently change a run.
 """
 from __future__ import annotations
 
 import configparser
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from ..ledger import MarketConfig
@@ -202,15 +205,20 @@ class _Section:
             raise ConfigError(f"[{self.name}] {key}", f"must be >= {minimum}")
         return out
 
-    def number(self, key: str, default=None) -> float:
+    def number(self, key: str, default=None,
+               minimum: float | None = None) -> float:
         value = self._get(key, default)
         if value is None:
             return default
         try:
-            return float(str(value).strip())
+            out = float(str(value).strip())
         except ValueError:
             raise ConfigError(f"[{self.name}] {key}",
                               f"not a number: {value!r}") from None
+        if minimum is not None and not (math.isfinite(out) and out >= minimum):
+            raise ConfigError(f"[{self.name}] {key}",
+                              f"must be finite and >= {minimum}")
+        return out
 
     def flag(self, key: str, default: bool) -> bool:
         value = self._get(key, None)
@@ -239,7 +247,8 @@ _REQUIRED = object()
 
 def parse_scenario(path: str) -> ScenarioConfig:
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    with _syntax_errors():
+        read = parser.read(path)
     if not read:
         raise ConfigError("scenario", f"cannot read {path}")
     return _from_parser(parser)
@@ -247,8 +256,29 @@ def parse_scenario(path: str) -> ScenarioConfig:
 
 def parse_scenario_text(text: str) -> ScenarioConfig:
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(text)
+    with _syntax_errors():
+        parser.read_string(text)
     return _from_parser(parser)
+
+
+@contextmanager
+def _syntax_errors():
+    """Raise configparser's syntax errors as a ConfigError naming the
+    section and key, or the line where there is no section."""
+    try:
+        yield
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"[{exc.section}] {exc.option}",
+                          f"repeated on line {exc.lineno}") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"[{exc.section}]",
+                          f"repeated on line {exc.lineno}") from None
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(f"line {exc.lineno}",
+                          "no [section] header before it") from None
+    except configparser.ParsingError as exc:
+        raise ConfigError(f"line {exc.errors[0][0]}",
+                          "not a [section] header or a key = value") from None
 
 
 def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
@@ -348,7 +378,7 @@ def _population(sec: _Section, regions: tuple[str, ...]) -> tuple[PopulationClas
 
 def _market(sec: _Section) -> MarketConfig:
     market = MarketConfig(
-        alpha=sec.number("alpha", 0.5),
+        alpha=sec.number("alpha", 0.5, minimum=0),
         p_min=sec.integer("p_min", 1, minimum=0),
         p_max=sec.integer("p_max", 1000, minimum=1),
         initial={
@@ -359,8 +389,6 @@ def _market(sec: _Section) -> MarketConfig:
         minting=sec.flag("minting", False),
     )
     sec.finish()
-    if not (math.isfinite(market.alpha) and market.alpha >= 0):
-        raise ConfigError("[market] alpha", "must be finite and >= 0")
     for kind, price in market.initial.items():
         if not market.p_min <= price <= market.p_max:
             raise ConfigError(f"[market] initial_{kind}",
@@ -396,7 +424,7 @@ def _services(sec: _Section) -> tuple[ServiceEntry, ...]:
             min_replicas=sec.integer(p + "min_replicas", 3, minimum=1),
             subsidy=sec.integer(p + "subsidy", 0, minimum=0),
             developer_balance=sec.integer(p + "developer_balance", 0),
-            share=sec.number(p + "share", 1.0),
+            share=sec.number(p + "share", 1.0, minimum=0),
             actual_min=actual_min,
             actual_max=actual_max,
             chain_next=sec.text(p + "chain_next", None),
@@ -405,6 +433,9 @@ def _services(sec: _Section) -> tuple[ServiceEntry, ...]:
             fitness=sec.number(p + "fitness", 1.0),
         ))
     sec.finish()
+    if out and sum(s.share for s in out) <= 0:
+        raise ConfigError("[services] " + ", ".join(
+            f"{s.service_id}.share" for s in out), "must have a positive total")
     return tuple(out)
 
 
@@ -446,10 +477,8 @@ def _failures(sec: _Section) -> tuple[tuple[FailureEntry, ...], float]:
         target = _target(f"[failures] {name}.target",
                          sec.text(p + "target", _REQUIRED))
         out.append(FailureEntry(name, at, action, *target))
-    churn_mult = sec.number("churn_multiplier", 1.0)
+    churn_mult = sec.number("churn_multiplier", 1.0, minimum=0)
     sec.finish()
-    if not (math.isfinite(churn_mult) and churn_mult >= 0):
-        raise ConfigError("[failures] churn_multiplier", "must be finite and >= 0")
     return tuple(out), churn_mult
 
 

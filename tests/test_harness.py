@@ -190,6 +190,16 @@ class TestScenarioParsing:
         (small_scenario(market={"alpha": "nan"}), "[market] alpha"),
         (small_scenario(market={"alpha": "-inf"}), "[market] alpha"),
         (small_scenario(market={"alpha": -50}), "[market] alpha"),
+        (small_scenario(market={"alpha": 0.4}) + "alpha = 0.5\n",
+         "[market] alpha: repeated on line"),
+        (small_scenario() + "[simulation]\nseed = 3\n",
+         "[simulation]: repeated on line"),
+        ("seed = 3\n", "line 1: no [section] header"),
+        (small_scenario() + "[workload]\nstray\n", "line "),
+        (small_scenario(services={"svc.share": "nan"}), "[services] svc.share"),
+        (small_scenario(services={"svc.share": "inf"}), "[services] svc.share"),
+        (small_scenario(services={"svc.share": -1}), "[services] svc.share"),
+        (small_scenario(services={"svc.share": 0}), "svc.share: must have a"),
         (small_scenario(topology={"degree": 2}), "[topology] degree"),
         (small_scenario(workload={"kind": "batch"}), "kind"),
         (small_scenario(workload={"kind": "video", "service": "ghost"}), "service"),
@@ -928,6 +938,18 @@ class TestCli:
         path = tmp_path / "bad.ini"
         path.write_text(small_scenario(simulation={"quantum": 1}))
         assert cli.main(["--scenario", str(path)]) == 2
+
+    @pytest.mark.parametrize("extra,message", [
+        ("[market]\nalpha = 0.4\nalpha = 0.5\n", "[market] alpha"),
+        (None, "line 1"),
+    ])
+    def test_unparsable_scenario_file_is_a_config_error(
+            self, tmp_path, capsys, extra, message):
+        path = tmp_path / "unparsable.ini"
+        path.write_text("seed = 3\n" if extra is None
+                        else small_scenario() + extra)
+        assert cli.main(["--scenario", str(path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_unknown_failure_target_is_a_config_error(self, tmp_path):
         path = tmp_path / "bad_target.ini"
