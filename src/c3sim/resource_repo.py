@@ -77,41 +77,46 @@ class Repository:
 
     def heartbeat(self, node_id: NodeId, free_capacity: ResourceVector,
                   at: SimTime, projected_cost: float | None = None) -> None:
-        rec = self._record(node_id)
-        rec.free_capacity = free_capacity
-        rec.last_heartbeat = at
-        if projected_cost is not None:
-            rec.projected_cost = projected_cost
-        if rec.availability is None:
-            rec.availability = 1.0
-        else:
-            rec.availability = (1 - self.beta) * rec.availability + self.beta
+        self._step(self._record(node_id), at, free_capacity, projected_cost)
 
     def miss(self, node_id: NodeId) -> None:
         """A heartbeat interval passed with no heartbeat from the node."""
-        rec = self._record(node_id)
-        if rec.availability is not None:
-            rec.availability = (1 - self.beta) * rec.availability
+        self._step(self._record(node_id), None)
 
     def offer(self, node_id: NodeId, at: SimTime, held: int,
               basket: float) -> None:
         """Heartbeat with the offer computed from the node's own record:
         its capacity less `held` storage, at cost_factor x basket."""
         rec = self._record(node_id)
-        cap = rec.capacity
-        free = cap if held == 0 else ResourceVector(
-            cap.compute, max(0, cap.storage - held), cap.bandwidth)
-        self.heartbeat(node_id, free, at,
-                       projected_cost=rec.cost_factor * basket)
+        self._step(rec, at, rec.capacity, rec.cost_factor * basket, held)
 
     def sweep(self, at: SimTime, online, held: dict[NodeId, int],
               basket: float) -> None:
         """Batch heartbeat pass: online records offer, the rest decay."""
-        for node_id in self.records:
+        for node_id, rec in self.records.items():
             if online(node_id):
-                self.offer(node_id, at, held.get(node_id, 0), basket)
+                self._step(rec, at, rec.capacity, rec.cost_factor * basket,
+                           held.get(node_id, 0))
             else:
-                self.miss(node_id)
+                self._step(rec, None)
+
+    def _step(self, rec: NodeResourceRecord, at: SimTime | None,
+              free: ResourceVector | None = None,
+              projected_cost: float | None = None, held: int = 0) -> None:
+        """Step rec's smoothed availability by one heartbeat interval: up
+        for a heartbeat at `at` offering `free` less `held` storage, down
+        for a missed one (at is None)."""
+        if at is None:
+            if rec.availability is not None:
+                rec.availability = (1 - self.beta) * rec.availability
+            return
+        rec.free_capacity = free if held == 0 else ResourceVector(
+            free.compute, max(0, free.storage - held), free.bandwidth)
+        rec.last_heartbeat = at
+        if projected_cost is not None:
+            rec.projected_cost = projected_cost
+        rec.availability = (1.0 if rec.availability is None else
+                            (1 - self.beta) * rec.availability + self.beta)
 
     def record_task(self, node_id: NodeId, completed: bool) -> None:
         rec = self._record(node_id)
