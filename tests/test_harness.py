@@ -190,12 +190,13 @@ class TestScenarioParsing:
         (small_scenario(market={"alpha": "nan"}), "[market] alpha"),
         (small_scenario(market={"alpha": "-inf"}), "[market] alpha"),
         (small_scenario(market={"alpha": -50}), "[market] alpha"),
-        (small_scenario(market={"alpha": 0.4}) + "alpha = 0.5\n",
+        (small_scenario() + "[market]\nalpha = 0.4\nalpha = 0.5\n",
          "[market] alpha: repeated on line"),
         (small_scenario() + "[simulation]\nseed = 3\n",
          "[simulation]: repeated on line"),
         ("seed = 3\n", "line 1: no [section] header"),
-        (small_scenario() + "[workload]\nstray\n", "line "),
+        ("[evolution]\ntheta = 1\nstray\n",
+         "line 3: not a [section] header or a key = value"),
         (small_scenario(services={"svc.share": "nan"}), "[services] svc.share"),
         (small_scenario(services={"svc.share": "inf"}), "[services] svc.share"),
         (small_scenario(services={"svc.share": -1}), "[services] svc.share"),
@@ -939,15 +940,15 @@ class TestCli:
         path.write_text(small_scenario(simulation={"quantum": 1}))
         assert cli.main(["--scenario", str(path)]) == 2
 
-    @pytest.mark.parametrize("extra,message", [
-        ("[market]\nalpha = 0.4\nalpha = 0.5\n", "[market] alpha"),
-        (None, "line 1"),
+    @pytest.mark.parametrize("text,message", [
+        (small_scenario() + "[market]\nalpha = 0.4\nalpha = 0.5\n",
+         "[market] alpha"),
+        ("seed = 3\n", "line 1"),
     ])
     def test_unparsable_scenario_file_is_a_config_error(
-            self, tmp_path, capsys, extra, message):
+            self, tmp_path, capsys, text, message):
         path = tmp_path / "unparsable.ini"
-        path.write_text("seed = 3\n" if extra is None
-                        else small_scenario() + extra)
+        path.write_text(text)
         assert cli.main(["--scenario", str(path)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 

@@ -189,9 +189,10 @@ class TestRouting:
         assert overlay.nearest(ids[0], ids) is None
 
     def test_nearest_tie_reached_larger_id_first_gives_the_smaller_id(self):
-        # 1 -10- 4 and 1 -3- 3 -7- 2: 4 is pushed at 10 by the first pop,
-        # 2 only after 3 is expanded, and both are 10 from 1
-        overlay, ids = linked_overlay(4, [(1, 4, 10), (1, 3, 3), (3, 2, 7)])
+        # 1 -10- 4 and 1 -9- 3 -1- 2: 4 is pushed at 10 by the first pop,
+        # 2 only after 3 (at 9, one below the answer) is expanded, and both
+        # are 10 from 1
+        overlay, ids = linked_overlay(4, [(1, 4, 10), (1, 3, 9), (3, 2, 1)])
         assert overlay.nearest(ids[0], [ids[3], ids[1]]) == ids[1]
 
     def test_a_target_reached_at_the_final_latency_needs_no_pop(self):
@@ -200,9 +201,9 @@ class TestRouting:
         hub, leaves = ids[0], ids[1:]
         assert overlay.route(hub, leaves[0], 1) == 5 + 1  # warms hub's search
         heap = overlay._searches[overlay._indexed()[hub]][2]
-        left = len(heap)
+        assert len(heap) == len(leaves)  # only the hub was popped
         assert overlay.route(hub, leaves[-1]) == 5
-        assert len(heap) == left
+        assert len(heap) == len(leaves)
 
     def test_sized_route_reads_the_source_search_not_the_target_one(self):
         # a -3- x -7- b and a -7- y -3- b tie at 10. From a, x settles
