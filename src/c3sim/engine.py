@@ -47,7 +47,7 @@ class Event:
     seq: int
     kind: str
     payload: dict = field(default_factory=dict)
-    cancelled: bool = False
+    done: bool = False  # fired or cancelled
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,12 @@ class RunSummary:
 class Simulator:
     """Event queue, clock and stream registry for one run."""
 
-    def __init__(self, seed: int, horizon: SimTime, record_log: bool = False):
+    def __init__(self, seed: int, horizon: SimTime):
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
         self.seed = seed
         self.horizon = horizon
         self.now: SimTime = 0
-        self.record_log = record_log
-        self.processed_log: list[tuple[SimTime, int, str]] = []
         self._heap: list[tuple[SimTime, int, Event]] = []
         self._seq = 0
         self._streams: dict[str, RngStream] = {}
@@ -85,25 +83,20 @@ class Simulator:
     def subscribe(self, kind: str, handler) -> None:
         self._handlers.setdefault(kind, []).append(handler)
 
-    def schedule(self, event: Event) -> Event:
-        if event.fire_at < self.now:
-            raise PastEvent(f"{event.kind} at {event.fire_at} < clock {self.now}")
-        event.seq = self._seq
+    def at(self, fire_at: SimTime, kind: str, **payload) -> Event:
+        if fire_at < self.now:
+            raise PastEvent(f"{kind} at {fire_at} < clock {self.now}")
+        event = Event(fire_at, self._seq, kind, payload)
         self._seq += 1
-        heapq.heappush(self._heap, (event.fire_at, event.seq, event))
+        heapq.heappush(self._heap, (fire_at, event.seq, event))
         return event
 
-    def at(self, fire_at: SimTime, kind: str, **payload) -> Event:
-        return self.schedule(Event(fire_at=fire_at, seq=0, kind=kind, payload=payload))
-
-    def after(self, delay: SimTime, kind: str, **payload) -> Event:
-        return self.at(self.now + delay, kind, **payload)
-
     def cancel(self, event: Event) -> bool:
-        """Mark a pending event dead. Returns False if it already fired."""
-        if event.cancelled or event.fire_at < self.now:
+        """Mark a pending event dead. Returns False if it already fired or
+        was cancelled before."""
+        if event.done:
             return False
-        event.cancelled = True
+        event.done = True
         return True
 
     def run(self, until: SimTime | None = None) -> RunSummary:
@@ -113,23 +106,15 @@ class Simulator:
         until = min(until, self.horizon)
         heap = self._heap
         while heap and heap[0][0] <= until:
-            fire_at, seq, event = heapq.heappop(heap)
-            if event.cancelled:
+            fire_at, _, event = heapq.heappop(heap)
+            if event.done:
                 continue
+            event.done = True
             self.now = fire_at
             self._total += 1
             self._counts[event.kind] = self._counts.get(event.kind, 0) + 1
-            if self.record_log:
-                self.processed_log.append((fire_at, seq, event.kind))
             for handler in self._handlers.get(event.kind, ()):
                 handler(event)
         if until > self.now:
             self.now = until
-        return self.summary()
-
-    def summary(self) -> RunSummary:
-        return RunSummary(
-            final_clock=self.now,
-            total_processed=self._total,
-            counts=dict(sorted(self._counts.items())),
-        )
+        return RunSummary(self.now, self._total, dict(sorted(self._counts.items())))

@@ -248,7 +248,7 @@ _REQUIRED = object()
 def parse_scenario(path: str) -> ScenarioConfig:
     parser = configparser.ConfigParser(interpolation=None)
     with _syntax_errors():
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     if not read:
         raise ConfigError("scenario", f"cannot read {path}")
     return _from_parser(parser)
@@ -273,6 +273,8 @@ def _syntax_errors():
     except configparser.DuplicateSectionError as exc:
         raise ConfigError(f"[{exc.section}]",
                           f"repeated on line {exc.lineno}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("scenario", f"not UTF-8 at byte {exc.start}") from None
     except configparser.MissingSectionHeaderError as exc:
         raise ConfigError(f"line {exc.lineno}",
                           "no [section] header before it") from None
@@ -457,8 +459,9 @@ def _workload(sec: _Section, services: tuple[ServiceEntry, ...]) -> WorkloadSpec
         service=sec.text("service", services[0].service_id if services else ""),
     )
     sec.finish()
-    if not 0.0 <= spec.read_fraction <= 1.0:
-        raise ConfigError("[workload] read_fraction", "must be in [0, 1]")
+    for key, value in (("read_fraction", spec.read_fraction), ("floor", spec.floor)):
+        if not 0.0 <= value <= 1.0:  # nan fails too
+            raise ConfigError(f"[workload] {key}", "must be in [0, 1]")
     for key, value in (("rate", spec.rate), ("session_rate", spec.session_rate)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"[workload] {key}", "must be finite and > 0")

@@ -10,13 +10,20 @@ A write applies at the nearest replica and is broadcast to the rest of the
 set; gossip rounds and re-replication mop up whatever the broadcast missed
 (offline hosts, replaced hosts). Objects flagged encrypted are readable by
 their owner only; foreign reads are refused and counted, never served.
+
+`Replicator` owns page writes and replica repair. The repository picks a
+new key's hosts and a lost host's replacement; a write returns each of its
+broadcasts with the tick the overlay delivers it, for the caller to schedule.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .engine import RngStream, SimTime
-from .overlay import NodeId
+from .overlay import NodeId, Overlay, Unreachable
+from .resource_repo import Repository, ResourceQuery
+from .resources import ResourceVector
 
 
 class ReplicationError(Exception):
@@ -82,17 +89,19 @@ class ReplicaStore:
     def __init__(self, log=None):
         self.hosts: dict[str, list[NodeId]] = {}
         self.states: dict[str, dict[NodeId, ReplicatedObject]] = {}
+        self.sizes: dict[str, int] = {}
         self.dirty: set[str] = set()
         self.privacy_violations = 0
         self.log = log or (lambda at, key, action, node: None)
 
-    def ensure(self, key: str, hosts: list[NodeId]) -> None:
+    def ensure(self, key: str, hosts: list[NodeId], size: int = 1) -> None:
         if key in self.hosts:
             return
         if not hosts:
             raise NoReplica(key)
         self.hosts[key] = sorted(hosts)
         self.states[key] = {}
+        self.sizes[key] = size
 
     def replica_hosts(self, key: str) -> list[NodeId]:
         try:
@@ -190,7 +199,7 @@ class ReplicaStore:
         """Replace offline replica hosts, copying the best surviving state.
 
         pick_host(key, exclude) -> NodeId | None chooses the replacement
-        (wired to a repository query by the caller).
+        (a repository query, in `Replicator`).
         """
         replaced = 0
         for key in sorted(self.hosts):
@@ -213,3 +222,48 @@ class ReplicaStore:
                 replaced += 1
             self._track(key, at)
         return replaced
+
+
+class Replicator:
+    """Writes and repairs a store's keys on hosts the repository offers."""
+
+    def __init__(self, store: ReplicaStore, repo: Repository,
+                 overlay: Overlay, rng: RngStream, replicas: int):
+        self.store, self.repo, self.overlay = store, repo, overlay
+        self.rng, self.replicas = rng, replicas
+
+    def write(self, key: str, value: object, writer: NodeId, at: SimTime,
+              size: int) -> list[tuple[SimTime, Delivery]]:
+        """Put at the writer's nearest replica; the broadcasts it sends."""
+        if key not in self.store.hosts:
+            hosts = self._offered(size, self.replicas, at)
+            if not hosts:
+                return []
+            self.store.ensure(key, hosts, size)
+        apply_at = self.overlay.nearest(writer, self.store.replica_hosts(key))
+        if apply_at is None:
+            self.store.log(at, key, "put-dropped", writer.short)
+            return []
+        sent = []
+        for d in self.store.put(key, value, writer, at, apply_at):
+            try:
+                sent.append((at + self.overlay.route(apply_at, d.host, size), d))
+            except Unreachable:  # a cut-off host misses the broadcast
+                continue
+        return sent
+
+    def upkeep(self, at: SimTime) -> None:
+        """One gossip round, then replace the replicas on offline hosts."""
+        self.store.gossip_round(at, self.rng, self.overlay.is_online)
+        self.store.rereplicate(at, self.overlay.is_online,
+                               partial(self._replacement, at))
+
+    def _replacement(self, at: SimTime, key: str,
+                     exclude: set[NodeId]) -> NodeId | None:
+        offered = self._offered(self.store.sizes[key], len(exclude) + 1, at)
+        return next((node for node in offered if node not in exclude
+                     and self.overlay.is_online(node)), None)
+
+    def _offered(self, size: int, count: int, at: SimTime) -> list[NodeId]:
+        query = ResourceQuery(required=ResourceVector(storage=size), count=count)
+        return list(self.repo.query(query, self.rng, at).nodes)

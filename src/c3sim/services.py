@@ -9,8 +9,11 @@ names nearest (`Overlay.nearest`: smallest route latency, then smallest id),
 deploying one on demand when none exists. `run_on_host` then
 queues it on that host and meters the actual draw against a budget: within
 budget completes, strict excess terminates the request at the exhaustion
-point with a pro-rata charge. `settlement_rows` turns the charge into ledger
-rows. `plan_invoke` is admission then execution for one request. Admission
+point with a pro-rata charge; `plan_invoke` is both for one call. Video
+sessions are metered here too: `plan_session` admits one, and live sessions
+share their host's bandwidth until `end_session`, or `cut_off` when the host
+leaves. `settle` counts a finished plan's draw as demand and commits its
+charge as one transaction under the requester's regional quorum. Admission
 counts every request it places, call or session, as its region's demand.
 `VendorRuntime` is the vendor baseline as a placement policy: its plans name
 one fixed host, carry no price and run with their own draw as the budget.
@@ -33,7 +36,7 @@ from fractions import Fraction
 
 from .engine import RngStream, SimTime
 from .ledger import Ledger
-from .overlay import NodeId, Overlay, Unreachable
+from .overlay import NodeId, NoQuorum, Overlay, Unreachable
 from .replication import ReplicaStore
 from .resource_repo import NodeResourceRecord, Repository, ResourceQuery
 from .resources import RESOURCE_KINDS, ResourceVector
@@ -111,6 +114,20 @@ class InvokePlan:
                              if self.descriptor else 0)
 
 
+@dataclass(slots=True, eq=False)
+class Session:
+    """A stream of `rate` per tick for `duration` ticks; it fails once its
+    share of the host's bandwidth stays under `floor` for `sustain` ticks."""
+    plan: InvokePlan
+    duration: int
+    rate: int
+    floor: float
+    sustain: int
+    streamed: float = 0.0
+    below_run: int = 0
+    failed: bool = False
+
+
 @dataclass(frozen=True, slots=True)
 class PlacementAction:
     at: SimTime
@@ -149,6 +166,9 @@ class ServiceRuntime:
         self.rng = rng
         self.instances: dict[str, list[Instance]] = {}
         self.busy_until: dict[NodeId, SimTime] = {}
+        self.sessions: dict[NodeId, list[Session]] = {}
+        self._metered_at: dict[NodeId, SimTime] = {}
+        self.demand = ResourceVector()
         self.egress: dict[NodeId, int] = {}
         self.traffic: dict[str, dict[str, int]] = {}
         self._targets: dict[str, dict[str, list[int]]] = {}
@@ -174,7 +194,7 @@ class ServiceRuntime:
                 ResourceQuery(required=need, count=self.config.dsr_r), self.rng, at)
             if not result.nodes:
                 raise ServiceError(f"no hosts for {desc.service_id}")
-            self.store.ensure(key, list(result.nodes))
+            self.store.ensure(key, list(result.nodes), desc.code_size)
         else:
             current = self.resolve(desc.service_id, at)
             if current is not None and current.version == desc.version:
@@ -318,6 +338,98 @@ class ServiceRuntime:
             plan.request.requester, plan.host, desc.developer,
             plan.charged, plan.subsidy_part, at, tag=str(plan.request.req_id))
 
+    def settle(self, plan: InvokePlan, at: SimTime) -> None:
+        """Count the plan's draw as demand and commit its charge, if any; an
+        abort, or a region without quorum, leaves it payment-failed."""
+        self.demand = self.demand + plan.consumed
+        rows = self.settlement_rows(plan, at)
+        if not rows:
+            return
+        region = self.overlay.records[plan.request.requester].region
+        try:
+            committed = self.overlay.execute_transaction(
+                region, rows, self.ledger, at).committed
+        except NoQuorum:
+            committed = False
+        if not committed:
+            plan.outcome = "payment-failed"
+            plan.bill(0)
+
+    def take_demand(self, nodes) -> ResourceVector:
+        """The draw settled since the last call, and the nodes' held storage."""
+        held = self.held_storage()
+        used, self.demand = self.demand, ResourceVector()
+        return ResourceVector(used.compute, sum(held.get(n, 0) for n in nodes),
+                              used.bandwidth)
+
+    # -- sessions -------------------------------------------------------------------
+
+    def plan_session(self, request: Request, at: SimTime, duration: int,
+                     rate: int, floor: float, sustain: int) -> Session:
+        """Admit a stream and route it; an admitted one begins at `start`."""
+        plan = self.admit(request, at)
+        if plan.outcome == ADMITTED:
+            try:
+                plan.start += self.overlay.route(request.requester, plan.host)
+                plan.latency = plan.start - at
+            except Unreachable:
+                plan.outcome, plan.host = "unreachable", None
+        return Session(plan, duration, rate, floor * rate, sustain)
+
+    def begin_session(self, session: Session, at: SimTime) -> bool:
+        """Meter the session from `at`; False, and ended, if its host left."""
+        host = session.plan.host
+        if not self.overlay.is_online(host):
+            self._close(session, "host-offline", at)
+            return False
+        self._meter(host, at)
+        self.sessions.setdefault(host, []).append(session)
+        return True
+
+    def end_session(self, session: Session, at: SimTime) -> None:
+        self._meter(session.plan.host, at)
+        self.sessions[session.plan.host].remove(session)
+        self._close(session, "failed-throughput" if session.failed else COMPLETED, at)
+
+    def cut_off(self, host: NodeId, calls: list[InvokePlan],
+                at: SimTime) -> list[InvokePlan]:
+        """End a departed host's queued calls, which drew and pay nothing,
+        then its sessions, which pay nothing for what they streamed."""
+        for plan in calls:
+            plan.outcome, plan.latency = "host-offline", 0
+            plan.consumed = ResourceVector()
+            plan.bill(0)
+        self._meter(host, at)
+        lost = self.sessions.pop(host, [])
+        for session in lost:
+            self._close(session, "host-offline", at)
+        return calls + [s.plan for s in lost]
+
+    def _meter(self, host: NodeId, now: SimTime) -> None:
+        """Give each session on the host an equal share of its bandwidth,
+        capped at its rate, for the ticks since the host was last metered."""
+        active = self.sessions.get(host, ())
+        span = now - self._metered_at.get(host, now)
+        self._metered_at[host] = now
+        if not active or span <= 0:
+            return
+        share = self.overlay.records[host].capacity.bandwidth / len(active)
+        for s in active:
+            delivered = min(float(s.rate), share)
+            s.streamed += delivered * span
+            if delivered < s.floor:
+                s.below_run += span
+                if s.below_run >= s.sustain:
+                    s.failed = True
+            else:
+                s.below_run = 0
+
+    def _close(self, session: Session, outcome: str, at: SimTime) -> None:
+        plan = session.plan
+        plan.outcome, plan.consumed = outcome, ResourceVector(bandwidth=int(session.streamed))
+        plan.bill(plan.gross if outcome == COMPLETED else 0)
+        self.settle(plan, at)
+
     # -- deployment and placement -------------------------------------------------
 
     def _pick_hosts(self, desc: ServiceDescriptor, count: int,
@@ -346,14 +458,15 @@ class ServiceRuntime:
         self.instances[desc.service_id].append(inst)
         return inst
 
-    def host_lost(self, host: NodeId, at: SimTime) -> list[Instance]:
+    def host_lost(self, host: NodeId, at: SimTime) -> list[PlacementAction]:
         """Drop every instance on a departed host."""
         lost = []
         for insts in self.instances.values():
             for inst in insts:
                 if inst.host == host and not inst.retired:
                     inst.retired = True
-                    lost.append(inst)
+                    lost.append(PlacementAction(at, inst.service_id,
+                                                "host-lost", host, inst.region))
         self.busy_until.pop(host, None)
         return lost
 

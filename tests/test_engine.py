@@ -17,6 +17,14 @@ def collect(sim: Simulator, kind: str) -> list:
     return seen
 
 
+def record(sim: Simulator, *kinds: str) -> list:
+    """(tick, seq, kind) of each processed event of these kinds, in order."""
+    seen = []
+    for kind in kinds:
+        sim.subscribe(kind, lambda ev: seen.append((sim.now, ev.seq, ev.kind)))
+    return seen
+
+
 class TestClockAndOrdering:
     def test_empty_run_clock_advances_to_horizon(self):
         summary = Simulator(seed=1, horizon=250).run()
@@ -37,7 +45,7 @@ class TestClockAndOrdering:
         fired_at = []
         sim.subscribe("later", lambda ev: fired_at.append((sim.now, "later")))
         sim.subscribe("child", lambda ev: fired_at.append((sim.now, "child")))
-        sim.subscribe("parent", lambda ev: sim.after(0, "child"))
+        sim.subscribe("parent", lambda ev: sim.at(sim.now, "child"))
         sim.at(10, "parent")
         sim.at(11, "later")
         sim.run()
@@ -67,10 +75,11 @@ class TestCancellation:
         assert sim.cancel(ev) is True
         assert sim.cancel(ev) is False
 
-    def test_cancel_after_fire_is_false(self):
+    @pytest.mark.parametrize("until", [None, 10])
+    def test_cancel_after_fire_is_false(self, until):
         sim = Simulator(seed=1, horizon=100)
         ev = sim.at(10, "x")
-        sim.run()
+        sim.run(until=until)
         assert sim.cancel(ev) is False
 
     def test_cancelled_run_equals_never_scheduled(self):
@@ -80,38 +89,40 @@ class TestCancellation:
                 sim.at(t, "work", t=t)
             sim.at(99, "done")
 
-        sim_a = Simulator(seed=3, horizon=100, record_log=True)
+        sim_a = Simulator(seed=3, horizon=100)
+        log_a = record(sim_a, "work", "done", "noise")
         base_schedule(sim_a)
         doomed = [sim_a.at(t, "noise") for t in range(0, 100, 5)]
         for ev in doomed:
             assert sim_a.cancel(ev)
         got = sim_a.run()
 
-        sim_b = Simulator(seed=3, horizon=100, record_log=True)
+        sim_b = Simulator(seed=3, horizon=100)
+        log_b = record(sim_b, "work", "done", "noise")
         base_schedule(sim_b)
         want = sim_b.run()
 
         assert got.counts == want.counts
         assert got.total_processed == want.total_processed
         assert got.final_clock == want.final_clock
-        assert ([(t, k) for t, _, k in sim_a.processed_log]
-                == [(t, k) for t, _, k in sim_b.processed_log])
+        assert [(t, k) for t, _, k in log_a] == [(t, k) for t, _, k in log_b]
 
 
 class TestDeterminism:
     @staticmethod
     def _noisy_run(seed: int) -> tuple:
-        sim = Simulator(seed=seed, horizon=5000, record_log=True)
+        sim = Simulator(seed=seed, horizon=5000)
+        log = record(sim, "pulse")
         rng = sim.stream("load")
 
         def reschedule(ev):
-            sim.after(1 + rng.randrange(40), "pulse")
+            sim.at(sim.now + 1 + rng.randrange(40), "pulse")
 
         sim.subscribe("pulse", reschedule)
         sim.at(0, "pulse")
         sim.at(0, "pulse")
         summary = sim.run()
-        return summary, tuple(sim.processed_log)
+        return summary, tuple(log)
 
     def test_same_seed_same_log(self):
         assert self._noisy_run(11) == self._noisy_run(11)
@@ -123,11 +134,12 @@ class TestDeterminism:
                     min_size=0, max_size=60))
     @settings(max_examples=60, deadline=None)
     def test_processed_log_totally_ordered(self, times):
-        sim = Simulator(seed=1, horizon=1000, record_log=True)
+        sim = Simulator(seed=1, horizon=1000)
+        log = record(sim, "e")
         for t in times:
             sim.at(t, "e")
         sim.run()
-        keys = [(t, seq) for t, seq, _ in sim.processed_log]
+        keys = [(t, seq) for t, seq, _ in log]
         assert keys == sorted(keys)
         assert len(keys) == len(times)
 
@@ -167,10 +179,10 @@ def test_poisson_arrival_count_within_three_sigma():
     rng = sim.stream("arrivals")
 
     def arrive(ev):
-        sim.after(max(1, round(rng.expovariate(lam))), "arrival")
+        sim.at(sim.now + max(1, round(rng.expovariate(lam))), "arrival")
 
     sim.subscribe("arrival", arrive)
-    sim.after(max(1, round(rng.expovariate(lam))), "arrival")
+    sim.at(max(1, round(rng.expovariate(lam))), "arrival")
     summary = sim.run()
     count = summary.counts["arrival"]
     assert abs(count - 100_000) <= 3 * math.sqrt(100_000)

@@ -176,6 +176,8 @@ class TestScenarioParsing:
         (small_scenario(services={"svc.update_at": 10}), "update_fitness"),
         (small_scenario(services={"svc.chain_next": "ghost"}), "chain_next"),
         (small_scenario(workload={"read_fraction": 1.5}), "read_fraction"),
+        (small_scenario(workload={"floor": "nan"}), "[workload] floor"),
+        (small_scenario(workload={"floor": 1.5}), "[workload] floor"),
         (small_scenario(workload={"rate": 0}), "[workload] rate"),
         (small_scenario(workload={"rate": -0.02}), "[workload] rate"),
         (small_scenario(workload={"rate": "nan"}), "[workload] rate"),
@@ -951,6 +953,12 @@ class TestCli:
         path.write_text(text)
         assert cli.main(["--scenario", str(path)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_non_utf8_scenario_file_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.ini"
+        path.write_bytes(b"\xff\xfe" + small_scenario().encode())
+        assert cli.main(["--scenario", str(path)]) == 2
+        assert "error: scenario: not UTF-8" in capsys.readouterr().err
 
     def test_unknown_failure_target_is_a_config_error(self, tmp_path):
         path = tmp_path / "bad_target.ini"

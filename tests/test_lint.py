@@ -47,3 +47,46 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_every_import_is_used(name):
     assert unused_imports(MODULES[name].read_text()) == []
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Private functions, methods, classes and `self._x` attributes that
+    the sources define and never read. Storing into `self._x[k]` is no
+    read of `_x`."""
+    defined: set[str] = set()
+    read: set[str] = set()
+    for tree in map(ast.parse, sources):
+        stored_into = {id(node.value) for node in ast.walk(tree)
+                       if isinstance(node, ast.Subscript)
+                       and not isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load) and id(node) not in stored_into:
+                    read.add(node.attr)
+                elif (isinstance(node.value, ast.Name)
+                      and node.value.id == "self"):
+                    defined.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+    return sorted(name for name in defined - read
+                  if name.startswith("_") and not name.endswith("__"))
+
+
+def test_the_check_sees_an_unread_private_name():
+    source = ("class A:\n"
+              "    def __init__(self):\n"
+              "        self._kept = self._clock = 0\n"
+              "    def _helper(self):\n"
+              "        self._clock[1] = 2\n"
+              "        return self._kept\n"
+              "    def _stale(self):\n"
+              "        self._helper()\n")
+    assert unread_private_names([source]) == ["_clock", "_stale"]
+
+
+def test_every_private_name_in_src_is_read():
+    sources = [p.read_text() for p in sorted(SRC.rglob("*.py"))]
+    assert unread_private_names(sources) == []

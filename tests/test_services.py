@@ -324,6 +324,69 @@ class TestPushPlacement:
         assert actions[0].action == "shortfall" and actions[0].host is None
 
 
+class TestSessionMetering:
+    """A session streams at its rate while its fair share of the host's
+    bandwidth allows; its plan settles when it ends."""
+
+    def start(self, rt, requester, at, n=1, rate=2, duration=100):
+        sessions = []
+        for _ in range(n):
+            req = Request(next(_req_ids), "svc", requester, at,
+                          ResourceVector(bandwidth=rate * duration), "session")
+            sessions.append(rt.plan_session(req, at, duration, rate,
+                                            floor=0.8, sustain=50))
+        begin = sessions[0].plan.start
+        for s in sessions:
+            assert s.plan.outcome == ADMITTED and s.plan.start == begin
+            assert rt.begin_session(s, begin)
+        return sessions, begin
+
+    def runtime(self, bandwidth):
+        rt, ids = make_runtime(bandwidth=bandwidth)
+        rt.overlay.form_dvsp("main", 0)
+        rt.publish(descriptor(declared=(0, 0, 2)), ids[0], 0)
+        return rt, ids
+
+    def test_a_lone_session_streams_in_full_and_pays(self):
+        rt, ids = self.runtime(bandwidth=3)
+        (session,), begin = self.start(rt, ids[4], 50)
+        rt.end_session(session, begin + 100)
+        plan = session.plan
+        assert plan.outcome == COMPLETED
+        assert plan.consumed == ResourceVector(bandwidth=200)
+        assert plan.charged == plan.gross > 0
+
+    def test_a_share_under_the_floor_for_the_sustain_window_fails(self):
+        # Two streams at rate 2 split bandwidth 3: 1.5 each, under 0.8 * 2.
+        rt, ids = self.runtime(bandwidth=3)
+        sessions, begin = self.start(rt, ids[4], 50, n=2)
+        for s in sessions:
+            rt.end_session(s, begin + 100)
+        for s in sessions:
+            assert s.plan.outcome == "failed-throughput"
+            assert s.plan.consumed == ResourceVector(bandwidth=150)
+            assert s.plan.charged == 0
+        assert rt.sessions[sessions[0].plan.host] == []
+
+    def test_a_host_loss_ends_calls_then_sessions_uncharged(self):
+        rt, ids = self.runtime(bandwidth=1000)
+        (session,), begin = self.start(rt, ids[4], 50)
+        host = session.plan.host
+        call = rt.plan_invoke(request("svc", ids[5], begin, (0, 0, 1)), begin)
+        assert call.served and call.host == host
+        rt.take_demand([])
+        rt.overlay.leave(host, begin + 40)
+        rt.host_lost(host, begin + 40)
+        assert rt.cut_off(host, [call], begin + 40) == [call, session.plan]
+        assert (call.outcome, call.latency, call.charged) == ("host-offline", 0, 0)
+        assert call.consumed == ResourceVector()
+        plan = session.plan
+        assert (plan.outcome, plan.charged) == ("host-offline", 0)
+        assert plan.consumed == ResourceVector(bandwidth=80)  # 40 ticks at 2
+        assert rt.take_demand([]) == ResourceVector(bandwidth=80)
+        assert host not in rt.sessions
+
+
 class TestVendorRuntime:
     def vendor_runtime(self):
         overlay, ids = clique_overlay(4)
