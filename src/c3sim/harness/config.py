@@ -41,7 +41,18 @@ A scenario is an INI-style text file. Sections and keys:
   trust_out_degree, theta
 
 Unknown or repeated keys and sections, and keys before the first section,
-are rejected so a typo cannot silently change a run.
+are rejected so a typo cannot silently change a run. Every number must be
+finite.
+
+Keys that size what a run builds before its first event, or the work of
+a step, have fixed upper bounds. Each is at least 5x the largest value
+that the tests, the benchmark and the measured scaled runs use (brackets):
+MAX_NODES = 50,000 nodes over all classes [2,400: video_small x80];
+MAX_ARRIVALS = 1,000,000 for rate (session_rate for video) x horizon
+[120,000: wiki_small x4 at 50x horizon, and the conservation test];
+MAX_TICKS = 100,000 for horizon / each of the four periods [6,000];
+MAX_REPLICAS = 100 for each <svc>.min_replicas [4];
+MAX_INTER_REGION_LINKS = 100 [3]. A horizon override is checked again.
 """
 from __future__ import annotations
 
@@ -52,6 +63,13 @@ from dataclasses import dataclass, replace
 
 from ..ledger import MarketConfig
 from ..resources import ResourceVector
+
+
+MAX_NODES = 50_000
+MAX_ARRIVALS = 1_000_000
+MAX_TICKS = 100_000
+MAX_REPLICAS = 100
+MAX_INTER_REGION_LINKS = 100
 
 
 class ConfigError(Exception):
@@ -189,20 +207,20 @@ class _Section:
         value = self._get(key, default)
         return default if value is None else value.strip()
 
-    def integer(self, key: str, default=None, minimum: int | None = None) -> int:
+    def integer(self, key: str, default=None, minimum: int | None = None,
+                maximum: int | None = None) -> int:
         value = self._get(key, default)
         if value is None:
-            out = default
-        else:
-            try:
-                out = int(str(value).strip())
-            except ValueError:
-                raise ConfigError(f"[{self.name}] {key}",
-                                  f"not an integer: {value!r}") from None
-        if out is None:
-            return None
+            return default
+        try:
+            out = int(str(value).strip())
+        except ValueError:
+            raise ConfigError(f"[{self.name}] {key}",
+                              f"not an integer: {value!r}") from None
         if minimum is not None and out < minimum:
             raise ConfigError(f"[{self.name}] {key}", f"must be >= {minimum}")
+        if maximum is not None and out > maximum:
+            raise ConfigError(f"[{self.name}] {key}", f"must be <= {maximum}")
         return out
 
     def number(self, key: str, default=None,
@@ -215,9 +233,9 @@ class _Section:
         except ValueError:
             raise ConfigError(f"[{self.name}] {key}",
                               f"not a number: {value!r}") from None
-        if minimum is not None and not (math.isfinite(out) and out >= minimum):
-            raise ConfigError(f"[{self.name}] {key}",
-                              f"must be finite and >= {minimum}")
+        if not math.isfinite(out) or (minimum is not None and out < minimum):
+            bound = "" if minimum is None else f" and >= {minimum}"
+            raise ConfigError(f"[{self.name}] {key}", f"must be finite{bound}")
         return out
 
     def flag(self, key: str, default: bool) -> bool:
@@ -338,7 +356,8 @@ def _topology(sec: _Section) -> TopologySpec:
     spec = TopologySpec(
         regions=regions,
         degree=sec.integer("degree", 6, minimum=3),
-        inter_region_links=sec.integer("inter_region_links", 3, minimum=1),
+        inter_region_links=sec.integer("inter_region_links", 3, minimum=1,
+                                       maximum=MAX_INTER_REGION_LINKS),
         intra_latency=sec.integer("intra_latency", 5, minimum=1),
         inter_latency=sec.integer("inter_latency", 50, minimum=1),
         vendor_latency=sec.integer("vendor_latency", 40, minimum=1),
@@ -367,7 +386,7 @@ def _population(sec: _Section, regions: tuple[str, ...]) -> tuple[PopulationClas
             initial_balance=sec.integer(prefix + "initial_balance", 100_000),
             mean_online=sec.integer(prefix + "mean_online", 0, minimum=0),
             mean_offline=sec.integer(prefix + "mean_offline", 0, minimum=0),
-            cost_factor=sec.number(prefix + "cost_factor", 1.0),
+            cost_factor=sec.number(prefix + "cost_factor", 1.0, minimum=0),
             regions=spread,
         )
         if klass.mean_offline > 0 and klass.mean_online == 0:
@@ -423,7 +442,8 @@ def _services(sec: _Section) -> tuple[ServiceEntry, ...]:
             service_id=name,
             declared=declared,
             code_size=sec.integer(p + "code_size", 20, minimum=1),
-            min_replicas=sec.integer(p + "min_replicas", 3, minimum=1),
+            min_replicas=sec.integer(p + "min_replicas", 3, minimum=1,
+                                     maximum=MAX_REPLICAS),
             subsidy=sec.integer(p + "subsidy", 0, minimum=0),
             developer_balance=sec.integer(p + "developer_balance", 0),
             share=sec.number(p + "share", 1.0, minimum=0),
@@ -463,8 +483,8 @@ def _workload(sec: _Section, services: tuple[ServiceEntry, ...]) -> WorkloadSpec
         if not 0.0 <= value <= 1.0:  # nan fails too
             raise ConfigError(f"[workload] {key}", "must be in [0, 1]")
     for key, value in (("rate", spec.rate), ("session_rate", spec.session_rate)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"[workload] {key}", "must be finite and > 0")
+        if not value > 0:
+            raise ConfigError(f"[workload] {key}", "must be > 0")
     return spec
 
 
@@ -528,6 +548,12 @@ def _validate(config: ScenarioConfig) -> None:
                           f"unknown service {config.workload.service!r}")
     if not 0.0 < config.evolution.theta <= 1.0:
         raise ConfigError("[evolution] theta", "must be in (0, 1]")
+    nodes = sum(c.count for c in config.population)
+    if nodes > MAX_NODES:
+        raise ConfigError("[population] " + ", ".join(
+            f"{c.name}.count" for c in config.population),
+            f"{nodes} nodes in total, above {MAX_NODES}")
+    _check_horizon(config)
     counts = {c.name: c.count for c in config.population}
     for entry in config.failures:
         where = f"[failures] {entry.name}.target"
@@ -543,6 +569,22 @@ def _validate(config: ScenarioConfig) -> None:
                                          f"{entry.scope} has {count} nodes")
 
 
+def _check_horizon(config: ScenarioConfig) -> None:
+    """Bound the arrivals and periodic ticks queued before the first event."""
+    wl = config.workload
+    key, rate = (("rate", wl.rate) if wl.kind == "wiki"
+                 else ("session_rate", wl.session_rate))
+    # a quotient, so no horizon overflows a float
+    if rate > MAX_ARRIVALS / max(config.horizon, 1):
+        raise ConfigError(f"[workload] {key}",
+                          f"{key} x horizon is above {MAX_ARRIVALS} arrivals")
+    for key in ("gossip_period", "heartbeat_interval", "price_window",
+                "placement_window"):
+        if config.horizon // getattr(config, key) > MAX_TICKS:
+            raise ConfigError(f"[simulation] {key}",
+                              f"horizon / {key} is above {MAX_TICKS} ticks")
+
+
 def with_overrides(config: ScenarioConfig, seed: int | None = None,
                    horizon: int | None = None,
                    mode: str | None = None) -> ScenarioConfig:
@@ -550,6 +592,7 @@ def with_overrides(config: ScenarioConfig, seed: int | None = None,
         config = replace(config, seed=seed)
     if horizon is not None:
         config = replace(config, horizon=horizon)
+        _check_horizon(config)
     if mode is not None:
         if mode not in ("community", "vendor"):
             raise ConfigError("mode", f"must be community or vendor, got {mode!r}")

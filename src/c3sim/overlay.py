@@ -140,20 +140,19 @@ class Overlay:
         self.dvsps: dict[str, VirtualSuperPeer] = {}
         self._epochs: dict[str, int] = {}
         self._reform: set[str] = set()
-        # Routing runs on dense indices in sorted-NodeId order, so the heap
-        # tie-break on (dist, index) is the tie-break on (dist, NodeId).
-        # _links mirrors adj in the same order, with each link's bandwidth;
-        # _up mirrors the online flags. The index is rebuilt from records
-        # and adj on the first routing call after a record is added.
-        self._index: dict[NodeId, int] | None = None
+        # Routing runs on dense indices, given out as records are added.
+        # _links mirrors adj by index, with each link's bandwidth; _up
+        # mirrors the online flags. No answer depends on the index order.
+        self._index: dict[NodeId, int] = {}
         self._links: list[dict[int, tuple[int, int]]] = []
         self._up: list[bool] = []
         # Per source index, a resumable Dijkstra [dist, bottleneck, heap]:
         # each index's best latency so far (_UNBOUNDED if unreached), the
-        # bottleneck bandwidth of that path, and the entries not yet popped.
+        # widest bottleneck bandwidth among the paths at that latency, and
+        # the entries not yet popped.
         # A query advances a search only until its answer's latency is
-        # final (see _settle). Every search is dropped whenever an edge or
-        # an online flag changes.
+        # final (see _settle). Every search is dropped whenever a record is
+        # added or an edge or an online flag changes.
         self._searches: dict[int, list] = {}
 
     # -- membership ---------------------------------------------------------
@@ -164,7 +163,10 @@ class Overlay:
         self.records[record.node_id] = record
         bisect.insort(self.regions.setdefault(record.region, []), record.node_id)
         self.adj[record.node_id] = {}
-        self._index = None
+        self._index[record.node_id] = len(self._links)
+        self._links.append({})
+        self._up.append(record.online)
+        self._searches.clear()
 
     def is_online(self, node_id: NodeId) -> bool:
         rec = self.records.get(node_id)
@@ -202,8 +204,7 @@ class Overlay:
 
     def _set_online(self, rec: NodeRecord, online: bool) -> None:
         rec.online = online
-        if self._index is not None:
-            self._up[self._index[rec.node_id]] = online
+        self._up[self._index[rec.node_id]] = online
         self._searches.clear()
 
     # -- topology -----------------------------------------------------------
@@ -248,11 +249,9 @@ class Overlay:
         if a == b:
             return
         if self.adj[a].get(b) != latency:
-            if self._index is not None:
-                ia, ib = self._index[a], self._index[b]
-                link = (latency, self._link_bandwidth(a, b))
-                self._links[ia][ib] = link
-                self._links[ib][ia] = link
+            ia, ib = self._index[a], self._index[b]
+            link = (latency, self._link_bandwidth(a, b))
+            self._links[ia][ib] = self._links[ib][ia] = link
             self._searches.clear()
         self.adj[a][b] = latency
         self.adj[b][a] = latency
@@ -260,9 +259,8 @@ class Overlay:
     def _drop_edge(self, a: NodeId, b: NodeId) -> None:
         if b in self.adj[a]:
             del self.adj[a][b], self.adj[b][a]
-            if self._index is not None:
-                ia, ib = self._index[a], self._index[b]
-                del self._links[ia][ib], self._links[ib][ia]
+            ia, ib = self._index[a], self._index[b]
+            del self._links[ia][ib], self._links[ib][ia]
             self._searches.clear()
 
     def add_link(self, a: NodeId, b: NodeId, latency: int) -> None:
@@ -316,20 +314,6 @@ class Overlay:
         return max(1, min(self.records[a].capacity.bandwidth,
                           self.records[b].capacity.bandwidth))
 
-    def _indexed(self) -> dict[NodeId, int]:
-        if self._index is None:
-            order = sorted(self.records)
-            index = {n: i for i, n in enumerate(order)}
-            self._links = [
-                {index[peer]: (latency, self._link_bandwidth(n, peer))
-                 for peer, latency in self.adj[n].items()}
-                for n in order
-            ]
-            self._up = [self.records[n].online for n in order]
-            self._searches.clear()
-            self._index = index
-        return self._index
-
     def _search(self, src: int) -> list:
         search = self._searches.get(src)
         if search is None:
@@ -339,14 +323,14 @@ class Overlay:
             search = self._searches[src] = [dist, bottleneck, [(0, src)]]
         return search
 
-    def _settle(self, search: list, targets) -> tuple[int, int] | None:
+    def _settle(self, search: list, targets) -> int:
         """Advance search until the least latency to a target index is
-        final; return the least (latency, index) among the targets, or
-        None if the search reaches none. Every link latency is at least 1,
-        so once no entry below best is left, every node closer is expanded
-        and each target at best is final, its bottleneck too: a path
-        replaces another only when strictly shorter. Pausing never changes
-        the (dist, index) pop order."""
+        final, and return it (_UNBOUNDED if the search reaches none).
+        Every link latency is at least 1, so once no entry below best is
+        left, every node closer is expanded and each target at best is
+        final. So is its bottleneck: a path at equal latency keeps the
+        wider one, so it is the widest over all shortest paths, whatever
+        the pop order. The search never reaches an offline node."""
         dist, bottleneck, heap = search
         best = min(dist[t] for t in targets)
         links, up = self._links, self._up
@@ -357,66 +341,73 @@ class Overlay:
             bw_here = bottleneck[node]
             for peer, (latency, bw) in links[node].items():
                 nd = d + latency
-                if nd < dist[peer] and up[peer]:
-                    dist[peer] = nd
-                    bottleneck[peer] = bw if bw < bw_here else bw_here
-                    heapq.heappush(heap, (nd, peer))
-                    if nd < best and peer in targets:
-                        best = nd
-        if best == _UNBOUNDED:
-            return None
-        return min((dist[t], t) for t in targets)
+                if nd > dist[peer]:
+                    continue
+                if bw > bw_here:
+                    bw = bw_here
+                if nd < dist[peer]:
+                    if up[peer]:
+                        dist[peer] = nd
+                        bottleneck[peer] = bw
+                        heapq.heappush(heap, (nd, peer))
+                        if nd < best and peer in targets:
+                            best = nd
+                elif bw > bottleneck[peer]:  # as short and wider
+                    bottleneck[peer] = bw
+        return best
 
     def _cost(self, frm: NodeId, to: NodeId, size: int) -> int | None:
         """Latency of the cheapest online path plus the transfer term for
         size, or None if either end is offline or no path joins them.
 
-        Latency is symmetric, so a size-0 query from a source without a
-        search reads the target's search instead, starting it if need be.
-        The bottleneck follows the tie-breaks of one direction, so a
-        size > 0 query always reads the source's own search."""
+        Latency and the widest-shortest bottleneck are symmetric, so a
+        query reads the source's search, else the target's. With neither,
+        a size-0 query starts one at the target and a sized one at the
+        source."""
         if not (self.is_online(frm) and self.is_online(to)):
             return None
         if frm == to:
             return 0
-        index = self._indexed()
-        src, dst = index[frm], index[to]
-        if size == 0 and src not in self._searches:
+        src, dst = self._index[frm], self._index[to]
+        if src not in self._searches and (size == 0 or dst in self._searches):
             src, dst = dst, src
         search = self._search(src)
-        found = self._settle(search, (dst,))
-        if found is None:
+        latency = self._settle(search, (dst,))
+        if latency == _UNBOUNDED:
             return None
-        latency = found[0]
         if size > 0:
             latency += -(-size // search[1][dst])
         return latency
 
     def route(self, frm: NodeId, to: NodeId, size: int = 0) -> int:
         """Latency of the cheapest path plus the transfer term for size:
-        ceil(size / the bottleneck bandwidth of the tie-broken path from
-        frm). Raises Unreachable if either end is offline or cut off."""
+        ceil(size / the widest bottleneck bandwidth among the cheapest
+        paths). Symmetric in frm and to. Raises Unreachable if either end
+        is offline or cut off."""
         latency = self._cost(frm, to, size)
         if latency is None:
             raise Unreachable(f"{frm!r} -> {to!r}")
         return latency
 
     def nearest(self, frm: NodeId, candidates) -> NodeId | None:
-        """The candidate frm reaches at the smallest (route latency, id),
-        or None if it reaches none. frm's search runs until that latency
-        is final, and dense indices follow NodeId order. One candidate is
-        a single route, which may read the candidate's search."""
+        """The least NodeId among the candidates frm reaches at the least
+        route latency, or None if it reaches none. frm's search runs until
+        that latency is final. One candidate is a single route, which may
+        read the candidate's search."""
         if not self.is_online(frm):
             return None
-        index = self._indexed()
-        targets = {index[c]: c for c in candidates if self.is_online(c)}
+        targets = {self._index[c]: c for c in candidates}
         if not targets:
             return None
         if len(targets) == 1:
             (cand,) = targets.values()
             return cand if self._cost(frm, cand, 0) is not None else None
-        found = self._settle(self._search(index[frm]), targets)
-        return targets[found[1]] if found else None
+        search = self._search(self._index[frm])
+        best = self._settle(search, targets)
+        if best == _UNBOUNDED:
+            return None
+        dist = search[0]
+        return min(c for i, c in targets.items() if dist[i] == best)
 
     def reachable(self, frm: NodeId, to: NodeId) -> bool:
         return self._cost(frm, to, 0) is not None

@@ -27,6 +27,8 @@ from c3sim.harness.audits import (
     run_audits,
 )
 from c3sim.harness.config import (
+    MAX_ARRIVALS,
+    MAX_NODES,
     ConfigError,
     parse_scenario,
     parse_scenario_text,
@@ -203,6 +205,36 @@ class TestScenarioParsing:
         (small_scenario(services={"svc.share": "inf"}), "[services] svc.share"),
         (small_scenario(services={"svc.share": -1}), "[services] svc.share"),
         (small_scenario(services={"svc.share": 0}), "svc.share: must have a"),
+        (small_scenario(population={"box.cost_factor": "nan"}),
+         "[population] box.cost_factor"),
+        (small_scenario(population={"box.cost_factor": "inf"}),
+         "[population] box.cost_factor"),
+        (small_scenario(population={"box.cost_factor": -0.5}),
+         "[population] box.cost_factor"),
+        (small_scenario(services={"svc.fitness": "nan"}), "[services] svc.fitness"),
+        (small_scenario(services={"svc.fitness": "-inf"}), "[services] svc.fitness"),
+        (small_scenario(services={"svc.update_at": 10, "svc.update_fitness": "nan"}),
+         "[services] svc.update_fitness"),
+        (small_scenario(services={"svc.update_at": 10, "svc.update_fitness": "inf"}),
+         "[services] svc.update_fitness"),
+        # count keys above their bounds, checked at parse and never run
+        (small_scenario(population={"box.count": MAX_NODES + 1}),
+         "[population] box.count: 50001 nodes"),
+        (small_scenario(population={"classes": "box, pc", "pc.count": MAX_NODES}),
+         "[population] box.count, pc.count"),
+        (small_scenario(services={"svc.min_replicas": 10 ** 4}),
+         "[services] svc.min_replicas: must be <= 100"),
+        (small_scenario(topology={"inter_region_links": 10 ** 5}),
+         "[topology] inter_region_links: must be <= 100"),
+        (small_scenario(workload={"rate": 1000}), "[workload] rate: rate x horizon"),
+        (small_scenario(simulation={"horizon": 10 ** 400}), "[workload] rate"),
+        (small_scenario(workload={"kind": "video", "service": "svc",
+                                  "session_rate": 200}),
+         "[workload] session_rate"),
+        (small_scenario(simulation={"horizon": 10 ** 6, "heartbeat_interval": 9}),
+         "[simulation] heartbeat_interval: horizon / heartbeat_interval"),
+        (small_scenario(simulation={"horizon": 10 ** 6, "price_window": 1}),
+         "[simulation] price_window"),
         (small_scenario(topology={"degree": 2}), "[topology] degree"),
         (small_scenario(workload={"kind": "batch"}), "kind"),
         (small_scenario(workload={"kind": "video", "service": "ghost"}), "service"),
@@ -225,6 +257,8 @@ class TestScenarioParsing:
         assert with_overrides(cfg) is cfg
         with pytest.raises(ConfigError):
             with_overrides(cfg, mode="managed")
+        with pytest.raises(ConfigError, match=r"\[workload\] rate"):
+            with_overrides(cfg, horizon=MAX_ARRIVALS * 100)
 
     def test_empty_failures_section_means_no_failures(self):
         bare = parse_scenario_text(small_scenario())

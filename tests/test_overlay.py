@@ -200,15 +200,16 @@ class TestRouting:
         overlay, ids = linked_overlay(9, [(1, leaf, 5) for leaf in range(2, 10)])
         hub, leaves = ids[0], ids[1:]
         assert overlay.route(hub, leaves[0], 1) == 5 + 1  # warms hub's search
-        heap = overlay._searches[overlay._indexed()[hub]][2]
+        heap = overlay._searches[overlay._index[hub]][2]
         assert len(heap) == len(leaves)  # only the hub was popped
         assert overlay.route(hub, leaves[-1]) == 5
         assert len(heap) == len(leaves)
 
-    def test_sized_route_reads_the_source_search_not_the_target_one(self):
-        # a -3- x -7- b and a -7- y -3- b tie at 10. From a, x settles
-        # first and b keeps the path through x, 1 wide; from b, y settles
-        # first and a keeps the path through y, 1000 wide.
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_sized_route_is_the_same_both_ways(self, first):
+        # a -3- x -7- b and a -7- y -3- b tie at 10. The path through x is
+        # 1 wide and the one through y 1000 wide, so a sized route takes
+        # y's whichever end's search it reads.
         cfg = OverlayConfig(degree=2, min_degree=1, inter_region_links=0)
         overlay = Overlay(cfg, RngStream(7, "overlay"))
         a, x, y, b = (nid(i) for i in (1, 2, 3, 4))
@@ -220,10 +221,40 @@ class TestRouting:
             overlay.join(node, 0)
         for u, v, latency in ((a, x, 3), (x, b, 7), (a, y, 7), (y, b, 3)):
             overlay.add_link(u, v, latency)
-        assert overlay.route(b, a, 100) == 10 + 1  # warms b's search
-        assert reference_distances(overlay, a)[b] == (10, 1)
-        assert overlay.route(a, b, 100) == 10 + 100
+        src, dst = (a, b) if first == 0 else (b, a)
+        assert overlay.route(src, dst, 100) == 10 + 1  # warms src's search
+        assert reference_distances(overlay, a)[b] == (10, 1000)
+        assert overlay.route(a, b, 100) == overlay.route(b, a, 100) == 10 + 1
         assert overlay.route(a, b) == overlay.route(b, a) == 10
+
+    def test_answers_do_not_depend_on_the_order_records_are_added(self):
+        # a 4 x 4 grid, every link 5: each pair has many shortest paths,
+        # and the bandwidths make them differ in width
+        cells = [(r, c) for r in range(4) for c in range(4)]
+        ids = {cell: nid(1 + 4 * cell[0] + cell[1]) for cell in cells}
+        links = [(ids[r, c], ids[r + dr, c + dc])
+                 for r, c in cells for dr, dc in ((0, 1), (1, 0))
+                 if (r + dr, c + dc) in ids]
+
+        def answers(order):
+            cfg = OverlayConfig(degree=2, min_degree=1, inter_region_links=0)
+            overlay = Overlay(cfg, RngStream(7, "overlay"))
+            for cell in order:
+                bandwidth = (3, 40, 10, 25)[(cell[0] * 3 + cell[1]) % 4]
+                # one region each, so joins add no links of their own
+                overlay.add_record(NodeRecord(ids[cell], f"r{cell}",
+                                              ResourceVector(10, 1000, bandwidth)))
+                overlay.join(ids[cell], 0)
+            for u, v in links:
+                overlay.add_link(u, v, 5)
+            nodes = sorted(ids.values())
+            out = [overlay.route(u, v, size)
+                   for size in (0, 100) for u in nodes for v in nodes]
+            out += [overlay.nearest(u, nodes[k::5])
+                    for u in nodes for k in range(5)]
+            return out
+
+        assert answers(cells) == answers(cells[::-1])
 
     def test_single_node_removal_never_partitions_after_repair(self):
         cfg = OverlayConfig(degree=6, min_degree=3, inter_region_links=3,
@@ -260,34 +291,41 @@ def linked_overlay(n, links):
 
 
 def reference_distances(overlay, src):
-    """Dijkstra over ``adj`` and ``records``: a heap of (dist, NodeId), the
-    first strictly shorter path wins, and a path's bottleneck is the least
-    max(1, min(bw_a, bw_b)) over its links."""
+    """(latency, bottleneck) of every node src reaches, by Dijkstra over
+    ``adj`` and ``records``. A path's width is the least max(1, min(bw_a,
+    bw_b)) over its links, and the bottleneck is the widest over all the
+    shortest paths."""
     def link(a, b):
         return max(1, min(overlay.records[a].capacity.bandwidth,
                           overlay.records[b].capacity.bandwidth))
 
-    dist = {src: (0, 1 << 62)}
+    dist = {src: 0}
     heap = [(0, src)]
-    settled = set()
+    order = []
     while heap:
         d, node = heapq.heappop(heap)
-        if node in settled:
+        if d > dist[node]:
             continue
-        settled.add(node)
+        order.append(node)
         for peer, latency in overlay.adj[node].items():
             if not overlay.records[peer].online:
                 continue
-            if peer not in dist or d + latency < dist[peer][0]:
-                dist[peer] = (d + latency,
-                              min(dist[node][1], link(node, peer)))
+            if peer not in dist or d + latency < dist[peer]:
+                dist[peer] = d + latency
                 heapq.heappush(heap, (d + latency, peer))
-    return dist
+    # every node before another on a shortest path comes earlier in order
+    width = {src: 1 << 62}
+    for node in order[1:]:
+        width[node] = max(min(width[peer], link(peer, node))
+                          for peer, latency in overlay.adj[node].items()
+                          if dist.get(peer, -1) + latency == dist[node])
+    return {node: (dist[node], width[node]) for node in order}
 
 
 def check_routes_from(overlay, a, nodes, size):
-    """``route(a, b, size)`` and ``reachable(a, b)`` for every b equal the
-    reference; Unreachable is raised exactly when it finds no path."""
+    """``route(a, b, size)``, ``route(b, a, size)`` and ``reachable(a, b)``
+    for every b equal the reference; Unreachable is raised exactly when it
+    finds no path."""
     dist = reference_distances(overlay, a)
     for b in nodes:
         if not (overlay.is_online(a) and overlay.is_online(b)):
@@ -300,11 +338,12 @@ def check_routes_from(overlay, a, nodes, size):
         else:
             want = None
         assert overlay.reachable(a, b) == (want is not None)
-        if want is None:
-            with pytest.raises(Unreachable):
-                overlay.route(a, b, size)
-        else:
-            assert overlay.route(a, b, size) == want
+        for frm, to in ((a, b), (b, a)):
+            if want is None:
+                with pytest.raises(Unreachable):
+                    overlay.route(frm, to, size)
+            else:
+                assert overlay.route(frm, to, size) == want
 
 
 def nearest_reference(overlay, frm, candidates):

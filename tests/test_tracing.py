@@ -1,0 +1,51 @@
+"""The benchmark's tracer wraps the program's entry points by name.
+
+``c3bench/tracing.install`` reads each wrapped name from its owner's
+``vars``, so renaming one in ``src/`` breaks every traced benchmark run.
+These tests enter and leave it against the current program.
+"""
+from __future__ import annotations
+
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from c3bench.tracing import Tracer, install  # noqa: E402
+from c3sim import (engine, evolution, ledger, overlay,  # noqa: E402
+                   replication, resource_repo, services)
+from c3sim.harness import parse_scenario, run_scenario, runner  # noqa: E402
+
+OWNERS = (runner, runner.Runner, engine.Simulator, overlay.Overlay,
+          resource_repo.Repository, replication.ReplicaStore, ledger.Ledger,
+          ledger.MarketPrice, services.ServiceRuntime,
+          evolution.UpdateDiffusion)
+
+
+def test_install_wraps_the_entry_points_and_restores_them():
+    before = [dict(vars(owner)) for owner in OWNERS]
+    with install(Tracer()):
+        wrapped = {(owner.__name__, attr)
+                   for owner, saved in zip(OWNERS, before)
+                   for attr, value in vars(owner).items()
+                   if value is not saved.get(attr)}
+    assert {("Overlay", "route"), ("ServiceRuntime", "_place_request"),
+            ("Repository", "heartbeat"), ("c3sim.harness.runner", "generate"),
+            ("Runner", "run")} <= wrapped
+    for owner, saved in zip(OWNERS, before):
+        assert dict(vars(owner)) == saved, owner.__name__
+
+
+def test_a_traced_run_records_every_layer():
+    config = replace(parse_scenario(ROOT / "scenarios" / "wiki_small.ini"),
+                     horizon=6000)
+    tracer = Tracer()
+    with install(tracer):
+        run_scenario(config)
+    layers = {span[0].partition(".")[0] for span in tracer.spans}
+    assert {"runner", "engine", "overlay", "resource_repo", "replication",
+            "ledger", "services", "harness"} <= layers
+    assert tracer.counters["resource_repo.heartbeats"] > 0
