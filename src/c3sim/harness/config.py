@@ -40,9 +40,9 @@ A scenario is an INI-style text file. Sections and keys:
 [evolution]
   trust_out_degree, theta
 
-Unknown or repeated keys and sections, and keys before the first section,
-are rejected so a typo cannot silently change a run. Every number must be
-finite.
+Unknown or repeated keys and sections, repeated names in a comma list, and
+keys before the first section are rejected so a typo cannot silently
+change a run. Every number must be finite.
 
 Keys that size what a run builds before its first event, or the work of
 a step, have fixed upper bounds. Each is at least 5x the largest value
@@ -251,7 +251,11 @@ class _Section:
 
     def names(self, key: str) -> tuple[str, ...]:
         value = self.text(key, "")
-        return tuple(v.strip() for v in value.split(",") if v.strip())
+        names = tuple(v.strip() for v in value.split(",") if v.strip())
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigError(f"[{self.name}] {key}", f"{name!r} is repeated")
+        return names
 
     def finish(self) -> None:
         unknown = set(self.raw) - self.seen

@@ -30,8 +30,8 @@ from ..replication import ReplicaStore, Replicator
 from ..resource_repo import NodeResourceRecord, Repository
 from ..resources import ResourceVector
 from ..services import (ADMITTED, COMPLETED, InvokePlan, Request,
-                        ServiceDescriptor, ServiceRuntime, ServicesConfig,
-                        VendorRuntime)
+                        ServiceDescriptor, ServiceError, ServiceRuntime,
+                        ServicesConfig, VendorRuntime)
 from .config import ConfigError, FailureEntry, ScenarioConfig
 from .metrics import COLUMNS, compute_report
 from .workloads import WorkloadItem, draw_actual, generate
@@ -152,7 +152,11 @@ class Runner:
                 svc.service_id, f"dev:{svc.service_id}", svc.declared,
                 svc.code_size, svc.min_replicas, svc.subsidy,
                 chain_next=svc.chain_next)
-            self.services.publish(desc, publisher, 0)
+            try:
+                self.services.publish(desc, publisher, 0)
+            except ServiceError:  # no node has the storage for its code
+                raise ConfigError(f"[services] {svc.service_id}.code_size",
+                                  f"no node can store {svc.code_size}") from None
             for inst in self.services.instances[svc.service_id]:
                 self._log("placements", 0, svc.service_id, "deployed",
                           inst.host.short, inst.region)
@@ -340,7 +344,7 @@ class Runner:
             sum(r.capacity.compute for r in online) * window,
             sum(r.capacity.storage for r in online),
             sum(r.capacity.bandwidth for r in online) * window)
-        demand = self.services.take_demand(r.node_id for r in online)
+        demand = self.services.take_demand()
         self.ledger.market.update(demand, supply)
         price = self.ledger.market.price
         self._log("prices", at, price("compute"), price("storage"),

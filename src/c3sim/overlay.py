@@ -467,8 +467,7 @@ class Overlay:
         participant (each NodeId appearing in an op) online; commit applies
         the whole batch or nothing.
         """
-        vsp = self.dvsps.get(region)
-        if vsp is None or not self.dvsp_has_quorum(region):
+        if not self.dvsp_has_quorum(region):
             raise NoQuorum(region)
         for op in ops:
             for party in (op.src, op.dst):

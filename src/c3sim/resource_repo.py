@@ -1,9 +1,10 @@
 """Registry of contributed capacity and score-weighted node selection.
 
 A record keeps the capacity its node contributes. The repository computes
-each heartbeat's offer from it (`offer`, and `sweep` for every record):
-that capacity less the storage the node's instances hold, at a projected
-cost of the record's cost factor times the basket of unit prices.
+each heartbeat's offer from it, at a projected cost of the record's cost
+factor times the basket of unit prices: `sweep` offers every online
+record's capacity less the storage its node's instances hold, and `offer`
+the whole capacity of a node that has just joined, which holds none.
 
 Records age out: a record whose last heartbeat is older than the staleness
 horizon (three heartbeat intervals by default) is invisible to queries, so a
@@ -83,12 +84,12 @@ class Repository:
         """A heartbeat interval passed with no heartbeat from the node."""
         self._step(self._record(node_id), None)
 
-    def offer(self, node_id: NodeId, at: SimTime, held: int,
-              basket: float) -> None:
+    def offer(self, node_id: NodeId, at: SimTime, basket: float) -> None:
         """Heartbeat with the offer computed from the node's own record:
-        its capacity less `held` storage, at cost_factor x basket."""
+        its whole capacity, at cost_factor x basket. A node that just
+        joined holds no instance's storage yet."""
         rec = self._record(node_id)
-        self._step(rec, at, rec.capacity, rec.cost_factor * basket, held)
+        self._step(rec, at, rec.capacity, rec.cost_factor * basket)
 
     def sweep(self, at: SimTime, online, held: dict[NodeId, int],
               basket: float) -> None:

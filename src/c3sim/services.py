@@ -66,16 +66,16 @@ class ServiceDescriptor:
     chain_next: str | None = None
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Instance:
+    """A deployed copy of a service's code. It exists only while it runs:
+    `ServiceRuntime` drops it when its host leaves or it is retired."""
     service_id: str
     host: NodeId
     deployed_at: SimTime
     warm_at: SimTime
-    seq: int
     region: str
     size: int
-    retired: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,6 +155,11 @@ def budget_fraction(actual: ResourceVector, declared: ResourceVector) -> Fractio
 
 
 class ServiceRuntime:
+    """Publishes, places and meters services. `instances[s]` holds the live
+    instances of `s` in deployment order: `_deploy` appends one, `host_lost`
+    and `_apply_targets` remove them. So every host in it is online, and
+    nothing that reads it checks."""
+
     def __init__(self, config: ServicesConfig, overlay: Overlay,
                  repo: Repository, ledger: Ledger, store: ReplicaStore,
                  rng: RngStream):
@@ -172,7 +177,6 @@ class ServiceRuntime:
         self.egress: dict[NodeId, int] = {}
         self.traffic: dict[str, dict[str, int]] = {}
         self._targets: dict[str, dict[str, list[int]]] = {}
-        self._seq = 0
 
     # -- publication -----------------------------------------------------------
 
@@ -227,9 +231,7 @@ class ServiceRuntime:
         alive = [h for h in self.store.hosts.get(key, ())
                  if self.overlay.is_online(h)
                  and self.store.states[key].get(h) is not None]
-        for inst in self.instances.get(service_id, ()):
-            if not inst.retired and self.overlay.is_online(inst.host):
-                alive.append(inst.host)
+        alive.extend(i.host for i in self.instances.get(service_id, ()))
         return sorted(set(alive))
 
     # -- invocation --------------------------------------------------------------
@@ -239,14 +241,11 @@ class ServiceRuntime:
         held: dict[NodeId, int] = {}
         for insts in self.instances.values():
             for inst in insts:
-                if not inst.retired:
-                    held[inst.host] = held.get(inst.host, 0) + inst.size
+                held[inst.host] = held.get(inst.host, 0) + inst.size
         return held
 
     def warm_instances(self, service_id: str, at: SimTime) -> list[Instance]:
-        return [i for i in self.instances.get(service_id, ())
-                if not i.retired and i.warm_at <= at
-                and self.overlay.is_online(i.host)]
+        return [i for i in self.instances.get(service_id, ()) if i.warm_at <= at]
 
     def plan_invoke(self, request: Request, at: SimTime) -> InvokePlan:
         """Admit one request and run it within its declared budget."""
@@ -355,12 +354,12 @@ class ServiceRuntime:
             plan.outcome = "payment-failed"
             plan.bill(0)
 
-    def take_demand(self, nodes) -> ResourceVector:
-        """The draw settled since the last call, and the nodes' held storage."""
-        held = self.held_storage()
+    def take_demand(self) -> ResourceVector:
+        """The draw settled since the last call, and the storage the live
+        instances hold."""
         used, self.demand = self.demand, ResourceVector()
-        return ResourceVector(used.compute, sum(held.get(n, 0) for n in nodes),
-                              used.bandwidth)
+        held = sum(i.size for insts in self.instances.values() for i in insts)
+        return ResourceVector(used.compute, held, used.bandwidth)
 
     # -- sessions -------------------------------------------------------------------
 
@@ -438,8 +437,7 @@ class ServiceRuntime:
         result = self.repo.query(
             ResourceQuery(required=need, count=count, preferred_region=region),
             self.rng, at)
-        hosting = {i.host for i in self.instances.get(desc.service_id, ())
-                   if not i.retired}
+        hosting = {i.host for i in self.instances.get(desc.service_id, ())}
         return [n for n in result.nodes
                 if n not in hosting and self.overlay.is_online(n)]
 
@@ -450,10 +448,7 @@ class ServiceRuntime:
                      else self.overlay.route(source, host, desc.code_size))
         except Unreachable:
             return None
-        self.egress[source] = self.egress.get(source, 0) + (
-            desc.code_size if source != host else 0)
-        self._seq += 1
-        inst = Instance(desc.service_id, host, at, at + delay, self._seq,
+        inst = Instance(desc.service_id, host, at, at + delay,
                         self.overlay.records[host].region, desc.code_size)
         self.instances[desc.service_id].append(inst)
         return inst
@@ -463,17 +458,16 @@ class ServiceRuntime:
         lost = []
         for insts in self.instances.values():
             for inst in insts:
-                if inst.host == host and not inst.retired:
-                    inst.retired = True
+                if inst.host == host:
                     lost.append(PlacementAction(at, inst.service_id,
                                                 "host-lost", host, inst.region))
+            insts[:] = [i for i in insts if i.host != host]
         self.busy_until.pop(host, None)
         return lost
 
     def host_joined(self, host: NodeId, at: SimTime) -> list[PlacementAction]:
         """A host came back: it offers its capacity at once."""
-        self.repo.offer(host, at, self.held_storage().get(host, 0),
-                        self.ledger.market.basket())
+        self.repo.offer(host, at, self.ledger.market.basket())
         return []
 
     def placement_tick(self, at: SimTime, push_enabled: bool) -> list[PlacementAction]:
@@ -488,13 +482,6 @@ class ServiceRuntime:
                 actions.extend(self._keep_floor(desc, at))
             self.traffic[service_id] = {}
         return actions
-
-    def _live_by_region(self, service_id: str, at: SimTime) -> dict[str, list[Instance]]:
-        out: dict[str, list[Instance]] = {r: [] for r in self.config.regions}
-        for inst in self.instances.get(service_id, ()):
-            if not inst.retired and self.overlay.is_online(inst.host):
-                out.setdefault(inst.region, []).append(inst)
-        return out
 
     def _rebalance(self, desc: ServiceDescriptor, at: SimTime) -> list[PlacementAction]:
         counts = self.traffic.get(desc.service_id, {})
@@ -519,24 +506,24 @@ class ServiceRuntime:
         return self._apply_targets(desc, effective, at)
 
     def _keep_floor(self, desc: ServiceDescriptor, at: SimTime) -> list[PlacementAction]:
-        live = sum(len(v) for v in self._live_by_region(desc.service_id, at).values())
-        actions = []
-        if live < desc.min_replicas:
-            actions.extend(self._deploy_n(desc, desc.min_replicas - live, None, at))
-        return actions
+        live = len(self.instances[desc.service_id])
+        if live >= desc.min_replicas:
+            return []
+        return self._deploy_n(desc, desc.min_replicas - live, None, at)
 
     def _apply_targets(self, desc: ServiceDescriptor, targets: dict[str, int],
                        at: SimTime) -> list[PlacementAction]:
         actions = []
-        live = self._live_by_region(desc.service_id, at)
+        live: dict[str, list[Instance]] = {}
+        for inst in self.instances[desc.service_id]:
+            live.setdefault(inst.region, []).append(inst)
         for region in self.config.regions:
             have, want = len(live.get(region, ())), targets.get(region, 0)
             if have < want:
                 actions.extend(self._deploy_n(desc, want - have, region, at))
             elif have > want:
-                doomed = sorted(live[region], key=lambda i: -i.seq)[: have - want]
-                for inst in doomed:
-                    inst.retired = True
+                for inst in reversed(live[region][want:]):  # newest first
+                    self.instances[desc.service_id].remove(inst)
                     actions.append(PlacementAction(at, desc.service_id,
                                                    "retired", inst.host, region))
         return actions

@@ -237,6 +237,12 @@ class TestScenarioParsing:
          "[simulation] price_window"),
         (small_scenario(topology={"degree": 2}), "[topology] degree"),
         (small_scenario(workload={"kind": "batch"}), "kind"),
+        (small_scenario(topology={"regions": "r0, r0"}),
+         "[topology] regions: 'r0' is repeated"),
+        (small_scenario(population={"classes": "box, box"}),
+         "[population] classes: 'box' is repeated"),
+        (small_scenario(services={"catalog": "svc, svc"}),
+         "[services] catalog: 'svc' is repeated"),
         (small_scenario(workload={"kind": "video", "service": "ghost"}), "service"),
         (small_scenario(evolution={"theta": 0}), "theta"),
         (small_scenario(failures={"entries": "e", "e.at": 1, "e.target": "region:r0",
@@ -863,6 +869,29 @@ class TestRequestPath:
             write_outputs(runner.logs, runner.report, Path(out))
             assert recompute(out) == runner.report
 
+    @pytest.mark.parametrize("mode", ["community", "vendor"])
+    def test_every_instance_runs_on_an_online_host(self, mode):
+        """After every event, under churn and the scripted super-peer and
+        region kills, each live instance's host is online."""
+        runner = Runner(with_overrides(
+            parse_scenario(SCENARIO_DIR / "mixed_churn.ini"), mode=mode))
+        kinds = set()
+
+        def check(event):  # reads only: take_demand, say, would reset demand
+            for insts in runner.services.instances.values():
+                for inst in insts:
+                    assert runner.overlay.records[inst.host].online, (
+                        runner.sim.now, event.kind, inst)
+            kinds.add(event.kind)
+
+        for kind in list(runner.sim._handlers):  # after the runner's own
+            runner.sim.subscribe(kind, check)
+        runner.run()
+        assert {"node-leave", "node-join", "failure-injection"} <= kinds
+        actions = {row[2] for row in runner.logs["placements"]}
+        if mode == "community":
+            assert {"host-lost", "retired", "deployed"} <= actions
+
     def test_rows_at_a_leave_keep_request_order_in_any_process(self):
         # Each process allocates a different amount of padding first, so its
         # objects land at other addresses: an order that follows addresses
@@ -1026,6 +1055,17 @@ class TestCli:
             parser.write(f)
         assert cli.main(["--scenario", str(path), "--seed", "37"]) == 2
         assert "[topology] degree" in capsys.readouterr().err
+
+    def test_code_no_node_can_store_is_a_config_error(self, tmp_path, capsys):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(SCENARIO_DIR / "wiki_small.ini")
+        parser["services"]["search.code_size"] = "1000000"
+        path = tmp_path / "huge_code.ini"
+        with path.open("w") as f:
+            parser.write(f)
+        assert cli.main(["--scenario", str(path)]) == 2
+        assert ("error: [services] search.code_size: no node can store 1000000"
+                in capsys.readouterr().err)
 
     def test_a_run_leaves_networkx_unimported(self, scenario_file, tmp_path):
         child = ("import sys\n"

@@ -6,7 +6,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from c3sim.engine import RngStream
@@ -318,7 +318,7 @@ def reference_distances(overlay, src):
     for node in order[1:]:
         width[node] = max(min(width[peer], link(peer, node))
                           for peer, latency in overlay.adj[node].items()
-                          if dist.get(peer, -1) + latency == dist[node])
+                          if peer in dist and dist[peer] + latency == dist[node])
     return {node: (dist[node], width[node]) for node in order}
 
 
@@ -377,6 +377,13 @@ churn_queries = st.lists(st.tuples(
 ), max_size=6)
 
 
+class NoQueries:
+    """Stands in for ``st.data()`` in an explicit example: asks nothing."""
+
+    def draw(self, strategy):
+        return []
+
+
 class TestRegularGraph:
     def test_port_draws_the_networkx_graph(self):
         """networkx is the reference: the port makes the same draws, so it
@@ -411,6 +418,12 @@ class TestRouteCacheUnderChurn:
                                min_size=CHURN_NODES, max_size=CHURN_NODES),
            ops=churn_ops, data=st.data())
     @settings(max_examples=100, deadline=None)
+    # an offline node linked one tick past an online one's distance is no
+    # predecessor of it in the reference
+    @example(seed=0, online=[True] * CHURN_NODES, bandwidths=[1] * CHURN_NODES,
+             ops=[("join", 0, 0, 0), ("join", 0, 0, 0), ("add_link", 0, 1, 1),
+                  ("add_record", 0, 0, 0), ("add_link", 0, 8, 7)],
+             data=NoQueries())
     def test_every_answer_matches_a_fresh_dijkstra(self, seed, online,
                                                    bandwidths, ops, data):
         cfg = OverlayConfig(degree=3, min_degree=2, inter_region_links=1,

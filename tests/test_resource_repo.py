@@ -105,9 +105,17 @@ class TestHeartbeats:
 
     def test_held_storage_beyond_capacity_offers_none(self):
         repo, ids = make_repo(1)
-        repo.offer(ids[0], 10, held=150, basket=2.0)
+        repo.sweep(10, ids.__contains__, {ids[0]: 150}, basket=2.0)
         assert repo.records[ids[0]].free_capacity == ResourceVector(8, 0, 20)
         assert repo.records[ids[0]].last_heartbeat == 10
+
+    def test_offer_is_the_whole_capacity_at_the_basket_cost(self):
+        repo, ids = make_repo(1)
+        repo.records[ids[0]].cost_factor = 1.5
+        repo.offer(ids[0], 10, basket=2.0)
+        rec = repo.records[ids[0]]
+        assert rec.free_capacity == ResourceVector(8, 100, 20)
+        assert (rec.projected_cost, rec.last_heartbeat) == (3.0, 10)
 
 
 class TestEligibility:

@@ -96,9 +96,11 @@ class TestPublication:
             expected[inst.host] = expected.get(inst.host, 0) + inst.size
         assert rt.held_storage() == expected
         assert sum(expected.values()) == 2 * 8 + 2 * 5
+        assert rt.take_demand().storage == 2 * 8 + 2 * 5
         lost = rt.instances["a"][0].host
         rt.host_lost(lost, 10)
         assert lost not in rt.held_storage()
+        assert rt.take_demand().storage == sum(rt.held_storage().values())
 
     def test_publish_fails_when_no_host_qualifies(self):
         rt, ids = make_runtime()
@@ -248,7 +250,7 @@ class TestPullPlacement:
         rt.host_lost(lost, 10)
         plan = rt.plan_invoke(request("svc", ids[4], 50, (5, 0, 0)), 50)
         assert plan.outcome == COMPLETED
-        live = [i for i in rt.instances["svc"] if not i.retired]
+        live = rt.instances["svc"]
         assert len(live) == 1 and live[0].deployed_at == 50
 
     def test_no_capacity_when_nothing_fresh_can_host(self):
@@ -286,15 +288,17 @@ class TestPushPlacement:
 
     def test_scale_in_waits_out_the_cool_down_then_retires_newest_first(self):
         rt, ids = self.burst_runtime()
+        (first,) = rt.instances["svc"]
         rt.traffic["svc"] = {"main": 8}
         rt.placement_tick(10, push_enabled=True)
+        added = [i.host for i in rt.instances["svc"][1:]]
+        assert len(added) == 3
         assert rt.placement_tick(20, push_enabled=True) == []
         assert rt.placement_tick(30, push_enabled=True) == []
         actions = rt.placement_tick(40, push_enabled=True)
         assert [a.action for a in actions] == ["retired"] * 3
-        live = [i for i in rt.instances["svc"] if not i.retired]
-        assert len(live) == 1
-        assert live[0].seq == min(i.seq for i in rt.instances["svc"])
+        assert [a.host for a in actions] == added[::-1]
+        assert rt.instances["svc"] == [first]
 
     def test_session_admissions_alone_scale_out_above_the_floor(self):
         rt, ids = self.burst_runtime()
@@ -374,7 +378,7 @@ class TestSessionMetering:
         host = session.plan.host
         call = rt.plan_invoke(request("svc", ids[5], begin, (0, 0, 1)), begin)
         assert call.served and call.host == host
-        rt.take_demand([])
+        rt.take_demand()
         rt.overlay.leave(host, begin + 40)
         rt.host_lost(host, begin + 40)
         assert rt.cut_off(host, [call], begin + 40) == [call, session.plan]
@@ -383,7 +387,7 @@ class TestSessionMetering:
         plan = session.plan
         assert (plan.outcome, plan.charged) == ("host-offline", 0)
         assert plan.consumed == ResourceVector(bandwidth=80)  # 40 ticks at 2
-        assert rt.take_demand([]) == ResourceVector(bandwidth=80)
+        assert rt.take_demand() == ResourceVector(bandwidth=80)
         assert host not in rt.sessions
 
 
