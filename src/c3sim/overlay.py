@@ -146,10 +146,13 @@ class Overlay:
         self._index: dict[NodeId, int] = {}
         self._links: list[dict[int, tuple[int, int]]] = []
         self._up: list[bool] = []
-        # Per source index, a resumable Dijkstra [dist, bottleneck, heap]:
-        # each index's best latency so far (_UNBOUNDED if unreached), the
-        # widest bottleneck bandwidth among the paths at that latency, and
-        # the entries not yet popped.
+        # Each region's online members, in NodeId order.
+        self._online: dict[str, list[NodeId]] = {}
+        # Per source index, a resumable Dial search [dist, buckets, keys]:
+        # each index's least latency so far (_UNBOUNDED if unreached), the
+        # indices not yet expanded by latency, and a heap of those
+        # latencies. Searches track latency only; a sized query derives its
+        # bottleneck from dist (see _widest).
         # A query advances a search only until its answer's latency is
         # final (see _settle). Every search is dropped whenever a record is
         # added or an edge or an online flag changes.
@@ -166,6 +169,9 @@ class Overlay:
         self._index[record.node_id] = len(self._links)
         self._links.append({})
         self._up.append(record.online)
+        members = self._online.setdefault(record.region, [])
+        if record.online:
+            bisect.insort(members, record.node_id)
         self._searches.clear()
 
     def is_online(self, node_id: NodeId) -> bool:
@@ -173,7 +179,8 @@ class Overlay:
         return rec is not None and rec.online
 
     def online_in_region(self, region: str) -> list[NodeId]:
-        return [n for n in self.regions.get(region, ()) if self.records[n].online]
+        """A copy of the region's online members, in NodeId order."""
+        return list(self._online.get(region, ()))
 
     def online_nodes(self) -> list[NodeId]:
         return [n for n, r in self.records.items() if r.online]
@@ -205,6 +212,11 @@ class Overlay:
     def _set_online(self, rec: NodeRecord, online: bool) -> None:
         rec.online = online
         self._up[self._index[rec.node_id]] = online
+        members = self._online[rec.region]
+        if online:
+            bisect.insort(members, rec.node_id)
+        else:
+            del members[bisect.bisect_left(members, rec.node_id)]
         self._searches.clear()
 
     # -- topology -----------------------------------------------------------
@@ -318,52 +330,72 @@ class Overlay:
         search = self._searches.get(src)
         if search is None:
             dist = [_UNBOUNDED] * len(self._links)
-            bottleneck = [0] * len(self._links)
-            dist[src], bottleneck[src] = 0, _UNBOUNDED
-            search = self._searches[src] = [dist, bottleneck, [(0, src)]]
+            dist[src] = 0
+            search = self._searches[src] = [dist, {0: [src]}, [0]]
         return search
 
     def _settle(self, search: list, targets) -> int:
         """Advance search until the least latency to a target index is
         final, and return it (_UNBOUNDED if the search reaches none).
-        Every link latency is at least 1, so once no entry below best is
-        left, every node closer is expanded and each target at best is
-        final. So is its bottleneck: a path at equal latency keeps the
-        wider one, so it is the widest over all shortest paths, whatever
-        the pop order. The search never reaches an offline node."""
-        dist, bottleneck, heap = search
+        It expands whole buckets in latency order and skips an index whose
+        latency fell after it was filed. Every link latency is at least 1,
+        so expanding a bucket adds nothing to it, and once no bucket below
+        best is left, every node closer is expanded and each target at best
+        is final. The search never reaches an offline node."""
+        dist, buckets, keys = search
         best = min(dist[t] for t in targets)
         links, up = self._links, self._up
-        while heap and heap[0][0] < best:
-            d, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue
-            bw_here = bottleneck[node]
-            for peer, (latency, bw) in links[node].items():
-                nd = d + latency
-                if nd > dist[peer]:
+        while keys and keys[0] < best:
+            d = heapq.heappop(keys)
+            for node in buckets.pop(d):
+                if dist[node] < d:
                     continue
-                if bw > bw_here:
-                    bw = bw_here
-                if nd < dist[peer]:
-                    if up[peer]:
+                for peer, (latency, _) in links[node].items():
+                    nd = d + latency
+                    if nd < dist[peer] and up[peer]:
                         dist[peer] = nd
-                        bottleneck[peer] = bw
-                        heapq.heappush(heap, (nd, peer))
+                        bucket = buckets.get(nd)
+                        if bucket is None:
+                            buckets[nd] = [peer]
+                            heapq.heappush(keys, nd)
+                        else:
+                            bucket.append(peer)
                         if nd < best and peer in targets:
                             best = nd
-                elif bw > bottleneck[peer]:  # as short and wider
-                    bottleneck[peer] = bw
         return best
+
+    def _widest(self, dist: list[int], dst: int) -> int:
+        """The widest bottleneck bandwidth among the least-latency paths
+        from dist's source to dst, whose latency must be final. Those paths
+        run over the links (u, v) with dist[u] + latency == dist[v]; every
+        such u is expanded, so its latency is final too. The widths are
+        taken in dist order, each the max over its predecessors."""
+        links = self._links
+        nodes, stack = {dst}, [dst]
+        while stack:
+            v = stack.pop()
+            dv = dist[v]
+            for u, (latency, _) in links[v].items():
+                if dist[u] + latency == dv and u not in nodes:
+                    nodes.add(u)
+                    stack.append(u)
+        width: dict[int, int] = {}
+        for v in sorted(nodes, key=dist.__getitem__):
+            dv = dist[v]
+            width[v] = max((min(width[u], bw)
+                            for u, (latency, bw) in links[v].items()
+                            if dist[u] + latency == dv), default=_UNBOUNDED)
+        return width[dst]
 
     def _cost(self, frm: NodeId, to: NodeId, size: int) -> int | None:
         """Latency of the cheapest online path plus the transfer term for
         size, or None if either end is offline or no path joins them.
 
         Latency and the widest-shortest bottleneck are symmetric, so a
-        query reads the source's search, else the target's. With neither,
-        a size-0 query starts one at the target and a sized one at the
-        source."""
+        query reads the source's search, else the target's, and a sized
+        one derives its bottleneck from that search's latencies. With
+        neither, a size-0 query starts one at the target and a sized one
+        at the source."""
         if not (self.is_online(frm) and self.is_online(to)):
             return None
         if frm == to:
@@ -376,7 +408,7 @@ class Overlay:
         if latency == _UNBOUNDED:
             return None
         if size > 0:
-            latency += -(-size // search[1][dst])
+            latency += -(-size // self._widest(search[0], dst))
         return latency
 
     def route(self, frm: NodeId, to: NodeId, size: int = 0) -> int:

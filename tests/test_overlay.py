@@ -200,10 +200,12 @@ class TestRouting:
         overlay, ids = linked_overlay(9, [(1, leaf, 5) for leaf in range(2, 10)])
         hub, leaves = ids[0], ids[1:]
         assert overlay.route(hub, leaves[0], 1) == 5 + 1  # warms hub's search
-        heap = overlay._searches[overlay._index[hub]][2]
-        assert len(heap) == len(leaves)  # only the hub was popped
+        _, buckets, keys = overlay._searches[overlay._index[hub]]
+        # only the hub was expanded: the leaves wait in one bucket
+        left = {5: [overlay._index[leaf] for leaf in leaves]}
+        assert buckets == left and keys == [5]
         assert overlay.route(hub, leaves[-1]) == 5
-        assert len(heap) == len(leaves)
+        assert buckets == left and keys == [5]
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_sized_route_is_the_same_both_ways(self, first):
@@ -471,6 +473,9 @@ class TestRouteCacheUnderChurn:
                 overlay.add_link(a, b, value)
             elif op == "add_record":
                 add(value)
+            for region in CHURN_REGIONS:
+                assert overlay.online_in_region(region) == sorted(
+                    n for n in overlay.regions[region] if overlay.is_online(n))
             ask(data.draw(churn_queries))
             # every source, so that a stale cached search shows at once
             for src in ids:

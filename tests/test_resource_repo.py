@@ -133,6 +133,16 @@ class TestEligibility:
         assert result.nodes == ()
         assert result.insufficient
 
+    def test_candidates_come_in_node_id_order_whatever_the_registration(self):
+        repo = Repository()
+        capacity = ResourceVector(8, 100, 20)
+        ids = [nid(i) for i in (5, 2, 9, 1, 7)]  # 2, 1 and 7 arrive out of order
+        for node in ids:
+            repo.register(NodeResourceRecord(node, "main", capacity))
+            repo.heartbeat(node, capacity, at=0)
+        q =ResourceQuery(ResourceVector(1, 1, 1))
+        assert [r.node_id for r in repo.eligible(q, at=10)] == sorted(ids)
+
     def test_stale_records_drop_out_after_three_intervals(self):
         repo, ids = make_repo(1, interval=500)
         q = ResourceQuery(ResourceVector(1, 1, 1))
