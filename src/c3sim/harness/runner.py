@@ -138,7 +138,7 @@ class Runner:
                         node, self.overlay.records[node].region,
                         klass.capacity, cost_factor=klass.cost_factor))
             # Nothing is deployed yet, so no node holds any storage.
-            self.repo.sweep(0, self.overlay.is_online, {},
+            self.repo.sweep(0, self.overlay.online_ids, {},
                             self.ledger.market.basket())
             for svc in cfg.services:
                 self.ledger.open_account(f"dev:{svc.service_id}",
@@ -331,7 +331,7 @@ class Runner:
                 if self.evolution.adoption_fraction(s, v) < 1.0}
 
     def _on_sweep(self, event: Event) -> None:
-        self.repo.sweep(self.sim.now, self.overlay.is_online,
+        self.repo.sweep(self.sim.now, self.overlay.online_ids,
                         self.services.held_storage(),
                         self.ledger.market.basket())
 

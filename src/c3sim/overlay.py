@@ -15,7 +15,11 @@ draw order is part of the log-digest contract: another pairing order, or
 another seeding of its random.Random, changes every run's topology.
 Departures tear edges down; a maintenance pass (run at gossip rounds)
 restores minimum degree and inter-region connectivity, and re-forms any
-super-peer whose membership decayed.
+super-peer whose membership decayed. The pass reads three facts that the
+membership and edge hooks keep up to date as they change: the online nodes
+below minimum degree, the link count of each region pair, and the online
+members of each super-peer. So it walks what needs repair, not every node
+and link.
 """
 from __future__ import annotations
 
@@ -68,7 +72,8 @@ class NodeId(int):
 
     @property
     def short(self) -> str:
-        return f"{self:064x}"[:16]
+        """The first 16 of the id's 64 hex digits."""
+        return f"{self >> (ID_BITS - 64):016x}"
 
     def __repr__(self) -> str:
         return f"NodeId({self.short})"
@@ -137,6 +142,8 @@ class Overlay:
         self.records: dict[NodeId, NodeRecord] = {}
         self.regions: dict[str, list[NodeId]] = {}
         self.adj: dict[NodeId, dict[NodeId, int]] = {}
+        # The online nodes; callers only read it.
+        self.online_ids: set[NodeId] = set()
         self.dvsps: dict[str, VirtualSuperPeer] = {}
         self._epochs: dict[str, int] = {}
         self._reform: set[str] = set()
@@ -148,6 +155,14 @@ class Overlay:
         self._up: list[bool] = []
         # Each region's online members, in NodeId order.
         self._online: dict[str, list[NodeId]] = {}
+        # The online nodes with fewer than min_degree links (to any node,
+        # online or not).
+        self._under: set[NodeId] = set()
+        # Per region pair (ra, rb), ra < rb, the links between them whose
+        # end in ra is online.
+        self._inter: dict[tuple[str, str], int] = {}
+        # Per region with a super-peer, its online members.
+        self._live: dict[str, int] = {}
         # Per source index, a resumable Dial search [dist, buckets, keys]:
         # each index's least latency so far (_UNBOUNDED if unreached), the
         # indices not yet expanded by latency, and a heap of those
@@ -168,15 +183,14 @@ class Overlay:
         self.adj[record.node_id] = {}
         self._index[record.node_id] = len(self._links)
         self._links.append({})
-        self._up.append(record.online)
-        members = self._online.setdefault(record.region, [])
+        self._up.append(False)
+        self._online.setdefault(record.region, [])
         if record.online:
-            bisect.insort(members, record.node_id)
+            self._set_online(record, True)
         self._searches.clear()
 
     def is_online(self, node_id: NodeId) -> bool:
-        rec = self.records.get(node_id)
-        return rec is not None and rec.online
+        return node_id in self.online_ids
 
     def online_in_region(self, region: str) -> list[NodeId]:
         """A copy of the region's online members, in NodeId order."""
@@ -193,7 +207,7 @@ class Overlay:
             raise DuplicateJoin(repr(node_id))
         self._set_online(rec, True)
         rec.online_since = now
-        peers = [n for n in self.online_in_region(rec.region) if n != node_id]
+        peers = [n for n in self._online[rec.region] if n != node_id]
         take = min(self.config.degree, len(peers))
         for peer in self.rng.sample(peers, take) if take else ():
             self._add_edge(node_id, peer, self.config.intra_latency)
@@ -203,20 +217,45 @@ class Overlay:
         if rec is None or not rec.online:
             raise UnknownNode(repr(node_id))
         self._set_online(rec, False)
-        for peer in list(self.adj[node_id]):
-            self._drop_edge(node_id, peer)
-        vsp = self.dvsps.get(rec.region)
-        if vsp and node_id in vsp.members:
-            self._reform.add(rec.region)
+        # Drop every link. The node is offline now, so only its peers'
+        # degrees change, and a link leaves _inter only through an online
+        # peer. _set_online has dropped every search.
+        i, least = self._index[node_id], self.config.min_degree
+        for peer in self.adj[node_id]:
+            peer_rec, peer_adj = self.records[peer], self.adj[peer]
+            del peer_adj[node_id], self._links[self._index[peer]][i]
+            if peer_rec.online and len(peer_adj) < least:
+                self._under.add(peer)
+            if peer_rec.region != rec.region:
+                self._count_inter(rec, peer_rec, -1)
+        self.adj[node_id].clear()
+        self._links[i].clear()
 
     def _set_online(self, rec: NodeRecord, online: bool) -> None:
+        node_id, region = rec.node_id, rec.region
         rec.online = online
-        self._up[self._index[rec.node_id]] = online
-        members = self._online[rec.region]
+        self._up[self._index[node_id]] = online
+        members = self._online[region]
+        step = 1 if online else -1
         if online:
-            bisect.insort(members, rec.node_id)
+            self.online_ids.add(node_id)
+            bisect.insort(members, node_id)
+            if len(self.adj[node_id]) < self.config.min_degree:
+                self._under.add(node_id)
         else:
-            del members[bisect.bisect_left(members, rec.node_id)]
+            self.online_ids.discard(node_id)
+            del members[bisect.bisect_left(members, node_id)]
+            self._under.discard(node_id)
+        for peer in self.adj[node_id]:
+            other = self.records[peer].region
+            if region < other:
+                key = region, other
+                self._inter[key] = self._inter.get(key, 0) + step
+        vsp = self.dvsps.get(region)
+        if vsp is not None and node_id in vsp.members:
+            self._live[region] += step
+            if not online:
+                self._reform.add(region)
         self._searches.clear()
 
     # -- topology -----------------------------------------------------------
@@ -260,33 +299,50 @@ class Overlay:
             raise ValueError(f"link latency {latency} is below 1")
         if a == b:
             return
-        if self.adj[a].get(b) != latency:
-            ia, ib = self._index[a], self._index[b]
-            link = (latency, self._link_bandwidth(a, b))
-            self._links[ia][ib] = self._links[ib][ia] = link
-            self._searches.clear()
-        self.adj[a][b] = latency
-        self.adj[b][a] = latency
+        adj_a, adj_b = self.adj[a], self.adj[b]
+        old = adj_a.get(b)
+        if old == latency:
+            return
+        rec_a, rec_b = self.records[a], self.records[b]
+        ia, ib = self._index[a], self._index[b]
+        bandwidth = max(1, min(rec_a.capacity.bandwidth,
+                               rec_b.capacity.bandwidth))
+        self._links[ia][ib] = self._links[ib][ia] = (latency, bandwidth)
+        self._searches.clear()
+        adj_a[b] = adj_b[a] = latency
+        if old is None:
+            least = self.config.min_degree
+            if len(adj_a) >= least:
+                self._under.discard(a)
+            if len(adj_b) >= least:
+                self._under.discard(b)
+            if rec_a.region != rec_b.region:
+                self._count_inter(rec_a, rec_b, 1)
 
-    def _drop_edge(self, a: NodeId, b: NodeId) -> None:
-        if b in self.adj[a]:
-            del self.adj[a][b], self.adj[b][a]
-            ia, ib = self._index[a], self._index[b]
-            del self._links[ia][ib], self._links[ib][ia]
-            self._searches.clear()
+    def _count_inter(self, rec_a: NodeRecord, rec_b: NodeRecord,
+                     step: int) -> None:
+        """Count a link between two regions, just added (step 1) or dropped
+        (step -1), in _inter if its end in the lesser region is online."""
+        if rec_b.region < rec_a.region:
+            rec_a, rec_b = rec_b, rec_a
+        if rec_a.online:
+            key = rec_a.region, rec_b.region
+            self._inter[key] = self._inter.get(key, 0) + step
 
     def add_link(self, a: NodeId, b: NodeId, latency: int) -> None:
         """Direct link, used for vendor stars and scripted topologies."""
         self._add_edge(a, b, latency)
 
     def _repair_degrees(self) -> None:
-        for node_id in sorted(self.online_nodes()):
+        # Repairs only add links, so no node joins _under during the pass;
+        # a node a repair lifted to min_degree is skipped.
+        for node_id in sorted(self._under):
             rec = self.records[node_id]
             have = len(self.adj[node_id])
             if have >= self.config.min_degree:
                 continue
             pool = [
-                n for n in self.online_in_region(rec.region)
+                n for n in self._online[rec.region]
                 if n != node_id and n not in self.adj[node_id]
             ]
             want = min(self.config.degree - have, len(pool))
@@ -297,14 +353,11 @@ class Overlay:
         regions = sorted(self.regions)
         for i, ra in enumerate(regions):
             for rb in regions[i + 1:]:
-                a_online = self.online_in_region(ra)
-                b_online = self.online_in_region(rb)
+                a_online = self._online[ra]
+                b_online = self._online[rb]
                 if not a_online or not b_online:
                     continue
-                live = sum(
-                    1 for a in a_online for b in self.adj[a]
-                    if self.records[b].region == rb
-                )
+                live = self._inter.get((ra, rb), 0)
                 for _ in range(self.config.inter_region_links - live):
                     a = self.rng.choice(a_online)
                     b = self.rng.choice(b_online)
@@ -321,10 +374,6 @@ class Overlay:
         return int.from_bytes(h.digest(), "big")
 
     # -- routing ------------------------------------------------------------
-
-    def _link_bandwidth(self, a: NodeId, b: NodeId) -> int:
-        return max(1, min(self.records[a].capacity.bandwidth,
-                          self.records[b].capacity.bandwidth))
 
     def _search(self, src: int) -> list:
         search = self._searches.get(src)
@@ -447,7 +496,7 @@ class Overlay:
     # -- super-peers ---------------------------------------------------------
 
     def form_dvsp(self, region: str, now: SimTime) -> VirtualSuperPeer:
-        online = self.online_in_region(region)
+        online = self._online.get(region)
         if not online:
             raise EmptyRegion(region)
         ranked = sorted(online, key=lambda n: (self.records[n].online_since, n))
@@ -456,6 +505,7 @@ class Overlay:
         self._epochs[region] = epoch
         vsp = VirtualSuperPeer(region, members, epoch, now)
         self.dvsps[region] = vsp
+        self._live[region] = len(members)
         self._reform.discard(region)
         return vsp
 
@@ -464,10 +514,7 @@ class Overlay:
 
     def dvsp_has_quorum(self, region: str) -> bool:
         vsp = self.dvsps.get(region)
-        if vsp is None:
-            return False
-        alive = sum(1 for m in vsp.members if self.is_online(m))
-        return alive >= vsp.quorum
+        return vsp is not None and self._live[region] >= vsp.quorum
 
     def maintenance(self, now: SimTime) -> list[VirtualSuperPeer]:
         """Gossip-round upkeep: degree repair, inter links, super-peer reform."""
@@ -476,14 +523,14 @@ class Overlay:
         reformed = []
         for region in sorted(self.regions):
             vsp = self.dvsps.get(region)
-            online = self.online_in_region(region)
+            online = self._online[region]
             if vsp is None and not online:
                 continue
             want = min(self.config.m_target, len(online))
+            # A member that went offline put its region in _reform.
             stale = (
                 region in self._reform
                 or vsp is None
-                or any(not self.is_online(m) for m in vsp.members)
                 or len(vsp.members) < want
             )
             if stale and online:

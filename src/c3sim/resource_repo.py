@@ -93,26 +93,34 @@ class Repository:
 
     def sweep(self, at: SimTime, online, held: dict[NodeId, int],
               basket: float) -> None:
-        """Batch heartbeat pass: online records offer, the rest decay."""
+        """Batch heartbeat pass: the records in `online` (a container of
+        node ids) offer as `offer` does, less their `held` storage; the
+        rest decay. Each record steps as `_step` would step it."""
+        beta, keep = self.beta, 1 - self.beta
         for node_id, rec in self.records.items():
-            if online(node_id):
-                self._step(rec, at, rec.capacity, rec.cost_factor * basket,
-                           held.get(node_id, 0))
-            else:
-                self._step(rec, None)
+            if node_id not in online:
+                if rec.availability is not None:
+                    rec.availability = keep * rec.availability
+                continue
+            free, stored = rec.capacity, held.get(node_id, 0)
+            rec.free_capacity = free if stored == 0 else ResourceVector(
+                free.compute, max(0, free.storage - stored), free.bandwidth)
+            rec.last_heartbeat = at
+            rec.projected_cost = rec.cost_factor * basket
+            rec.availability = (1.0 if rec.availability is None else
+                                keep * rec.availability + beta)
 
     def _step(self, rec: NodeResourceRecord, at: SimTime | None,
               free: ResourceVector | None = None,
-              projected_cost: float | None = None, held: int = 0) -> None:
+              projected_cost: float | None = None) -> None:
         """Step rec's smoothed availability by one heartbeat interval: up
-        for a heartbeat at `at` offering `free` less `held` storage, down
-        for a missed one (at is None)."""
+        for a heartbeat at `at` offering `free`, down for a missed one (at
+        is None)."""
         if at is None:
             if rec.availability is not None:
                 rec.availability = (1 - self.beta) * rec.availability
             return
-        rec.free_capacity = free if held == 0 else ResourceVector(
-            free.compute, max(0, free.storage - held), free.bandwidth)
+        rec.free_capacity = free
         rec.last_heartbeat = at
         if projected_cost is not None:
             rec.projected_cost = projected_cost

@@ -55,6 +55,24 @@ def clique_overlay(n, region="main", m_target=3, joined_at=None,
     return overlay, ids
 
 
+def assert_kept_facts(overlay: Overlay) -> None:
+    """The facts Overlay keeps for maintenance equal a fresh rescan."""
+    assert overlay.online_ids == set(overlay.online_nodes())
+    min_degree = overlay.config.min_degree
+    assert overlay._under == {n for n in overlay.online_nodes()
+                              if len(overlay.adj[n]) < min_degree}
+    regions = sorted(overlay.regions)
+    for i, ra in enumerate(regions):
+        for rb in regions[i + 1:]:
+            live = sum(1 for a in overlay.online_in_region(ra)
+                       for b in overlay.adj[a]
+                       if overlay.records[b].region == rb)
+            assert overlay._inter.get((ra, rb), 0) == live, (ra, rb)
+    for region, vsp in overlay.dvsps.items():
+        assert overlay._live[region] == sum(
+            1 for m in vsp.members if overlay.is_online(m)), region
+
+
 def small_ledger(accounts, market=None) -> Ledger:
     ledger = Ledger(market or flat_market())
     for owner, balance, *rest in accounts:

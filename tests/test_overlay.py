@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -10,11 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from c3sim.engine import RngStream
+from c3sim.harness.config import parse_scenario, with_overrides
+from c3sim.harness.runner import run_scenario
 from c3sim.ledger import Transfer
 from c3sim.overlay import (
     ID_BITS,
     DuplicateJoin,
     EmptyRegion,
+    NodeId,
     NodeRecord,
     NoQuorum,
     Overlay,
@@ -28,7 +32,10 @@ from c3sim.overlay import (
 )
 from c3sim.resources import ResourceVector
 
-from conftest import chain_overlay, clique_overlay, nid, small_ledger
+from conftest import (assert_kept_facts, chain_overlay, clique_overlay, nid,
+                      small_ledger)
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestIdentity:
@@ -47,6 +54,13 @@ class TestIdentity:
         rng = RngStream(5, "identity")
         seen = {generate_identity(rng).node_id for _ in range(100_000)}
         assert len(seen) == 100_000
+
+    def test_short_is_the_first_16_of_64_hex_digits(self):
+        rng = random.Random(5)
+        values = [0, 1, 2**192 - 1, 2**192, 2**256 - 1]
+        values += [rng.getrandbits(ID_BITS) for _ in range(1000)]
+        for value in values:
+            assert NodeId(value).short == f"{value:064x}"[:16]
 
 
 class TestMembership:
@@ -455,6 +469,7 @@ class TestRouteCacheUnderChurn:
             if online[i]:
                 overlay.join(ids[i], 0)
         overlay.build(0)
+        assert_kept_facts(overlay)
         ask(data.draw(churn_queries))
         for src in ids:
             check_routes_from(overlay, src, ids, 0)
@@ -473,6 +488,7 @@ class TestRouteCacheUnderChurn:
                 overlay.add_link(a, b, value)
             elif op == "add_record":
                 add(value)
+            assert_kept_facts(overlay)
             for region in CHURN_REGIONS:
                 assert overlay.online_in_region(region) == sorted(
                     n for n in overlay.regions[region] if overlay.is_online(n))
@@ -480,6 +496,44 @@ class TestRouteCacheUnderChurn:
             # every source, so that a stale cached search shows at once
             for src in ids:
                 check_routes_from(overlay, src, ids, value)
+
+
+class TestKeptFacts:
+    def test_a_link_counts_only_while_its_lesser_region_end_is_online(self):
+        cfg = OverlayConfig(degree=2, min_degree=1, inter_region_links=0)
+        overlay = Overlay(cfg, RngStream(7, "overlay"))
+        a, b = nid(1), nid(2)
+        overlay.add_record(NodeRecord(a, "ra", ResourceVector(1, 1, 1)))
+        overlay.add_record(NodeRecord(b, "rb", ResourceVector(1, 1, 1)))
+        overlay.join(b, 0)  # no online peer to link to
+        assert overlay._under == {b}
+        overlay.add_link(a, b, 5)  # a is offline
+        assert overlay._inter.get(("ra", "rb"), 0) == 0
+        assert overlay._under == set()
+        overlay.join(a, 1)
+        assert overlay._inter[("ra", "rb")] == 1
+        assert_kept_facts(overlay)
+        overlay.leave(b, 2)
+        assert overlay._inter[("ra", "rb")] == 0
+        assert overlay._under == {a}
+        assert_kept_facts(overlay)
+
+    @pytest.mark.parametrize("mode,seed", [("community", 1), ("vendor", 3)])
+    def test_every_maintenance_pass_of_a_run_starts_from_true_facts(
+            self, monkeypatch, mode, seed):
+        passes = []
+        maintenance = Overlay.maintenance
+
+        def checked(overlay, now):
+            assert_kept_facts(overlay)
+            passes.append(now)
+            return maintenance(overlay, now)
+
+        monkeypatch.setattr(Overlay, "maintenance", checked)
+        run_scenario(with_overrides(
+            parse_scenario(SCENARIO_DIR / "mixed_churn.ini"),
+            seed=seed, mode=mode))
+        assert passes
 
 
 class TestFingerprints:

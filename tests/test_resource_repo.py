@@ -91,7 +91,7 @@ class TestHeartbeats:
         repo, ids = make_repo(3)
         repo.records[ids[0]].cost_factor = 1.5
         online = {ids[0], ids[1]}
-        repo.sweep(500, online.__contains__, {ids[0]: 30, ids[2]: 7}, 4.0)
+        repo.sweep(500, online, {ids[0]: 30, ids[2]: 7}, 4.0)
         first, second, offline = (repo.records[n] for n in ids)
         # the offer is the contributed capacity less the held storage
         assert first.free_capacity == ResourceVector(8, 70, 20)
@@ -105,7 +105,7 @@ class TestHeartbeats:
 
     def test_held_storage_beyond_capacity_offers_none(self):
         repo, ids = make_repo(1)
-        repo.sweep(10, ids.__contains__, {ids[0]: 150}, basket=2.0)
+        repo.sweep(10, ids, {ids[0]: 150}, basket=2.0)
         assert repo.records[ids[0]].free_capacity == ResourceVector(8, 0, 20)
         assert repo.records[ids[0]].last_heartbeat == 10
 
