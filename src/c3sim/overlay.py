@@ -20,6 +20,11 @@ membership and edge hooks keep up to date as they change: the online nodes
 below minimum degree, the link count of each region pair, and the online
 members of each super-peer. So it walks what needs repair, not every node
 and link.
+
+A route over a direct link needs no search when the link is no longer
+than its two ends' least link latencies together: any other path leaves
+and enters by other links, so it is no shorter, and it is no wider, since
+a link is as wide as its narrower end.
 """
 from __future__ import annotations
 
@@ -148,11 +153,14 @@ class Overlay:
         self._epochs: dict[str, int] = {}
         self._reform: set[str] = set()
         # Routing runs on dense indices, given out as records are added.
-        # _links mirrors adj by index, with each link's bandwidth; _up
-        # mirrors the online flags. No answer depends on the index order.
+        # _links mirrors adj by index and _up the online flags. _bw holds
+        # each node's bandwidth (at least 1), _least a lower bound on its
+        # link latencies. No answer depends on the index order.
         self._index: dict[NodeId, int] = {}
-        self._links: list[dict[int, tuple[int, int]]] = []
+        self._links: list[dict[int, int]] = []
         self._up: list[bool] = []
+        self._bw: list[int] = []
+        self._least: list[int] = []
         # Each region's online members, in NodeId order.
         self._online: dict[str, list[NodeId]] = {}
         # The online nodes with fewer than min_degree links (to any node,
@@ -184,6 +192,8 @@ class Overlay:
         self._index[record.node_id] = len(self._links)
         self._links.append({})
         self._up.append(False)
+        self._bw.append(max(1, record.capacity.bandwidth))
+        self._least.append(_UNBOUNDED)
         self._online.setdefault(record.region, [])
         if record.online:
             self._set_online(record, True)
@@ -305,9 +315,9 @@ class Overlay:
             return
         rec_a, rec_b = self.records[a], self.records[b]
         ia, ib = self._index[a], self._index[b]
-        bandwidth = max(1, min(rec_a.capacity.bandwidth,
-                               rec_b.capacity.bandwidth))
-        self._links[ia][ib] = self._links[ib][ia] = (latency, bandwidth)
+        self._links[ia][ib] = self._links[ib][ia] = latency
+        least = self._least
+        least[ia], least[ib] = min(least[ia], latency), min(least[ib], latency)
         self._searches.clear()
         adj_a[b] = adj_b[a] = latency
         if old is None:
@@ -399,7 +409,7 @@ class Overlay:
             for node in buckets.pop(d):
                 if dist[node] < d:
                     continue
-                for peer, (latency, _) in links[node].items():
+                for peer, latency in links[node].items():
                     nd = d + latency
                     if nd < dist[peer] and up[peer]:
                         dist[peer] = nd
@@ -419,20 +429,20 @@ class Overlay:
         run over the links (u, v) with dist[u] + latency == dist[v]; every
         such u is expanded, so its latency is final too. The widths are
         taken in dist order, each the max over its predecessors."""
-        links = self._links
+        links, bw = self._links, self._bw
         nodes, stack = {dst}, [dst]
         while stack:
             v = stack.pop()
             dv = dist[v]
-            for u, (latency, _) in links[v].items():
+            for u, latency in links[v].items():
                 if dist[u] + latency == dv and u not in nodes:
                     nodes.add(u)
                     stack.append(u)
         width: dict[int, int] = {}
         for v in sorted(nodes, key=dist.__getitem__):
             dv = dist[v]
-            width[v] = max((min(width[u], bw)
-                            for u, (latency, bw) in links[v].items()
+            width[v] = max((min(width[u], bw[u], bw[v])
+                            for u, latency in links[v].items()
                             if dist[u] + latency == dv), default=_UNBOUNDED)
         return width[dst]
 
@@ -440,16 +450,22 @@ class Overlay:
         """Latency of the cheapest online path plus the transfer term for
         size, or None if either end is offline or no path joins them.
 
-        Latency and the widest-shortest bottleneck are symmetric, so a
-        query reads the source's search, else the target's, and a sized
-        one derives its bottleneck from that search's latencies. With
-        neither, a size-0 query starts one at the target and a sized one
-        at the source."""
+        A direct link no longer than _least[src] + _least[dst] is the
+        answer: a detour leaves and enters by other links, so it is no
+        shorter, and no wider than the narrower end. Otherwise latency and
+        the widest-shortest bottleneck are symmetric, so a query reads the
+        source's search, else the target's, and a sized one derives its
+        bottleneck from that search's latencies. With neither, a size-0
+        query starts one at the target and a sized one at the source."""
         if not (self.is_online(frm) and self.is_online(to)):
             return None
         if frm == to:
             return 0
         src, dst = self._index[frm], self._index[to]
+        latency = self._links[src].get(dst)
+        if latency is not None and latency <= self._least[src] + self._least[dst]:
+            width = min(self._bw[src], self._bw[dst])
+            return latency + (-(-size // width) if size > 0 else 0)
         if src not in self._searches and (size == 0 or dst in self._searches):
             src, dst = dst, src
         search = self._search(src)
@@ -463,7 +479,9 @@ class Overlay:
     def route(self, frm: NodeId, to: NodeId, size: int = 0) -> int:
         """Latency of the cheapest path plus the transfer term for size:
         ceil(size / the widest bottleneck bandwidth among the cheapest
-        paths). Symmetric in frm and to. Raises Unreachable if either end
+        paths). Symmetric in frm and to. A direct link no longer than its
+        ends' least link latencies together is the answer: no other path
+        is shorter or wider (see _cost). Raises Unreachable if either end
         is offline or cut off."""
         latency = self._cost(frm, to, size)
         if latency is None:

@@ -254,15 +254,15 @@ class Replicator:
 
     def upkeep(self, at: SimTime) -> None:
         """One gossip round, then replace the replicas on offline hosts."""
-        self.store.gossip_round(at, self.rng, self.overlay.is_online)
-        self.store.rereplicate(at, self.overlay.is_online,
-                               partial(self._replacement, at))
+        online = self.overlay.online_ids.__contains__
+        self.store.gossip_round(at, self.rng, online)
+        self.store.rereplicate(at, online, partial(self._replacement, at))
 
     def _replacement(self, at: SimTime, key: str,
                      exclude: set[NodeId]) -> NodeId | None:
         offered = self._offered(self.store.sizes[key], len(exclude) + 1, at)
         return next((node for node in offered if node not in exclude
-                     and self.overlay.is_online(node)), None)
+                     and node in self.overlay.online_ids), None)
 
     def _offered(self, size: int, count: int, at: SimTime) -> list[NodeId]:
         query = ResourceQuery(required=ResourceVector(storage=size), count=count)

@@ -222,14 +222,14 @@ class ServiceRuntime:
         if key not in self.store.hosts:
             return None
         alive = [h for h in self.store.replica_hosts(key)
-                 if self.overlay.is_online(h)]
+                 if h in self.overlay.online_ids]
         state = self.store.any_state(key, alive)
         return state.value if state is not None else None
 
     def _code_sources(self, service_id: str) -> list[NodeId]:
         key = self.dsr_key(service_id)
         alive = [h for h in self.store.hosts.get(key, ())
-                 if self.overlay.is_online(h)
+                 if h in self.overlay.online_ids
                  and self.store.states[key].get(h) is not None]
         alive.extend(i.host for i in self.instances.get(service_id, ()))
         return sorted(set(alive))

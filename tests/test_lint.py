@@ -3,6 +3,7 @@ the test suite."""
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +91,34 @@ def test_the_check_sees_an_unread_private_name():
 def test_every_private_name_in_src_is_read():
     sources = [p.read_text() for p in sorted(SRC.rglob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def outside_imports(source: str) -> list[str]:
+    """Modules a source imports from neither the standard library nor
+    c3sim; a relative import is c3sim's own."""
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append((node.lineno, node.module))
+    allowed = sys.stdlib_module_names | {"c3sim"}
+    return [f"line {line}: {name}" for line, name in imported
+            if name.split(".")[0] not in allowed]
+
+
+def test_the_check_sees_an_outside_import():
+    source = ("import os, networkx.algorithms\n"
+              "from . import engine\n"
+              "from scipy import stats\n"
+              "from c3sim.overlay import Overlay\n")
+    assert outside_imports(source) == ["line 1: networkx.algorithms",
+                                       "line 3: scipy"]
+
+
+# pyproject.toml declares no dependencies: the package runs on the
+# standard library alone.
+@pytest.mark.parametrize("name", sorted(n for n in MODULES
+                                        if n.startswith("c3sim")))
+def test_src_imports_only_the_standard_library(name):
+    assert outside_imports(MODULES[name].read_text()) == []

@@ -210,16 +210,53 @@ class TestRouting:
         assert overlay.nearest(ids[0], [ids[3], ids[1]]) == ids[1]
 
     def test_a_target_reached_at_the_final_latency_needs_no_pop(self):
-        # a star: hub 1 and leaves 2..9, every link 5
+        # a star: hub 1 and leaves 2..9, every link 5; leaves share no
+        # link, so a route between two of them searches through the hub
         overlay, ids = linked_overlay(9, [(1, leaf, 5) for leaf in range(2, 10)])
-        hub, leaves = ids[0], ids[1:]
-        assert overlay.route(hub, leaves[0], 1) == 5 + 1  # warms hub's search
-        _, buckets, keys = overlay._searches[overlay._index[hub]]
-        # only the hub was expanded: the leaves wait in one bucket
-        left = {5: [overlay._index[leaf] for leaf in leaves]}
-        assert buckets == left and keys == [5]
-        assert overlay.route(hub, leaves[-1]) == 5
-        assert buckets == left and keys == [5]
+        first, leaves = ids[1], ids[2:]
+        assert overlay.route(first, leaves[0], 1) == 10 + 1  # warms first's
+        _, buckets, keys = overlay._searches[overlay._index[first]]
+        # only first and the hub were expanded: the leaves wait in one bucket
+        left = {10: [overlay._index[leaf] for leaf in leaves]}
+        assert buckets == left and keys == [10]
+        assert overlay.route(first, leaves[-1]) == 10
+        assert buckets == left and keys == [10]
+
+    @pytest.mark.parametrize("ac,cb", [(5, 5), (12, 1)])
+    def test_a_direct_link_a_detour_beats_is_not_taken(self, ac, cb):
+        # a -20- b, and a -ac- c -cb- b is shorter; with (12, 1) the link
+        # is within twice a's least latency, but not within a's and b's
+        overlay, ids = linked_overlay(3, [(1, 2, 20), (1, 3, ac), (3, 2, cb)])
+        a, b = ids[:2]
+        assert overlay.route(a, b) == overlay.route(b, a) == ac + cb
+        assert overlay.route(a, b, 25) == overlay.route(b, a, 25) == ac + cb + 1
+        check_routes_from(overlay, a, ids, 25)
+
+    @pytest.mark.parametrize("bandwidths", [(40, 40, 1000), (40, 40, 3),
+                                            (3, 40, 1000), (0, 40, 1000)])
+    def test_a_direct_link_at_the_bound_gives_the_search_answer(self,
+                                                                bandwidths):
+        # a -10- b ties a -5- c -5- b at exactly a's and b's least latencies
+        overlay, ids = linked_overlay(3, [(1, 2, 10), (1, 3, 5), (3, 2, 5)],
+                                      bandwidths)
+        a, b = (overlay._index[n] for n in ids[:2])
+        search = overlay._search(a)
+        latency = overlay._settle(search, (b,))
+        want = latency + -(-99 // overlay._widest(search[0], b))
+        overlay._searches.clear()
+        assert overlay.route(ids[0], ids[1], 99) == want
+        assert not overlay._searches  # the answer came from the bound
+        check_routes_from(overlay, ids[0], ids, 99)
+
+    def test_a_link_reweighted_upward_is_routed_around(self):
+        # a -5- b, a -9- c -9- b; then a -30- b is beaten by the 18 detour,
+        # though a's and b's least latencies still read 5
+        overlay, ids = linked_overlay(3, [(1, 2, 5), (1, 3, 9), (3, 2, 9)])
+        assert overlay.route(ids[0], ids[1]) == 5
+        overlay.add_link(ids[0], ids[1], 30)
+        assert overlay.route(ids[0], ids[1]) == 18
+        for size in (0, 25):
+            check_routes_from(overlay, ids[0], ids, size)
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_sized_route_is_the_same_both_ways(self, first):
@@ -292,14 +329,16 @@ class TestRouting:
             overlay.maintenance(2)
 
 
-def linked_overlay(n, links):
-    """Nodes 1..n, one region each, joined only by (a, b, latency) links."""
+def linked_overlay(n, links, bandwidths=()):
+    """Nodes 1..n, one region each, joined only by (a, b, latency) links.
+    Node i + 1 has bandwidth bandwidths[i], or 1000 past their end."""
     cfg = OverlayConfig(degree=2, min_degree=1, inter_region_links=0)
     overlay = Overlay(cfg, RngStream(7, "overlay"))
     ids = [nid(i + 1) for i in range(n)]
     for i, node in enumerate(ids):
+        bandwidth = bandwidths[i] if i < len(bandwidths) else 1000
         overlay.add_record(NodeRecord(node, f"r{i}",
-                                      ResourceVector(10, 1000, 1000)))
+                                      ResourceVector(10, 1000, bandwidth)))
         overlay.join(node, 0)
     for a, b, latency in links:
         overlay.add_link(nid(a), nid(b), latency)
@@ -534,6 +573,23 @@ class TestKeptFacts:
             parse_scenario(SCENARIO_DIR / "mixed_churn.ini"),
             seed=seed, mode=mode))
         assert passes
+
+
+class TestVendorRoutes:
+    def test_a_vendor_run_routes_over_direct_links_without_a_search(
+            self, monkeypatch):
+        calls = {"route": 0, "_search": 0}
+        for name in calls:
+            method = getattr(Overlay, name)
+
+            def counted(overlay, *args, _name=name, _method=method, **kw):
+                calls[_name] += 1
+                return _method(overlay, *args, **kw)
+
+            monkeypatch.setattr(Overlay, name, counted)
+        run_scenario(with_overrides(
+            parse_scenario(SCENARIO_DIR / "wiki_small.ini"), mode="vendor"))
+        assert calls["route"] > 0 and calls["_search"] == 0
 
 
 class TestFingerprints:
