@@ -400,7 +400,7 @@ class Runner:
         if entry.kind == "region":
             pool = overlay.regions.get(entry.scope, [])
         elif entry.kind == "dvsp":
-            vsp = overlay.dvsp(entry.scope)
+            vsp = overlay.dvsps.get(entry.scope)
             pool = vsp.members if vsp else []
         else:  # nodes:random
             pool = [n for n in sorted(overlay.records) if n != self.vendor_node]
@@ -439,10 +439,9 @@ class Runner:
         at = self.sim.now
         origins = [i.host for i in self.services.warm_instances(service_id, at)]
         if not origins:
-            online = self.overlay.online_nodes()
-            if not online:
+            if not self.overlay.online_ids:
                 return
-            origins = [min(online)]
+            origins = [min(self.overlay.online_ids)]
         for adopt in self.evolution.release(service_id, "2.0", "1.0",
                                             svc.update_fitness,
                                             sorted(set(origins)), at):

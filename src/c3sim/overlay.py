@@ -19,7 +19,8 @@ super-peer whose membership decayed. The pass reads three facts that the
 membership and edge hooks keep up to date as they change: the online nodes
 below minimum degree, the link count of each region pair, and the online
 members of each super-peer. So it walks what needs repair, not every node
-and link.
+and link. Links are stored once, by node index, and only add_link writes
+them; adj is a copy keyed by NodeId for readers outside.
 
 A route over a direct link needs no search when the link is no longer
 than its two ends' least link latencies together: any other path leaves
@@ -146,17 +147,17 @@ class Overlay:
         self.rng = rng
         self.records: dict[NodeId, NodeRecord] = {}
         self.regions: dict[str, list[NodeId]] = {}
-        self.adj: dict[NodeId, dict[NodeId, int]] = {}
         # The online nodes; callers only read it.
         self.online_ids: set[NodeId] = set()
         self.dvsps: dict[str, VirtualSuperPeer] = {}
         self._epochs: dict[str, int] = {}
         self._reform: set[str] = set()
-        # Routing runs on dense indices, given out as records are added.
-        # _links mirrors adj by index and _up the online flags. _bw holds
-        # each node's bandwidth (at least 1), _least a lower bound on its
-        # link latencies. No answer depends on the index order.
+        # Dense indices, given out as records are added; _recs maps back.
+        # _links[i][j], kept at both ends, is the one store of links; _up
+        # the online flags, _bw bandwidths (at least 1), _least a lower
+        # bound on each node's link latencies. No answer depends on order.
         self._index: dict[NodeId, int] = {}
+        self._recs: list[NodeRecord] = []
         self._links: list[dict[int, int]] = []
         self._up: list[bool] = []
         self._bw: list[int] = []
@@ -188,8 +189,8 @@ class Overlay:
             raise DuplicateJoin(f"{record.node_id!r} already registered")
         self.records[record.node_id] = record
         bisect.insort(self.regions.setdefault(record.region, []), record.node_id)
-        self.adj[record.node_id] = {}
         self._index[record.node_id] = len(self._links)
+        self._recs.append(record)
         self._links.append({})
         self._up.append(False)
         self._bw.append(max(1, record.capacity.bandwidth))
@@ -206,8 +207,12 @@ class Overlay:
         """A copy of the region's online members, in NodeId order."""
         return list(self._online.get(region, ()))
 
-    def online_nodes(self) -> list[NodeId]:
-        return [n for n, r in self.records.items() if r.online]
+    @property
+    def adj(self) -> dict[NodeId, dict[NodeId, int]]:
+        """A fresh copy of the links keyed by NodeId, for readers outside."""
+        recs = self._recs
+        return {rec.node_id: {recs[j].node_id: latency for j, latency in links.items()}
+                for rec, links in zip(recs, self._links)}
 
     def join(self, node_id: NodeId, now: SimTime) -> None:
         rec = self.records.get(node_id)
@@ -220,7 +225,7 @@ class Overlay:
         peers = [n for n in self._online[rec.region] if n != node_id]
         take = min(self.config.degree, len(peers))
         for peer in self.rng.sample(peers, take) if take else ():
-            self._add_edge(node_id, peer, self.config.intra_latency)
+            self.add_link(node_id, peer, self.config.intra_latency)
 
     def leave(self, node_id: NodeId, now: SimTime) -> None:
         rec = self.records.get(node_id)
@@ -231,33 +236,32 @@ class Overlay:
         # degrees change, and a link leaves _inter only through an online
         # peer. _set_online has dropped every search.
         i, least = self._index[node_id], self.config.min_degree
-        for peer in self.adj[node_id]:
-            peer_rec, peer_adj = self.records[peer], self.adj[peer]
-            del peer_adj[node_id], self._links[self._index[peer]][i]
-            if peer_rec.online and len(peer_adj) < least:
-                self._under.add(peer)
+        for j in self._links[i]:
+            peer_rec, peer_links = self._recs[j], self._links[j]
+            del peer_links[i]
+            if peer_rec.online and len(peer_links) < least:
+                self._under.add(peer_rec.node_id)
             if peer_rec.region != rec.region:
                 self._count_inter(rec, peer_rec, -1)
-        self.adj[node_id].clear()
         self._links[i].clear()
 
     def _set_online(self, rec: NodeRecord, online: bool) -> None:
-        node_id, region = rec.node_id, rec.region
+        node_id, region, i = rec.node_id, rec.region, self._index[rec.node_id]
         rec.online = online
-        self._up[self._index[node_id]] = online
+        self._up[i] = online
         members = self._online[region]
         step = 1 if online else -1
         if online:
             self.online_ids.add(node_id)
             bisect.insort(members, node_id)
-            if len(self.adj[node_id]) < self.config.min_degree:
+            if len(self._links[i]) < self.config.min_degree:
                 self._under.add(node_id)
         else:
             self.online_ids.discard(node_id)
             del members[bisect.bisect_left(members, node_id)]
             self._under.discard(node_id)
-        for peer in self.adj[node_id]:
-            other = self.records[peer].region
+        for j in self._links[i]:
+            other = self._recs[j].region
             if region < other:
                 key = region, other
                 self._inter[key] = self._inter.get(key, 0) + step
@@ -284,17 +288,17 @@ class Overlay:
         if n <= d + 1:
             for i, a in enumerate(nodes):
                 for b in nodes[i + 1:]:
-                    self._add_edge(a, b, self.config.intra_latency)
+                    self.add_link(a, b, self.config.intra_latency)
             return
         odd_one = None
         if (n * d) % 2:
             odd_one = nodes[-1]
             nodes = nodes[:-1]
         for i, j in sorted(self._regular_graph(d, len(nodes))):
-            self._add_edge(nodes[i], nodes[j], self.config.intra_latency)
+            self.add_link(nodes[i], nodes[j], self.config.intra_latency)
         if odd_one is not None:
             for peer in self.rng.sample(nodes, d):
-                self._add_edge(odd_one, peer, self.config.intra_latency)
+                self.add_link(odd_one, peer, self.config.intra_latency)
 
     def _regular_graph(self, d: int, n: int) -> set[tuple[int, int]]:
         for attempt in range(64):
@@ -304,28 +308,28 @@ class Overlay:
                 return edges
         raise OverlayError(f"no connected {d}-regular graph on {n} nodes")
 
-    def _add_edge(self, a: NodeId, b: NodeId, latency: int) -> None:
+    def add_link(self, a: NodeId, b: NodeId, latency: int) -> None:
+        """Link a and b, or re-weigh their link: the one writer of links."""
         if latency < 1:  # routing's early stop relies on it
             raise ValueError(f"link latency {latency} is below 1")
         if a == b:
             return
-        adj_a, adj_b = self.adj[a], self.adj[b]
-        old = adj_a.get(b)
+        ia, ib = self._index[a], self._index[b]
+        links_a, links_b = self._links[ia], self._links[ib]
+        old = links_a.get(ib)
         if old == latency:
             return
-        rec_a, rec_b = self.records[a], self.records[b]
-        ia, ib = self._index[a], self._index[b]
-        self._links[ia][ib] = self._links[ib][ia] = latency
+        links_a[ib] = links_b[ia] = latency
         least = self._least
         least[ia], least[ib] = min(least[ia], latency), min(least[ib], latency)
         self._searches.clear()
-        adj_a[b] = adj_b[a] = latency
         if old is None:
             least = self.config.min_degree
-            if len(adj_a) >= least:
+            if len(links_a) >= least:
                 self._under.discard(a)
-            if len(adj_b) >= least:
+            if len(links_b) >= least:
                 self._under.discard(b)
+            rec_a, rec_b = self._recs[ia], self._recs[ib]
             if rec_a.region != rec_b.region:
                 self._count_inter(rec_a, rec_b, 1)
 
@@ -339,25 +343,20 @@ class Overlay:
             key = rec_a.region, rec_b.region
             self._inter[key] = self._inter.get(key, 0) + step
 
-    def add_link(self, a: NodeId, b: NodeId, latency: int) -> None:
-        """Direct link, used for vendor stars and scripted topologies."""
-        self._add_edge(a, b, latency)
-
     def _repair_degrees(self) -> None:
         # Repairs only add links, so no node joins _under during the pass;
         # a node a repair lifted to min_degree is skipped.
         for node_id in sorted(self._under):
             rec = self.records[node_id]
-            have = len(self.adj[node_id])
+            linked = self._links[self._index[node_id]]
+            have = len(linked)
             if have >= self.config.min_degree:
                 continue
-            pool = [
-                n for n in self._online[rec.region]
-                if n != node_id and n not in self.adj[node_id]
-            ]
+            pool = [n for n in self._online[rec.region]
+                    if n != node_id and self._index[n] not in linked]
             want = min(self.config.degree - have, len(pool))
             for peer in self.rng.sample(pool, want) if want > 0 else ():
-                self._add_edge(node_id, peer, self.config.intra_latency)
+                self.add_link(node_id, peer, self.config.intra_latency)
 
     def _repair_inter_links(self) -> None:
         regions = sorted(self.regions)
@@ -371,15 +370,16 @@ class Overlay:
                 for _ in range(self.config.inter_region_links - live):
                     a = self.rng.choice(a_online)
                     b = self.rng.choice(b_online)
-                    if b not in self.adj[a]:
-                        self._add_edge(a, b, self.config.inter_latency)
+                    if self._index[b] not in self._links[self._index[a]]:
+                        self.add_link(a, b, self.config.inter_latency)
 
     # -- position fingerprints ---------------------------------------------
 
     def fingerprint(self, node_id: NodeId) -> int:
         """Hash of the sorted neighbor set."""
         h = hashlib.sha256()
-        for peer in sorted(self.adj[node_id]):
+        linked = self._links[self._index[node_id]]
+        for peer in sorted(self._recs[j].node_id for j in linked):
             h.update(peer.to_bytes(32, "big"))
         return int.from_bytes(h.digest(), "big")
 
@@ -526,9 +526,6 @@ class Overlay:
         self._live[region] = len(members)
         self._reform.discard(region)
         return vsp
-
-    def dvsp(self, region: str) -> VirtualSuperPeer | None:
-        return self.dvsps.get(region)
 
     def dvsp_has_quorum(self, region: str) -> bool:
         vsp = self.dvsps.get(region)

@@ -622,7 +622,7 @@ class VendorRuntime(ServiceRuntime):
                 self.overlay.add_link(self.host, host, self.latency)
             return []
         super().host_joined(host, at)
-        for node in self.overlay.online_nodes():
+        for node in self.overlay.online_ids:
             self.overlay.add_link(host, node, self.latency)
         return [PlacementAction(at, s, "deployed", host, inst.region)
                 for s, desc in self.descriptors.items()

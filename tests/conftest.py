@@ -56,17 +56,29 @@ def clique_overlay(n, region="main", m_target=3, joined_at=None,
 
 
 def assert_kept_facts(overlay: Overlay) -> None:
-    """The facts Overlay keeps for maintenance equal a fresh rescan."""
-    assert overlay.online_ids == set(overlay.online_nodes())
+    """The facts Overlay keeps for maintenance equal a fresh rescan, and
+    its one link table is symmetric, bounded below by _least and read out
+    whole by adj."""
+    records, links, recs = overlay.records, overlay._links, overlay._recs
+    online = {n for n, r in records.items() if r.online}
+    assert overlay.online_ids == online
+    for i, peers in enumerate(links):
+        for j, latency in peers.items():
+            assert links[j].get(i) == latency, (i, j)
+        if peers:
+            assert overlay._least[i] <= min(peers.values()), i
+    assert len(recs) == len(records)
+    adj = overlay.adj
+    assert adj == {n: {recs[j].node_id: latency
+                       for j, latency in links[overlay._index[n]].items()}
+                   for n in records}
     min_degree = overlay.config.min_degree
-    assert overlay._under == {n for n in overlay.online_nodes()
-                              if len(overlay.adj[n]) < min_degree}
+    assert overlay._under == {n for n in online if len(adj[n]) < min_degree}
     regions = sorted(overlay.regions)
     for i, ra in enumerate(regions):
         for rb in regions[i + 1:]:
             live = sum(1 for a in overlay.online_in_region(ra)
-                       for b in overlay.adj[a]
-                       if overlay.records[b].region == rb)
+                       for b in adj[a] if records[b].region == rb)
             assert overlay._inter.get((ra, rb), 0) == live, (ra, rb)
     for region, vsp in overlay.dvsps.items():
         assert overlay._live[region] == sum(

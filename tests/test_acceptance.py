@@ -468,7 +468,7 @@ def test_09_dvsp_survives_losing_half_its_members(capfd):
             reformed = None
             for round_no in (1, 2):
                 overlay.maintenance(10 + round_no)
-                reformed = overlay.dvsp("main")
+                reformed = overlay.dvsps["main"]
                 if (reformed.epoch > vsp.epoch
                         and len(reformed.members) == 5
                         and all(overlay.is_online(m) for m in reformed.members)):

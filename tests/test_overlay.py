@@ -66,15 +66,16 @@ class TestIdentity:
 class TestMembership:
     def test_join_then_leave_restores_edges(self):
         overlay, ids = clique_overlay(5)
-        before = {n: dict(overlay.adj[n]) for n in ids}
+        before = overlay.adj
         extra = nid(99)
         overlay.add_record(NodeRecord(extra, "main", ResourceVector(1, 1, 1)))
         overlay.join(extra, 3)
         assert overlay.adj[extra]
         overlay.leave(extra, 4)
-        assert overlay.adj[extra] == {}
+        after = overlay.adj
+        assert after.pop(extra) == {}
         assert not overlay.is_online(extra)
-        assert {n: dict(overlay.adj[n]) for n in ids} == before
+        assert after == before
 
     def test_duplicate_join_and_unknown_leave(self):
         overlay, ids = clique_overlay(3)
@@ -94,9 +95,9 @@ class TestMembership:
         outsider = ids[5]
         fp_before = {n: overlay.fingerprint(n) for n in ids}
         overlay.leave(outsider, 11)
-        assert overlay.dvsp("main") is vsp
+        assert overlay.dvsps["main"] is vsp
         assert overlay.maintenance(12) == []  # quorum intact, size still met
-        assert overlay.dvsp("main").epoch == vsp.epoch
+        assert overlay.dvsps["main"].epoch == vsp.epoch
         for n in ids[:5]:
             assert overlay.fingerprint(n) != fp_before[n]  # clique neighbors
 
@@ -115,8 +116,8 @@ class TestRouting:
     def test_two_hop_latencies_5_and_7_deliver_plus_12(self):
         overlay, ids = chain_overlay([5, 7])
         graph = nx.Graph()
-        for a in overlay.adj:
-            for b, w in overlay.adj[a].items():
+        for a, peers in overlay.adj.items():
+            for b, w in peers.items():
                 graph.add_edge(a, b, weight=w)
         oracle = nx.dijkstra_path_length(graph, ids[0], ids[2])
         assert oracle == 12
@@ -160,8 +161,8 @@ class TestRouting:
             overlay.join(node, 0)
         overlay.build(0)
         graph = nx.Graph()
-        for a in overlay.adj:
-            for b, w in overlay.adj[a].items():
+        for a, peers in overlay.adj.items():
+            for b, w in peers.items():
                 graph.add_edge(a, b, weight=w)
         for src in ids[::5]:
             oracle = nx.single_source_dijkstra_path_length(graph, src)
@@ -322,7 +323,7 @@ class TestRouting:
         for victim in ids[:8]:
             overlay.leave(victim, 1)
             overlay.maintenance(1)
-            alive = overlay.online_nodes()
+            alive = sorted(overlay.online_ids)
             root = alive[0]
             assert all(overlay.reachable(root, n) for n in alive)
             overlay.join(victim, 2)
@@ -347,13 +348,14 @@ def linked_overlay(n, links, bandwidths=()):
 
 def reference_distances(overlay, src):
     """(latency, bottleneck) of every node src reaches, by Dijkstra over
-    ``adj`` and ``records``. A path's width is the least max(1, min(bw_a,
+    one ``adj`` copy and ``records``. A path's width is the least max(1, min(bw_a,
     bw_b)) over its links, and the bottleneck is the widest over all the
     shortest paths."""
     def link(a, b):
         return max(1, min(overlay.records[a].capacity.bandwidth,
                           overlay.records[b].capacity.bandwidth))
 
+    adj = overlay.adj
     dist = {src: 0}
     heap = [(0, src)]
     order = []
@@ -362,7 +364,7 @@ def reference_distances(overlay, src):
         if d > dist[node]:
             continue
         order.append(node)
-        for peer, latency in overlay.adj[node].items():
+        for peer, latency in adj[node].items():
             if not overlay.records[peer].online:
                 continue
             if peer not in dist or d + latency < dist[peer]:
@@ -372,7 +374,7 @@ def reference_distances(overlay, src):
     width = {src: 1 << 62}
     for node in order[1:]:
         width[node] = max(min(width[peer], link(peer, node))
-                          for peer, latency in overlay.adj[node].items()
+                          for peer, latency in adj[node].items()
                           if peer in dist and dist[peer] + latency == dist[node])
     return {node: (dist[node], width[node]) for node in order}
 
@@ -647,11 +649,11 @@ class TestSuperPeers:
         for now in (12, 13):
             rounds += 1
             overlay.maintenance(now)
-            current = overlay.dvsp("main")
+            current = overlay.dvsps["main"]
             if current.epoch > vsp.epoch and len(current.members) == 5:
                 break
         assert rounds <= 2
-        current = overlay.dvsp("main")
+        current = overlay.dvsps["main"]
         assert current.epoch == vsp.epoch + 1
         assert len(current.members) == 5
         assert all(overlay.is_online(m) for m in current.members)
@@ -714,7 +716,7 @@ class TestTransactions:
 
     def test_lost_quorum_raises(self):
         overlay, ids, ledger = self._fixture()
-        vsp = overlay.dvsp("main")
+        vsp = overlay.dvsps["main"]
         for member in vsp.members[: vsp.quorum]:
             overlay.leave(member, 6)
         with pytest.raises(NoQuorum):

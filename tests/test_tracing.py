@@ -2,7 +2,8 @@
 
 ``c3bench/tracing.install`` reads each wrapped name from its owner's
 ``vars``, so renaming one in ``src/`` breaks every traced benchmark run.
-These tests enter and leave it against the current program.
+These tests enter and leave it against the current program. The last one
+runs the benchmark's route check, which reads ``Overlay.adj``.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
+from c3bench import checks  # noqa: E402
 from c3bench.tracing import Tracer, install  # noqa: E402
 from c3sim import (engine, evolution, ledger, overlay,  # noqa: E402
                    replication, resource_repo, services)
@@ -49,3 +51,14 @@ def test_a_traced_run_records_every_layer():
     assert {"runner", "engine", "overlay", "resource_repo", "replication",
             "ledger", "services", "harness"} <= layers
     assert tracer.counters["resource_repo.heartbeats"] > 0
+
+
+def test_the_benchmark_route_check_passes_on_the_overlay_copy():
+    """The benchmark checks routes against ``Overlay.adj``, the NodeId-keyed
+    copy of the links, so the copy must still match what route answers."""
+    config = replace(parse_scenario(ROOT / "scenarios" / "wiki_small.ini"),
+                     horizon=6000)
+    ov = run_scenario(config).overlay
+    pairs = checks.route_pairs(ov.records, 0)
+    assert any(a != b and ov.reachable(a, b) for a, b in pairs)
+    assert checks.check_routes(ov.route, ov.adj, ov.is_online, pairs) == []
