@@ -43,7 +43,6 @@ class RngStream(random.Random):
 
 @dataclass(slots=True, eq=False)
 class Event:
-    fire_at: SimTime
     seq: int
     kind: str
     payload: dict = field(default_factory=dict)
@@ -86,7 +85,7 @@ class Simulator:
     def at(self, fire_at: SimTime, kind: str, **payload) -> Event:
         if fire_at < self.now:
             raise PastEvent(f"{kind} at {fire_at} < clock {self.now}")
-        event = Event(fire_at, self._seq, kind, payload)
+        event = Event(self._seq, kind, payload)
         self._seq += 1
         heapq.heappush(self._heap, (fire_at, event.seq, event))
         return event

@@ -38,7 +38,6 @@ class VersionNode:
     version: str
     parent: str | None
     fitness: float
-    released_at: SimTime
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,9 +63,9 @@ class UpdateDiffusion:
 
     # -- version forest ---------------------------------------------------------
 
-    def register_root(self, service_id: str, version: str, fitness: float,
-                      at: SimTime) -> VersionNode:
-        node = VersionNode(service_id, version, None, fitness, at)
+    def register_root(self, service_id: str, version: str,
+                      fitness: float) -> VersionNode:
+        node = VersionNode(service_id, version, None, fitness)
         self.versions.setdefault(service_id, {})[version] = node
         for peer in self.trust:
             self.active[(peer, service_id)] = version
@@ -90,7 +89,7 @@ class UpdateDiffusion:
             raise UnknownParent(f"{service_id}@{parent}")
         if version in forest:
             raise EvolutionError(f"{service_id}@{version} already released")
-        forest[version] = VersionNode(service_id, version, parent, fitness, at)
+        forest[version] = VersionNode(service_id, version, parent, fitness)
         out = []
         for origin in origins:
             out.append(self._switch(origin, service_id, version, at, "release"))

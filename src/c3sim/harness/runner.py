@@ -78,8 +78,8 @@ class Runner:
                 node_id = generate_identity(ids).node_id
                 region = klass.regions[i % len(klass.regions)]
                 self.overlay.add_record(NodeRecord(
-                    node_id, region, klass.capacity, klass.name,
-                    klass.cost_factor, klass.mean_online, klass.mean_offline,
+                    node_id, region, klass.capacity, klass.cost_factor,
+                    klass.mean_online, klass.mean_offline,
                     online=True, online_since=0))
                 self.node_list.append(node_id)
                 self.by_class.setdefault(klass.name, []).append(node_id)
@@ -93,7 +93,7 @@ class Runner:
             self.vendor_node = generate_identity(ids).node_id
             cap = ResourceVector(10 ** 6, 10 ** 9, 10 ** 6)
             self.overlay.add_record(NodeRecord(
-                self.vendor_node, VENDOR_REGION, cap, VENDOR_CLASS,
+                self.vendor_node, VENDOR_REGION, cap,
                 online=True, online_since=0))
             self._log("nodes", self.vendor_node.short, VENDOR_REGION,
                       VENDOR_CLASS, cap.compute, cap.storage, cap.bandwidth,
@@ -105,7 +105,7 @@ class Runner:
             raise ConfigError("[topology] degree", str(exc)) from None
         for region in self.overlay.regions:
             if self.overlay.online_in_region(region):
-                self.overlay.form_dvsp(region, 0)
+                self.overlay.form_dvsp(region)
 
         self.ledger = Ledger(MarketPrice(cfg.market))
         self.repo = Repository(
@@ -143,7 +143,7 @@ class Runner:
             for svc in cfg.services:
                 self.ledger.open_account(f"dev:{svc.service_id}",
                                          svc.developer_balance)
-                self.evolution.register_root(svc.service_id, "1.0", svc.fitness, 0)
+                self.evolution.register_root(svc.service_id, "1.0", svc.fitness)
                 if svc.update_at is not None:
                     self.sim.at(svc.update_at, "release", service_id=svc.service_id)
         publisher = min(self.node_list)

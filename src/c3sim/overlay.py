@@ -22,10 +22,13 @@ members of each super-peer. So it walks what needs repair, not every node
 and link. Links are stored once, by node index, and only add_link writes
 them; adj is a copy keyed by NodeId for readers outside.
 
-A route over a direct link needs no search when the link is no longer
-than its two ends' least link latencies together: any other path leaves
-and enters by other links, so it is no shorter, and it is no wider, since
-a link is as wide as its narrower end.
+Routing keeps no state between calls. A route over a direct link needs
+no search when the link is no longer than its two ends' least link
+latencies together: any other path leaves and enters by other links, so it
+is no shorter, and it is no wider, since a link is as wide as its narrower
+end. Any other query runs a Dial bucket search (Dial, CACM 1969) from its
+source, answers every target it was asked for from that one search, and
+drops it on return. So a topology change has no search to invalidate.
 """
 from __future__ import annotations
 
@@ -87,7 +90,6 @@ class NodeId(int):
 
 @dataclass(frozen=True, slots=True)
 class Identity:
-    private_key: bytes
     public_key: bytes
     node_id: NodeId
 
@@ -97,7 +99,7 @@ def generate_identity(rng: RngStream) -> Identity:
     private = rng.getrandbits(ID_BITS).to_bytes(32, "big")
     public = hashlib.sha256(b"pub:" + private).digest()
     node_id = NodeId(int.from_bytes(hashlib.sha256(public).digest(), "big"))
-    return Identity(private, public, node_id)
+    return Identity(public, node_id)
 
 
 @dataclass(slots=True)
@@ -105,7 +107,6 @@ class NodeRecord:
     node_id: NodeId
     region: str
     capacity: ResourceVector
-    node_class: str = "default"
     cost_factor: float = 1.0
     mean_online: int = 0
     mean_offline: int = 0
@@ -118,7 +119,6 @@ class VirtualSuperPeer:
     region: str
     members: tuple[NodeId, ...]
     epoch: int
-    formed_at: SimTime
 
     @property
     def quorum(self) -> int:
@@ -150,7 +150,6 @@ class Overlay:
         # The online nodes; callers only read it.
         self.online_ids: set[NodeId] = set()
         self.dvsps: dict[str, VirtualSuperPeer] = {}
-        self._epochs: dict[str, int] = {}
         self._reform: set[str] = set()
         # Dense indices, given out as records are added; _recs maps back.
         # _links[i][j], kept at both ends, is the one store of links; _up
@@ -172,15 +171,6 @@ class Overlay:
         self._inter: dict[tuple[str, str], int] = {}
         # Per region with a super-peer, its online members.
         self._live: dict[str, int] = {}
-        # Per source index, a resumable Dial search [dist, buckets, keys]:
-        # each index's least latency so far (_UNBOUNDED if unreached), the
-        # indices not yet expanded by latency, and a heap of those
-        # latencies. Searches track latency only; a sized query derives its
-        # bottleneck from dist (see _widest).
-        # A query advances a search only until its answer's latency is
-        # final (see _settle). Every search is dropped whenever a record is
-        # added or an edge or an online flag changes.
-        self._searches: dict[int, list] = {}
 
     # -- membership ---------------------------------------------------------
 
@@ -198,7 +188,6 @@ class Overlay:
         self._online.setdefault(record.region, [])
         if record.online:
             self._set_online(record, True)
-        self._searches.clear()
 
     def is_online(self, node_id: NodeId) -> bool:
         return node_id in self.online_ids
@@ -234,7 +223,7 @@ class Overlay:
         self._set_online(rec, False)
         # Drop every link. The node is offline now, so only its peers'
         # degrees change, and a link leaves _inter only through an online
-        # peer. _set_online has dropped every search.
+        # peer.
         i, least = self._index[node_id], self.config.min_degree
         for j in self._links[i]:
             peer_rec, peer_links = self._recs[j], self._links[j]
@@ -270,7 +259,6 @@ class Overlay:
             self._live[region] += step
             if not online:
                 self._reform.add(region)
-        self._searches.clear()
 
     # -- topology -----------------------------------------------------------
 
@@ -322,7 +310,6 @@ class Overlay:
         links_a[ib] = links_b[ia] = latency
         least = self._least
         least[ia], least[ib] = min(least[ia], latency), min(least[ib], latency)
-        self._searches.clear()
         if old is None:
             least = self.config.min_degree
             if len(links_a) >= least:
@@ -386,12 +373,14 @@ class Overlay:
     # -- routing ------------------------------------------------------------
 
     def _search(self, src: int) -> list:
-        search = self._searches.get(src)
-        if search is None:
-            dist = [_UNBOUNDED] * len(self._links)
-            dist[src] = 0
-            search = self._searches[src] = [dist, {0: [src]}, [0]]
-        return search
+        """A fresh Dial search from index src: [dist, buckets, keys], each
+        index's least latency so far (_UNBOUNDED if unreached), the indices
+        not yet expanded by latency, and a heap of those latencies. It
+        tracks latency only; a sized query derives its bottleneck from dist
+        (see _widest)."""
+        dist = [_UNBOUNDED] * len(self._links)
+        dist[src] = 0
+        return [dist, {0: [src]}, [0]]
 
     def _settle(self, search: list, targets) -> int:
         """Advance search until the least latency to a target index is
@@ -446,82 +435,88 @@ class Overlay:
                             if dist[u] + latency == dv), default=_UNBOUNDED)
         return width[dst]
 
-    def _cost(self, frm: NodeId, to: NodeId, size: int) -> int | None:
-        """Latency of the cheapest online path plus the transfer term for
-        size, or None if either end is offline or no path joins them.
-
-        A direct link no longer than _least[src] + _least[dst] is the
-        answer: a detour leaves and enters by other links, so it is no
-        shorter, and no wider than the narrower end. Otherwise latency and
-        the widest-shortest bottleneck are symmetric, so a query reads the
-        source's search, else the target's, and a sized one derives its
-        bottleneck from that search's latencies. With neither, a size-0
-        query starts one at the target and a sized one at the source."""
-        if not (self.is_online(frm) and self.is_online(to)):
-            return None
-        if frm == to:
-            return 0
-        src, dst = self._index[frm], self._index[to]
-        latency = self._links[src].get(dst)
-        if latency is not None and latency <= self._least[src] + self._least[dst]:
-            width = min(self._bw[src], self._bw[dst])
-            return latency + (-(-size // width) if size > 0 else 0)
-        if src not in self._searches and (size == 0 or dst in self._searches):
-            src, dst = dst, src
-        search = self._search(src)
-        latency = self._settle(search, (dst,))
-        if latency == _UNBOUNDED:
-            return None
-        if size > 0:
-            latency += -(-size // self._widest(search[0], dst))
-        return latency
+    def routes(self, frm: NodeId, tos, size: int = 0) -> list[int | None]:
+        """route(frm, to, size) for each target in tos, in order, with None
+        where route would raise Unreachable. An offline end gives None and
+        frm itself 0. A direct link no longer than _least[frm] + _least[to]
+        is the answer: a detour leaves and enters by other links, so it is
+        no shorter, and no wider than the narrower end. Every other target
+        reads one search from frm, which starts when the first of them needs
+        it, resumes for the later ones and is dropped on return: no search
+        outlives the call."""
+        online = self.online_ids
+        if frm not in online:
+            return [None for _ in tos]
+        src = self._index[frm]
+        links, least, bw = self._links[src], self._least, self._bw
+        search = None
+        out: list[int | None] = []
+        for to in tos:
+            if to not in online:
+                out.append(None)
+                continue
+            if to == frm:
+                out.append(0)
+                continue
+            dst = self._index[to]
+            latency = links.get(dst)
+            if latency is None or latency > least[src] + least[dst]:
+                if search is None:
+                    search = self._search(src)
+                latency = self._settle(search, (dst,))
+                if latency == _UNBOUNDED:
+                    out.append(None)
+                    continue
+                if size > 0:
+                    latency += -(-size // self._widest(search[0], dst))
+            elif size > 0:
+                latency += -(-size // min(bw[src], bw[dst]))
+            out.append(latency)
+        return out
 
     def route(self, frm: NodeId, to: NodeId, size: int = 0) -> int:
         """Latency of the cheapest path plus the transfer term for size:
         ceil(size / the widest bottleneck bandwidth among the cheapest
-        paths). Symmetric in frm and to. A direct link no longer than its
-        ends' least link latencies together is the answer: no other path
-        is shorter or wider (see _cost). Raises Unreachable if either end
-        is offline or cut off."""
-        latency = self._cost(frm, to, size)
+        paths). Symmetric in frm and to. Answered by routes, so it keeps
+        no search. Raises Unreachable if either end is offline or cut off."""
+        (latency,) = self.routes(frm, (to,), size)
         if latency is None:
             raise Unreachable(f"{frm!r} -> {to!r}")
         return latency
 
-    def nearest(self, frm: NodeId, candidates) -> NodeId | None:
-        """The least NodeId among the candidates frm reaches at the least
-        route latency, or None if it reaches none. frm's search runs until
-        that latency is final. One candidate is a single route, which may
-        read the candidate's search."""
-        if not self.is_online(frm):
-            return None
+    def nearest(self, frm: NodeId, candidates) -> tuple[NodeId | None, int | None]:
+        """(node, latency): the least NodeId among the candidates frm
+        reaches at the least route latency, and that latency, which equals
+        route(frm, node); (None, None) if frm reaches none. One candidate
+        is answered by routes. More share one search from frm, which runs
+        until the least latency is final and is dropped on return."""
         targets = {self._index[c]: c for c in candidates}
-        if not targets:
-            return None
         if len(targets) == 1:
             (cand,) = targets.values()
-            return cand if self._cost(frm, cand, 0) is not None else None
+            (latency,) = self.routes(frm, (cand,))
+            return (cand, latency) if latency is not None else (None, None)
+        if not targets or frm not in self.online_ids:
+            return None, None
         search = self._search(self._index[frm])
         best = self._settle(search, targets)
         if best == _UNBOUNDED:
-            return None
+            return None, None
         dist = search[0]
-        return min(c for i, c in targets.items() if dist[i] == best)
+        return min(c for i, c in targets.items() if dist[i] == best), best
 
     def reachable(self, frm: NodeId, to: NodeId) -> bool:
-        return self._cost(frm, to, 0) is not None
+        return self.routes(frm, (to,))[0] is not None
 
     # -- super-peers ---------------------------------------------------------
 
-    def form_dvsp(self, region: str, now: SimTime) -> VirtualSuperPeer:
+    def form_dvsp(self, region: str) -> VirtualSuperPeer:
         online = self._online.get(region)
         if not online:
             raise EmptyRegion(region)
         ranked = sorted(online, key=lambda n: (self.records[n].online_since, n))
         members = tuple(ranked[: self.config.m_target])
-        epoch = self._epochs.get(region, 0) + 1
-        self._epochs[region] = epoch
-        vsp = VirtualSuperPeer(region, members, epoch, now)
+        last = self.dvsps.get(region)
+        vsp = VirtualSuperPeer(region, members, last.epoch + 1 if last else 1)
         self.dvsps[region] = vsp
         self._live[region] = len(members)
         self._reform.discard(region)
@@ -549,7 +544,7 @@ class Overlay:
                 or len(vsp.members) < want
             )
             if stale and online:
-                reformed.append(self.form_dvsp(region, now))
+                reformed.append(self.form_dvsp(region))
         return reformed
 
     # -- coordinated transactions --------------------------------------------
@@ -563,9 +558,10 @@ class Overlay:
         """
         if not self.dvsp_has_quorum(region):
             raise NoQuorum(region)
+        online = self.online_ids
         for op in ops:
             for party in (op.src, op.dst):
-                if isinstance(party, NodeId) and not self.is_online(party):
+                if isinstance(party, NodeId) and party not in online:
                     return TransactionResult(False, f"participant-offline:{party.short}")
         try:
             ledger.apply_batch(ops, at=now)

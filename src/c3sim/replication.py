@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .engine import RngStream, SimTime
-from .overlay import NodeId, Overlay, Unreachable
+from .overlay import NodeId, Overlay
 from .resource_repo import Repository, ResourceQuery
 from .resources import ResourceVector
 
@@ -234,23 +234,22 @@ class Replicator:
 
     def write(self, key: str, value: object, writer: NodeId, at: SimTime,
               size: int) -> list[tuple[SimTime, Delivery]]:
-        """Put at the writer's nearest replica; the broadcasts it sends."""
+        """Put at the writer's nearest replica; the broadcasts it sends,
+        each with its delivery tick. One `routes` call times them all from
+        a single search that ends with the call; a cut-off host misses its
+        broadcast."""
         if key not in self.store.hosts:
             hosts = self._offered(size, self.replicas, at)
             if not hosts:
                 return []
             self.store.ensure(key, hosts, size)
-        apply_at = self.overlay.nearest(writer, self.store.replica_hosts(key))
+        apply_at, _ = self.overlay.nearest(writer, self.store.replica_hosts(key))
         if apply_at is None:
             self.store.log(at, key, "put-dropped", writer.short)
             return []
-        sent = []
-        for d in self.store.put(key, value, writer, at, apply_at):
-            try:
-                sent.append((at + self.overlay.route(apply_at, d.host, size), d))
-            except Unreachable:  # a cut-off host misses the broadcast
-                continue
-        return sent
+        sent = self.store.put(key, value, writer, at, apply_at)
+        hops = self.overlay.routes(apply_at, [d.host for d in sent], size)
+        return [(at + hop, d) for hop, d in zip(hops, sent) if hop is not None]
 
     def upkeep(self, at: SimTime) -> None:
         """One gossip round, then replace the replicas on offline hosts."""

@@ -7,7 +7,7 @@ record's capacity less the storage its node's instances hold, and `offer`
 the whole capacity of a node that has just joined, which holds none.
 
 Records age out: a record whose last heartbeat is older than the staleness
-horizon (three heartbeat intervals by default) is invisible to queries, so a
+horizon (STALENESS_INTERVALS heartbeat intervals) is invisible to queries, so a
 silent node stops being offered work without any explicit deregistration.
 Availability and task success are exponentially smoothed per heartbeat
 interval. Selection is randomized but proportional: candidates are drawn
@@ -23,6 +23,8 @@ from .overlay import NodeId
 from .resources import ResourceVector
 
 DEFAULT_WEIGHTS = (0.4, 0.3, 0.2, 0.1)
+# Heartbeat intervals after which a silent record is invisible to queries.
+STALENESS_INTERVALS = 3
 
 
 class RepoError(Exception):
@@ -62,12 +64,12 @@ class QueryResult:
 
 class Repository:
     def __init__(self, beta: float = 0.1, heartbeat_interval: int = 500,
-                 staleness_intervals: int = 3, region_gate=None):
+                 region_gate=None):
         if not 0.0 < beta <= 1.0:
             raise ValueError("beta must be in (0, 1]")
         self.beta = beta
         self.heartbeat_interval = heartbeat_interval
-        self.staleness = staleness_intervals * heartbeat_interval
+        self.staleness = STALENESS_INTERVALS * heartbeat_interval
         self.region_gate = region_gate or (lambda region: True)
         self.records: dict[NodeId, NodeResourceRecord] = {}
 
@@ -78,24 +80,29 @@ class Repository:
 
     def heartbeat(self, node_id: NodeId, free_capacity: ResourceVector,
                   at: SimTime, projected_cost: float | None = None) -> None:
-        self._step(self._record(node_id), at, free_capacity, projected_cost)
-
-    def miss(self, node_id: NodeId) -> None:
-        """A heartbeat interval passed with no heartbeat from the node."""
-        self._step(self._record(node_id), None)
+        """One heartbeat from the node at `at`, offering free_capacity (and
+        projected_cost, if given); its smoothed availability steps up."""
+        rec = self._record(node_id)
+        rec.free_capacity = free_capacity
+        rec.last_heartbeat = at
+        if projected_cost is not None:
+            rec.projected_cost = projected_cost
+        rec.availability = (1.0 if rec.availability is None else
+                            (1 - self.beta) * rec.availability + self.beta)
 
     def offer(self, node_id: NodeId, at: SimTime, basket: float) -> None:
         """Heartbeat with the offer computed from the node's own record:
         its whole capacity, at cost_factor x basket. A node that just
         joined holds no instance's storage yet."""
         rec = self._record(node_id)
-        self._step(rec, at, rec.capacity, rec.cost_factor * basket)
+        self.heartbeat(node_id, rec.capacity, at, rec.cost_factor * basket)
 
     def sweep(self, at: SimTime, online, held: dict[NodeId, int],
               basket: float) -> None:
         """Batch heartbeat pass: the records in `online` (a container of
         node ids) offer as `offer` does, less their `held` storage; the
-        rest decay. Each record steps as `_step` would step it."""
+        rest miss this interval's beat and their availability decays by
+        1 - beta."""
         beta, keep = self.beta, 1 - self.beta
         for node_id, rec in self.records.items():
             if node_id not in online:
@@ -109,23 +116,6 @@ class Repository:
             rec.projected_cost = rec.cost_factor * basket
             rec.availability = (1.0 if rec.availability is None else
                                 keep * rec.availability + beta)
-
-    def _step(self, rec: NodeResourceRecord, at: SimTime | None,
-              free: ResourceVector | None = None,
-              projected_cost: float | None = None) -> None:
-        """Step rec's smoothed availability by one heartbeat interval: up
-        for a heartbeat at `at` offering `free`, down for a missed one (at
-        is None)."""
-        if at is None:
-            if rec.availability is not None:
-                rec.availability = (1 - self.beta) * rec.availability
-            return
-        rec.free_capacity = free
-        rec.last_heartbeat = at
-        if projected_cost is not None:
-            rec.projected_cost = projected_cost
-        rec.availability = (1.0 if rec.availability is None else
-                            (1 - self.beta) * rec.availability + self.beta)
 
     def record_task(self, node_id: NodeId, completed: bool) -> None:
         rec = self._record(node_id)

@@ -6,7 +6,9 @@ Every request takes one path. `admit` resolves the service, quotes a price
 from the declared budget at current unit prices, turns away requesters who
 cannot cover it and places the request on the warm instance the overlay
 names nearest (`Overlay.nearest`: smallest route latency, then smallest id),
-deploying one on demand when none exists. `run_on_host` then
+deploying one on demand when none exists. Admission takes the request's hop,
+its route latency to the host, once: from `nearest`, or by one route to a
+fresh or vendor host; no search is kept for later. `run_on_host` then
 queues it on that host and meters the actual draw against a budget: within
 budget completes, strict excess terminates the request at the exhaustion
 point with a pro-rata charge; `plan_invoke` is both for one call. Video
@@ -102,6 +104,7 @@ class InvokePlan:
     start: SimTime = 0
     done_at: SimTime = 0
     latency: int = 0
+    hop: int = 0  # the requester's route latency to host, each way
 
     @property
     def served(self) -> bool:
@@ -204,7 +207,7 @@ class ServiceRuntime:
             if current is not None and current.version == desc.version:
                 return list(self.store.replica_hosts(key))
         hosts = list(self.store.replica_hosts(key))
-        apply_at = self.overlay.nearest(publisher, hosts) or hosts[0]
+        apply_at = self.overlay.nearest(publisher, hosts)[0] or hosts[0]
         for delivery in self.store.put(key, desc, publisher, at, apply_at):
             self.store.deliver(key, delivery.host, delivery.obj, at)
         fresh = desc.service_id not in self.instances
@@ -258,8 +261,9 @@ class ServiceRuntime:
         """Resolve, quote, check funds, place and count the request toward
         its region's traffic.
 
-        An admitted plan has its host, and in `start` the tick that host is
-        ready; any other outcome names the reason it was turned away.
+        An admitted plan has its host, in `start` the tick that host is
+        ready and in `hop` the route latency to it; any other outcome names
+        the reason it was turned away.
         """
         desc = self.resolve(request.service_id, at)
         if desc is None:
@@ -270,11 +274,12 @@ class ServiceRuntime:
         if not self.ledger.can_cover(request.requester, plan.gross - quoted_part):
             plan.outcome = "rejected-funds"
             return plan
-        host, ready_at = self._place_request(request, desc, at)
+        host, ready_at, hop = self._place_request(request, desc, at)
         if host is None:
             plan.outcome = ready_at  # failure label from placement
             return plan
-        plan.outcome, plan.host, plan.start = ADMITTED, host, max(at, ready_at)
+        plan.outcome, plan.host, plan.hop = ADMITTED, host, hop
+        plan.start = max(at, ready_at)
         counts = self.traffic.setdefault(request.service_id, {})
         region = self.overlay.records[request.requester].region
         counts[region] = counts.get(region, 0) + 1
@@ -282,35 +287,35 @@ class ServiceRuntime:
 
     def _place_request(self, request: Request, desc: ServiceDescriptor,
                        at: SimTime):
-        """Nearest warm instance, else a pull deployment near the requester."""
+        """Nearest warm instance, else a pull deployment near the requester:
+        (host, ready tick, hop latency), or (None, failure label, 0). A
+        pulled host is reachable: the requester reaches the code source,
+        and the deployment routed from there to the host."""
         warm = [i.host for i in self.warm_instances(desc.service_id, at)]
-        host = self.overlay.nearest(request.requester, warm)
+        host, hop = self.overlay.nearest(request.requester, warm)
         if host is not None:
-            return host, at
+            return host, at, hop
         sources = self._code_sources(desc.service_id)
         sources = [s for s in sources
                    if self.overlay.reachable(request.requester, s)]
         if not sources:
-            return None, "unresolvable"
+            return None, "unresolvable", 0
         region = self.overlay.records[request.requester].region
         for host in self._pick_hosts(desc, PULL_CANDIDATES, region, at):
             inst = self._deploy(desc, host, sources[0], at)
             if inst is not None:
-                return host, inst.warm_at
-        return None, "no-capacity"
+                return (host, inst.warm_at,
+                        self.overlay.route(request.requester, host))
+        return None, "no-capacity", 0
 
     def run_on_host(self, plan: InvokePlan, budget: ResourceVector) -> None:
         """Queue an admitted plan on its host and meter its draw.
 
-        The request waits for the host to be ready and free; its reply takes
-        the outbound latency back, since shortest-path latency is symmetric.
+        The request takes the hop admission routed to reach the host, waits
+        for it to be ready and free, and its reply takes the hop back, since
+        shortest-path latency is symmetric.
         """
-        requester, host = plan.request.requester, plan.host
-        try:
-            hop = self.overlay.route(requester, host)
-        except Unreachable:
-            plan.outcome, plan.host = "unreachable", None
-            return
+        host, hop = plan.host, plan.hop
         actual = plan.request.actual
         rate = max(1, self.overlay.records[host].capacity.compute)
         full = math.ceil(actual.compute / rate) if actual.compute else 0
@@ -365,14 +370,12 @@ class ServiceRuntime:
 
     def plan_session(self, request: Request, at: SimTime, duration: int,
                      rate: int, floor: float, sustain: int) -> Session:
-        """Admit a stream and route it; an admitted one begins at `start`."""
+        """Admit a stream; an admitted one begins at `start`, one hop after
+        its host is ready."""
         plan = self.admit(request, at)
         if plan.outcome == ADMITTED:
-            try:
-                plan.start += self.overlay.route(request.requester, plan.host)
-                plan.latency = plan.start - at
-            except Unreachable:
-                plan.outcome, plan.host = "unreachable", None
+            plan.start += plan.hop
+            plan.latency = plan.start - at
         return Session(plan, duration, rate, floor * rate, sustain)
 
     def begin_session(self, session: Session, at: SimTime) -> bool:
@@ -537,7 +540,7 @@ class ServiceRuntime:
                                     region or "")] * n
         hosts = self._pick_hosts(desc, n, region, at)
         for host in hosts[:n]:
-            source = self.overlay.nearest(host, sources) or sources[0]
+            source = self.overlay.nearest(host, sources)[0] or sources[0]
             inst = self._deploy(desc, host, source, at)
             if inst is not None:
                 actions.append(PlacementAction(at, desc.service_id, "deployed",
@@ -602,13 +605,20 @@ class VendorRuntime(ServiceRuntime):
         return [self.host]
 
     def admit(self, request: Request, at: SimTime) -> InvokePlan:
-        return InvokePlan(request, ADMITTED,
+        """The fixed host and the hop to it; unreachable if there is none."""
+        plan = InvokePlan(request, ADMITTED,
                           self.descriptors[request.service_id],
                           self.host, start=at)
+        try:
+            plan.hop = self.overlay.route(request.requester, self.host)
+        except Unreachable:
+            plan.outcome, plan.host = "unreachable", None
+        return plan
 
     def plan_invoke(self, request: Request, at: SimTime) -> InvokePlan:
         plan = self.admit(request, at)
-        self.run_on_host(plan, request.actual)
+        if plan.outcome == ADMITTED:
+            self.run_on_host(plan, request.actual)
         return plan
 
     def placement_tick(self, at: SimTime, push_enabled: bool) -> list[PlacementAction]:

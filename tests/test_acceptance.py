@@ -400,7 +400,7 @@ def test_08_update_dominance_and_rollback_exactness(capfd):
         for seed in range(1, 11):
             trust, ring = strongly_connected_trust(seed)
             diff = UpdateDiffusion(trust, theta=0.5)
-            diff.register_root("svc", "1.0", 1.0, 0)
+            diff.register_root("svc", "1.0", 1.0)
             diff.release("svc", "2.0", "1.0", 2.0, [ring[0]], 0)
             for tick in range(1, 2 * len(trust) + 1):
                 diff.adoption_tick(tick)
@@ -413,7 +413,7 @@ def test_08_update_dominance_and_rollback_exactness(capfd):
         nodes = [nid(i) for i in range(1, 6)]
         trust = {node: (nodes[(i + 1) % 5],) for i, node in enumerate(nodes)}
         diff = UpdateDiffusion(trust, theta=0.5)
-        diff.register_root("svc", "v0", 1.0, 0)
+        diff.register_root("svc", "v0", 1.0)
         shadow = {node: ["v0"] for node in nodes}   # full state trail
         releases = 0
         ops = 0
@@ -460,7 +460,7 @@ def test_09_dvsp_survives_losing_half_its_members(capfd):
     with criterion(9, "super-peer reform within 2 rounds", capfd):
         for seed in range(1, 11):
             overlay, ids = clique_overlay(20, region="main", m_target=5)
-            vsp = overlay.form_dvsp("main", 0)
+            vsp = overlay.form_dvsp("main")
             assert len(vsp.members) == 5
             rng = RngStream(seed, "kills")
             for node in rng.sample(list(vsp.members), len(vsp.members) // 2):

@@ -47,7 +47,7 @@ class TestVersionForest:
     def test_root_registration_activates_everyone(self):
         ids, trust = ring_trust(4)
         diff = UpdateDiffusion(trust)
-        diff.register_root("s", "1.0", 1.0, 0)
+        diff.register_root("s", "1.0", 1.0)
         assert all(diff.active_version(i, "s") == "1.0" for i in ids)
         assert diff.adoption_fraction("s", "1.0") == 1.0
         assert diff.adoption_fraction("s", "2.0") == 0.0
@@ -56,7 +56,7 @@ class TestVersionForest:
     def test_unknown_names_raise(self):
         ids, trust = ring_trust(3)
         diff = UpdateDiffusion(trust)
-        diff.register_root("s", "1.0", 1.0, 0)
+        diff.register_root("s", "1.0", 1.0)
         with pytest.raises(UnknownVersion):
             diff.fitness("s", "9.9")
         with pytest.raises(UnknownParent):
@@ -72,7 +72,7 @@ class TestVersionForest:
     def test_release_switches_only_the_origins(self):
         ids, trust = ring_trust(5)
         diff = UpdateDiffusion(trust)
-        diff.register_root("s", "1.0", 1.0, 0)
+        diff.register_root("s", "1.0", 1.0)
         adoptions = diff.release("s", "2.0", "1.0", 2.0, [ids[0], ids[2]], 10)
         assert [(a.node, a.cause, a.from_version, a.to_version)
                 for a in adoptions] == [(ids[0], "release", "1.0", "2.0"),
@@ -86,7 +86,7 @@ class TestDiffusionWaves:
     def test_ring_wave_moves_one_hop_per_tick(self):
         ids, trust = ring_trust(6)
         diff = UpdateDiffusion(trust, theta=0.5)
-        diff.register_root("s", "1.0", 1.0, 0)
+        diff.register_root("s", "1.0", 1.0)
         diff.release("s", "2.0", "1.0", 2.0, [ids[0]], 10)
         expected_order = [ids[5], ids[4], ids[3], ids[2], ids[1]]
         for tick, expected in enumerate(expected_order, start=1):
@@ -104,7 +104,7 @@ class TestDiffusionWaves:
             others = [i for i in ids if i != node]
             trust[node] = tuple(rng.sample(others, rng.randint(1, 4)))
         diff = UpdateDiffusion(trust, theta=0.25)
-        diff.register_root("s", "1.0", 1.0, 0)
+        diff.register_root("s", "1.0", 1.0)
         origin = ids[0]
         diff.release("s", "2.0", "1.0", 2.0, [origin], 0)
         levels = reverse_bfs_levels(trust, [origin])
@@ -123,7 +123,7 @@ class TestDiffusionWaves:
         a, b, x = nid(1), nid(2), nid(3)
         trust = {a: (), b: (), x: (a, b)}
         diff = UpdateDiffusion(trust, theta=0.6)
-        diff.register_root("s", "1.0", 1.0, 0)
+        diff.register_root("s", "1.0", 1.0)
         diff.release("s", "2.0", "1.0", 2.0, [a], 1)
         assert diff.adoption_tick(2) == []  # 1/2 convinced < 0.6
         diff._switch(b, "s", "2.0", 3, "release")
@@ -133,7 +133,7 @@ class TestDiffusionWaves:
     def test_equal_fitness_never_spreads(self):
         ids, trust = ring_trust(4)
         diff = UpdateDiffusion(trust, theta=0.5)
-        diff.register_root("s", "1.0", 2.0, 0)
+        diff.register_root("s", "1.0", 2.0)
         diff.release("s", "2.0", "1.0", 2.0, [ids[0]], 5)
         for tick in range(6, 12):
             assert diff.adoption_tick(tick) == []
@@ -142,7 +142,7 @@ class TestDiffusionWaves:
     def test_a_downgraded_node_snaps_back_to_its_fitter_neighborhood(self):
         ids, trust = ring_trust(4)
         diff = UpdateDiffusion(trust, theta=0.5)
-        diff.register_root("s", "1.0", 2.0, 0)
+        diff.register_root("s", "1.0", 2.0)
         diff.release("s", "0.9", "1.0", 1.0, [ids[2]], 5)
         rows = diff.adoption_tick(6)
         assert [(r.node, r.to_version) for r in rows] == [(ids[2], "1.0")]
@@ -152,7 +152,7 @@ class TestDiffusionWaves:
         a, b, x = nid(1), nid(2), nid(3)
         trust = {a: (), b: (), x: (a, b)}
         diff = UpdateDiffusion(trust, theta=0.5)
-        diff.register_root("s", "1.0", 1.0, 0)
+        diff.register_root("s", "1.0", 1.0)
         diff.release("s", "2.0", "1.0", 2.0, [a], 1)
         diff.release("s", "3.0", "1.0", 3.0, [b], 1)
         adoptions = diff.adoption_tick(2)
@@ -162,7 +162,7 @@ class TestDiffusionWaves:
         a, b, x = nid(1), nid(2), nid(3)
         trust = {a: (), b: (), x: (a, b)}
         diff = UpdateDiffusion(trust, theta=0.5)
-        diff.register_root("s", "1.0", 1.0, 0)
+        diff.register_root("s", "1.0", 1.0)
         diff.release("s", "2.0a", "1.0", 2.0, [a], 1)
         diff.release("s", "2.0b", "1.0", 2.0, [b], 1)
         adoptions = diff.adoption_tick(2)
@@ -171,7 +171,7 @@ class TestDiffusionWaves:
     def test_offline_nodes_catch_up_when_they_return(self):
         ids, trust = ring_trust(4)
         diff = UpdateDiffusion(trust, theta=0.5)
-        diff.register_root("s", "1.0", 1.0, 0)
+        diff.register_root("s", "1.0", 1.0)
         diff.release("s", "2.0", "1.0", 2.0, [ids[0]], 0)
         offline = {ids[3]}
         assert diff.adoption_tick(1, is_online=lambda n: n not in offline) == []
@@ -184,7 +184,7 @@ class TestDiffusionWaves:
     def test_snapshot_blocks_same_tick_cascades(self):
         ids, trust = ring_trust(8)
         diff = UpdateDiffusion(trust, theta=0.5)
-        diff.register_root("s", "1.0", 1.0, 0)
+        diff.register_root("s", "1.0", 1.0)
         diff.release("s", "2.0", "1.0", 2.0, [ids[0]], 0)
         assert len(diff.adoption_tick(1)) == 1
 
@@ -193,7 +193,7 @@ class TestRollback:
     def test_rollback_retraces_the_history_exactly(self):
         x = nid(1)
         diff = UpdateDiffusion({x: ()})
-        diff.register_root("s", "r", 1.0, 0)
+        diff.register_root("s", "r", 1.0)
         path = ["v1", "v2", "v3"]
         for i, version in enumerate(path):
             diff.release("s", version, "r", 2.0 + i, [x], i + 1)
@@ -206,7 +206,7 @@ class TestRollback:
     def test_underflow_and_bad_step_counts(self):
         x = nid(1)
         diff = UpdateDiffusion({x: ()})
-        diff.register_root("s", "r", 1.0, 0)
+        diff.register_root("s", "r", 1.0)
         with pytest.raises(HistoryUnderflow):
             diff.rollback(x, "s", 1, at=1)
         diff.release("s", "v1", "r", 2.0, [x], 1)
@@ -219,7 +219,7 @@ class TestRollback:
     def test_rollback_inverts_any_switch_sequence(self, moves):
         x = nid(1)
         diff = UpdateDiffusion({x: ()})
-        diff.register_root("s", "r", 1.0, 0)
+        diff.register_root("s", "r", 1.0)
         for i in range(3):
             diff.release("s", f"v{i}", "r", 2.0 + i, [], 0)
         shadow = ["r"]
@@ -235,7 +235,7 @@ class TestRollback:
     def test_readoption_can_follow_a_rollback(self):
         ids, trust = ring_trust(3)
         diff = UpdateDiffusion(trust, theta=0.5)
-        diff.register_root("s", "1.0", 1.0, 0)
+        diff.register_root("s", "1.0", 1.0)
         diff.release("s", "2.0", "1.0", 2.0, [ids[0]], 0)
         assert [a.node for a in diff.adoption_tick(1)] == [ids[2]]
         diff.rollback(ids[2], "s", 1, at=2)

@@ -93,6 +93,55 @@ def test_every_private_name_in_src_is_read():
     assert unread_private_names(sources) == []
 
 
+def unread_dataclass_fields(defining: list[str],
+                            reading: list[str]) -> list[str]:
+    """`Class.field` for each field of a @dataclass in `defining` that no
+    source in `reading` reads as an attribute. A field named by a string
+    constant counts as read, since getattr can read it."""
+    fields: list[tuple[str, str]] = []
+    for tree in map(ast.parse, defining):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d
+                          for d in node.decorator_list]
+            if any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   for d in decorators):
+                fields += [(node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+    read: set[str] = set()
+    for tree in map(ast.parse, reading):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [f"{cls}.{name}" for cls, name in fields if name not in read]
+
+
+def test_the_check_sees_an_unread_dataclass_field():
+    source = ("@dataclass(frozen=True)\n"
+              "class A:\n"
+              "    kept: int\n"
+              "    named: int\n"
+              "    stored: int = 0\n"
+              "class B:\n"
+              "    plain: int\n"
+              "def use(a):\n"
+              "    a.stored = a.kept\n"
+              "    return getattr(a, 'named')\n")
+    assert unread_dataclass_fields([source], [source]) == ["A.stored"]
+
+
+def test_every_dataclass_field_in_src_is_read():
+    """A field nothing reads is state written for no one."""
+    sources = [p.read_text() for p in sorted(SRC.rglob("*.py"))]
+    readers = sources + [p.read_text() for d in ("tests", "demos", "c3bench")
+                         for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unread_dataclass_fields(sources, readers) == []
+
+
 def outside_imports(source: str) -> list[str]:
     """Modules a source imports from neither the standard library nor
     c3sim; a relative import is c3sim's own."""

@@ -90,7 +90,7 @@ class TestMembership:
     def test_leave_outside_dvsp_touches_only_neighbor_fingerprints(self):
         overlay, ids = clique_overlay(6, m_target=3,
                                       joined_at=[0, 1, 2, 3, 4, 5])
-        vsp = overlay.form_dvsp("main", 10)
+        vsp = overlay.form_dvsp("main")
         assert set(vsp.members) == set(ids[:3])
         outsider = ids[5]
         fp_before = {n: overlay.fingerprint(n) for n in ids}
@@ -104,7 +104,7 @@ class TestMembership:
     def test_dvsp_member_leave_increments_epoch_next_round(self):
         overlay, ids = clique_overlay(6, m_target=3,
                                       joined_at=[0, 1, 2, 3, 4, 5])
-        vsp = overlay.form_dvsp("main", 10)
+        vsp = overlay.form_dvsp("main")
         overlay.leave(vsp.members[0], 11)
         reformed = overlay.maintenance(12)
         assert len(reformed) == 1
@@ -187,41 +187,56 @@ class TestRouting:
     def test_nearest_breaks_latency_ties_by_smaller_id(self):
         overlay, ids = chain_overlay([5, 5, 5, 5])
         # ids[1] and ids[3] are both 5 from ids[2]
-        assert overlay.nearest(ids[2], [ids[3], ids[1], ids[0]]) == ids[1]
-        assert overlay.nearest(ids[2], [ids[4], ids[0]]) == ids[0]
-        assert overlay.nearest(ids[2], [ids[2], ids[1]]) == ids[2]
+        assert overlay.nearest(ids[2], [ids[3], ids[1], ids[0]]) == (ids[1], 5)
+        assert overlay.nearest(ids[2], [ids[4], ids[0]]) == (ids[0], 10)
+        assert overlay.nearest(ids[2], [ids[2], ids[1]]) == (ids[2], 0)
 
     def test_nearest_skips_offline_and_unreachable_candidates(self):
         overlay, ids = chain_overlay([5, 7, 9])
         overlay.leave(ids[1], 1)  # cuts ids[0] off, and ids[1] is offline
-        assert overlay.nearest(ids[2], [ids[0], ids[1], ids[3]]) == ids[3]
-        assert overlay.nearest(ids[2], [ids[0], ids[1]]) is None
-        assert overlay.nearest(ids[2], []) is None
+        assert overlay.nearest(ids[2], [ids[0], ids[1], ids[3]]) == (ids[3], 9)
+        assert overlay.nearest(ids[2], [ids[0], ids[1]]) == (None, None)
+        assert overlay.nearest(ids[2], [ids[0]]) == (None, None)
+        assert overlay.nearest(ids[2], []) == (None, None)
 
     def test_nearest_from_an_offline_node_is_none(self):
         overlay, ids = chain_overlay([5, 7])
         overlay.leave(ids[0], 1)
-        assert overlay.nearest(ids[0], ids) is None
+        assert overlay.nearest(ids[0], ids) == (None, None)
+        assert overlay.nearest(ids[0], ids[1:2]) == (None, None)
 
     def test_nearest_tie_reached_larger_id_first_gives_the_smaller_id(self):
         # 1 -10- 4 and 1 -9- 3 -1- 2: 4 is pushed at 10 by the first pop,
         # 2 only after 3 (at 9, one below the answer) is expanded, and both
         # are 10 from 1
         overlay, ids = linked_overlay(4, [(1, 4, 10), (1, 3, 9), (3, 2, 1)])
-        assert overlay.nearest(ids[0], [ids[3], ids[1]]) == ids[1]
+        assert overlay.nearest(ids[0], [ids[3], ids[1]]) == (ids[1], 10)
 
     def test_a_target_reached_at_the_final_latency_needs_no_pop(self):
         # a star: hub 1 and leaves 2..9, every link 5; leaves share no
         # link, so a route between two of them searches through the hub
         overlay, ids = linked_overlay(9, [(1, leaf, 5) for leaf in range(2, 10)])
         first, leaves = ids[1], ids[2:]
-        assert overlay.route(first, leaves[0], 1) == 10 + 1  # warms first's
-        _, buckets, keys = overlay._searches[overlay._index[first]]
+        index = [overlay._index[leaf] for leaf in leaves]
+        search = overlay._search(overlay._index[first])
+        assert overlay._settle(search, (index[0],)) == 10
+        _, buckets, keys = search
         # only first and the hub were expanded: the leaves wait in one bucket
-        left = {10: [overlay._index[leaf] for leaf in leaves]}
+        left = {10: index}
         assert buckets == left and keys == [10]
-        assert overlay.route(first, leaves[-1]) == 10
+        assert overlay._settle(search, (index[-1],)) == 10
         assert buckets == left and keys == [10]
+
+    def test_one_routes_call_shares_one_search(self, monkeypatch):
+        # the star again: each leaf is searched for through the hub, and a
+        # later call starts a search of its own
+        overlay, ids = linked_overlay(9, [(1, leaf, 5) for leaf in range(2, 10)])
+        first, leaves = ids[1], ids[2:]
+        started = count_searches(overlay, monkeypatch)
+        assert overlay.routes(first, leaves, 1) == [10 + 1] * len(leaves)
+        assert started == [overlay._index[first]]
+        assert overlay.routes(first, [first, ids[0]] + leaves[:1]) == [0, 5, 10]
+        assert len(started) == 2
 
     @pytest.mark.parametrize("ac,cb", [(5, 5), (12, 1)])
     def test_a_direct_link_a_detour_beats_is_not_taken(self, ac, cb):
@@ -235,8 +250,8 @@ class TestRouting:
 
     @pytest.mark.parametrize("bandwidths", [(40, 40, 1000), (40, 40, 3),
                                             (3, 40, 1000), (0, 40, 1000)])
-    def test_a_direct_link_at_the_bound_gives_the_search_answer(self,
-                                                                bandwidths):
+    def test_a_direct_link_at_the_bound_gives_the_search_answer(
+            self, bandwidths, monkeypatch):
         # a -10- b ties a -5- c -5- b at exactly a's and b's least latencies
         overlay, ids = linked_overlay(3, [(1, 2, 10), (1, 3, 5), (3, 2, 5)],
                                       bandwidths)
@@ -244,9 +259,9 @@ class TestRouting:
         search = overlay._search(a)
         latency = overlay._settle(search, (b,))
         want = latency + -(-99 // overlay._widest(search[0], b))
-        overlay._searches.clear()
+        started = count_searches(overlay, monkeypatch)
         assert overlay.route(ids[0], ids[1], 99) == want
-        assert not overlay._searches  # the answer came from the bound
+        assert started == []  # the answer came from the bound
         check_routes_from(overlay, ids[0], ids, 99)
 
     def test_a_link_reweighted_upward_is_routed_around(self):
@@ -263,7 +278,7 @@ class TestRouting:
     def test_sized_route_is_the_same_both_ways(self, first):
         # a -3- x -7- b and a -7- y -3- b tie at 10. The path through x is
         # 1 wide and the one through y 1000 wide, so a sized route takes
-        # y's whichever end's search it reads.
+        # y's whichever end it searches from.
         cfg = OverlayConfig(degree=2, min_degree=1, inter_region_links=0)
         overlay = Overlay(cfg, RngStream(7, "overlay"))
         a, x, y, b = (nid(i) for i in (1, 2, 3, 4))
@@ -276,7 +291,7 @@ class TestRouting:
         for u, v, latency in ((a, x, 3), (x, b, 7), (a, y, 7), (y, b, 3)):
             overlay.add_link(u, v, latency)
         src, dst = (a, b) if first == 0 else (b, a)
-        assert overlay.route(src, dst, 100) == 10 + 1  # warms src's search
+        assert overlay.route(src, dst, 100) == 10 + 1
         assert reference_distances(overlay, a)[b] == (10, 1000)
         assert overlay.route(a, b, 100) == overlay.route(b, a, 100) == 10 + 1
         assert overlay.route(a, b) == overlay.route(b, a) == 10
@@ -379,11 +394,27 @@ def reference_distances(overlay, src):
     return {node: (dist[node], width[node]) for node in order}
 
 
+def count_searches(overlay, monkeypatch):
+    """The source index of every search the overlay starts from now on."""
+    started = []
+    fresh = overlay._search
+
+    def search(src):
+        started.append(src)
+        return fresh(src)
+
+    monkeypatch.setattr(overlay, "_search", search)
+    return started
+
+
 def check_routes_from(overlay, a, nodes, size):
     """``route(a, b, size)``, ``route(b, a, size)`` and ``reachable(a, b)``
-    for every b equal the reference; Unreachable is raised exactly when it
-    finds no path."""
+    for every b, and ``routes(a, nodes, size)``, equal the reference, with
+    None from routes and Unreachable from route exactly when it finds no
+    path. ``nearest`` from a over every other node of nodes gives the
+    reference node and latency."""
     dist = reference_distances(overlay, a)
+    wants = []
     for b in nodes:
         if not (overlay.is_online(a) and overlay.is_online(b)):
             want = None
@@ -401,16 +432,23 @@ def check_routes_from(overlay, a, nodes, size):
                     overlay.route(frm, to, size)
             else:
                 assert overlay.route(frm, to, size) == want
+        wants.append(want)
+    assert overlay.routes(a, nodes, size) == wants
+    for cands in (nodes[::2], nodes[1::2]):
+        assert overlay.nearest(a, cands) == nearest_reference(
+            overlay, a, cands, dist)
 
 
-def nearest_reference(overlay, frm, candidates):
-    """The smallest (latency, id) over the online candidates frm reaches."""
+def nearest_reference(overlay, frm, candidates, dist=None):
+    """(id, latency) of the smallest (latency, id) over the online
+    candidates frm reaches, or (None, None); dist is frm's
+    reference_distances, computed if not given."""
     if not overlay.is_online(frm):
-        return None
-    dist = reference_distances(overlay, frm)
+        return None, None
+    dist = dist or reference_distances(overlay, frm)
     reached = [(dist[c][0], c) for c in candidates
                if overlay.is_online(c) and c in dist]
-    return min(reached)[1] if reached else None
+    return min(reached)[::-1] if reached else (None, None)
 
 
 CHURN_NODES = 8
@@ -467,7 +505,7 @@ class TestRegularGraph:
             random_regular_edges(d, n, random.Random(0))
 
 
-class TestRouteCacheUnderChurn:
+class TestRoutingUnderChurn:
     @given(seed=st.integers(0, 2**16),
            online=st.lists(st.sampled_from([True, True, False]),
                            min_size=CHURN_NODES, max_size=CHURN_NODES),
@@ -516,6 +554,9 @@ class TestRouteCacheUnderChurn:
             check_routes_from(overlay, src, ids, 0)
         for op, i, j, value in ops:
             a, b = ids[i % len(ids)], ids[j % len(ids)]
+            # a search from a that the op may make stale, asked from a
+            # again first thing after the op
+            overlay.routes(a, ids, value)
             if op == "join" and not overlay.is_online(a):
                 overlay.join(a, 1)
             elif op == "leave" and overlay.is_online(a):
@@ -529,12 +570,13 @@ class TestRouteCacheUnderChurn:
                 overlay.add_link(a, b, value)
             elif op == "add_record":
                 add(value)
+            check_routes_from(overlay, a, ids, value)
             assert_kept_facts(overlay)
             for region in CHURN_REGIONS:
                 assert overlay.online_in_region(region) == sorted(
                     n for n in overlay.regions[region] if overlay.is_online(n))
             ask(data.draw(churn_queries))
-            # every source, so that a stale cached search shows at once
+            # every source, so that an answer from a stale search shows
             for src in ids:
                 check_routes_from(overlay, src, ids, value)
 
@@ -619,30 +661,30 @@ class TestFingerprints:
 class TestSuperPeers:
     def test_single_node_region_clamps_to_size_one(self):
         overlay, ids = clique_overlay(1, m_target=5)
-        vsp = overlay.form_dvsp("main", 0)
+        vsp = overlay.form_dvsp("main")
         assert vsp.members == (ids[0],)
         assert vsp.quorum == 1
 
     def test_empty_region_raises(self):
         overlay, ids = clique_overlay(2)
         with pytest.raises(EmptyRegion):
-            overlay.form_dvsp("nowhere", 0)
+            overlay.form_dvsp("nowhere")
         overlay.leave(ids[0], 1)
         overlay.leave(ids[1], 1)
         with pytest.raises(EmptyRegion):
-            overlay.form_dvsp("main", 2)
+            overlay.form_dvsp("main")
 
     def test_members_are_longest_uptime_ties_by_id(self):
         overlay, ids = clique_overlay(5, m_target=3,
                                       joined_at=[0, 10, 5, 3, 5])
-        vsp = overlay.form_dvsp("main", 20)
+        vsp = overlay.form_dvsp("main")
         # online_since 0 < 3 < 5, tie at 5 broken by ascending id (node 3).
         assert vsp.members == (ids[0], ids[3], ids[2])
 
     def test_kill_floor_half_members_reforms_full_within_two_rounds(self):
         overlay, ids = clique_overlay(9, m_target=5,
                                       joined_at=list(range(9)))
-        vsp = overlay.form_dvsp("main", 10)
+        vsp = overlay.form_dvsp("main")
         for member in vsp.members[: len(vsp.members) // 2]:
             overlay.leave(member, 11)
         rounds = 0
@@ -663,7 +705,7 @@ class TestTransactions:
     @staticmethod
     def _fixture():
         overlay, ids = clique_overlay(4, m_target=3, joined_at=[0, 1, 2, 3])
-        overlay.form_dvsp("main", 5)
+        overlay.form_dvsp("main")
         ledger = small_ledger([(ids[0], 10), (ids[1], 0), (ids[2], 0)])
         return overlay, ids, ledger
 

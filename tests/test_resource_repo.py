@@ -43,14 +43,12 @@ class TestHeartbeats:
         repo = Repository()
         with pytest.raises(UnknownNode):
             repo.heartbeat(nid(9), ResourceVector(), at=0)
-        with pytest.raises(UnknownNode):
-            repo.miss(nid(9))
 
     def test_miss_decays_geometrically(self):
         repo, ids = make_repo(1, beta=0.1)
         expected = 1.0
-        for _ in range(5):
-            repo.miss(ids[0])
+        for k in range(5):
+            repo.sweep(k, (), {}, 1.0)  # the node is not online: a miss
             expected *= 0.9
             assert repo.records[ids[0]].availability == pytest.approx(expected)
 
@@ -74,7 +72,7 @@ class TestHeartbeats:
             repo, ids = make_repo(1, beta=beta)
             for k in range(20_000):
                 repo.heartbeat(ids[0], ResourceVector(1, 1, 1), at=k)
-                repo.miss(ids[0])
+                repo.sweep(k, (), {}, 1.0)  # a miss
             assert repo.records[ids[0]].availability == pytest.approx(
                 post_miss, abs=1e-9)
         # the beta -> 0 limit pins both points to 1/2

@@ -230,16 +230,6 @@ class TestScheduling:
         assert plan.outcome == COMPLETED and plan.fraction == 1
         assert plan.consumed == actual and plan.charged == plan.gross
 
-    def test_host_gone_after_admission_is_unreachable(self):
-        rt, ids = make_runtime()
-        rt.publish(descriptor(declared=(5, 0, 0)), ids[0], 0)
-        host = rt.warm_instances("svc", 100)[0].host
-        requester = next(i for i in ids if i != host)
-        plan = rt.admit(request("svc", requester, 100, (5, 0, 0)), 100)
-        rt.overlay.leave(host, 100)
-        rt.run_on_host(plan, plan.descriptor.declared)
-        assert plan.outcome == "unreachable"
-        assert plan.host is None and plan.charged == 0
 
 
 class TestPullPlacement:
@@ -347,7 +337,7 @@ class TestSessionMetering:
 
     def runtime(self, bandwidth):
         rt, ids = make_runtime(bandwidth=bandwidth)
-        rt.overlay.form_dvsp("main", 0)
+        rt.overlay.form_dvsp("main")
         rt.publish(descriptor(declared=(0, 0, 2)), ids[0], 0)
         return rt, ids
 
@@ -416,6 +406,17 @@ class TestVendorRuntime:
         assert plan.consumed == ResourceVector(50, 0, 0)
         assert plan.charged == 0 and rt.settlement_rows(plan, 50) == []
         assert plan.latency == 30 + 1 + 30  # direct link there and back
+
+    def test_an_offline_host_turns_the_request_away_at_admission(
+            self, monkeypatch):
+        rt, ids, vendor = self.vendor_runtime()
+        rt.overlay.leave(vendor, 50)
+        ran = []
+        monkeypatch.setattr(rt, "run_on_host", lambda *args: ran.append(args))
+        plan = rt.plan_invoke(request("svc", ids[1], 50, (1, 0, 0)), 50)
+        assert plan.outcome == "unreachable"
+        assert plan.host is None and plan.charged == 0
+        assert ran == []
 
     def test_placement_never_acts(self):
         rt, ids, vendor = self.vendor_runtime()
