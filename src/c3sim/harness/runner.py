@@ -100,7 +100,7 @@ class Runner:
                       1.0, 0, 0, 1)
 
         try:
-            self.overlay.build(0)
+            self.overlay.build()
         except OverlayError as exc:  # no connected graph of this degree
             raise ConfigError("[topology] degree", str(exc)) from None
         for region in self.overlay.regions:
@@ -320,7 +320,7 @@ class Runner:
 
     def _on_gossip(self, event: Event) -> None:
         at = self.sim.now
-        self.overlay.maintenance(at)
+        self.overlay.maintenance()
         self.replicator.upkeep(at)
         if self._active_diffusions:
             for adopt in self.evolution.adoption_tick(at, self.overlay.is_online):
@@ -364,7 +364,7 @@ class Runner:
     def _do_leave(self, node: NodeId, at: SimTime, cause: str) -> None:
         if not self.overlay.is_online(node):
             return
-        self.overlay.leave(node, at)
+        self.overlay.leave(node)
         self._log("membership", at, node.short, "leave", cause)
         self._log_placements(self.services.host_lost(node, at))
         calls = [ev.payload["plan"] for ev in self._pending.pop(node, {})

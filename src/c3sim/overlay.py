@@ -22,13 +22,17 @@ members of each super-peer. So it walks what needs repair, not every node
 and link. Links are stored once, by node index, and only add_link writes
 them; adj is a copy keyed by NodeId for readers outside.
 
-Routing keeps no state between calls. A route over a direct link needs
-no search when the link is no longer than its two ends' least link
+Routing keeps one kind of state between calls: the nearest-source
+labellings that `labelling()` hands out (one per published service, for
+request placement). Each holds, for every node, its least (route latency,
+source NodeId) over a set of sources, and the membership and link hooks
+repair it in place at every topology change. A route over a direct link
+needs no search when the link is no longer than its two ends' least link
 latencies together: any other path leaves and enters by other links, so it
 is no shorter, and it is no wider, since a link is as wide as its narrower
 end. Any other query runs a Dial bucket search (Dial, CACM 1969) from its
 source, answers every target it was asked for from that one search, and
-drops it on return. So a topology change has no search to invalidate.
+drops it on return.
 """
 from __future__ import annotations
 
@@ -171,6 +175,8 @@ class Overlay:
         self._inter: dict[tuple[str, str], int] = {}
         # Per region with a super-peer, its online members.
         self._live: dict[str, int] = {}
+        # The labellings that the topology hooks repair.
+        self._labellings: list[NearestLabels] = []
 
     # -- membership ---------------------------------------------------------
 
@@ -186,6 +192,8 @@ class Overlay:
         self._bw.append(max(1, record.capacity.bandwidth))
         self._least.append(_UNBOUNDED)
         self._online.setdefault(record.region, [])
+        for labels in self._labellings:
+            labels._label.append(_UNLABELLED)
         if record.online:
             self._set_online(record, True)
 
@@ -209,22 +217,28 @@ class Overlay:
             raise UnknownNode(repr(node_id))
         if rec.online:
             raise DuplicateJoin(repr(node_id))
+        # The region's online members are the node's peers until
+        # _set_online adds the node itself.
+        peers = self._online[rec.region]
+        take = min(self.config.degree, len(peers))
+        picked = self.rng.sample(peers, take) if take else ()
         self._set_online(rec, True)
         rec.online_since = now
-        peers = [n for n in self._online[rec.region] if n != node_id]
-        take = min(self.config.degree, len(peers))
-        for peer in self.rng.sample(peers, take) if take else ():
+        for peer in picked:
             self.add_link(node_id, peer, self.config.intra_latency)
 
-    def leave(self, node_id: NodeId, now: SimTime) -> None:
+    def leave(self, node_id: NodeId) -> None:
         rec = self.records.get(node_id)
         if rec is None or not rec.online:
             raise UnknownNode(repr(node_id))
+        i, least = self._index[node_id], self.config.min_degree
+        # Each labelling's tight children of the node, read while its
+        # links stand.
+        cuts = [(labels, labels._children(i)) for labels in self._labellings]
         self._set_online(rec, False)
         # Drop every link. The node is offline now, so only its peers'
         # degrees change, and a link leaves _inter only through an online
         # peer.
-        i, least = self._index[node_id], self.config.min_degree
         for j in self._links[i]:
             peer_rec, peer_links = self._recs[j], self._links[j]
             del peer_links[i]
@@ -233,6 +247,8 @@ class Overlay:
             if peer_rec.region != rec.region:
                 self._count_inter(rec, peer_rec, -1)
         self._links[i].clear()
+        for labels, children in cuts:
+            labels._left(i, children)
 
     def _set_online(self, rec: NodeRecord, online: bool) -> None:
         node_id, region, i = rec.node_id, rec.region, self._index[rec.node_id]
@@ -245,6 +261,9 @@ class Overlay:
             bisect.insort(members, node_id)
             if len(self._links[i]) < self.config.min_degree:
                 self._under.add(node_id)
+            if self._links[i]:  # linked while offline
+                for labels in self._labellings:
+                    labels._joined(i)
         else:
             self.online_ids.discard(node_id)
             del members[bisect.bisect_left(members, node_id)]
@@ -262,7 +281,7 @@ class Overlay:
 
     # -- topology -----------------------------------------------------------
 
-    def build(self, now: SimTime) -> None:
+    def build(self) -> None:
         """Wire the initial graph among currently-online nodes."""
         for region in sorted(self.regions):
             self._build_region(region)
@@ -310,6 +329,8 @@ class Overlay:
         links_a[ib] = links_b[ia] = latency
         least = self._least
         least[ia], least[ib] = min(least[ia], latency), min(least[ib], latency)
+        for labels in self._labellings:
+            labels._linked(ia, ib, old, latency)
         if old is None:
             least = self.config.min_degree
             if len(links_a) >= least:
@@ -507,6 +528,13 @@ class Overlay:
     def reachable(self, frm: NodeId, to: NodeId) -> bool:
         return self.routes(frm, (to,))[0] is not None
 
+    def labelling(self) -> NearestLabels:
+        """A new, empty NearestLabels, which the topology hooks keep exact
+        from now on."""
+        labels = NearestLabels(self)
+        self._labellings.append(labels)
+        return labels
+
     # -- super-peers ---------------------------------------------------------
 
     def form_dvsp(self, region: str) -> VirtualSuperPeer:
@@ -526,7 +554,7 @@ class Overlay:
         vsp = self.dvsps.get(region)
         return vsp is not None and self._live[region] >= vsp.quorum
 
-    def maintenance(self, now: SimTime) -> list[VirtualSuperPeer]:
+    def maintenance(self) -> list[VirtualSuperPeer]:
         """Gossip-round upkeep: degree repair, inter links, super-peer reform."""
         self._repair_degrees()
         self._repair_inter_links()
@@ -568,6 +596,173 @@ class Overlay:
         except Exception as exc:  # precondition failures abort, never partially apply
             return TransactionResult(False, f"{type(exc).__name__}")
         return TransactionResult(True)
+
+
+# -- nearest-source labellings ------------------------------------------------
+
+# A label packs (latency, owner) as latency << ID_BITS | owner, so labels
+# order as nearest ranks its answers: least latency, then least NodeId.
+_UNLABELLED = _UNBOUNDED << ID_BITS
+_OWNER = (1 << ID_BITS) - 1
+
+
+class NearestLabels:
+    """For each node index, its label: the least (route latency, source
+    NodeId) over a set of source nodes, or _UNLABELLED if no source reaches
+    it or it is offline. A graph Voronoi labelling (Erwig, Networks 2000).
+    Made by Overlay.labelling(), which registers it with the hooks.
+
+    nearest() sets the sources to its online candidates before it reads a
+    label. Overlay's membership and link hooks repair the labels in place
+    after every topology change (Ramalingam & Reps, J. Algorithms 1996): a
+    new or shorter link spreads its far end's lower label, and a lost
+    source, node or link length is cut. A node's tight parents are the
+    neighbours p with label[p] + latency == label[v]: the same owner, one
+    link nearer. Every link takes at least a tick, so they lead back to the
+    owner, and a label stays exact while one tight parent keeps its own."""
+
+    def __init__(self, overlay: Overlay):
+        self._overlay = overlay
+        self._label = [_UNLABELLED] * len(overlay._links)
+        self._sources: set[int] = set()
+
+    def nearest(self, frm: NodeId, candidates) -> tuple[NodeId | None, int | None]:
+        """Overlay.nearest(frm, candidates), read from frm's label once the
+        sources are the online candidates: a source no longer among them is
+        cut, and a new one spreads its label."""
+        overlay = self._overlay
+        index, online = overlay._index, overlay.online_ids
+        want = {index[c] for c in candidates if c in online}
+        sources = self._sources
+        if want != sources:
+            gone = sources - want
+            sources -= gone
+            heap = self._cut(gone) if gone else []
+            label, recs = self._label, overlay._recs
+            for s in want - sources:
+                label[s] = recs[s].node_id
+                heap.append((label[s], s))
+            sources |= want
+            self._spread(heap)
+        return self.read(frm)
+
+    def read(self, node: NodeId) -> tuple[NodeId | None, int | None]:
+        """(owner, latency) of node's label as it stands, or (None, None)."""
+        label = self._label[self._overlay._index[node]]
+        if label >= _UNLABELLED:
+            return None, None
+        return self._overlay.records[label & _OWNER].node_id, label >> ID_BITS
+
+    def _children(self, v: int) -> list[int]:
+        """The nodes v is a tight parent of."""
+        label = self._label
+        lv = label[v]
+        return [c for c, latency in self._overlay._links[v].items()
+                if label[c] == lv + (latency << ID_BITS)]
+
+    def _linked(self, a: int, b: int, old: int | None, latency: int) -> None:
+        """add_link set the link (a, b) to latency, from old (None if new).
+        A longer link first cuts the end it was the tight parent link of;
+        then the link relaxes its far end."""
+        label = self._label
+        heap: list = []
+        if old is not None and latency > old:
+            step = old << ID_BITS
+            if label[b] == label[a] + step:
+                heap = self._cut((b,))
+            elif label[a] == label[b] + step:
+                heap = self._cut((a,))
+        step, up = latency << ID_BITS, self._overlay._up
+        if label[a] + step < label[b] and up[b]:
+            label[b] = label[a] + step
+            heap.append((label[b], b))
+        elif label[b] + step < label[a] and up[a]:
+            label[a] = label[b] + step
+            heap.append((label[a], a))
+        if heap:
+            self._spread(heap)
+
+    def _left(self, i: int, children: list[int]) -> None:
+        """Node i went offline and lost its links; children were the nodes
+        it was a tight parent of. It stops being a source at once, so that
+        a rejoin does not bring it back as one."""
+        self._sources.discard(i)
+        self._label[i] = _UNLABELLED
+        self._spread(self._cut(children))
+
+    def _joined(self, i: int) -> None:
+        """Node i came online with links it was given while offline."""
+        heap: list = []
+        self._seed(i, heap)
+        self._spread(heap)
+
+    def _seed(self, v: int, heap: list) -> None:
+        """Lower online v's label to the least its neighbours offer, and
+        file it in heap if it fell."""
+        label = self._label
+        best = label[v]
+        for p, latency in self._overlay._links[v].items():
+            offer = label[p] + (latency << ID_BITS)
+            if offer < best:
+                best = offer
+        if best < label[v]:
+            label[v] = best
+            heap.append((best, v))
+
+    def _cut(self, suspects) -> list:
+        """Unlabel the nodes that lost every tight path to their owner and
+        reseed them from their neighbours; return those reseeded as
+        (label, index) pairs for _spread.
+
+        Suspects go in label order. A node is lost if it is no source and
+        has no tight parent outside the lost set; a lost node's children are
+        suspects in turn. A tight parent's label is lower, so by a node's
+        turn every lost node that could be its parent is known, and the lost
+        set is exact. Every other label stays exact: it keeps a tight path,
+        and no route got shorter."""
+        label, links, sources = self._label, self._overlay._links, self._sources
+        heap = [(label[v], v) for v in suspects]
+        heapq.heapify(heap)
+        lost: set[int] = set()
+        while heap:
+            lv, v = heapq.heappop(heap)
+            if v in lost or v in sources:
+                continue
+            # One pass: a tight parent that is not lost keeps v; else v is
+            # lost, and the children met on the way are suspects.
+            children = []
+            for p, latency in links[v].items():
+                step = latency << ID_BITS
+                if label[p] + step == lv:
+                    if p not in lost:
+                        break
+                elif label[p] == lv + step:
+                    children.append((label[p], p))
+            else:
+                lost.add(v)
+                for child in children:
+                    heapq.heappush(heap, child)
+        for v in lost:
+            label[v] = _UNLABELLED
+        heap = []
+        for v in lost:
+            self._seed(v, heap)
+        return heap
+
+    def _spread(self, heap: list) -> None:
+        """Dijkstra from the filed (label, index) pairs: lower every online
+        label that a filed node's label reaches below its own."""
+        label, links, up = self._label, self._overlay._links, self._overlay._up
+        heapq.heapify(heap)
+        while heap:
+            lu, u = heapq.heappop(heap)
+            if lu > label[u]:
+                continue
+            for v, latency in links[u].items():
+                lv = lu + (latency << ID_BITS)
+                if lv < label[v] and up[v]:
+                    label[v] = lv
+                    heapq.heappush(heap, (lv, v))
 
 
 # -- random regular graphs ----------------------------------------------------

@@ -4,11 +4,13 @@ A published service is a descriptor plus code blob replicated across a small
 host set, resolvable from anywhere while at least one of those hosts is up.
 Every request takes one path. `admit` resolves the service, quotes a price
 from the declared budget at current unit prices, turns away requesters who
-cannot cover it and places the request on the warm instance the overlay
-names nearest (`Overlay.nearest`: smallest route latency, then smallest id),
-deploying one on demand when none exists. Admission takes the request's hop,
-its route latency to the host, once: from `nearest`, or by one route to a
-fresh or vendor host; no search is kept for later. `run_on_host` then
+cannot cover it and places the request on the nearest warm instance
+(smallest route latency, then smallest id), deploying one on demand when
+none exists. Each service keeps one `NearestLabels` from the overlay, which
+the overlay's topology hooks repair; placement hands it the warm hosts and
+reads the requester's label, so it needs no search. Admission takes the
+request's hop, its route latency to the host, once: from that label, or by
+one route to a fresh or vendor host. `run_on_host` then
 queues it on that host and meters the actual draw against a budget: within
 budget completes, strict excess terminates the request at the exhaustion
 point with a pro-rata charge; `plan_invoke` is both for one call. Video
@@ -38,7 +40,7 @@ from fractions import Fraction
 
 from .engine import RngStream, SimTime
 from .ledger import Ledger
-from .overlay import NodeId, NoQuorum, Overlay, Unreachable
+from .overlay import NearestLabels, NodeId, NoQuorum, Overlay, Unreachable
 from .replication import ReplicaStore
 from .resource_repo import NodeResourceRecord, Repository, ResourceQuery
 from .resources import RESOURCE_KINDS, ResourceVector
@@ -180,6 +182,8 @@ class ServiceRuntime:
         self.egress: dict[NodeId, int] = {}
         self.traffic: dict[str, dict[str, int]] = {}
         self._targets: dict[str, dict[str, list[int]]] = {}
+        # Per published service, its warm hosts' labelling for placement.
+        self._nearest: dict[str, NearestLabels] = {}
 
     # -- publication -----------------------------------------------------------
 
@@ -214,6 +218,7 @@ class ServiceRuntime:
         self.instances.setdefault(desc.service_id, [])
         self.traffic.setdefault(desc.service_id, {})
         if fresh:
+            self._nearest[desc.service_id] = self.overlay.labelling()
             for host in self._pick_hosts(desc, count=desc.min_replicas,
                                          region=None, at=at):
                 self._deploy(desc, host, publisher, at)
@@ -292,7 +297,8 @@ class ServiceRuntime:
         pulled host is reachable: the requester reaches the code source,
         and the deployment routed from there to the host."""
         warm = [i.host for i in self.warm_instances(desc.service_id, at)]
-        host, hop = self.overlay.nearest(request.requester, warm)
+        host, hop = self._nearest[desc.service_id].nearest(
+            request.requester, warm)
         if host is not None:
             return host, at, hop
         sources = self._code_sources(desc.service_id)

@@ -51,7 +51,7 @@ def clique_overlay(n, region="main", m_target=3, joined_at=None,
         overlay.add_record(NodeRecord(
             node, region, ResourceVector(compute, storage, bandwidth)))
         overlay.join(node, joined_at[i] if joined_at else 0)
-    overlay.build(0)
+    overlay.build()
     return overlay, ids
 
 

@@ -464,10 +464,10 @@ def test_09_dvsp_survives_losing_half_its_members(capfd):
             assert len(vsp.members) == 5
             rng = RngStream(seed, "kills")
             for node in rng.sample(list(vsp.members), len(vsp.members) // 2):
-                overlay.leave(node, 10)
+                overlay.leave(node)
             reformed = None
-            for round_no in (1, 2):
-                overlay.maintenance(10 + round_no)
+            for _ in range(2):
+                overlay.maintenance()
                 reformed = overlay.dvsps["main"]
                 if (reformed.epoch > vsp.epoch
                         and len(reformed.members) == 5

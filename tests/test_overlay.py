@@ -18,6 +18,7 @@ from c3sim.overlay import (
     ID_BITS,
     DuplicateJoin,
     EmptyRegion,
+    NearestLabels,
     NodeId,
     NodeRecord,
     NoQuorum,
@@ -71,7 +72,7 @@ class TestMembership:
         overlay.add_record(NodeRecord(extra, "main", ResourceVector(1, 1, 1)))
         overlay.join(extra, 3)
         assert overlay.adj[extra]
-        overlay.leave(extra, 4)
+        overlay.leave(extra)
         after = overlay.adj
         assert after.pop(extra) == {}
         assert not overlay.is_online(extra)
@@ -81,9 +82,9 @@ class TestMembership:
         overlay, ids = clique_overlay(3)
         with pytest.raises(DuplicateJoin):
             overlay.join(ids[0], 1)
-        overlay.leave(ids[0], 1)
+        overlay.leave(ids[0])
         with pytest.raises(UnknownNode):
-            overlay.leave(ids[0], 2)
+            overlay.leave(ids[0])
         with pytest.raises(UnknownNode):
             overlay.join(nid(12345), 1)
 
@@ -94,9 +95,9 @@ class TestMembership:
         assert set(vsp.members) == set(ids[:3])
         outsider = ids[5]
         fp_before = {n: overlay.fingerprint(n) for n in ids}
-        overlay.leave(outsider, 11)
+        overlay.leave(outsider)
         assert overlay.dvsps["main"] is vsp
-        assert overlay.maintenance(12) == []  # quorum intact, size still met
+        assert overlay.maintenance() == []  # quorum intact, size still met
         assert overlay.dvsps["main"].epoch == vsp.epoch
         for n in ids[:5]:
             assert overlay.fingerprint(n) != fp_before[n]  # clique neighbors
@@ -105,8 +106,8 @@ class TestMembership:
         overlay, ids = clique_overlay(6, m_target=3,
                                       joined_at=[0, 1, 2, 3, 4, 5])
         vsp = overlay.form_dvsp("main")
-        overlay.leave(vsp.members[0], 11)
-        reformed = overlay.maintenance(12)
+        overlay.leave(vsp.members[0])
+        reformed = overlay.maintenance()
         assert len(reformed) == 1
         assert reformed[0].epoch == vsp.epoch + 1
         assert len(reformed[0].members) == 3
@@ -130,14 +131,14 @@ class TestRouting:
 
     def test_route_to_offline_node_unreachable(self):
         overlay, ids = chain_overlay([5, 7])
-        overlay.leave(ids[2], 1)
+        overlay.leave(ids[2])
         with pytest.raises(Unreachable):
             overlay.route(ids[0], ids[2])
 
     def test_partition_unreachable(self):
         # Middle node down severs the only path.
         overlay, ids = chain_overlay([5, 7])
-        overlay.leave(ids[1], 1)
+        overlay.leave(ids[1])
         with pytest.raises(Unreachable):
             overlay.route(ids[0], ids[2])
         assert not overlay.reachable(ids[0], ids[2])
@@ -159,7 +160,7 @@ class TestRouting:
             overlay.add_record(NodeRecord(node, region,
                                           ResourceVector(4, 100, 20)))
             overlay.join(node, 0)
-        overlay.build(0)
+        overlay.build()
         graph = nx.Graph()
         for a, peers in overlay.adj.items():
             for b, w in peers.items():
@@ -171,18 +172,25 @@ class TestRouting:
 
     def test_reweighted_link_reroutes(self):
         overlay, ids = chain_overlay([5, 7])
+        labels = overlay.labelling()
         assert overlay.route(ids[0], ids[2]) == 12
+        assert labels.nearest(ids[2], [ids[0]]) == (ids[0], 12)
         overlay.add_link(ids[0], ids[1], 20)
         assert overlay.route(ids[0], ids[2]) == 27
+        assert labels.read(ids[2]) == (ids[0], 27)
 
     def test_joining_a_linked_node_opens_routes_through_it(self):
         overlay, ids = chain_overlay([5, 7])
-        overlay.leave(ids[1], 1)
+        labels = overlay.labelling()
+        assert labels.nearest(ids[2], [ids[0]]) == (ids[0], 12)
+        overlay.leave(ids[1])
         overlay.add_link(ids[0], ids[1], 5)
         overlay.add_link(ids[1], ids[2], 7)
         assert not overlay.reachable(ids[0], ids[2])
+        assert labels.read(ids[2]) == (None, None)
         overlay.join(ids[1], 2)  # alone in its region: the join adds no edge
         assert overlay.route(ids[0], ids[2]) == 12
+        assert labels.read(ids[2]) == (ids[0], 12)
 
     def test_nearest_breaks_latency_ties_by_smaller_id(self):
         overlay, ids = chain_overlay([5, 5, 5, 5])
@@ -193,7 +201,7 @@ class TestRouting:
 
     def test_nearest_skips_offline_and_unreachable_candidates(self):
         overlay, ids = chain_overlay([5, 7, 9])
-        overlay.leave(ids[1], 1)  # cuts ids[0] off, and ids[1] is offline
+        overlay.leave(ids[1])  # cuts ids[0] off, and ids[1] is offline
         assert overlay.nearest(ids[2], [ids[0], ids[1], ids[3]]) == (ids[3], 9)
         assert overlay.nearest(ids[2], [ids[0], ids[1]]) == (None, None)
         assert overlay.nearest(ids[2], [ids[0]]) == (None, None)
@@ -201,9 +209,19 @@ class TestRouting:
 
     def test_nearest_from_an_offline_node_is_none(self):
         overlay, ids = chain_overlay([5, 7])
-        overlay.leave(ids[0], 1)
+        overlay.leave(ids[0])
         assert overlay.nearest(ids[0], ids) == (None, None)
         assert overlay.nearest(ids[0], ids[1:2]) == (None, None)
+
+    def test_a_kept_source_that_rejoins_unasked_is_no_source(self):
+        overlay, ids = chain_overlay([5, 5, 5])
+        labels = overlay.labelling()
+        assert labels.nearest(ids[3], [ids[0]]) == (ids[0], 15)
+        overlay.leave(ids[0])
+        overlay.join(ids[0], 1)  # alone in its region: the join adds no link
+        overlay.add_link(ids[0], ids[1], 5)
+        assert labels.read(ids[3]) == (None, None)
+        assert labels.nearest(ids[3], [ids[0]]) == (ids[0], 15)
 
     def test_nearest_tie_reached_larger_id_first_gives_the_smaller_id(self):
         # 1 -10- 4 and 1 -9- 3 -1- 2: 4 is pushed at 10 by the first pop,
@@ -308,6 +326,7 @@ class TestRouting:
         def answers(order):
             cfg = OverlayConfig(degree=2, min_degree=1, inter_region_links=0)
             overlay = Overlay(cfg, RngStream(7, "overlay"))
+            labels = overlay.labelling()
             for cell in order:
                 bandwidth = (3, 40, 10, 25)[(cell[0] * 3 + cell[1]) % 4]
                 # one region each, so joins add no links of their own
@@ -319,9 +338,12 @@ class TestRouting:
             nodes = sorted(ids.values())
             out = [overlay.route(u, v, size)
                    for size in (0, 100) for u in nodes for v in nodes]
-            out += [overlay.nearest(u, nodes[k::5])
+            near = [overlay.nearest(u, nodes[k::5])
                     for u in nodes for k in range(5)]
-            return out
+            # the kept labelling swaps its sources at every call
+            assert [labels.nearest(u, nodes[k::5])
+                    for u in nodes for k in range(5)] == near
+            return out + near
 
         assert answers(cells) == answers(cells[::-1])
 
@@ -334,15 +356,15 @@ class TestRouting:
             overlay.add_record(NodeRecord(node, ("a", "b")[i % 2],
                                           ResourceVector(4, 100, 20)))
             overlay.join(node, 0)
-        overlay.build(0)
+        overlay.build()
         for victim in ids[:8]:
-            overlay.leave(victim, 1)
-            overlay.maintenance(1)
+            overlay.leave(victim)
+            overlay.maintenance()
             alive = sorted(overlay.online_ids)
             root = alive[0]
             assert all(overlay.reachable(root, n) for n in alive)
             overlay.join(victim, 2)
-            overlay.maintenance(2)
+            overlay.maintenance()
 
 
 def linked_overlay(n, links, bandwidths=()):
@@ -472,6 +494,17 @@ churn_queries = st.lists(st.tuples(
 ), max_size=6)
 
 
+# the candidates of the kept labelling
+churn_candidates = st.lists(st.integers(0, 2 * CHURN_NODES), max_size=4)
+
+
+def check_labels(overlay, labels, sources):
+    """Every node's label is its nearest source by a fresh search: the
+    least (latency, NodeId) over sources, or (None, None)."""
+    for node in overlay.records:
+        assert labels.read(node) == nearest_reference(overlay, node, sources)
+
+
 class NoQueries:
     """Stands in for ``st.data()`` in an explicit example: asks nothing."""
 
@@ -511,20 +544,24 @@ class TestRoutingUnderChurn:
                            min_size=CHURN_NODES, max_size=CHURN_NODES),
            bandwidths=st.lists(st.sampled_from([1, 3, 10, 40]),
                                min_size=CHURN_NODES, max_size=CHURN_NODES),
-           ops=churn_ops, data=st.data())
+           ops=churn_ops, sources=churn_candidates, data=st.data())
     @settings(max_examples=100, deadline=None)
     # an offline node linked one tick past an online one's distance is no
     # predecessor of it in the reference
     @example(seed=0, online=[True] * CHURN_NODES, bandwidths=[1] * CHURN_NODES,
              ops=[("join", 0, 0, 0), ("join", 0, 0, 0), ("add_link", 0, 1, 1),
                   ("add_record", 0, 0, 0), ("add_link", 0, 8, 7)],
-             data=NoQueries())
+             sources=[0], data=NoQueries())
     def test_every_answer_matches_a_fresh_dijkstra(self, seed, online,
-                                                   bandwidths, ops, data):
+                                                   bandwidths, ops, sources,
+                                                   data):
         cfg = OverlayConfig(degree=3, min_degree=2, inter_region_links=1,
                             intra_latency=5, inter_latency=50, m_target=3)
         overlay = Overlay(cfg, RngStream(seed, "overlay"))
         ids = []
+        # kept from the first record on, over candidates: the drawn
+        # sources at first, drawn anew between some ops
+        labels, candidates = overlay.labelling(), []
 
         def add(bandwidth):
             # ids are spread so that a late record sorts among the others
@@ -543,12 +580,26 @@ class TestRoutingUnderChurn:
                     assert overlay.nearest(a, cands) == nearest_reference(
                         overlay, a, cands)
 
+        def keep(a):
+            """Ask the labelling from a, over a fresh candidate set now and
+            then; return the sources it keeps from then on."""
+            drawn = data.draw(st.none() | churn_candidates)
+            if drawn is not None:
+                candidates[:] = [ids[k % len(ids)] for k in drawn]
+            assert (labels.nearest(a, candidates)
+                    == overlay.nearest(a, candidates))
+            kept = {c for c in candidates if overlay.is_online(c)}
+            check_labels(overlay, labels, kept)
+            return kept
+
         for i in range(CHURN_NODES):
             add(bandwidths[i])
             if online[i]:
                 overlay.join(ids[i], 0)
-        overlay.build(0)
+        overlay.build()
         assert_kept_facts(overlay)
+        candidates[:] = [ids[k % len(ids)] for k in sources]
+        kept = keep(ids[0])
         ask(data.draw(churn_queries))
         for src in ids:
             check_routes_from(overlay, src, ids, 0)
@@ -560,9 +611,10 @@ class TestRoutingUnderChurn:
             if op == "join" and not overlay.is_online(a):
                 overlay.join(a, 1)
             elif op == "leave" and overlay.is_online(a):
-                overlay.leave(a, 1)
+                overlay.leave(a)
+                kept.discard(a)  # a rejoin does not make it a source again
             elif op == "maintenance":
-                overlay.maintenance(1)
+                overlay.maintenance()
             elif op == "add_link" and value < 1:
                 with pytest.raises(ValueError):  # every link takes a tick
                     overlay.add_link(a, b, value)
@@ -572,6 +624,8 @@ class TestRoutingUnderChurn:
                 add(value)
             check_routes_from(overlay, a, ids, value)
             assert_kept_facts(overlay)
+            check_labels(overlay, labels, kept)  # repaired by the hooks
+            kept = keep(a)
             for region in CHURN_REGIONS:
                 assert overlay.online_in_region(region) == sorted(
                     n for n in overlay.regions[region] if overlay.is_online(n))
@@ -596,7 +650,7 @@ class TestKeptFacts:
         overlay.join(a, 1)
         assert overlay._inter[("ra", "rb")] == 1
         assert_kept_facts(overlay)
-        overlay.leave(b, 2)
+        overlay.leave(b)
         assert overlay._inter[("ra", "rb")] == 0
         assert overlay._under == {a}
         assert_kept_facts(overlay)
@@ -607,16 +661,33 @@ class TestKeptFacts:
         passes = []
         maintenance = Overlay.maintenance
 
-        def checked(overlay, now):
+        def checked(overlay):
             assert_kept_facts(overlay)
-            passes.append(now)
-            return maintenance(overlay, now)
+            passes.append(overlay)
+            return maintenance(overlay)
 
         monkeypatch.setattr(Overlay, "maintenance", checked)
         run_scenario(with_overrides(
             parse_scenario(SCENARIO_DIR / "mixed_churn.ini"),
             seed=seed, mode=mode))
         assert passes
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_kept_answer_of_a_run_equals_a_fresh_search(
+            self, monkeypatch, seed):
+        answers = []
+        kept = NearestLabels.nearest
+
+        def checked(labels, frm, candidates):
+            answer = kept(labels, frm, candidates)
+            assert answer == labels._overlay.nearest(frm, candidates)
+            answers.append(answer)
+            return answer
+
+        monkeypatch.setattr(NearestLabels, "nearest", checked)
+        run_scenario(with_overrides(
+            parse_scenario(SCENARIO_DIR / "mixed_churn.ini"), seed=seed))
+        assert answers
 
 
 class TestVendorRoutes:
@@ -654,7 +725,7 @@ class TestFingerprints:
         overlay, ids = clique_overlay(4)
         before = overlay.fingerprint(ids[0])
         assert overlay.fingerprint(ids[0]) == before  # stable when idle
-        overlay.leave(ids[1], 1)
+        overlay.leave(ids[1])
         assert overlay.fingerprint(ids[0]) != before
 
 
@@ -669,8 +740,8 @@ class TestSuperPeers:
         overlay, ids = clique_overlay(2)
         with pytest.raises(EmptyRegion):
             overlay.form_dvsp("nowhere")
-        overlay.leave(ids[0], 1)
-        overlay.leave(ids[1], 1)
+        overlay.leave(ids[0])
+        overlay.leave(ids[1])
         with pytest.raises(EmptyRegion):
             overlay.form_dvsp("main")
 
@@ -686,11 +757,11 @@ class TestSuperPeers:
                                       joined_at=list(range(9)))
         vsp = overlay.form_dvsp("main")
         for member in vsp.members[: len(vsp.members) // 2]:
-            overlay.leave(member, 11)
+            overlay.leave(member)
         rounds = 0
-        for now in (12, 13):
+        for _ in range(2):
             rounds += 1
-            overlay.maintenance(now)
+            overlay.maintenance()
             current = overlay.dvsps["main"]
             if current.epoch > vsp.epoch and len(current.members) == 5:
                 break
@@ -719,7 +790,7 @@ class TestTransactions:
 
     def test_offline_receiver_aborts_with_balances_unchanged(self):
         overlay, ids, ledger = self._fixture()
-        overlay.leave(ids[1], 6)
+        overlay.leave(ids[1])
         snapshot = ledger.balances_by_label()
         ops = [Transfer(0, ids[0], ids[1], 4, "pay")]
         result = overlay.execute_transaction("main", ops, ledger, 7)
@@ -760,7 +831,7 @@ class TestTransactions:
         overlay, ids, ledger = self._fixture()
         vsp = overlay.dvsps["main"]
         for member in vsp.members[: vsp.quorum]:
-            overlay.leave(member, 6)
+            overlay.leave(member)
         with pytest.raises(NoQuorum):
             overlay.execute_transaction("main", [], ledger, 7)
         with pytest.raises(NoQuorum):

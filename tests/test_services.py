@@ -113,7 +113,7 @@ class TestPublication:
         assert rt.resolve("ghost", 0) is None
         hosts = rt.publish(descriptor(), ids[0], 0)
         for host in hosts:
-            rt.overlay.leave(host, 5)
+            rt.overlay.leave(host)
         assert rt.resolve("svc", 6) is None
         plan = rt.plan_invoke(request("svc", ids[5], 6, (1, 0, 0)), 6)
         assert plan.outcome == "unresolvable" and plan.charged == 0
@@ -255,7 +255,7 @@ class TestPullPlacement:
         rt.publish(descriptor(declared=(5, 0, 0)), ids[0], 0)
         requester = next(i for i in ids
                          if i not in {inst.host for inst in rt.instances["svc"]})
-        rt.overlay.leave(requester, 20)
+        rt.overlay.leave(requester)
         plan = rt.plan_invoke(request("svc", requester, 30, (1, 0, 0)), 30)
         assert plan.outcome == "unresolvable"
 
@@ -369,7 +369,7 @@ class TestSessionMetering:
         call = rt.plan_invoke(request("svc", ids[5], begin, (0, 0, 1)), begin)
         assert call.served and call.host == host
         rt.take_demand()
-        rt.overlay.leave(host, begin + 40)
+        rt.overlay.leave(host)
         rt.host_lost(host, begin + 40)
         assert rt.cut_off(host, [call], begin + 40) == [call, session.plan]
         assert (call.outcome, call.latency, call.charged) == ("host-offline", 0, 0)
@@ -410,7 +410,7 @@ class TestVendorRuntime:
     def test_an_offline_host_turns_the_request_away_at_admission(
             self, monkeypatch):
         rt, ids, vendor = self.vendor_runtime()
-        rt.overlay.leave(vendor, 50)
+        rt.overlay.leave(vendor)
         ran = []
         monkeypatch.setattr(rt, "run_on_host", lambda *args: ran.append(args))
         plan = rt.plan_invoke(request("svc", ids[1], 50, (1, 0, 0)), 50)
