@@ -50,6 +50,9 @@ that the tests, the benchmark and the measured scaled runs use (brackets):
 MAX_NODES = 50,000 nodes over all classes [2,400: video_small x80];
 MAX_ARRIVALS = 1,000,000 for rate (session_rate for video) x horizon
 [120,000: wiki_small x4 at 50x horizon, and the conservation test];
+MAX_CHURN_EVENTS = 1,000,000 for the expected leaves and joins,
+churn_multiplier x horizon x the sum over churning classes of
+2 x count / (mean_online + mean_offline) [4,800: video_small x80];
 MAX_TICKS = 100,000 for horizon / each of the four periods [6,000];
 MAX_REPLICAS = 100 for each <svc>.min_replicas [4];
 MAX_INTER_REGION_LINKS = 100 [3]. A horizon override is checked again.
@@ -67,6 +70,7 @@ from ..resources import ResourceVector
 
 MAX_NODES = 50_000
 MAX_ARRIVALS = 1_000_000
+MAX_CHURN_EVENTS = 1_000_000
 MAX_TICKS = 100_000
 MAX_REPLICAS = 100
 MAX_INTER_REGION_LINKS = 100
@@ -441,7 +445,7 @@ def _services(sec: _Section) -> tuple[ServiceEntry, ...]:
             sec.integer(p + "actual_storage_max", actual_min.storage, minimum=0),
             sec.integer(p + "actual_bandwidth_max", actual_min.bandwidth, minimum=0),
         )
-        update_at = sec.integer(p + "update_at", None)
+        update_at = sec.integer(p + "update_at", None, minimum=0)
         out.append(ServiceEntry(
             service_id=name,
             declared=declared,
@@ -574,14 +578,24 @@ def _validate(config: ScenarioConfig) -> None:
 
 
 def _check_horizon(config: ScenarioConfig) -> None:
-    """Bound the arrivals and periodic ticks queued before the first event."""
+    """Bound the arrivals and periodic ticks queued before the first event,
+    and the churn events the run will draw."""
     wl = config.workload
     key, rate = (("rate", wl.rate) if wl.kind == "wiki"
                  else ("session_rate", wl.session_rate))
-    # a quotient, so no horizon overflows a float
+    # quotients, so no horizon overflows a float
     if rate > MAX_ARRIVALS / max(config.horizon, 1):
         raise ConfigError(f"[workload] {key}",
                           f"{key} x horizon is above {MAX_ARRIVALS} arrivals")
+    # A churning node leaves and rejoins once per mean_online + mean_offline
+    # ticks, both divided by the multiplier.
+    churn_rate = config.churn_multiplier * sum(
+        2 * c.count / (c.mean_online + c.mean_offline)
+        for c in config.population if c.mean_offline > 0)
+    if churn_rate > MAX_CHURN_EVENTS / max(config.horizon, 1):
+        raise ConfigError("[failures] churn_multiplier",
+                          f"expected churn events over the horizon are "
+                          f"above {MAX_CHURN_EVENTS}")
     for key in ("gossip_period", "heartbeat_interval", "price_window",
                 "placement_window"):
         if config.horizon // getattr(config, key) > MAX_TICKS:

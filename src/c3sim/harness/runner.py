@@ -115,8 +115,11 @@ class Runner:
         self.replicator = Replicator(self.store, self.repo, self.overlay,
                                      self.sim.stream("replication"),
                                      cfg.replication_r)
+        wl = cfg.workload
         runtime = (ServicesConfig(regions=topo.regions, dsr_r=cfg.dsr_r,
-                                  cool_down=cfg.cool_down_windows),
+                                  cool_down=cfg.cool_down_windows,
+                                  stream_rate=wl.stream_rate, floor=wl.floor,
+                                  sustain_window=wl.sustain_window),
                    self.overlay, self.repo, self.ledger, self.store,
                    self.sim.stream("services"))
         self.services = (
@@ -250,12 +253,10 @@ class Runner:
                     at, self.config.workload.write_size):
                 self.sim.at(arrive, "replica-deliver", delivery=d)
         else:
-            wl = self.config.workload
             streamed = ResourceVector(bandwidth=item.stream_rate * item.duration)
             session = self.services.plan_session(Request(
                 next(self._req_ids), item.service_id, requester, at, streamed,
-                "session"), at, item.duration, item.stream_rate, wl.floor,
-                wl.sustain_window)
+                "session"), at, item.duration)
             if session.plan.outcome == ADMITTED:
                 self.sim.at(session.plan.start, "session-begin", session=session)
             else:

@@ -22,6 +22,18 @@ counts every request it places, call or session, as its region's demand.
 `VendorRuntime` is the vendor baseline as a placement policy: its plans name
 one fixed host, carry no price and run with their own draw as the budget.
 
+Sessions are metered per host, not per session. A host shares its bandwidth
+equally among its live sessions (processor sharing), and every session of a
+run streams at the one `stream_rate`, so in each metered interval every
+session on a host streams the same `delivered * span` and is below the floor
+or not together. One `StreamAccount` per host keeps those terms, the current
+below-floor stretch and the latest begin tick whose sessions have failed, so
+metering costs the same however many sessions share the host. A session
+records the term index and tick it began at. It reads its `streamed` at close
+as a left-to-right fold of its terms from 0.0: the same float additions in
+the same order as adding each term to a running total while it streams. So
+the account is exact; a difference of running sums would round otherwise.
+
 Placement is demand-following when push mode is on: each window the traffic
 share per region sets a replica target (one replica per KAPPA_SHARE of
 share, a global floor of min_replicas), deficits deploy near the demand and
@@ -35,8 +47,10 @@ nodes want the blob. No run calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .engine import RngStream, SimTime
 from .ledger import Ledger
@@ -121,16 +135,43 @@ class InvokePlan:
 
 @dataclass(slots=True, eq=False)
 class Session:
-    """A stream of `rate` per tick for `duration` ticks; it fails once its
-    share of the host's bandwidth stays under `floor` for `sustain` ticks."""
+    """A stream at the runtime's `stream_rate` for `duration` ticks; it
+    fails once its share of the host's bandwidth stays under the floor for
+    the sustain window. Beginning sets `begun`, its first metered tick, and
+    `first`, the index of its first term in its host's `StreamAccount`.
+    Closing sets `streamed`, the fold of its terms. It needs no state of its
+    own while it streams: its host's account answers for it."""
     plan: InvokePlan
     duration: int
-    rate: int
-    floor: float
-    sustain: int
+    begun: SimTime = 0
+    first: int = 0
     streamed: float = 0.0
-    below_run: int = 0
-    failed: bool = False
+
+
+@dataclass(slots=True, eq=False)
+class StreamAccount:
+    """One host's stream meter while it has live sessions.
+
+    `terms[i - base]` is what each live session streamed in the host's i-th
+    metered interval. `below_since` starts the current below-floor stretch:
+    after an interval at or above the floor it is that interval's end. A
+    session begun at or before `failed_upto` has stayed under the floor for
+    the whole sustain window since it began."""
+    metered_at: SimTime
+    below_since: SimTime
+    failed_upto: SimTime
+    base: int = 0
+    terms: list[float] = field(default_factory=list)
+
+    def streamed(self, session: Session) -> float:
+        """The session's terms folded left to right from 0.0. Not `sum()`:
+        from CPython 3.12 it compensates float sums and rounds otherwise."""
+        return reduce(add, self.terms[session.first - self.base:], 0.0)
+
+    def trim(self, first: int) -> None:
+        """Drop the terms before index `first`, which no live session reads."""
+        del self.terms[:first - self.base]
+        self.base = first
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,6 +188,11 @@ class ServicesConfig:
     regions: tuple[str, ...]
     dsr_r: int = 3
     cool_down: int = 3
+    # Every session streams at stream_rate; it fails once its share stays
+    # under floor * stream_rate for sustain_window ticks.
+    stream_rate: int = 2
+    floor: float = 0.8
+    sustain_window: int = 2000
 
 
 def budget_fraction(actual: ResourceVector, declared: ResourceVector) -> Fraction:
@@ -176,8 +222,12 @@ class ServiceRuntime:
         self.rng = rng
         self.instances: dict[str, list[Instance]] = {}
         self.busy_until: dict[NodeId, SimTime] = {}
+        # Per host, its live sessions in begin order and their account.
         self.sessions: dict[NodeId, list[Session]] = {}
-        self._metered_at: dict[NodeId, SimTime] = {}
+        self._accounts: dict[NodeId, StreamAccount] = {}
+        self._rate = float(config.stream_rate)
+        self._floor = config.floor * config.stream_rate
+        self._sustain = config.sustain_window
         self.demand = ResourceVector()
         self.egress: dict[NodeId, int] = {}
         self.traffic: dict[str, dict[str, int]] = {}
@@ -374,15 +424,15 @@ class ServiceRuntime:
 
     # -- sessions -------------------------------------------------------------------
 
-    def plan_session(self, request: Request, at: SimTime, duration: int,
-                     rate: int, floor: float, sustain: int) -> Session:
+    def plan_session(self, request: Request, at: SimTime,
+                     duration: int) -> Session:
         """Admit a stream; an admitted one begins at `start`, one hop after
         its host is ready."""
         plan = self.admit(request, at)
         if plan.outcome == ADMITTED:
             plan.start += plan.hop
             plan.latency = plan.start - at
-        return Session(plan, duration, rate, floor * rate, sustain)
+        return Session(plan, duration)
 
     def begin_session(self, session: Session, at: SimTime) -> bool:
         """Meter the session from `at`; False, and ended, if its host left."""
@@ -390,14 +440,25 @@ class ServiceRuntime:
         if not self.overlay.is_online(host):
             self._close(session, "host-offline", at)
             return False
-        self._meter(host, at)
+        account = self._meter(host, at)
+        if account is None:
+            account = self._accounts[host] = StreamAccount(at, at, at - 1)
+        session.begun, session.first = at, account.base + len(account.terms)
         self.sessions.setdefault(host, []).append(session)
         return True
 
     def end_session(self, session: Session, at: SimTime) -> None:
-        self._meter(session.plan.host, at)
-        self.sessions[session.plan.host].remove(session)
-        self._close(session, "failed-throughput" if session.failed else COMPLETED, at)
+        host = session.plan.host
+        account = self._meter(host, at)
+        live = self.sessions[host]
+        live.remove(session)
+        session.streamed = account.streamed(session)
+        failed = session.begun <= account.failed_upto
+        if live:
+            account.trim(live[0].first)
+        else:
+            del self._accounts[host]
+        self._close(session, "failed-throughput" if failed else COMPLETED, at)
 
     def cut_off(self, host: NodeId, calls: list[InvokePlan],
                 at: SimTime) -> list[InvokePlan]:
@@ -408,29 +469,32 @@ class ServiceRuntime:
             plan.consumed = ResourceVector()
             plan.bill(0)
         self._meter(host, at)
+        account = self._accounts.pop(host, None)
         lost = self.sessions.pop(host, [])
         for session in lost:
+            session.streamed = account.streamed(session)
             self._close(session, "host-offline", at)
         return calls + [s.plan for s in lost]
 
-    def _meter(self, host: NodeId, now: SimTime) -> None:
-        """Give each session on the host an equal share of its bandwidth,
-        capped at its rate, for the ticks since the host was last metered."""
-        active = self.sessions.get(host, ())
-        span = now - self._metered_at.get(host, now)
-        self._metered_at[host] = now
-        if not active or span <= 0:
-            return
-        share = self.overlay.records[host].capacity.bandwidth / len(active)
-        for s in active:
-            delivered = min(float(s.rate), share)
-            s.streamed += delivered * span
-            if delivered < s.floor:
-                s.below_run += span
-                if s.below_run >= s.sustain:
-                    s.failed = True
-            else:
-                s.below_run = 0
+    def _meter(self, host: NodeId, now: SimTime) -> StreamAccount | None:
+        """Step the host's account, if it has live sessions, over the ticks
+        since it was last metered: each session gets an equal share of the
+        host's bandwidth, capped at the stream rate. One term and one floor
+        check serve every session on the host."""
+        account = self._accounts.get(host)
+        if account is None:
+            return None
+        span = now - account.metered_at
+        if span > 0:
+            account.metered_at = now
+            delivered = min(self._rate, self.overlay.records[host]
+                            .capacity.bandwidth / len(self.sessions[host]))
+            account.terms.append(delivered * span)
+            if delivered >= self._floor:
+                account.below_since = now
+            elif now - account.below_since >= self._sustain:
+                account.failed_upto = now - self._sustain
+        return account
 
     def _close(self, session: Session, outcome: str, at: SimTime) -> None:
         plan = session.plan

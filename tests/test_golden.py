@@ -3,10 +3,11 @@
 Each shipped scenario runs at seeds 1-5, once as shipped (community mode)
 and once on the vendor baseline. The three benchmark workloads (wiki_small
 x4 in both modes, video_small x20) also run, scaled as the benchmark
-scales them, at both of its program seeds. The
-SHA-256 of its canonical log tables must match the pinned value, and the
-run must pass every audit. A change that alters any log row changes a
-digest; such a change must say why, and re-pin only the runs it moves.
+scales them, at both of its program seeds, and video_small x80 at seed 7
+pins the high-load session regime. The SHA-256 of its canonical log tables
+must match the pinned value, and the run must pass every audit. A change
+that alters any log row changes a digest; such a change must say why, and
+re-pin only the runs it moves.
 """
 from __future__ import annotations
 
@@ -64,6 +65,8 @@ VENDOR_GOLDEN = {
 SCALED_GOLDEN = {
     ("video_small", 20, "community", 4): "f1653835bea24c2f74340db1572e60c9302a8f76b05e66d6850a029c1b52cbef",
     ("video_small", 20, "community", 7): "b81a6364a86f3b859839b2a27deb8824b0605aa65c72fab3510927ad8cabaf74",
+    # high load: each session metering sees about 56 sessions on its host
+    ("video_small", 80, "community", 7): "340c3890d2b79b9172d74c2f98a92365211a7453afbbb568e4caef4e347f5a6b",
     ("wiki_small", 4, "community", 4): "fcfedc87407a24e3e025e0daaf57d4e3490340166257431bda06da2e9938178d",
     ("wiki_small", 4, "community", 42): "a1f3478e8e807f332966f80d67e6b1a74c298db2fa4608efac939786e8884372",
     ("wiki_small", 4, "vendor", 4): "9cd97d331f230d3809aa91f567d598d16a693d00dfa5f86d36965f49f004ee59",

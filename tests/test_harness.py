@@ -189,6 +189,13 @@ class TestScenarioParsing:
         (small_scenario(failures={"churn_multiplier": "nan"}), "churn_multiplier"),
         (small_scenario(failures={"churn_multiplier": "inf"}), "churn_multiplier"),
         (small_scenario(failures={"churn_multiplier": -1}), "churn_multiplier"),
+        # a huge multiplier is refused at parse time and never run
+        (small_scenario(population={"box.mean_online": 1000,
+                                    "box.mean_offline": 1000},
+                        failures={"churn_multiplier": 10 ** 12}),
+         "[failures] churn_multiplier: expected churn events"),
+        (small_scenario(services={"svc.update_at": -1, "svc.update_fitness": 2}),
+         "[services] svc.update_at: must be >= 0"),
         (small_scenario(market={"initial_compute": 2000}), "initial_compute"),
         (small_scenario(market={"p_min": 5}), "initial_storage"),
         (small_scenario(market={"alpha": "nan"}), "[market] alpha"),

@@ -1,9 +1,10 @@
 """Service lifecycle: publish, resolve, metered invocation, placement, distribution."""
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from c3sim.engine import RngStream
@@ -15,16 +16,19 @@ from c3sim.services import (
     ADMITTED,
     COMPLETED,
     TERMINATED,
+    InvokePlan,
     Request,
     ServiceDescriptor,
     ServiceError,
     ServiceRuntime,
     ServicesConfig,
+    Session,
     VendorRuntime,
     budget_fraction,
 )
 
-from conftest import clique_overlay, flat_market, nid, small_ledger
+from conftest import (chain_overlay, clique_overlay, flat_market, nid,
+                      small_ledger)
 
 _req_ids = itertools.count(1)
 
@@ -322,13 +326,12 @@ class TestSessionMetering:
     """A session streams at its rate while its fair share of the host's
     bandwidth allows; its plan settles when it ends."""
 
-    def start(self, rt, requester, at, n=1, rate=2, duration=100):
+    def start(self, rt, requester, at, n=1, duration=100):
         sessions = []
         for _ in range(n):
             req = Request(next(_req_ids), "svc", requester, at,
-                          ResourceVector(bandwidth=rate * duration), "session")
-            sessions.append(rt.plan_session(req, at, duration, rate,
-                                            floor=0.8, sustain=50))
+                          ResourceVector(bandwidth=2 * duration), "session")
+            sessions.append(rt.plan_session(req, at, duration))
         begin = sessions[0].plan.start
         for s in sessions:
             assert s.plan.outcome == ADMITTED and s.plan.start == begin
@@ -336,7 +339,8 @@ class TestSessionMetering:
         return sessions, begin
 
     def runtime(self, bandwidth):
-        rt, ids = make_runtime(bandwidth=bandwidth)
+        rt, ids = make_runtime(bandwidth=bandwidth, stream_rate=2, floor=0.8,
+                               sustain_window=50)
         rt.overlay.form_dvsp("main")
         rt.publish(descriptor(declared=(0, 0, 2)), ids[0], 0)
         return rt, ids
@@ -379,6 +383,136 @@ class TestSessionMetering:
         assert plan.consumed == ResourceVector(bandwidth=80)  # 40 ticks at 2
         assert rt.take_demand() == ResourceVector(bandwidth=80)
         assert host not in rt.sessions
+
+
+@dataclass(eq=False)
+class ReferenceStream:
+    streamed: float = 0.0
+    below_run: int = 0
+    failed: bool = False
+
+
+class ReferenceMeter:
+    """Per-session metering, as the runtime did it before its per-host
+    accounts: at each metering every session on the host adds its own term
+    to its own total and steps its own below-floor run."""
+
+    def __init__(self, bandwidths, rate, floor, sustain):
+        self.bandwidths, self.rate = bandwidths, rate
+        self.floor, self.sustain = floor * rate, sustain
+        self.sessions: dict[int, list[ReferenceStream]] = {}
+        self.metered_at: dict[int, int] = {}
+
+    def meter(self, host, now):
+        active = self.sessions.get(host, ())
+        span = now - self.metered_at.get(host, now)
+        self.metered_at[host] = now
+        if not active or span <= 0:
+            return
+        share = self.bandwidths[host] / len(active)
+        for s in active:
+            delivered = min(float(self.rate), share)
+            s.streamed += delivered * span
+            if delivered < self.floor:
+                s.below_run += span
+                if s.below_run >= self.sustain:
+                    s.failed = True
+            else:
+                s.below_run = 0
+
+    def begin(self, host, now):
+        self.meter(host, now)
+        stream = ReferenceStream()
+        self.sessions.setdefault(host, []).append(stream)
+        return stream
+
+    def end(self, host, stream, now):
+        self.meter(host, now)
+        self.sessions[host].remove(stream)
+        return "failed-throughput" if stream.failed else COMPLETED
+
+    def cut_off(self, host, now):
+        self.meter(host, now)
+        return self.sessions.pop(host, [])
+
+
+class TestStreamAccounts:
+    """The per-host accounts close every session exactly as metering each
+    session on its own would: same outcome, same consumed, same float."""
+
+    # Short steps against short sustain windows, and more begins and ends
+    # than cut-offs, so that below-floor stretches start, break and resume
+    # under sessions that outlive them.
+    @given(bandwidths=st.lists(st.integers(1, 8), min_size=1, max_size=2),
+           rate=st.integers(1, 3),
+           floor=st.sampled_from([0.5, 0.75, 0.8, 1.0]),
+           sustain=st.integers(1, 12),
+           ops=st.lists(st.tuples(st.sampled_from(["begin", "begin", "end",
+                                                   "end", "cut"]),
+                                  st.integers(0, 50), st.integers(0, 4)),
+                        max_size=120))
+    @settings(max_examples=300)
+    # an interval at or above the floor ends the below-floor stretch
+    @example(bandwidths=[4], rate=2, floor=1.0, sustain=10,
+             ops=[("begin", 0, 0)] * 3 + [("end", 2, 6), ("begin", 0, 2),
+                                          ("end", 0, 6)])
+    # a session begun inside a stretch counts its run from its own begin
+    @example(bandwidths=[4], rate=2, floor=1.0, sustain=10,
+             ops=[("begin", 0, 0)] * 3 + [("begin", 0, 8), ("end", 3, 6)])
+    # a host cut off and used again starts a fresh account
+    @example(bandwidths=[3], rate=2, floor=0.8, sustain=5,
+             ops=[("begin", 0, 0), ("cut", 0, 1), ("begin", 0, 1),
+                  ("end", 0, 2)])
+    # a late session's fold, 7/4, is not a difference of running sums
+    @example(bandwidths=[7], rate=3, floor=0.5, sustain=25,
+             ops=[("begin", 0, 0)] * 3 + [("begin", 0, 1), ("end", 3, 1)])
+    def test_closed_sessions_match_per_session_metering(
+            self, bandwidths, rate, floor, sustain, ops):
+        n = len(bandwidths)
+        overlay, ids = chain_overlay([1] * n, bandwidths + [1])
+        hosts, requester = ids[:n], ids[n]
+        rt = ServiceRuntime(
+            ServicesConfig(regions=("r0",), stream_rate=rate, floor=floor,
+                           sustain_window=sustain),
+            overlay, Repository(), small_ledger([("dev", 0)]), ReplicaStore(),
+            RngStream(11, "services"))
+        ref = ReferenceMeter(bandwidths, rate, floor, sustain)
+        desc = descriptor(declared=(0, 0, rate))
+        live = []  # (session, reference stream, host index) in begin order
+
+        def check(session, stream, outcome):
+            assert session.plan.outcome == outcome
+            assert session.plan.consumed == ResourceVector(
+                bandwidth=int(stream.streamed))
+            assert session.streamed == stream.streamed
+
+        now = 0
+        for kind, pick, step in ops:
+            now += step
+            if kind == "begin":
+                h = pick % n
+                plan = InvokePlan(Request(next(_req_ids), "svc", requester,
+                                          now, ResourceVector(), "session"),
+                                  ADMITTED, desc, hosts[h])
+                session = Session(plan, 0)
+                assert rt.begin_session(session, now)
+                live.append((session, ref.begin(h, now), h))
+            elif kind == "end" and live:
+                session, stream, h = live.pop(pick % len(live))
+                rt.end_session(session, now)
+                check(session, stream, ref.end(h, stream, now))
+            elif kind == "cut":
+                h = pick % n
+                lost = [(s, r) for s, r, i in live if i == h]
+                assert rt.cut_off(hosts[h], [], now) == [s.plan for s, _ in lost]
+                assert [r for _, r in lost] == ref.cut_off(h, now)
+                for session, stream in lost:
+                    check(session, stream, "host-offline")
+                live[:] = [x for x in live if x[2] != h]
+        for session, stream, h in live:
+            rt.end_session(session, now + 1)
+            check(session, stream, ref.end(h, stream, now + 1))
+        assert not rt._accounts
 
 
 class TestVendorRuntime:
