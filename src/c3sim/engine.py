@@ -12,10 +12,19 @@ modules from each other: adding draws to one stream never perturbs another.
 """
 from __future__ import annotations
 
-import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
+
+# The interpreter's own SHA-256 (_sha2 from CPython 3.12, _sha256 before):
+# the same digests as hashlib's, without loading OpenSSL's libcrypto.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 SimTime = int
 
@@ -25,7 +34,7 @@ class PastEvent(Exception):
 
 
 def derive_seed(master_seed: int, label: str) -> int:
-    digest = hashlib.sha256(f"{master_seed}:{label}".encode()).digest()
+    digest = sha256(f"{master_seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -7,6 +7,16 @@ run it (threshold theta) and it beats the node's current version on fitness.
 All decisions in a tick read the tick-start snapshot, so a wave spreads one
 trust hop per tick. Every switch pushes the old version on a per-node
 history stack; rollback pops it, exactly undoing adoptions step for step.
+
+A tick visits only the pending (node, service) pairs, whose decision may
+have changed. A node's pick reads only its own version and its trusted
+peers' versions of the service; fitness and theta are fixed, and a new
+version matters only once some peer runs it. So a pair that declined
+declines again until a version it reads changes. Every change of a version
+(release, adoption, rollback step) marks the pair itself and the pair of
+every node that trusts it, and a pair stays pending while its node is
+offline. A pair marked during a tick is visited at the next one, as the
+full scan would see the change only then.
 """
 from __future__ import annotations
 
@@ -60,6 +70,13 @@ class UpdateDiffusion:
         self.versions: dict[str, dict[str, VersionNode]] = {}
         self.active: dict[tuple[NodeId, str], str] = {}
         self.history: dict[tuple[NodeId, str], list[str]] = {}
+        # The nodes that trust each node, and the pairs whose pick may have
+        # changed since they last declined.
+        self._trusted_by: dict[NodeId, list[NodeId]] = {}
+        for node, peers in trust.items():
+            for peer in peers:
+                self._trusted_by.setdefault(peer, []).append(node)
+        self._pending: set[tuple[NodeId, str]] = set()
 
     # -- version forest ---------------------------------------------------------
 
@@ -70,6 +87,7 @@ class UpdateDiffusion:
         for peer in self.trust:
             self.active[(peer, service_id)] = version
             self.history[(peer, service_id)] = []
+            self._pending.add((peer, service_id))
         return node
 
     def fitness(self, service_id: str, version: str) -> float:
@@ -77,9 +95,6 @@ class UpdateDiffusion:
             return self.versions[service_id][version].fitness
         except KeyError:
             raise UnknownVersion(f"{service_id}@{version}") from None
-
-    def active_version(self, node: NodeId, service_id: str) -> str:
-        return self.active[(node, service_id)]
 
     def release(self, service_id: str, version: str, parent: str,
                 fitness: float, origins: list[NodeId],
@@ -101,27 +116,40 @@ class UpdateDiffusion:
         frm = self.active[key]
         self.history[key].append(frm)
         self.active[key] = version
+        self._changed(node, service_id)
         return Adoption(at, node, service_id, frm, version, cause)
+
+    def _changed(self, node: NodeId, service_id: str) -> None:
+        """Mark the pairs that read node's version of the service."""
+        pending = self._pending
+        pending.add((node, service_id))
+        for truster in self._trusted_by.get(node, ()):
+            pending.add((truster, service_id))
 
     # -- diffusion ----------------------------------------------------------------
 
     def adoption_tick(self, at: SimTime, is_online=None) -> list[Adoption]:
-        """One synchronous wave over the tick-start snapshot."""
+        """One synchronous wave over the tick-start snapshot, visiting the
+        pending pairs in node, then service order. A pair that adopts is
+        marked again by its switch; one that declines is dropped."""
+        if not self._pending:
+            return []
+        visit = sorted(self._pending)
+        self._pending = set()
         snapshot = dict(self.active)
         out = []
-        for node in sorted(self.trust):
+        for key in visit:
+            node, service_id = key
+            neighbors = self.trust.get(node)
+            current = snapshot.get(key)
+            if not neighbors or current is None:
+                continue
             if is_online is not None and not is_online(node):
+                self._pending.add(key)
                 continue
-            neighbors = self.trust[node]
-            if not neighbors:
-                continue
-            for service_id in sorted(self.versions):
-                current = snapshot.get((node, service_id))
-                if current is None:
-                    continue
-                choice = self._pick(node, service_id, current, neighbors, snapshot)
-                if choice is not None:
-                    out.append(self._switch(node, service_id, choice, at, "adopt"))
+            choice = self._pick(node, service_id, current, neighbors, snapshot)
+            if choice is not None:
+                out.append(self._switch(node, service_id, choice, at, "adopt"))
         return out
 
     def _pick(self, node: NodeId, service_id: str, current: str,
@@ -158,6 +186,7 @@ class UpdateDiffusion:
             self.active[key] = stack.pop()
             out.append(Adoption(at, node, service_id, frm, self.active[key],
                                 "rollback"))
+        self._changed(node, service_id)
         return out
 
     # -- audits -----------------------------------------------------------------------

@@ -32,17 +32,19 @@ latencies together: any other path leaves and enters by other links, so it
 is no shorter, and it is no wider, since a link is as wide as its narrower
 end. Any other query runs a Dial bucket search (Dial, CACM 1969) from its
 source, answers every target it was asked for from that one search, and
-drops it on return.
+drops it on return. A sized route's transfer term needs the widest path
+only when the two ends' bandwidths and the least bandwidth of any node
+bracket it loosely: bandwidths never change, so every path's width lies
+between them, and a term that both bounds give is the term.
 """
 from __future__ import annotations
 
 import bisect
-import hashlib
 import heapq
 import random
 from dataclasses import dataclass
 
-from .engine import RngStream, SimTime
+from .engine import RngStream, SimTime, sha256
 from .resources import ResourceVector
 
 ID_BITS = 256
@@ -101,8 +103,8 @@ class Identity:
 def generate_identity(rng: RngStream) -> Identity:
     """Self-issued identity: key material from the stream, id = H(public)."""
     private = rng.getrandbits(ID_BITS).to_bytes(32, "big")
-    public = hashlib.sha256(b"pub:" + private).digest()
-    node_id = NodeId(int.from_bytes(hashlib.sha256(public).digest(), "big"))
+    public = sha256(b"pub:" + private).digest()
+    node_id = NodeId(int.from_bytes(sha256(public).digest(), "big"))
     return Identity(public, node_id)
 
 
@@ -165,6 +167,9 @@ class Overlay:
         self._up: list[bool] = []
         self._bw: list[int] = []
         self._least: list[int] = []
+        # The least _bw ever added: no path is narrower, since bandwidths
+        # never change.
+        self._floor = _UNBOUNDED
         # Each region's online members, in NodeId order.
         self._online: dict[str, list[NodeId]] = {}
         # The online nodes with fewer than min_degree links (to any node,
@@ -189,7 +194,9 @@ class Overlay:
         self._recs.append(record)
         self._links.append({})
         self._up.append(False)
-        self._bw.append(max(1, record.capacity.bandwidth))
+        bw = max(1, record.capacity.bandwidth)
+        self._bw.append(bw)
+        self._floor = min(self._floor, bw)
         self._least.append(_UNBOUNDED)
         self._online.setdefault(record.region, [])
         for labels in self._labellings:
@@ -385,7 +392,7 @@ class Overlay:
 
     def fingerprint(self, node_id: NodeId) -> int:
         """Hash of the sorted neighbor set."""
-        h = hashlib.sha256()
+        h = sha256()
         linked = self._links[self._index[node_id]]
         for peer in sorted(self._recs[j].node_id for j in linked):
             h.update(peer.to_bytes(32, "big"))
@@ -464,12 +471,19 @@ class Overlay:
         no shorter, and no wider than the narrower end. Every other target
         reads one search from frm, which starts when the first of them needs
         it, resumes for the later ones and is dropped on return: no search
-        outlives the call."""
+        outlives the call.
+
+        A sized answer's transfer term ceil(size / W) is bracketed without
+        _widest: every path's first and last links make W at most
+        min(_bw[frm], _bw[to]), and no link is narrower than _floor, so W is
+        at least _floor. The term falls as W grows, so when both bounds give
+        the same term, that is the term."""
         online = self.online_ids
         if frm not in online:
             return [None for _ in tos]
         src = self._index[frm]
         links, least, bw = self._links[src], self._least, self._bw
+        slowest = -(-size // self._floor)
         search = None
         out: list[int | None] = []
         for to in tos:
@@ -481,17 +495,19 @@ class Overlay:
                 continue
             dst = self._index[to]
             latency = links.get(dst)
-            if latency is None or latency > least[src] + least[dst]:
+            direct = latency is not None and latency <= least[src] + least[dst]
+            if not direct:
                 if search is None:
                     search = self._search(src)
                 latency = self._settle(search, (dst,))
                 if latency == _UNBOUNDED:
                     out.append(None)
                     continue
-                if size > 0:
-                    latency += -(-size // self._widest(search[0], dst))
-            elif size > 0:
-                latency += -(-size // min(bw[src], bw[dst]))
+            if size > 0:
+                term = -(-size // min(bw[src], bw[dst]))
+                if not direct and term != slowest:
+                    term = -(-size // self._widest(search[0], dst))
+                latency += term
             out.append(latency)
         return out
 

@@ -13,10 +13,21 @@ Availability and task success are exponentially smoothed per heartbeat
 interval. Selection is randomized but proportional: candidates are drawn
 without replacement with probability proportional to a weighted score over
 smoothed performance, smoothed availability, projected cost and region match.
+
+The repository keeps its records in NodeId order as they register, so a
+query filters them in that order without sorting. A draw takes the score
+total with the builtin sum and finds the picked candidate by bisection in
+the running prefix sums: the first prefix above the drawn point, or the
+last candidate if none is. Those are the same sums and the same pick as a
+walk that adds the scores one by one, provided no score is negative, so
+ResourceQuery refuses a negative weight.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import attrgetter
 
 from .engine import RngStream, SimTime
 from .overlay import NodeId
@@ -55,6 +66,10 @@ class ResourceQuery:
     preferred_region: str | None = None
     weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS
 
+    def __post_init__(self):
+        if any(w < 0 for w in self.weights):
+            raise ValueError(f"negative score weight in {self.weights}")
+
 
 @dataclass(frozen=True, slots=True)
 class QueryResult:
@@ -72,11 +87,14 @@ class Repository:
         self.staleness = STALENESS_INTERVALS * heartbeat_interval
         self.region_gate = region_gate or (lambda region: True)
         self.records: dict[NodeId, NodeResourceRecord] = {}
+        # The same records, in NodeId order.
+        self._ordered: list[NodeResourceRecord] = []
 
     def register(self, record: NodeResourceRecord) -> None:
         if record.node_id in self.records:
             raise RepoError(f"already registered: {record.node_id!r}")
         self.records[record.node_id] = record
+        bisect.insort(self._ordered, record, key=attrgetter("node_id"))
 
     def heartbeat(self, node_id: NodeId, free_capacity: ResourceVector,
                   at: SimTime, projected_cost: float | None = None) -> None:
@@ -131,36 +149,31 @@ class Repository:
     # -- selection -------------------------------------------------------------
 
     def eligible(self, query: ResourceQuery, at: SimTime) -> list[NodeResourceRecord]:
-        out = []
-        gate: dict[str, bool] = {}   # region_gate once per region per query
-        for node_id in sorted(self.records):
-            rec = self.records[node_id]
-            if rec.last_heartbeat is None or at - rec.last_heartbeat > self.staleness:
-                continue
-            if rec.availability is None:
-                continue
-            if not rec.free_capacity.covers(query.required):
-                continue
-            if rec.region not in gate:
-                gate[rec.region] = self.region_gate(rec.region)
-            if not gate[rec.region]:
-                continue
-            out.append(rec)
-        return out
+        """The fresh, available records that cover the requirement and whose
+        region passes the gate, in NodeId order. The gate is asked once per
+        region, at that region's first record that passes the other tests."""
+        staleness, need = self.staleness, query.required
+        gate: dict[str, bool] = {}
+        ask = self.region_gate
+        return [rec for rec in self._ordered
+                if rec.last_heartbeat is not None
+                and at - rec.last_heartbeat <= staleness
+                and rec.availability is not None
+                and rec.free_capacity.covers(need)
+                and (gate[rec.region] if rec.region in gate
+                     else gate.setdefault(rec.region, ask(rec.region)))]
 
     def scores(self, candidates: list[NodeResourceRecord],
                query: ResourceQuery) -> list[float]:
         w_perf, w_avail, w_cost, w_geo = query.weights
         max_cost = max((r.projected_cost for r in candidates), default=0.0)
-        out = []
-        for rec in candidates:
-            norm_cost = rec.projected_cost / max_cost if max_cost > 0 else 0.0
-            geo = 1.0 if rec.region == query.preferred_region else 0.0
-            out.append(w_perf * rec.perf_history
-                       + w_avail * (rec.availability or 0.0)
-                       + w_cost * (1.0 - norm_cost)
-                       + w_geo * geo)
-        return out
+        region = query.preferred_region
+        return [w_perf * rec.perf_history
+                + w_avail * (rec.availability or 0.0)
+                + w_cost * (1.0 - (rec.projected_cost / max_cost
+                                   if max_cost > 0 else 0.0))
+                + w_geo * (1.0 if rec.region == region else 0.0)
+                for rec in candidates]
 
     def query(self, query: ResourceQuery, rng: RngStream,
               at: SimTime) -> QueryResult:
@@ -175,21 +188,18 @@ class Repository:
 
 def _weighted_sample(candidates: list[NodeResourceRecord], scores: list[float],
                      k: int, rng: RngStream) -> list[NodeResourceRecord]:
-    """Draw k without replacement, probability proportional to score."""
-    remaining = list(zip(candidates, scores))
+    """Draw k without replacement, probability proportional to score. The
+    scores must not be negative, so that their prefix sums never fall."""
+    candidates, scores = list(candidates), list(scores)
     picked = []
     for _ in range(k):
-        total = sum(s for _, s in remaining)
+        total = sum(scores)
         if total <= 0.0:
-            idx = rng.randrange(len(remaining))
+            idx = rng.randrange(len(scores))
         else:
             point = rng.random() * total
-            acc = 0.0
-            idx = len(remaining) - 1
-            for i, (_, s) in enumerate(remaining):
-                acc += s
-                if point < acc:
-                    idx = i
-                    break
-        picked.append(remaining.pop(idx)[0])
+            idx = min(bisect.bisect_right(list(accumulate(scores)), point),
+                      len(scores) - 1)
+        del scores[idx]
+        picked.append(candidates.pop(idx))
     return picked

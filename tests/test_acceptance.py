@@ -449,7 +449,7 @@ def test_08_update_dominance_and_rollback_exactness(capfd):
                     assert adoption.to_version == shadow[node][-1]
                     ops += 1
             for node in nodes:
-                assert diff.active_version(node, "svc") == shadow[node][-1]
+                assert diff.active[(node, "svc")] == shadow[node][-1]
         assert ops >= 1000
 
 

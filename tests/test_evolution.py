@@ -2,7 +2,7 @@
 from collections import defaultdict
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from c3sim.engine import RngStream
@@ -48,7 +48,7 @@ class TestVersionForest:
         ids, trust = ring_trust(4)
         diff = UpdateDiffusion(trust)
         diff.register_root("s", "1.0", 1.0)
-        assert all(diff.active_version(i, "s") == "1.0" for i in ids)
+        assert all(diff.active[(i, "s")] == "1.0" for i in ids)
         assert diff.adoption_fraction("s", "1.0") == 1.0
         assert diff.adoption_fraction("s", "2.0") == 0.0
         assert diff.fitness("s", "1.0") == 1.0
@@ -200,7 +200,7 @@ class TestRollback:
         rows = diff.rollback(x, "s", 2, at=9)
         assert [(r.from_version, r.to_version, r.cause) for r in rows] == [
             ("v3", "v2", "rollback"), ("v2", "v1", "rollback")]
-        assert diff.active_version(x, "s") == "v1"
+        assert diff.active[(x, "s")] == "v1"
         assert diff.history[(x, "s")] == ["r"]
 
     def test_underflow_and_bad_step_counts(self):
@@ -229,7 +229,7 @@ class TestRollback:
         while len(shadow) > 1:
             diff.rollback(x, "s", 1, at=99)
             shadow.pop()
-            assert diff.active_version(x, "s") == shadow[-1]
+            assert diff.active[(x, "s")] == shadow[-1]
         assert diff.history[(x, "s")] == []
 
     def test_readoption_can_follow_a_rollback(self):
@@ -239,5 +239,84 @@ class TestRollback:
         diff.release("s", "2.0", "1.0", 2.0, [ids[0]], 0)
         assert [a.node for a in diff.adoption_tick(1)] == [ids[2]]
         diff.rollback(ids[2], "s", 1, at=2)
-        assert diff.active_version(ids[2], "s") == "1.0"
+        assert diff.active[(ids[2], "s")] == "1.0"
         assert [a.node for a in diff.adoption_tick(3)] == [ids[2]]
+
+
+class FullScan(UpdateDiffusion):
+    """The reference for adoption_tick: its code before pending pairs,
+    which scans every node and service at every tick."""
+
+    def adoption_tick(self, at, is_online=None):
+        snapshot = dict(self.active)
+        out = []
+        for node in sorted(self.trust):
+            if is_online is not None and not is_online(node):
+                continue
+            neighbors = self.trust[node]
+            if not neighbors:
+                continue
+            for service_id in sorted(self.versions):
+                current = snapshot.get((node, service_id))
+                if current is None:
+                    continue
+                choice = self._pick(node, service_id, current, neighbors, snapshot)
+                if choice is not None:
+                    out.append(self._switch(node, service_id, choice, at, "adopt"))
+        return out
+
+
+# (op, node, service, value): a release from node at fitness value / 64,
+# a rollback of 1 + value % depth steps at a node with a history, or a
+# tick with the nodes whose bit is set in value offline
+node_ops = st.integers(0, 7), st.sampled_from(("s", "t")), st.integers(0, 255)
+diffusion_ops = st.lists(
+    st.tuples(st.sampled_from(("release", "rollback")), *node_ops)
+    | st.tuples(st.just("tick"), st.just(0), st.just("s"),
+                st.just(0) | st.integers(0, 255)),
+    min_size=1, max_size=30)
+
+
+class TestPendingPairs:
+    @given(trust=st.lists(st.lists(st.integers(0, 7), max_size=4),
+                          min_size=2, max_size=8),
+           theta=st.sampled_from((0.25, 0.5, 0.6, 1.0)), ops=diffusion_ops)
+    @settings(max_examples=200, deadline=None)
+    # node 0 adopts, then declines, is rolled back and must adopt again
+    @example(trust=[[1], []], theta=0.5,
+             ops=[("release", 1, "s", 255), ("tick", 0, "s", 0),
+                  ("tick", 0, "s", 0), ("rollback", 0, "s", 0),
+                  ("tick", 0, "s", 0)])
+    def test_every_tick_equals_the_full_scan(self, trust, theta, ops):
+        ids = [nid(i + 1) for i in range(len(trust))]
+        graph = {ids[i]: tuple(dict.fromkeys(
+            ids[j % len(ids)] for j in peers if j % len(ids) != i))
+            for i, peers in enumerate(trust)}
+        diffs = UpdateDiffusion(graph, theta), FullScan(graph, theta)
+        released = {"s": ["1.0"], "t": ["1.0"]}
+        for diff in diffs:
+            diff.register_root("s", "1.0", 1.0)
+            diff.register_root("t", "1.0", 2.0)
+        for at, (op, i, service, value) in enumerate(ops, start=1):
+            node = ids[i % len(ids)]
+            if op == "release":
+                version = f"v{len(released[service])}"
+                parent = released[service][value % len(released[service])]
+                released[service].append(version)
+                got = [d.release(service, version, parent, value / 64, [node], at)
+                       for d in diffs]
+            elif op == "rollback":
+                # the i-th node (in a loop) with a history to step back in
+                moved = [n for n in ids if diffs[0].history[(n, service)]]
+                if not moved:
+                    continue
+                node = moved[i % len(moved)]
+                depth = len(diffs[0].history[(node, service)])
+                got = [d.rollback(node, service, 1 + value % depth, at)
+                       for d in diffs]
+            else:
+                offline = {n for k, n in enumerate(ids) if value >> k & 1}
+                got = [d.adoption_tick(at, lambda n: n not in offline)
+                       for d in diffs]
+            assert got[0] == got[1]
+            assert diffs[0].active == diffs[1].active

@@ -3,8 +3,9 @@
 Each shipped scenario runs at seeds 1-5, once as shipped (community mode)
 and once on the vendor baseline. The three benchmark workloads (wiki_small
 x4 in both modes, video_small x20) also run, scaled as the benchmark
-scales them, at both of its program seeds, and video_small x80 at seed 7
-pins the high-load session regime. The SHA-256 of its canonical log tables
+scales them, at both of its program seeds; video_small x80 at seed 7
+pins the high-load session regime and wiki_small x10 at seed 42 the
+500-node wiki run. The SHA-256 of its canonical log tables
 must match the pinned value, and the run must pass every audit. A change
 that alters any log row changes a digest; such a change must say why, and
 re-pin only the runs it moves.
@@ -71,6 +72,8 @@ SCALED_GOLDEN = {
     ("wiki_small", 4, "community", 42): "a1f3478e8e807f332966f80d67e6b1a74c298db2fa4608efac939786e8884372",
     ("wiki_small", 4, "vendor", 4): "9cd97d331f230d3809aa91f567d598d16a693d00dfa5f86d36965f49f004ee59",
     ("wiki_small", 4, "vendor", 42): "63ddf4c356cdd7d581f92ec364f7d7d5dfae80500a5a3b60cc9bc26a22a67e6f",
+    # 500 nodes: sized routes, adoption ticks and draws at a larger scale
+    ("wiki_small", 10, "community", 42): "fb379b7a66685554484066909ae502c4e852ba6e25ebd4bad7e21b853216740c",
 }
 
 

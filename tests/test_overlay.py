@@ -16,6 +16,7 @@ from c3sim.harness.runner import run_scenario
 from c3sim.ledger import Transfer
 from c3sim.overlay import (
     ID_BITS,
+    _UNBOUNDED,
     DuplicateJoin,
     EmptyRegion,
     NearestLabels,
@@ -633,6 +634,75 @@ class TestRoutingUnderChurn:
             # every source, so that an answer from a stale search shows
             for src in ids:
                 check_routes_from(overlay, src, ids, value)
+
+
+def searched_routes(overlay, frm, tos, size):
+    """The reference for Overlay.routes: its code before the transfer term
+    was bracketed, which runs _widest for every sized target it searches."""
+    online = overlay.online_ids
+    if frm not in online:
+        return [None for _ in tos]
+    src = overlay._index[frm]
+    links, least, bw = overlay._links[src], overlay._least, overlay._bw
+    search = None
+    out = []
+    for to in tos:
+        if to not in online:
+            out.append(None)
+            continue
+        if to == frm:
+            out.append(0)
+            continue
+        dst = overlay._index[to]
+        latency = links.get(dst)
+        if latency is None or latency > least[src] + least[dst]:
+            if search is None:
+                search = overlay._search(src)
+            latency = overlay._settle(search, (dst,))
+            if latency == _UNBOUNDED:
+                out.append(None)
+                continue
+            if size > 0:
+                latency += -(-size // overlay._widest(search[0], dst))
+        elif size > 0:
+            latency += -(-size // min(bw[src], bw[dst]))
+        out.append(latency)
+    return out
+
+
+class TestTransferBracket:
+    @given(nodes=st.lists(st.tuples(st.sampled_from((0, 1, 2, 3, 5, 10, 40)),
+                                     st.sampled_from((True, True, False))),
+                          min_size=2, max_size=8),
+           chain=st.lists(st.integers(1, 12), min_size=7, max_size=7),
+           links=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                    st.integers(1, 12)), max_size=8),
+           sizes=st.lists(st.sampled_from((1, 5, 20, 30)) | st.integers(0, 100),
+                          min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    # the ends are 40 wide and the one path between them 1 wide
+    @example(nodes=[(40, True), (1, True), (40, True)], chain=[5] * 7,
+             links=[], sizes=[100])
+    def test_every_answer_equals_the_widest_path_search(self, nodes, chain,
+                                                        links, sizes):
+        # nodes are (bandwidth, online), linked in a chain and by a few
+        # more links; an offline node keeps its links
+        cfg = OverlayConfig(degree=2, min_degree=1, inter_region_links=0)
+        overlay = Overlay(cfg, RngStream(7, "overlay"))
+        ids = [nid(i + 1) for i in range(len(nodes))]
+        for i, (bandwidth, online) in enumerate(nodes):
+            overlay.add_record(NodeRecord(ids[i], f"r{i}",
+                                          ResourceVector(10, 1000, bandwidth)))
+            if online:
+                overlay.join(ids[i], 0)
+        for a, latency in enumerate(chain[:len(ids) - 1]):
+            overlay.add_link(ids[a], ids[a + 1], latency)
+        for a, b, latency in links:
+            overlay.add_link(ids[a % len(ids)], ids[b % len(ids)], latency)
+        for size in sizes:
+            for frm in ids:
+                assert (overlay.routes(frm, ids, size)
+                        == searched_routes(overlay, frm, ids, size))
 
 
 class TestKeptFacts:

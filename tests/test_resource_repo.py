@@ -1,8 +1,10 @@
 """Repository: EWMA freshness tracking and score-proportional selection."""
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -10,6 +12,7 @@ from c3sim.engine import RngStream
 from c3sim.resource_repo import (
     DEFAULT_WEIGHTS,
     NodeResourceRecord,
+    QueryResult,
     Repository,
     ResourceQuery,
     UnknownNode,
@@ -263,3 +266,144 @@ class TestProportionalSelection:
                             RngStream(1, "repo"), at=10)
         assert set(result.nodes) == set(ids)
         assert result.insufficient
+
+
+def scanned_query(repo, query, rng, at):
+    """The reference for Repository.query: its code before the kept order
+    and the bisected draw. It sorts the records, scores them one by one and
+    walks the running sum to the drawn point."""
+    candidates, gate = [], {}
+    for node_id in sorted(repo.records):
+        rec = repo.records[node_id]
+        if rec.last_heartbeat is None or at - rec.last_heartbeat > repo.staleness:
+            continue
+        if rec.availability is None:
+            continue
+        if not rec.free_capacity.covers(query.required):
+            continue
+        if rec.region not in gate:
+            gate[rec.region] = repo.region_gate(rec.region)
+        if not gate[rec.region]:
+            continue
+        candidates.append(rec)
+    if len(candidates) <= query.count:
+        return QueryResult(tuple(r.node_id for r in candidates),
+                           insufficient=len(candidates) < query.count)
+    w_perf, w_avail, w_cost, w_geo = query.weights
+    max_cost = max((r.projected_cost for r in candidates), default=0.0)
+    scores = []
+    for rec in candidates:
+        norm_cost = rec.projected_cost / max_cost if max_cost > 0 else 0.0
+        geo = 1.0 if rec.region == query.preferred_region else 0.0
+        scores.append(w_perf * rec.perf_history
+                      + w_avail * (rec.availability or 0.0)
+                      + w_cost * (1.0 - norm_cost)
+                      + w_geo * geo)
+    remaining = list(zip(candidates, scores))
+    picked = []
+    for _ in range(query.count):
+        total = sum(s for _, s in remaining)
+        if total <= 0.0:
+            idx = rng.randrange(len(remaining))
+        else:
+            point = rng.random() * total
+            acc = 0.0
+            idx = len(remaining) - 1
+            for i, (_, s) in enumerate(remaining):
+                acc += s
+                if point < acc:
+                    idx = i
+                    break
+        picked.append(remaining.pop(idx)[0])
+    return QueryResult(tuple(r.node_id for r in picked), insufficient=False)
+
+
+class Scripted:
+    """A stand-in random stream that plays back fixed draws in a loop and
+    counts them in `at`."""
+
+    def __init__(self, values):
+        self.values, self.at = values, 0
+
+    def random(self):
+        self.at += 1
+        return self.values[(self.at - 1) % len(self.values)]
+
+    def randrange(self, n):
+        return int(self.random() * n)
+
+
+# fractions that sums hit exactly, and any others
+FRACTIONS = (0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.75, 1.0)
+unit = st.sampled_from(FRACTIONS) | st.floats(0, 1)
+# (availability, perf_history, projected_cost, heartbeat age, region,
+# compute); a record with no availability or an age past 1500 is stale
+repo_records = st.lists(st.tuples(
+    st.sampled_from((None,) + FRACTIONS) | st.floats(0, 1), unit,
+    st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0)),
+    st.sampled_from((0, 0, 700, 1500, 1501, None)), st.sampled_from("abc"),
+    st.integers(0, 3)), min_size=1, max_size=10)
+# (count, compute needed, preferred region, weights)
+repo_queries = st.lists(st.tuples(
+    st.sampled_from((1, 1, 2, 3, 6)), st.sampled_from((0, 0, 1, 3)),
+    st.none() | st.sampled_from("ab"),
+    st.just(DEFAULT_WEIGHTS) | st.tuples(unit, unit, unit, unit)),
+    min_size=1, max_size=3)
+draw_values = st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.75, 0.999))
+                       | st.floats(0, 1, exclude_max=True), min_size=1, max_size=6)
+
+
+def record_rows(perfs):
+    """Fresh, available records in region a with these perf_history values."""
+    return [(1.0, perf, 0.0, 0, "a", 0) for perf in perfs]
+
+
+class TestDraws:
+    @given(records=repo_records, order=st.randoms(use_true_random=False),
+           closed=st.sets(st.sampled_from("abc"), max_size=1),
+           queries=repo_queries, draws=draw_values)
+    @settings(max_examples=150, deadline=None)
+    # the point falls exactly on the first of two equal prefix sums
+    @example(records=record_rows((0.5, 0.5)), order=random.Random(0),
+             closed=set(), queries=[(1, 0, None, (1.0, 0.0, 0.0, 0.0))],
+             draws=[0.5])
+    # a running sum that an exact sum rounds below: 0.1 + 0.2 + 0.3 (ids
+    # fall as the records are numbered)
+    @example(records=record_rows((0.3, 0.2, 0.1)), order=random.Random(0),
+             closed=set(), queries=[(1, 0, None, (1.0, 0.0, 0.0, 0.0))],
+             draws=[0.5])
+    # all weights 0: every pick is a randrange
+    @example(records=record_rows((0.5, 0.5, 0.5)), order=random.Random(0),
+             closed=set(), queries=[(2, 0, None, (0.0, 0.0, 0.0, 0.0))],
+             draws=[0.3, 0.9])
+    def test_every_pick_equals_the_running_sum_walk(self, records, order,
+                                                     closed, queries, draws):
+        asked = [], []
+
+        def gate(log):
+            return lambda region: log.append(region) or region not in closed
+
+        repos = [Repository(heartbeat_interval=500, region_gate=gate(log))
+                 for log in asked]
+        ids = [nid(7919 * (i + 1) % 1009) for i in range(len(records))]
+        rows = list(zip(ids, records))
+        order.shuffle(rows)   # registered out of NodeId order
+        for repo in repos:
+            for node, (avail, perf, cost, age, region, compute) in rows:
+                repo.register(NodeResourceRecord(
+                    node, region, ResourceVector(4, 4, 4), perf_history=perf,
+                    free_capacity=ResourceVector(compute, 4, 4),
+                    projected_cost=cost, availability=avail,
+                    last_heartbeat=None if age is None else 2000 - age))
+        rngs = Scripted(draws), Scripted(draws)
+        for count, need, region, weights in queries:
+            query = ResourceQuery(ResourceVector(need, 1, 1), count=count,
+                                  preferred_region=region, weights=weights)
+            assert (repos[0].query(query, rngs[0], at=2000)
+                    == scanned_query(repos[1], query, rngs[1], at=2000))
+        assert asked[0] == asked[1]
+        assert rngs[0].at == rngs[1].at   # as many draws
+
+    def test_a_negative_weight_is_refused(self):
+        with pytest.raises(ValueError):
+            ResourceQuery(ResourceVector(1, 1, 1), weights=(0.5, -0.1, 0.3, 0.3))
