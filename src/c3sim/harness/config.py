@@ -579,12 +579,13 @@ def _validate(config: ScenarioConfig) -> None:
 
 def _check_horizon(config: ScenarioConfig) -> None:
     """Bound the arrivals and periodic ticks queued before the first event,
-    and the churn events the run will draw."""
+    and the churn events the run will draw. Both callers have checked that
+    the horizon is at least 1."""
     wl = config.workload
     key, rate = (("rate", wl.rate) if wl.kind == "wiki"
                  else ("session_rate", wl.session_rate))
     # quotients, so no horizon overflows a float
-    if rate > MAX_ARRIVALS / max(config.horizon, 1):
+    if rate > MAX_ARRIVALS / config.horizon:
         raise ConfigError(f"[workload] {key}",
                           f"{key} x horizon is above {MAX_ARRIVALS} arrivals")
     # A churning node leaves and rejoins once per mean_online + mean_offline
@@ -592,7 +593,7 @@ def _check_horizon(config: ScenarioConfig) -> None:
     churn_rate = config.churn_multiplier * sum(
         2 * c.count / (c.mean_online + c.mean_offline)
         for c in config.population if c.mean_offline > 0)
-    if churn_rate > MAX_CHURN_EVENTS / max(config.horizon, 1):
+    if churn_rate > MAX_CHURN_EVENTS / config.horizon:
         raise ConfigError("[failures] churn_multiplier",
                           f"expected churn events over the horizon are "
                           f"above {MAX_CHURN_EVENTS}")
@@ -606,9 +607,14 @@ def _check_horizon(config: ScenarioConfig) -> None:
 def with_overrides(config: ScenarioConfig, seed: int | None = None,
                    horizon: int | None = None,
                    mode: str | None = None) -> ScenarioConfig:
+    """config with the given fields replaced, under the parser's bounds."""
     if seed is not None:
+        if seed < 0:
+            raise ConfigError("[simulation] seed", "must be >= 0")
         config = replace(config, seed=seed)
     if horizon is not None:
+        if horizon < 1:
+            raise ConfigError("[simulation] horizon", "must be >= 1")
         config = replace(config, horizon=horizon)
         _check_horizon(config)
     if mode is not None:

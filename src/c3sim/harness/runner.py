@@ -79,8 +79,7 @@ class Runner:
                 region = klass.regions[i % len(klass.regions)]
                 self.overlay.add_record(NodeRecord(
                     node_id, region, klass.capacity, klass.cost_factor,
-                    klass.mean_online, klass.mean_offline,
-                    online=True, online_since=0))
+                    klass.mean_online, klass.mean_offline), online=True)
                 self.node_list.append(node_id)
                 self.by_class.setdefault(klass.name, []).append(node_id)
                 self._log("nodes", node_id.short, region, klass.name,
@@ -92,9 +91,8 @@ class Runner:
         if cfg.mode == "vendor":
             self.vendor_node = generate_identity(ids).node_id
             cap = ResourceVector(10 ** 6, 10 ** 9, 10 ** 6)
-            self.overlay.add_record(NodeRecord(
-                self.vendor_node, VENDOR_REGION, cap,
-                online=True, online_since=0))
+            self.overlay.add_record(
+                NodeRecord(self.vendor_node, VENDOR_REGION, cap), online=True)
             self._log("nodes", self.vendor_node.short, VENDOR_REGION,
                       VENDOR_CLASS, cap.compute, cap.storage, cap.bandwidth,
                       1.0, 0, 0, 1)
@@ -253,7 +251,8 @@ class Runner:
                     at, self.config.workload.write_size):
                 self.sim.at(arrive, "replica-deliver", delivery=d)
         else:
-            streamed = ResourceVector(bandwidth=item.stream_rate * item.duration)
+            streamed = ResourceVector(
+                bandwidth=self.config.workload.stream_rate * item.duration)
             session = self.services.plan_session(Request(
                 next(self._req_ids), item.service_id, requester, at, streamed,
                 "session"), at, item.duration)

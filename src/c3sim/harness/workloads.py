@@ -23,7 +23,6 @@ class WorkloadItem:
     actual: ResourceVector = ResourceVector()
     page: int = 0
     duration: int = 0
-    stream_rate: int = 0
 
 
 def draw_actual(svc: ServiceEntry, rng: RngStream) -> ResourceVector:
@@ -87,6 +86,5 @@ def _video(config: ScenarioConfig, rng: RngStream,
         duration = max(1, int(rng.expovariate(1.0 / wl.mean_duration)))
         items.append(WorkloadItem(
             at, "session", svc.service_id, rng.randrange(population),
-            actual=draw_actual(svc, rng),
-            duration=duration, stream_rate=wl.stream_rate))
+            actual=draw_actual(svc, rng), duration=duration))
     return items

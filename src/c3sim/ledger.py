@@ -224,22 +224,3 @@ class Ledger:
         if self.market.config.minting:
             rows.append(Transfer(at, MINT, host, gross, f"hosting-reward{suffix}"))
         return rows
-
-    # -- audits ---------------------------------------------------------------
-
-    def total_balance(self) -> int:
-        return sum(a.balance for a in self.accounts.values())
-
-    def conservation_drift(self) -> int:
-        """Zero iff balances equal openings plus mint minus burn."""
-        opening = sum(self.opening_balances.values())
-        return self.total_balance() - (opening + self.minted - self.burned)
-
-    def credit_floor_ok(self) -> bool:
-        return all(a.balance >= -a.credit_limit for a in self.accounts.values())
-
-    def balances_by_label(self) -> dict[str, int]:
-        return {account_label(k): a.balance for k, a in self.accounts.items()}
-
-    def opening_by_label(self) -> dict[str, int]:
-        return {account_label(k): v for k, v in self.opening_balances.items()}

@@ -13,14 +13,17 @@ random regular graphs quickly", 1999), ported step for step from
 networkx 3.6.1's random_regular_graph and redrawn until connected. Its
 draw order is part of the log-digest contract: another pairing order, or
 another seeding of its random.Random, changes every run's topology.
-Departures tear edges down; a maintenance pass (run at gossip rounds)
-restores minimum degree and inter-region connectivity, and re-forms any
-super-peer whose membership decayed. The pass reads three facts that the
-membership and edge hooks keep up to date as they change: the online nodes
-below minimum degree, the link count of each region pair, and the online
-members of each super-peer. So it walks what needs repair, not every node
-and link. Links are stored once, by node index, and only add_link writes
-them; adj is a copy keyed by NodeId for readers outside.
+Both ends of every link are online: add_link refuses an offline end, and
+a departure tears down every link of the leaving node. So an offline node
+has no links, and no search or labelling ever reaches one. A maintenance
+pass (run at gossip rounds) restores minimum degree and inter-region
+connectivity, and re-forms any super-peer whose membership decayed. The
+pass reads three facts that the membership and edge hooks keep up to date
+as they change: the online nodes below minimum degree, the link count of
+each region pair, and the online members of each super-peer. So it walks
+what needs repair, not every node and link. Links are stored once, by node
+index, and only add_link writes them; adj is a copy keyed by NodeId for
+readers outside.
 
 Routing keeps one kind of state between calls: the nearest-source
 labellings that `labelling()` hands out (one per published service, for
@@ -116,7 +119,6 @@ class NodeRecord:
     cost_factor: float = 1.0
     mean_online: int = 0
     mean_offline: int = 0
-    online: bool = False
     online_since: SimTime = 0
 
 
@@ -153,18 +155,18 @@ class Overlay:
         self.rng = rng
         self.records: dict[NodeId, NodeRecord] = {}
         self.regions: dict[str, list[NodeId]] = {}
-        # The online nodes; callers only read it.
+        # The online nodes, the one store of who is online; callers only
+        # read it.
         self.online_ids: set[NodeId] = set()
         self.dvsps: dict[str, VirtualSuperPeer] = {}
         self._reform: set[str] = set()
         # Dense indices, given out as records are added; _recs maps back.
-        # _links[i][j], kept at both ends, is the one store of links; _up
-        # the online flags, _bw bandwidths (at least 1), _least a lower
-        # bound on each node's link latencies. No answer depends on order.
+        # _links[i][j], kept at both ends, is the one store of links; _bw
+        # bandwidths (at least 1), _least a lower bound on each node's link
+        # latencies. No answer depends on order.
         self._index: dict[NodeId, int] = {}
         self._recs: list[NodeRecord] = []
         self._links: list[dict[int, int]] = []
-        self._up: list[bool] = []
         self._bw: list[int] = []
         self._least: list[int] = []
         # The least _bw ever added: no path is narrower, since bandwidths
@@ -172,11 +174,9 @@ class Overlay:
         self._floor = _UNBOUNDED
         # Each region's online members, in NodeId order.
         self._online: dict[str, list[NodeId]] = {}
-        # The online nodes with fewer than min_degree links (to any node,
-        # online or not).
+        # The online nodes with fewer than min_degree links.
         self._under: set[NodeId] = set()
-        # Per region pair (ra, rb), ra < rb, the links between them whose
-        # end in ra is online.
+        # Per region pair (ra, rb), ra < rb, the links between them.
         self._inter: dict[tuple[str, str], int] = {}
         # Per region with a super-peer, its online members.
         self._live: dict[str, int] = {}
@@ -185,7 +185,8 @@ class Overlay:
 
     # -- membership ---------------------------------------------------------
 
-    def add_record(self, record: NodeRecord) -> None:
+    def add_record(self, record: NodeRecord, online: bool = False) -> None:
+        """Register record; online puts it online at once, with no links."""
         if record.node_id in self.records:
             raise DuplicateJoin(f"{record.node_id!r} already registered")
         self.records[record.node_id] = record
@@ -193,7 +194,6 @@ class Overlay:
         self._index[record.node_id] = len(self._links)
         self._recs.append(record)
         self._links.append({})
-        self._up.append(False)
         bw = max(1, record.capacity.bandwidth)
         self._bw.append(bw)
         self._floor = min(self._floor, bw)
@@ -201,7 +201,7 @@ class Overlay:
         self._online.setdefault(record.region, [])
         for labels in self._labellings:
             labels._label.append(_UNLABELLED)
-        if record.online:
+        if online:
             self._set_online(record, True)
 
     def is_online(self, node_id: NodeId) -> bool:
@@ -222,7 +222,7 @@ class Overlay:
         rec = self.records.get(node_id)
         if rec is None:
             raise UnknownNode(repr(node_id))
-        if rec.online:
+        if node_id in self.online_ids:
             raise DuplicateJoin(repr(node_id))
         # The region's online members are the node's peers until
         # _set_online adds the node itself.
@@ -235,54 +235,45 @@ class Overlay:
             self.add_link(node_id, peer, self.config.intra_latency)
 
     def leave(self, node_id: NodeId) -> None:
-        rec = self.records.get(node_id)
-        if rec is None or not rec.online:
+        if node_id not in self.online_ids:
             raise UnknownNode(repr(node_id))
+        rec = self.records[node_id]
         i, least = self._index[node_id], self.config.min_degree
         # Each labelling's tight children of the node, read while its
         # links stand.
         cuts = [(labels, labels._children(i)) for labels in self._labellings]
         self._set_online(rec, False)
         # Drop every link. The node is offline now, so only its peers'
-        # degrees change, and a link leaves _inter only through an online
-        # peer.
+        # degrees change; every peer is online, since its link was.
         for j in self._links[i]:
             peer_rec, peer_links = self._recs[j], self._links[j]
             del peer_links[i]
-            if peer_rec.online and len(peer_links) < least:
+            if len(peer_links) < least:
                 self._under.add(peer_rec.node_id)
             if peer_rec.region != rec.region:
-                self._count_inter(rec, peer_rec, -1)
+                self._count_inter(rec.region, peer_rec.region, -1)
         self._links[i].clear()
         for labels, children in cuts:
             labels._left(i, children)
 
     def _set_online(self, rec: NodeRecord, online: bool) -> None:
-        node_id, region, i = rec.node_id, rec.region, self._index[rec.node_id]
-        rec.online = online
-        self._up[i] = online
+        """Mark rec online or offline. A node comes online with no links,
+        since an offline node holds none; leave drops a leaving node's
+        links after this call."""
+        node_id, region = rec.node_id, rec.region
         members = self._online[region]
-        step = 1 if online else -1
         if online:
             self.online_ids.add(node_id)
             bisect.insort(members, node_id)
-            if len(self._links[i]) < self.config.min_degree:
+            if self.config.min_degree > 0:  # it has no links yet
                 self._under.add(node_id)
-            if self._links[i]:  # linked while offline
-                for labels in self._labellings:
-                    labels._joined(i)
         else:
             self.online_ids.discard(node_id)
             del members[bisect.bisect_left(members, node_id)]
             self._under.discard(node_id)
-        for j in self._links[i]:
-            other = self._recs[j].region
-            if region < other:
-                key = region, other
-                self._inter[key] = self._inter.get(key, 0) + step
         vsp = self.dvsps.get(region)
         if vsp is not None and node_id in vsp.members:
-            self._live[region] += step
+            self._live[region] += 1 if online else -1
             if not online:
                 self._reform.add(region)
 
@@ -323,9 +314,13 @@ class Overlay:
         raise OverlayError(f"no connected {d}-regular graph on {n} nodes")
 
     def add_link(self, a: NodeId, b: NodeId, latency: int) -> None:
-        """Link a and b, or re-weigh their link: the one writer of links."""
+        """Link a and b, or re-weigh their link: the one writer of links.
+        Both must be online, so that no offline node holds a link."""
         if latency < 1:  # routing's early stop relies on it
             raise ValueError(f"link latency {latency} is below 1")
+        online = self.online_ids
+        if a not in online or b not in online:
+            raise UnknownNode(f"{a!r} -- {b!r}: only online nodes link")
         if a == b:
             return
         ia, ib = self._index[a], self._index[b]
@@ -344,19 +339,15 @@ class Overlay:
                 self._under.discard(a)
             if len(links_b) >= least:
                 self._under.discard(b)
-            rec_a, rec_b = self._recs[ia], self._recs[ib]
-            if rec_a.region != rec_b.region:
-                self._count_inter(rec_a, rec_b, 1)
+            ra, rb = self._recs[ia].region, self._recs[ib].region
+            if ra != rb:
+                self._count_inter(ra, rb, 1)
 
-    def _count_inter(self, rec_a: NodeRecord, rec_b: NodeRecord,
-                     step: int) -> None:
-        """Count a link between two regions, just added (step 1) or dropped
-        (step -1), in _inter if its end in the lesser region is online."""
-        if rec_b.region < rec_a.region:
-            rec_a, rec_b = rec_b, rec_a
-        if rec_a.online:
-            key = rec_a.region, rec_b.region
-            self._inter[key] = self._inter.get(key, 0) + step
+    def _count_inter(self, ra: str, rb: str, step: int) -> None:
+        """Count a link between regions ra and rb in _inter: just added
+        (step 1) or dropped (step -1)."""
+        key = (ra, rb) if ra < rb else (rb, ra)
+        self._inter[key] = self._inter.get(key, 0) + step
 
     def _repair_degrees(self) -> None:
         # Repairs only add links, so no node joins _under during the pass;
@@ -417,10 +408,11 @@ class Overlay:
         latency fell after it was filed. Every link latency is at least 1,
         so expanding a bucket adds nothing to it, and once no bucket below
         best is left, every node closer is expanded and each target at best
-        is final. The search never reaches an offline node."""
+        is final. The search never reaches an offline node: an offline
+        node has no links."""
         dist, buckets, keys = search
         best = min(dist[t] for t in targets)
-        links, up = self._links, self._up
+        links = self._links
         while keys and keys[0] < best:
             d = heapq.heappop(keys)
             for node in buckets.pop(d):
@@ -428,7 +420,7 @@ class Overlay:
                     continue
                 for peer, latency in links[node].items():
                     nd = d + latency
-                    if nd < dist[peer] and up[peer]:
+                    if nd < dist[peer]:
                         dist[peer] = nd
                         bucket = buckets.get(nd)
                         if bucket is None:
@@ -688,11 +680,11 @@ class NearestLabels:
                 heap = self._cut((b,))
             elif label[a] == label[b] + step:
                 heap = self._cut((a,))
-        step, up = latency << ID_BITS, self._overlay._up
-        if label[a] + step < label[b] and up[b]:
+        step = latency << ID_BITS
+        if label[a] + step < label[b]:
             label[b] = label[a] + step
             heap.append((label[b], b))
-        elif label[b] + step < label[a] and up[a]:
+        elif label[b] + step < label[a]:
             label[a] = label[b] + step
             heap.append((label[a], a))
         if heap:
@@ -706,14 +698,8 @@ class NearestLabels:
         self._label[i] = _UNLABELLED
         self._spread(self._cut(children))
 
-    def _joined(self, i: int) -> None:
-        """Node i came online with links it was given while offline."""
-        heap: list = []
-        self._seed(i, heap)
-        self._spread(heap)
-
     def _seed(self, v: int, heap: list) -> None:
-        """Lower online v's label to the least its neighbours offer, and
+        """Lower v's label to the least its neighbours offer, and
         file it in heap if it fell."""
         label = self._label
         best = label[v]
@@ -766,9 +752,10 @@ class NearestLabels:
         return heap
 
     def _spread(self, heap: list) -> None:
-        """Dijkstra from the filed (label, index) pairs: lower every online
-        label that a filed node's label reaches below its own."""
-        label, links, up = self._label, self._overlay._links, self._overlay._up
+        """Dijkstra from the filed (label, index) pairs: lower every label
+        that a filed node's label reaches below its own. Only online nodes
+        have links, so only their labels fall."""
+        label, links = self._label, self._overlay._links
         heapq.heapify(heap)
         while heap:
             lu, u = heapq.heappop(heap)
@@ -776,7 +763,7 @@ class NearestLabels:
                 continue
             for v, latency in links[u].items():
                 lv = lu + (latency << ID_BITS)
-                if lv < label[v] and up[v]:
+                if lv < label[v]:
                     label[v] = lv
                     heapq.heappush(heap, (lv, v))
 

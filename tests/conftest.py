@@ -57,15 +57,17 @@ def clique_overlay(n, region="main", m_target=3, joined_at=None,
 
 def assert_kept_facts(overlay: Overlay) -> None:
     """The facts Overlay keeps for maintenance equal a fresh rescan, and
-    its one link table is symmetric, bounded below by _least and read out
-    whole by adj."""
+    its one link table is symmetric, links only online nodes, is bounded
+    below by _least and is read out whole by adj."""
     records, links, recs = overlay.records, overlay._links, overlay._recs
-    online = {n for n, r in records.items() if r.online}
-    assert overlay.online_ids == online
+    online = overlay.online_ids
+    assert online == {n for region in overlay.regions
+                      for n in overlay.online_in_region(region)}
     for i, peers in enumerate(links):
         for j, latency in peers.items():
             assert links[j].get(i) == latency, (i, j)
         if peers:
+            assert recs[i].node_id in online, i
             assert overlay._least[i] <= min(peers.values()), i
     assert len(recs) == len(records)
     adj = overlay.adj
@@ -77,9 +79,9 @@ def assert_kept_facts(overlay: Overlay) -> None:
     regions = sorted(overlay.regions)
     for i, ra in enumerate(regions):
         for rb in regions[i + 1:]:
-            live = sum(1 for a in overlay.online_in_region(ra)
-                       for b in adj[a] if records[b].region == rb)
-            assert overlay._inter.get((ra, rb), 0) == live, (ra, rb)
+            count = sum(1 for a in overlay.regions[ra]
+                        for b in adj[a] if records[b].region == rb)
+            assert overlay._inter.get((ra, rb), 0) == count, (ra, rb)
     for region, vsp in overlay.dvsps.items():
         assert overlay._live[region] == sum(
             1 for m in vsp.members if overlay.is_online(m)), region

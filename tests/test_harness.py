@@ -272,6 +272,10 @@ class TestScenarioParsing:
             with_overrides(cfg, mode="managed")
         with pytest.raises(ConfigError, match=r"\[workload\] rate"):
             with_overrides(cfg, horizon=MAX_ARRIVALS * 100)
+        # the parser's bounds hold for an override too
+        for field, value in (("seed", -3), ("horizon", 0), ("horizon", -5)):
+            with pytest.raises(ConfigError, match=rf"^\[simulation\] {field}:"):
+                with_overrides(cfg, **{field: value})
 
     def test_empty_failures_section_means_no_failures(self):
         bare = parse_scenario_text(small_scenario())
@@ -324,7 +328,6 @@ class TestWorkloadStreams:
             assert item.kind == "session"
             assert item.service_id == "svc"
             assert item.duration >= 1
-            assert item.stream_rate == 2
             assert 0 <= item.at < cfg.horizon
 
 
@@ -887,7 +890,7 @@ class TestRequestPath:
         def check(event):  # reads only: take_demand, say, would reset demand
             for insts in runner.services.instances.values():
                 for inst in insts:
-                    assert runner.overlay.records[inst.host].online, (
+                    assert runner.overlay.is_online(inst.host), (
                         runner.sim.now, event.kind, inst)
             kinds.add(event.kind)
 
@@ -992,6 +995,14 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert (report["seed"], report["horizon"], report["mode"]) == \
             (9, 3000, "vendor")
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--until", "0", "horizon"), ("--until", "-5", "horizon"),
+        ("--seed", "-3", "seed")])
+    def test_an_override_out_of_bounds_exits_2(self, scenario_file, capsys,
+                                               flag, value, field):
+        assert cli.main(["--scenario", str(scenario_file), flag, value]) == 2
+        assert f"[simulation] {field}: must be" in capsys.readouterr().err
 
     def test_report_lands_on_stdout_without_out(self, scenario_file, capsys):
         assert cli.main(["--scenario", str(scenario_file)]) == 0

@@ -17,6 +17,7 @@ from c3sim.ledger import (
     MarketPrice,
     Transfer,
     UnknownAccount,
+    account_label,
 )
 from c3sim.resources import RESOURCE_KINDS, ResourceVector
 
@@ -33,11 +34,10 @@ class TestTransfers:
 
     def test_ten_transfers_four_totals_unchanged(self):
         ledger = small_ledger([("a", 10), ("b", 0)])
-        total_before = ledger.total_balance()
         ledger.transfer("a", "b", 4, "pay", at=1)
         assert ledger.balance("a") == 6
         assert ledger.balance("b") == 4
-        assert ledger.total_balance() == total_before
+        assert sum(a.balance for a in ledger.accounts.values()) == 10
 
     def test_credit_limit_blocks_and_leaves_state_alone(self):
         ledger = small_ledger([("a", 0, 5), ("b", 0)])
@@ -48,7 +48,6 @@ class TestTransfers:
         assert ledger.log == []
         ledger.transfer("a", "b", 5, "pay", at=2)  # exactly at the floor
         assert ledger.balance("a") == -5
-        assert ledger.credit_floor_ok()
 
     def test_unknown_account_raises(self):
         ledger = small_ledger([("a", 10)])
@@ -100,7 +99,11 @@ class TestBatches:
     def test_batch_is_all_or_nothing(self, raw_ops):
         ledger = small_ledger([("a", 20, 5), ("b", 0, 0), ("c", 3, 10)])
         ops = [Transfer(0, s, d, amt, "w") for s, d, amt in raw_ops if s != d]
-        before = ledger.balances_by_label()
+
+        def balances():
+            return {k: a.balance for k, a in ledger.accounts.items()}
+
+        before = balances()
         naive = dict(before)
         for op in ops:  # independent oracle: plain dict arithmetic
             naive[op.src] -= op.amount
@@ -108,11 +111,12 @@ class TestBatches:
         try:
             ledger.apply_batch(ops, at=1)
         except (CreditLimitExceeded, ValueError):
-            assert ledger.balances_by_label() == before
+            assert balances() == before
             assert ledger.log == []
         else:
-            assert ledger.balances_by_label() == naive
-        assert ledger.conservation_drift() == 0
+            assert balances() == naive
+        # no op mints or burns
+        assert sum(balances().values()) == sum(ledger.opening_balances.values())
 
 
 MICRO = 10 ** 6  # micro-credits per credit: the ledger's price unit
@@ -249,7 +253,9 @@ class TestSettlements:
         ledger.apply_batch(rows, at=1)
         paid = (50 - ledger.balance("req")) + (50 - ledger.balance("dev"))
         assert paid == ledger.balance("host") == 9
-        assert ledger.conservation_drift() == 0
+        assert (sum(a.balance for a in ledger.accounts.values())
+                == sum(ledger.opening_balances.values()) + ledger.minted
+                - ledger.burned)
 
     def test_zero_gross_yields_no_rows(self):
         ledger = small_ledger([("req", 10), ("host", 0)])
@@ -266,7 +272,9 @@ class TestSettlements:
         assert ledger.balance("host") == 6
         assert ledger.minted == 6
         assert ledger.burned == 6
-        assert ledger.conservation_drift() == 0
+        assert (sum(a.balance for a in ledger.accounts.values())
+                == sum(ledger.opening_balances.values()) + ledger.minted
+                - ledger.burned)
 
 
 class TestAudits:
@@ -285,22 +293,26 @@ class TestAudits:
                 ledger.transfer(src, dst, amount, "w", at=1)
             except CreditLimitExceeded:
                 pass
-            assert ledger.credit_floor_ok()
-        opening = ledger.opening_by_label()
+            assert all(a.balance >= -a.credit_limit
+                       for a in ledger.accounts.values())
         logs = {
             "transfers": [(r.at, r.src, r.dst, r.amount, r.reason)
                           for r in ledger.log],
-            "balances": [(label, opening[label], closing, 0)
-                         for label, closing in ledger.balances_by_label().items()],
+            "balances": [(account_label(k), ledger.opening_balances[k],
+                          a.balance, 0) for k, a in ledger.accounts.items()],
         }
         assert audit_conservation(logs) == []
-        assert ledger.conservation_drift() == 0
+        assert (sum(a.balance for a in ledger.accounts.values())
+                == sum(ledger.opening_balances.values()) + ledger.minted
+                - ledger.burned)
 
     def test_drift_definition_tracks_mint_and_burn(self):
         ledger = small_ledger([("a", 10)], market=flat_market(minting=True))
         ledger.transfer(MINT, "a", 7, "hosting-reward", at=1)
         ledger.transfer("a", BURN, 2, "service-payment", at=2)
-        assert ledger.total_balance() == 15
+        assert ledger.balance("a") == 15
         assert ledger.minted == 7
         assert ledger.burned == 2
-        assert ledger.conservation_drift() == 0
+        assert (sum(a.balance for a in ledger.accounts.values())
+                == sum(ledger.opening_balances.values()) + ledger.minted
+                - ledger.burned)

@@ -185,11 +185,16 @@ class TestRouting:
         labels = overlay.labelling()
         assert labels.nearest(ids[2], [ids[0]]) == (ids[0], 12)
         overlay.leave(ids[1])
-        overlay.add_link(ids[0], ids[1], 5)
-        overlay.add_link(ids[1], ids[2], 7)
+        for a, b in ((ids[0], ids[1]), (ids[1], ids[2])):
+            with pytest.raises(UnknownNode):  # an offline node links nothing
+                overlay.add_link(a, b, 5)
+        assert overlay.adj[ids[1]] == {}
         assert not overlay.reachable(ids[0], ids[2])
         assert labels.read(ids[2]) == (None, None)
         overlay.join(ids[1], 2)  # alone in its region: the join adds no edge
+        assert not overlay.reachable(ids[0], ids[2])
+        overlay.add_link(ids[0], ids[1], 5)
+        overlay.add_link(ids[1], ids[2], 7)
         assert overlay.route(ids[0], ids[2]) == 12
         assert labels.read(ids[2]) == (ids[0], 12)
 
@@ -403,7 +408,7 @@ def reference_distances(overlay, src):
             continue
         order.append(node)
         for peer, latency in adj[node].items():
-            if not overlay.records[peer].online:
+            if not overlay.is_online(peer):
                 continue
             if peer not in dist or d + latency < dist[peer]:
                 dist[peer] = d + latency
@@ -547,8 +552,8 @@ class TestRoutingUnderChurn:
                                min_size=CHURN_NODES, max_size=CHURN_NODES),
            ops=churn_ops, sources=churn_candidates, data=st.data())
     @settings(max_examples=100, deadline=None)
-    # an offline node linked one tick past an online one's distance is no
-    # predecessor of it in the reference
+    # a link from an online node to a new record, which is offline, is
+    # refused
     @example(seed=0, online=[True] * CHURN_NODES, bandwidths=[1] * CHURN_NODES,
              ops=[("join", 0, 0, 0), ("join", 0, 0, 0), ("add_link", 0, 1, 1),
                   ("add_record", 0, 0, 0), ("add_link", 0, 8, 7)],
@@ -619,6 +624,10 @@ class TestRoutingUnderChurn:
             elif op == "add_link" and value < 1:
                 with pytest.raises(ValueError):  # every link takes a tick
                     overlay.add_link(a, b, value)
+            elif op == "add_link" and not (overlay.is_online(a)
+                                           and overlay.is_online(b)):
+                with pytest.raises(UnknownNode):  # only online nodes link
+                    overlay.add_link(a, b, value)
             elif op == "add_link":
                 overlay.add_link(a, b, value)
             elif op == "add_record":
@@ -686,7 +695,8 @@ class TestTransferBracket:
     def test_every_answer_equals_the_widest_path_search(self, nodes, chain,
                                                         links, sizes):
         # nodes are (bandwidth, online), linked in a chain and by a few
-        # more links; an offline node keeps its links
+        # more links where both ends are online; an offline record is no
+        # path's node, but its bandwidth can put _floor below every path
         cfg = OverlayConfig(degree=2, min_degree=1, inter_region_links=0)
         overlay = Overlay(cfg, RngStream(7, "overlay"))
         ids = [nid(i + 1) for i in range(len(nodes))]
@@ -695,10 +705,12 @@ class TestTransferBracket:
                                           ResourceVector(10, 1000, bandwidth)))
             if online:
                 overlay.join(ids[i], 0)
-        for a, latency in enumerate(chain[:len(ids) - 1]):
-            overlay.add_link(ids[a], ids[a + 1], latency)
-        for a, b, latency in links:
-            overlay.add_link(ids[a % len(ids)], ids[b % len(ids)], latency)
+        ends = [(a, a + 1, latency)
+                for a, latency in enumerate(chain[:len(ids) - 1])] + links
+        for a, b, latency in ends:
+            a, b = ids[a % len(ids)], ids[b % len(ids)]
+            if overlay.is_online(a) and overlay.is_online(b):
+                overlay.add_link(a, b, latency)
         for size in sizes:
             for frm in ids:
                 assert (overlay.routes(frm, ids, size)
@@ -706,7 +718,7 @@ class TestTransferBracket:
 
 
 class TestKeptFacts:
-    def test_a_link_counts_only_while_its_lesser_region_end_is_online(self):
+    def test_a_link_with_an_offline_end_is_refused_and_moves_no_fact(self):
         cfg = OverlayConfig(degree=2, min_degree=1, inter_region_links=0)
         overlay = Overlay(cfg, RngStream(7, "overlay"))
         a, b = nid(1), nid(2)
@@ -714,11 +726,24 @@ class TestKeptFacts:
         overlay.add_record(NodeRecord(b, "rb", ResourceVector(1, 1, 1)))
         overlay.join(b, 0)  # no online peer to link to
         assert overlay._under == {b}
-        overlay.add_link(a, b, 5)  # a is offline
-        assert overlay._inter.get(("ra", "rb"), 0) == 0
-        assert overlay._under == set()
+        labels = overlay.labelling()
+        assert labels.nearest(b, [b]) == (b, 0)
+
+        def facts():
+            return (overlay.adj, set(overlay._under), dict(overlay._inter),
+                    list(overlay._least), list(labels._label))
+
+        before = facts()
+        # a is offline, and nid(3) has no record
+        for ends in ((a, b), (b, a), (a, a), (b, nid(3))):
+            with pytest.raises(UnknownNode):
+                overlay.add_link(*ends, 5)
+            assert facts() == before
+        assert_kept_facts(overlay)
         overlay.join(a, 1)
+        overlay.add_link(a, b, 5)
         assert overlay._inter[("ra", "rb")] == 1
+        assert overlay._under == set()
         assert_kept_facts(overlay)
         overlay.leave(b)
         assert overlay._inter[("ra", "rb")] == 0
@@ -850,28 +875,32 @@ class TestTransactions:
         ledger = small_ledger([(ids[0], 10), (ids[1], 0), (ids[2], 0)])
         return overlay, ids, ledger
 
+    @staticmethod
+    def _balances(ledger):
+        return {k: a.balance for k, a in ledger.accounts.items()}
+
     def test_empty_op_list_commits_without_state_change(self):
         overlay, ids, ledger = self._fixture()
-        snapshot = ledger.balances_by_label()
+        snapshot = self._balances(ledger)
         result = overlay.execute_transaction("main", [], ledger, 6)
         assert result.committed
-        assert ledger.balances_by_label() == snapshot
+        assert self._balances(ledger) == snapshot
         assert ledger.log == []
 
     def test_offline_receiver_aborts_with_balances_unchanged(self):
         overlay, ids, ledger = self._fixture()
         overlay.leave(ids[1])
-        snapshot = ledger.balances_by_label()
+        snapshot = self._balances(ledger)
         ops = [Transfer(0, ids[0], ids[1], 4, "pay")]
         result = overlay.execute_transaction("main", ops, ledger, 7)
         assert not result.committed
         assert result.reason.startswith("participant-offline")
-        assert ledger.balances_by_label() == snapshot
+        assert self._balances(ledger) == snapshot
         assert ledger.log == []
 
     def test_credit_violation_in_op_3_rolls_back_ops_1_and_2(self):
         overlay, ids, ledger = self._fixture()
-        snapshot = ledger.balances_by_label()
+        snapshot = self._balances(ledger)
         ops = [
             Transfer(0, ids[0], ids[1], 4, "one"),
             Transfer(0, ids[1], ids[2], 2, "two"),
@@ -880,7 +909,7 @@ class TestTransactions:
         result = overlay.execute_transaction("main", ops, ledger, 7)
         assert not result.committed
         assert result.reason == "CreditLimitExceeded"
-        assert ledger.balances_by_label() == snapshot
+        assert self._balances(ledger) == snapshot
         assert ledger.log == []
 
     def test_full_batch_applies_atomically(self):
