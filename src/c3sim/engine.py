@@ -62,7 +62,6 @@ class Event:
 class RunSummary:
     final_clock: SimTime
     total_processed: int
-    counts: dict[str, int]
 
 
 class Simulator:
@@ -78,7 +77,6 @@ class Simulator:
         self._seq = 0
         self._streams: dict[str, RngStream] = {}
         self._handlers: dict[str, list] = {}
-        self._counts: dict[str, int] = {}
         self._total = 0
 
     def stream(self, label: str) -> RngStream:
@@ -120,9 +118,8 @@ class Simulator:
             event.done = True
             self.now = fire_at
             self._total += 1
-            self._counts[event.kind] = self._counts.get(event.kind, 0) + 1
             for handler in self._handlers.get(event.kind, ()):
                 handler(event)
         if until > self.now:
             self.now = until
-        return RunSummary(self.now, self._total, dict(sorted(self._counts.items())))
+        return RunSummary(self.now, self._total)

@@ -44,8 +44,8 @@ class HistoryUnderflow(EvolutionError):
 
 @dataclass(frozen=True, slots=True)
 class VersionNode:
+    """One version of a service, filed under its version in the forest."""
     service_id: str
-    version: str
     parent: str | None
     fitness: float
 
@@ -82,7 +82,7 @@ class UpdateDiffusion:
 
     def register_root(self, service_id: str, version: str,
                       fitness: float) -> VersionNode:
-        node = VersionNode(service_id, version, None, fitness)
+        node = VersionNode(service_id, None, fitness)
         self.versions.setdefault(service_id, {})[version] = node
         for peer in self.trust:
             self.active[(peer, service_id)] = version
@@ -104,7 +104,7 @@ class UpdateDiffusion:
             raise UnknownParent(f"{service_id}@{parent}")
         if version in forest:
             raise EvolutionError(f"{service_id}@{version} already released")
-        forest[version] = VersionNode(service_id, version, parent, fitness)
+        forest[version] = VersionNode(service_id, parent, fitness)
         out = []
         for origin in origins:
             out.append(self._switch(origin, service_id, version, at, "release"))

@@ -46,6 +46,16 @@ class Runner:
             if entry.kind == "vendor" and config.mode != "vendor":
                 raise ConfigError(f"[failures] {entry.name}.target",
                                   "vendor target in community mode")
+        if config.mode == "vendor":
+            topo = config.topology
+            # The vendor's links replace the inter-region links the build
+            # draws to it, and an overlay link only ever shortens.
+            if VENDOR_REGION in topo.regions:
+                raise ConfigError("[topology] regions",
+                                  f"{VENDOR_REGION!r} is the vendor's region")
+            if topo.vendor_latency > topo.inter_latency:
+                raise ConfigError("[topology] vendor_latency",
+                                  f"above inter_latency {topo.inter_latency}")
         self.config = config
         self.sim = Simulator(config.seed, config.horizon)
         self.logs: dict[str, list[tuple]] = {name: [] for name in COLUMNS}

@@ -160,20 +160,19 @@ class Ledger:
         self._apply(row)
         return row
 
-    def apply_batch(self, ops: list[Transfer], at: int) -> list[Transfer]:
-        """All rows or none: stage every balance change, then commit."""
+    def apply_batch(self, ops: list[Transfer]) -> list[Transfer]:
+        """All rows or none: stage every balance change, then commit. Each
+        row is logged as given, at the tick it carries."""
         staged: dict[AccountKey, int] = {}
-        stamped = [Transfer(at, op.src, op.dst, op.amount, op.reason)
-                   for op in ops]
-        for row in stamped:
+        for row in ops:
             self._check(row, staged)
             if row.src != MINT:
                 staged[row.src] = staged.get(row.src, 0) - row.amount
             if row.dst != BURN:
                 staged[row.dst] = staged.get(row.dst, 0) + row.amount
-        for row in stamped:
+        for row in ops:
             self._apply(row)
-        return stamped
+        return ops
 
     def _check(self, row: Transfer, staged: dict[AccountKey, int]) -> None:
         if row.amount < 0:

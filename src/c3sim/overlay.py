@@ -22,8 +22,9 @@ pass reads three facts that the membership and edge hooks keep up to date
 as they change: the online nodes below minimum degree, the link count of
 each region pair, and the online members of each super-peer. So it walks
 what needs repair, not every node and link. Links are stored once, by node
-index, and only add_link writes them; adj is a copy keyed by NodeId for
-readers outside.
+index, and only add_link writes them: each write is a new link or a shorter
+one, and it refuses a self-link or a longer one, so only a leave makes a
+route longer. adj is a copy keyed by NodeId for readers outside.
 
 Routing keeps one kind of state between calls: the nearest-source
 labellings that `labelling()` hands out (one per published service, for
@@ -314,25 +315,29 @@ class Overlay:
         raise OverlayError(f"no connected {d}-regular graph on {n} nodes")
 
     def add_link(self, a: NodeId, b: NodeId, latency: int) -> None:
-        """Link a and b, or re-weigh their link: the one writer of links.
-        Both must be online, so that no offline node holds a link."""
+        """Link a and b, or shorten their link: the one writer of links.
+        Both must be online, so that no offline node holds a link, and a
+        link never lengthens; a re-link at its latency changes nothing."""
         if latency < 1:  # routing's early stop relies on it
             raise ValueError(f"link latency {latency} is below 1")
         online = self.online_ids
         if a not in online or b not in online:
             raise UnknownNode(f"{a!r} -- {b!r}: only online nodes link")
         if a == b:
-            return
+            raise ValueError(f"{a!r}: a node does not link to itself")
         ia, ib = self._index[a], self._index[b]
         links_a, links_b = self._links[ia], self._links[ib]
         old = links_a.get(ib)
-        if old == latency:
-            return
+        if old is not None and latency >= old:
+            if latency == old:
+                return
+            raise ValueError(f"{a!r} -- {b!r}: link latency {old} "
+                             f"would lengthen to {latency}")
         links_a[ib] = links_b[ia] = latency
         least = self._least
         least[ia], least[ib] = min(least[ia], latency), min(least[ib], latency)
         for labels in self._labellings:
-            labels._linked(ia, ib, old, latency)
+            labels._linked(ia, ib, latency)
         if old is None:
             least = self.config.min_degree
             if len(links_a) >= least:
@@ -585,12 +590,12 @@ class Overlay:
 
     # -- coordinated transactions --------------------------------------------
 
-    def execute_transaction(self, region: str, ops, ledger, now: SimTime) -> TransactionResult:
+    def execute_transaction(self, region: str, ops, ledger) -> TransactionResult:
         """Atomic batch of ledger operations under the region's super-peer.
 
         Prepare requires a quorum of super-peer members online and every
         participant (each NodeId appearing in an op) online; commit applies
-        the whole batch or nothing.
+        the whole batch or nothing, each row at the tick it carries.
         """
         if not self.dvsp_has_quorum(region):
             raise NoQuorum(region)
@@ -600,7 +605,7 @@ class Overlay:
                 if isinstance(party, NodeId) and party not in online:
                     return TransactionResult(False, f"participant-offline:{party.short}")
         try:
-            ledger.apply_batch(ops, at=now)
+            ledger.apply_batch(ops)
         except Exception as exc:  # precondition failures abort, never partially apply
             return TransactionResult(False, f"{type(exc).__name__}")
         return TransactionResult(True)
@@ -623,11 +628,12 @@ class NearestLabels:
     nearest() sets the sources to its online candidates before it reads a
     label. Overlay's membership and link hooks repair the labels in place
     after every topology change (Ramalingam & Reps, J. Algorithms 1996): a
-    new or shorter link spreads its far end's lower label, and a lost
-    source, node or link length is cut. A node's tight parents are the
-    neighbours p with label[p] + latency == label[v]: the same owner, one
-    link nearer. Every link takes at least a tick, so they lead back to the
-    owner, and a label stays exact while one tight parent keeps its own."""
+    new or shorter link spreads its far end's lower label, and only a lost
+    source or node is cut, since no link lengthens. A node's tight parents
+    are the neighbours p with label[p] + latency == label[v]: the same
+    owner, one link nearer. Every link takes at least a tick, so they lead
+    back to the owner, and a label stays exact while one tight parent keeps
+    its own."""
 
     def __init__(self, overlay: Overlay):
         self._overlay = overlay
@@ -668,27 +674,17 @@ class NearestLabels:
         return [c for c, latency in self._overlay._links[v].items()
                 if label[c] == lv + (latency << ID_BITS)]
 
-    def _linked(self, a: int, b: int, old: int | None, latency: int) -> None:
-        """add_link set the link (a, b) to latency, from old (None if new).
-        A longer link first cuts the end it was the tight parent link of;
-        then the link relaxes its far end."""
+    def _linked(self, a: int, b: int, latency: int) -> None:
+        """add_link set the link (a, b), new or shorter, to latency: it
+        relaxes its far end. No route got longer, so no label is cut."""
         label = self._label
-        heap: list = []
-        if old is not None and latency > old:
-            step = old << ID_BITS
-            if label[b] == label[a] + step:
-                heap = self._cut((b,))
-            elif label[a] == label[b] + step:
-                heap = self._cut((a,))
         step = latency << ID_BITS
         if label[a] + step < label[b]:
             label[b] = label[a] + step
-            heap.append((label[b], b))
+            self._spread([(label[b], b)])
         elif label[b] + step < label[a]:
             label[a] = label[b] + step
-            heap.append((label[a], a))
-        if heap:
-            self._spread(heap)
+            self._spread([(label[a], a)])
 
     def _left(self, i: int, children: list[int]) -> None:
         """Node i went offline and lost its links; children were the nodes

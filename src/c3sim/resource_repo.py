@@ -73,8 +73,9 @@ class ResourceQuery:
 
 @dataclass(frozen=True, slots=True)
 class QueryResult:
+    """The picked nodes; every eligible one, fewer than asked for, when
+    too few are eligible."""
     nodes: tuple[NodeId, ...]
-    insufficient: bool
 
 
 class Repository:
@@ -179,11 +180,10 @@ class Repository:
               at: SimTime) -> QueryResult:
         candidates = self.eligible(query, at)
         if len(candidates) <= query.count:
-            return QueryResult(tuple(r.node_id for r in candidates),
-                               insufficient=len(candidates) < query.count)
+            return QueryResult(tuple(r.node_id for r in candidates))
         scores = self.scores(candidates, query)
         picked = _weighted_sample(candidates, scores, query.count, rng)
-        return QueryResult(tuple(r.node_id for r in picked), insufficient=False)
+        return QueryResult(tuple(r.node_id for r in picked))
 
 
 def _weighted_sample(candidates: list[NodeResourceRecord], scores: list[float],

@@ -10,17 +10,19 @@ none exists. Each service keeps one `NearestLabels` from the overlay, which
 the overlay's topology hooks repair; placement hands it the warm hosts and
 reads the requester's label, so it needs no search. Admission takes the
 request's hop, its route latency to the host, once: from that label, or by
-one route to a fresh or vendor host. `run_on_host` then
-queues it on that host and meters the actual draw against a budget: within
-budget completes, strict excess terminates the request at the exhaustion
-point with a pro-rata charge; `plan_invoke` is both for one call. Video
+one route to a fresh or vendor host. `run_on_host` then queues it on that
+host and meters the actual draw against the plan's budget: within budget
+completes, strict excess terminates the request at the exhaustion point
+with a pro-rata charge; `plan_invoke` is both for one call. Video
 sessions are metered here too: `plan_session` admits one, and live sessions
 share their host's bandwidth until `end_session`, or `cut_off` when the host
 leaves. `settle` counts a finished plan's draw as demand and commits its
 charge as one transaction under the requester's regional quorum. Admission
 counts every request it places, call or session, as its region's demand.
 `VendorRuntime` is the vendor baseline as a placement policy: its plans name
-one fixed host, carry no price and run with their own draw as the budget.
+one fixed host and carry no price. Every plan carries its budget from
+admission, so `plan_invoke` serves both runtimes: `admit` sets the declared
+draw, and the vendor's `admit` the request's own draw.
 
 Sessions are metered per host, not per session. A host shares its bandwidth
 equally among its live sessions (processor sharing), and every session of a
@@ -80,7 +82,6 @@ class ServiceDescriptor:
     code_size: int
     min_replicas: int = 3
     subsidy: int = 0
-    version: str = "1.0"
     chain_next: str | None = None
 
 
@@ -90,7 +91,6 @@ class Instance:
     `ServiceRuntime` drops it when its host leaves or it is retired."""
     service_id: str
     host: NodeId
-    deployed_at: SimTime
     warm_at: SimTime
     region: str
     size: int
@@ -121,6 +121,7 @@ class InvokePlan:
     done_at: SimTime = 0
     latency: int = 0
     hop: int = 0  # the requester's route latency to host, each way
+    budget: ResourceVector = ResourceVector()  # the draw run_on_host allows
 
     @property
     def served(self) -> bool:
@@ -243,35 +244,27 @@ class ServiceRuntime:
 
     def publish(self, desc: ServiceDescriptor, publisher: NodeId,
                 at: SimTime) -> list[NodeId]:
-        """Replicate descriptor + code, then warm the initial instances.
-
-        Publishing an already-current version changes nothing; a new
-        version refreshes the descriptor on the existing replica set.
-        """
+        """Replicate descriptor + code, then warm the initial instances. A
+        service is published once: a second publish raises ServiceError."""
+        if desc.service_id in self.instances:
+            raise ServiceError(f"{desc.service_id} is already published")
         key = self.dsr_key(desc.service_id)
-        if key not in self.store.hosts:
-            need = ResourceVector(compute=1, storage=desc.code_size, bandwidth=1)
-            result = self.repo.query(
-                ResourceQuery(required=need, count=self.config.dsr_r), self.rng, at)
-            if not result.nodes:
-                raise ServiceError(f"no hosts for {desc.service_id}")
-            self.store.ensure(key, list(result.nodes), desc.code_size)
-        else:
-            current = self.resolve(desc.service_id, at)
-            if current is not None and current.version == desc.version:
-                return list(self.store.replica_hosts(key))
+        need = ResourceVector(compute=1, storage=desc.code_size, bandwidth=1)
+        result = self.repo.query(
+            ResourceQuery(required=need, count=self.config.dsr_r), self.rng, at)
+        if not result.nodes:
+            raise ServiceError(f"no hosts for {desc.service_id}")
+        self.store.ensure(key, list(result.nodes), desc.code_size)
         hosts = list(self.store.replica_hosts(key))
         apply_at = self.overlay.nearest(publisher, hosts)[0] or hosts[0]
         for delivery in self.store.put(key, desc, publisher, at, apply_at):
             self.store.deliver(key, delivery.host, delivery.obj, at)
-        fresh = desc.service_id not in self.instances
-        self.instances.setdefault(desc.service_id, [])
-        self.traffic.setdefault(desc.service_id, {})
-        if fresh:
-            self._nearest[desc.service_id] = self.overlay.labelling()
-            for host in self._pick_hosts(desc, count=desc.min_replicas,
-                                         region=None, at=at):
-                self._deploy(desc, host, publisher, at)
+        self.instances[desc.service_id] = []
+        self.traffic[desc.service_id] = {}
+        self._nearest[desc.service_id] = self.overlay.labelling()
+        for host in self._pick_hosts(desc, count=desc.min_replicas,
+                                     region=None, at=at):
+            self._deploy(desc, host, publisher, at)
         return hosts
 
     def resolve(self, service_id: str, at: SimTime) -> ServiceDescriptor | None:
@@ -306,10 +299,10 @@ class ServiceRuntime:
         return [i for i in self.instances.get(service_id, ()) if i.warm_at <= at]
 
     def plan_invoke(self, request: Request, at: SimTime) -> InvokePlan:
-        """Admit one request and run it within its declared budget."""
+        """Admit one request and run it within the budget admission set."""
         plan = self.admit(request, at)
         if plan.outcome == ADMITTED:
-            self.run_on_host(plan, plan.descriptor.declared)
+            self.run_on_host(plan)
         return plan
 
     def admit(self, request: Request, at: SimTime) -> InvokePlan:
@@ -317,13 +310,14 @@ class ServiceRuntime:
         its region's traffic.
 
         An admitted plan has its host, in `start` the tick that host is
-        ready and in `hop` the route latency to it; any other outcome names
-        the reason it was turned away.
+        ready, in `hop` the route latency to it and in `budget` the declared
+        draw; any other outcome names the reason it was turned away.
         """
         desc = self.resolve(request.service_id, at)
         if desc is None:
             return InvokePlan(request, "unresolvable")
-        plan = InvokePlan(request, "pending", descriptor=desc)
+        plan = InvokePlan(request, "pending", descriptor=desc,
+                          budget=desc.declared)
         plan.gross = self.ledger.market.value_of(desc.declared)
         quoted_part = min(desc.subsidy, plan.gross)
         if not self.ledger.can_cover(request.requester, plan.gross - quoted_part):
@@ -364,14 +358,15 @@ class ServiceRuntime:
                         self.overlay.route(request.requester, host))
         return None, "no-capacity", 0
 
-    def run_on_host(self, plan: InvokePlan, budget: ResourceVector) -> None:
-        """Queue an admitted plan on its host and meter its draw.
+    def run_on_host(self, plan: InvokePlan) -> None:
+        """Queue an admitted plan on its host and meter its draw against
+        `plan.budget`.
 
         The request takes the hop admission routed to reach the host, waits
         for it to be ready and free, and its reply takes the hop back, since
         shortest-path latency is symmetric.
         """
-        host, hop = plan.host, plan.hop
+        host, hop, budget = plan.host, plan.hop, plan.budget
         actual = plan.request.actual
         rate = max(1, self.overlay.records[host].capacity.compute)
         full = math.ceil(actual.compute / rate) if actual.compute else 0
@@ -408,7 +403,7 @@ class ServiceRuntime:
         region = self.overlay.records[plan.request.requester].region
         try:
             committed = self.overlay.execute_transaction(
-                region, rows, self.ledger, at).committed
+                region, rows, self.ledger).committed
         except NoQuorum:
             committed = False
         if not committed:
@@ -521,7 +516,7 @@ class ServiceRuntime:
                      else self.overlay.route(source, host, desc.code_size))
         except Unreachable:
             return None
-        inst = Instance(desc.service_id, host, at, at + delay,
+        inst = Instance(desc.service_id, host, at + delay,
                         self.overlay.records[host].region, desc.code_size)
         self.instances[desc.service_id].append(inst)
         return inst
@@ -669,26 +664,23 @@ class VendorRuntime(ServiceRuntime):
 
     def publish(self, desc: ServiceDescriptor, publisher: NodeId,
                 at: SimTime) -> list[NodeId]:
+        if desc.service_id in self.instances:
+            raise ServiceError(f"{desc.service_id} is already published")
         self.descriptors[desc.service_id] = desc
         self.instances[desc.service_id] = []
         self._deploy(desc, self.host, self.host, at)
         return [self.host]
 
     def admit(self, request: Request, at: SimTime) -> InvokePlan:
-        """The fixed host and the hop to it; unreachable if there is none."""
+        """The fixed host and the hop to it, with the request's own draw as
+        the budget; unreachable if there is no hop."""
         plan = InvokePlan(request, ADMITTED,
                           self.descriptors[request.service_id],
-                          self.host, start=at)
+                          self.host, start=at, budget=request.actual)
         try:
             plan.hop = self.overlay.route(request.requester, self.host)
         except Unreachable:
             plan.outcome, plan.host = "unreachable", None
-        return plan
-
-    def plan_invoke(self, request: Request, at: SimTime) -> InvokePlan:
-        plan = self.admit(request, at)
-        if plan.outcome == ADMITTED:
-            self.run_on_host(plan, request.actual)
         return plan
 
     def placement_tick(self, at: SimTime, push_enabled: bool) -> list[PlacementAction]:
@@ -703,7 +695,8 @@ class VendorRuntime(ServiceRuntime):
             return []
         super().host_joined(host, at)
         for node in self.overlay.online_ids:
-            self.overlay.add_link(host, node, self.latency)
+            if node != host:
+                self.overlay.add_link(host, node, self.latency)
         return [PlacementAction(at, s, "deployed", host, inst.region)
                 for s, desc in self.descriptors.items()
                 for inst in [self._deploy(desc, host, host, at)]]

@@ -233,7 +233,7 @@ def test_04_budget_semantics(shipped_runs, capfd):
                 assert plan.outcome == COMPLETED, actual
             before = {k: rt.ledger.balance(k)
                       for k in (ids[4], "dev", plan.host)}
-            rt.ledger.apply_batch(rt.settlement_rows(plan, 60), 60)
+            rt.ledger.apply_batch(rt.settlement_rows(plan, 60))
             requester_debit = before[ids[4]] - rt.ledger.balance(ids[4])
             developer_debit = before["dev"] - rt.ledger.balance("dev")
             host_credit = rt.ledger.balance(plan.host) - before[plan.host]

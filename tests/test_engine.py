@@ -29,7 +29,6 @@ class TestClockAndOrdering:
     def test_empty_run_clock_advances_to_horizon(self):
         summary = Simulator(seed=1, horizon=250).run()
         assert summary.total_processed == 0
-        assert summary.counts == {}
         assert summary.final_clock == 250
 
     def test_same_tick_fires_in_schedule_order(self):
@@ -102,7 +101,6 @@ class TestCancellation:
         base_schedule(sim_b)
         want = sim_b.run()
 
-        assert got.counts == want.counts
         assert got.total_processed == want.total_processed
         assert got.final_clock == want.final_clock
         assert [(t, k) for t, _, k in log_a] == [(t, k) for t, _, k in log_b]
@@ -183,6 +181,5 @@ def test_poisson_arrival_count_within_three_sigma():
 
     sim.subscribe("arrival", arrive)
     sim.at(max(1, round(rng.expovariate(lam))), "arrival")
-    summary = sim.run()
-    count = summary.counts["arrival"]
+    count = sim.run().total_processed  # every event is an arrival
     assert abs(count - 100_000) <= 3 * math.sqrt(100_000)

@@ -713,6 +713,20 @@ class TestEndToEnd:
             (2000, "img", "deployed", vendor, "core")]
         assert run_audits(runner.logs) == []
 
+    @pytest.mark.parametrize("topology,where", [
+        ({"vendor_latency": 51}, r"\[topology\] vendor_latency"),
+        ({"regions": "r0, core"}, r"\[topology\] regions")])
+    def test_a_vendor_link_that_would_lengthen_is_a_config_error(
+            self, topology, where):
+        # the build links the vendor at inter_latency (50 here), or at
+        # intra_latency inside its own region, and no link lengthens
+        cfg = parse_scenario_text(small_scenario(topology=topology))
+        Runner(cfg)  # community mode has no vendor
+        with pytest.raises(ConfigError, match=where):
+            Runner(with_overrides(cfg, mode="vendor"))
+        Runner(with_overrides(parse_scenario_text(small_scenario(
+            topology={"vendor_latency": 50})), mode="vendor"))
+
     def test_scripted_region_outage_and_recovery(self):
         text = small_scenario(
             topology={"regions": "r0, r1", "inter_region_links": 2},

@@ -63,12 +63,11 @@ class TestTransfers:
 
 
 class TestBatches:
-    def test_batch_applies_all_rows_with_one_stamp(self):
+    def test_batch_logs_the_rows_it_is_given(self):
         ledger = small_ledger([("a", 10), ("b", 0), ("c", 0)])
-        rows = ledger.apply_batch(
-            [Transfer(0, "a", "b", 3, "x"), Transfer(0, "b", "c", 3, "y")],
-            at=9)
-        assert [r.at for r in rows] == [9, 9]
+        ops = [Transfer(9, "a", "b", 3, "x"), Transfer(9, "b", "c", 3, "y")]
+        rows = ledger.apply_batch(ops)
+        assert rows == ledger.log == ops
         assert (ledger.balance("a"), ledger.balance("b"),
                 ledger.balance("c")) == (7, 0, 3)
 
@@ -76,16 +75,14 @@ class TestBatches:
         # b starts at 0 but receives 3 in the same batch, then spends 2.
         ledger = small_ledger([("a", 10), ("b", 0), ("c", 0)])
         ledger.apply_batch(
-            [Transfer(0, "a", "b", 3, "x"), Transfer(0, "b", "c", 2, "y")],
-            at=1)
+            [Transfer(0, "a", "b", 3, "x"), Transfer(0, "b", "c", 2, "y")])
         assert ledger.balance("b") == 1
 
     def test_failed_batch_changes_nothing(self):
         ledger = small_ledger([("a", 10), ("b", 0)])
         with pytest.raises(CreditLimitExceeded):
             ledger.apply_batch(
-                [Transfer(0, "a", "b", 3, "x"), Transfer(0, "b", "a", 9, "y")],
-                at=1)
+                [Transfer(0, "a", "b", 3, "x"), Transfer(0, "b", "a", 9, "y")])
         assert ledger.balance("a") == 10
         assert ledger.balance("b") == 0
         assert ledger.log == []
@@ -109,7 +106,7 @@ class TestBatches:
             naive[op.src] -= op.amount
             naive[op.dst] += op.amount
         try:
-            ledger.apply_batch(ops, at=1)
+            ledger.apply_batch(ops)
         except (CreditLimitExceeded, ValueError):
             assert balances() == before
             assert ledger.log == []
@@ -230,7 +227,7 @@ class TestSettlements:
         ledger = small_ledger([("req", 0), ("host", 0), ("dev", 100)])
         rows = ledger.settlement_rows("req", "host", "dev", gross=5,
                                       subsidy=9, at=3)
-        ledger.apply_batch(rows, at=3)
+        ledger.apply_batch(rows)
         assert ledger.balance("req") == 0
         assert ledger.balance("host") == 5
         assert ledger.balance("dev") == 95
@@ -241,7 +238,7 @@ class TestSettlements:
                                       subsidy=2, at=3, tag="41")
         assert {r.reason for r in rows} == {"service-payment:41",
                                             "subsidy:41"}
-        ledger.apply_batch(rows, at=3)
+        ledger.apply_batch(rows)
         assert ledger.balance("req") == 7
         assert ledger.balance("host") == 5
         assert ledger.balance("dev") == 98
@@ -250,7 +247,7 @@ class TestSettlements:
         ledger = small_ledger([("req", 50), ("host", 0), ("dev", 50)])
         rows = ledger.settlement_rows("req", "host", "dev", gross=9,
                                       subsidy=4, at=1)
-        ledger.apply_batch(rows, at=1)
+        ledger.apply_batch(rows)
         paid = (50 - ledger.balance("req")) + (50 - ledger.balance("dev"))
         assert paid == ledger.balance("host") == 9
         assert (sum(a.balance for a in ledger.accounts.values())
@@ -268,7 +265,7 @@ class TestSettlements:
                                       subsidy=2, at=1)
         assert [(r.src, r.dst) for r in rows] == [
             ("req", BURN), ("dev", BURN), (MINT, "host")]
-        ledger.apply_batch(rows, at=1)
+        ledger.apply_batch(rows)
         assert ledger.balance("host") == 6
         assert ledger.minted == 6
         assert ledger.burned == 6

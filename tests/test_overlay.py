@@ -171,14 +171,32 @@ class TestRouting:
             for dst in ids[::7]:
                 assert overlay.route(src, dst) == oracle[dst]
 
-    def test_reweighted_link_reroutes(self):
+    def test_a_shortened_link_reroutes_and_relabels(self):
+        overlay, ids = chain_overlay([50, 7])
+        labels = overlay.labelling()
+        assert overlay.route(ids[0], ids[2]) == 57
+        assert labels.nearest(ids[2], [ids[0]]) == (ids[0], 57)
+        overlay.add_link(ids[0], ids[1], 40)
+        assert overlay.route(ids[0], ids[2]) == 47
+        assert labels.read(ids[2]) == (ids[0], 47)
+        overlay.add_link(ids[1], ids[0], 40)  # the same latency: no change
+        assert overlay.adj[ids[0]] == {ids[1]: 40}
+        assert labels.read(ids[2]) == (ids[0], 47)
+        assert_kept_facts(overlay)
+
+    def test_a_lengthened_or_self_link_is_refused_and_moves_nothing(self):
         overlay, ids = chain_overlay([5, 7])
         labels = overlay.labelling()
-        assert overlay.route(ids[0], ids[2]) == 12
         assert labels.nearest(ids[2], [ids[0]]) == (ids[0], 12)
-        overlay.add_link(ids[0], ids[1], 20)
-        assert overlay.route(ids[0], ids[2]) == 27
-        assert labels.read(ids[2]) == (ids[0], 27)
+        before = linked_facts(overlay, labels)
+        for a, b, latency in ((ids[0], ids[1], 20), (ids[2], ids[1], 8),
+                              (ids[1], ids[1], 5)):
+            with pytest.raises(ValueError):
+                overlay.add_link(a, b, latency)
+            assert linked_facts(overlay, labels) == before
+        assert overlay.route(ids[0], ids[2]) == 12
+        assert labels.read(ids[2]) == (ids[0], 12)
+        assert_kept_facts(overlay)
 
     def test_joining_a_linked_node_opens_routes_through_it(self):
         overlay, ids = chain_overlay([5, 7])
@@ -288,15 +306,21 @@ class TestRouting:
         assert started == []  # the answer came from the bound
         check_routes_from(overlay, ids[0], ids, 99)
 
-    def test_a_link_reweighted_upward_is_routed_around(self):
-        # a -5- b, a -9- c -9- b; then a -30- b is beaten by the 18 detour,
-        # though a's and b's least latencies still read 5
+    def test_a_link_reweighted_upward_is_refused(self):
+        # a -5- b, a -9- c -9- b: a -30- b would lose to the 18 detour, but
+        # a link never lengthens, so a -5- b stays the route
         overlay, ids = linked_overlay(3, [(1, 2, 5), (1, 3, 9), (3, 2, 9)])
+        labels = overlay.labelling()
+        assert labels.nearest(ids[1], [ids[0]]) == (ids[0], 5)
+        before = linked_facts(overlay, labels)
+        with pytest.raises(ValueError):
+            overlay.add_link(ids[0], ids[1], 30)
+        assert linked_facts(overlay, labels) == before
         assert overlay.route(ids[0], ids[1]) == 5
-        overlay.add_link(ids[0], ids[1], 30)
-        assert overlay.route(ids[0], ids[1]) == 18
         for size in (0, 25):
             check_routes_from(overlay, ids[0], ids, size)
+        check_labels(overlay, labels, {ids[0]})
+        assert_kept_facts(overlay)
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_sized_route_is_the_same_both_ways(self, first):
@@ -387,6 +411,23 @@ def linked_overlay(n, links, bandwidths=()):
     for a, b, latency in links:
         overlay.add_link(nid(a), nid(b), latency)
     return overlay, ids
+
+
+def linked_facts(overlay, labels):
+    """What a link write may move: the links, the facts kept for
+    maintenance, the least latencies and labels' labels."""
+    return (overlay.adj, set(overlay._under), dict(overlay._inter),
+            list(overlay._least), list(labels._label))
+
+
+def link_or_refuse(overlay, a, b, latency):
+    """add_link(a, b, latency) between online nodes, or the ValueError it
+    raises for a self-link or a longer link."""
+    if a == b or latency > overlay.adj[a].get(b, latency):
+        with pytest.raises(ValueError):  # a link never lengthens
+            overlay.add_link(a, b, latency)
+    else:
+        overlay.add_link(a, b, latency)
 
 
 def reference_distances(overlay, src):
@@ -629,7 +670,7 @@ class TestRoutingUnderChurn:
                 with pytest.raises(UnknownNode):  # only online nodes link
                     overlay.add_link(a, b, value)
             elif op == "add_link":
-                overlay.add_link(a, b, value)
+                link_or_refuse(overlay, a, b, value)
             elif op == "add_record":
                 add(value)
             check_routes_from(overlay, a, ids, value)
@@ -695,8 +736,9 @@ class TestTransferBracket:
     def test_every_answer_equals_the_widest_path_search(self, nodes, chain,
                                                         links, sizes):
         # nodes are (bandwidth, online), linked in a chain and by a few
-        # more links where both ends are online; an offline record is no
-        # path's node, but its bandwidth can put _floor below every path
+        # more links where both ends are online (a self-link or a longer
+        # link is refused); an offline record is no path's node, but its
+        # bandwidth can put _floor below every path
         cfg = OverlayConfig(degree=2, min_degree=1, inter_region_links=0)
         overlay = Overlay(cfg, RngStream(7, "overlay"))
         ids = [nid(i + 1) for i in range(len(nodes))]
@@ -710,7 +752,7 @@ class TestTransferBracket:
         for a, b, latency in ends:
             a, b = ids[a % len(ids)], ids[b % len(ids)]
             if overlay.is_online(a) and overlay.is_online(b):
-                overlay.add_link(a, b, latency)
+                link_or_refuse(overlay, a, b, latency)
         for size in sizes:
             for frm in ids:
                 assert (overlay.routes(frm, ids, size)
@@ -728,17 +770,12 @@ class TestKeptFacts:
         assert overlay._under == {b}
         labels = overlay.labelling()
         assert labels.nearest(b, [b]) == (b, 0)
-
-        def facts():
-            return (overlay.adj, set(overlay._under), dict(overlay._inter),
-                    list(overlay._least), list(labels._label))
-
-        before = facts()
+        before = linked_facts(overlay, labels)
         # a is offline, and nid(3) has no record
         for ends in ((a, b), (b, a), (a, a), (b, nid(3))):
             with pytest.raises(UnknownNode):
                 overlay.add_link(*ends, 5)
-            assert facts() == before
+            assert linked_facts(overlay, labels) == before
         assert_kept_facts(overlay)
         overlay.join(a, 1)
         overlay.add_link(a, b, 5)
@@ -882,7 +919,7 @@ class TestTransactions:
     def test_empty_op_list_commits_without_state_change(self):
         overlay, ids, ledger = self._fixture()
         snapshot = self._balances(ledger)
-        result = overlay.execute_transaction("main", [], ledger, 6)
+        result = overlay.execute_transaction("main", [], ledger)
         assert result.committed
         assert self._balances(ledger) == snapshot
         assert ledger.log == []
@@ -892,7 +929,7 @@ class TestTransactions:
         overlay.leave(ids[1])
         snapshot = self._balances(ledger)
         ops = [Transfer(0, ids[0], ids[1], 4, "pay")]
-        result = overlay.execute_transaction("main", ops, ledger, 7)
+        result = overlay.execute_transaction("main", ops, ledger)
         assert not result.committed
         assert result.reason.startswith("participant-offline")
         assert self._balances(ledger) == snapshot
@@ -906,7 +943,7 @@ class TestTransactions:
             Transfer(0, ids[1], ids[2], 2, "two"),
             Transfer(0, ids[2], ids[0], 50, "three"),  # c would go to -48
         ]
-        result = overlay.execute_transaction("main", ops, ledger, 7)
+        result = overlay.execute_transaction("main", ops, ledger)
         assert not result.committed
         assert result.reason == "CreditLimitExceeded"
         assert self._balances(ledger) == snapshot
@@ -915,16 +952,15 @@ class TestTransactions:
     def test_full_batch_applies_atomically(self):
         overlay, ids, ledger = self._fixture()
         ops = [
-            Transfer(0, ids[0], ids[1], 4, "one"),
-            Transfer(0, ids[1], ids[2], 2, "two"),
+            Transfer(7, ids[0], ids[1], 4, "one"),
+            Transfer(7, ids[1], ids[2], 2, "two"),
         ]
-        result = overlay.execute_transaction("main", ops, ledger, 7)
+        result = overlay.execute_transaction("main", ops, ledger)
         assert result.committed
         assert ledger.balance(ids[0]) == 6
         assert ledger.balance(ids[1]) == 2
         assert ledger.balance(ids[2]) == 2
-        assert len(ledger.log) == 2
-        assert all(row.at == 7 for row in ledger.log)
+        assert ledger.log == ops  # at the tick each row carries
 
     def test_lost_quorum_raises(self):
         overlay, ids, ledger = self._fixture()
@@ -932,6 +968,6 @@ class TestTransactions:
         for member in vsp.members[: vsp.quorum]:
             overlay.leave(member)
         with pytest.raises(NoQuorum):
-            overlay.execute_transaction("main", [], ledger, 7)
+            overlay.execute_transaction("main", [], ledger)
         with pytest.raises(NoQuorum):
-            overlay.execute_transaction("unknown-region", [], ledger, 7)
+            overlay.execute_transaction("unknown-region", [], ledger)

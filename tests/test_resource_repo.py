@@ -125,14 +125,12 @@ class TestEligibility:
         result = repo.query(ResourceQuery(ResourceVector(1, 1, 1)),
                             RngStream(1, "repo"), at=10)
         assert result.nodes == (ids[0],)
-        assert not result.insufficient
 
-    def test_zero_eligible_flags_insufficient_with_empty_set(self):
+    def test_zero_eligible_returns_the_empty_set(self):
         repo, ids = make_repo(1)
         result = repo.query(ResourceQuery(ResourceVector(10**6, 0, 0)),
                             RngStream(1, "repo"), at=10)
         assert result.nodes == ()
-        assert result.insufficient
 
     def test_candidates_come_in_node_id_order_whatever_the_registration(self):
         repo = Repository()
@@ -260,12 +258,12 @@ class TestProportionalSelection:
         assert run(8) == run(8)
         assert run(8) != run(9)
 
-    def test_count_larger_than_pool_returns_all_flagged(self):
+    def test_count_larger_than_pool_returns_all_short_of_count(self):
         repo, ids = make_repo(3)
         result = repo.query(ResourceQuery(ResourceVector(1, 1, 1), count=5),
                             RngStream(1, "repo"), at=10)
         assert set(result.nodes) == set(ids)
-        assert result.insufficient
+        assert len(result.nodes) < 5
 
 
 def scanned_query(repo, query, rng, at):
@@ -287,8 +285,7 @@ def scanned_query(repo, query, rng, at):
             continue
         candidates.append(rec)
     if len(candidates) <= query.count:
-        return QueryResult(tuple(r.node_id for r in candidates),
-                           insufficient=len(candidates) < query.count)
+        return QueryResult(tuple(r.node_id for r in candidates))
     w_perf, w_avail, w_cost, w_geo = query.weights
     max_cost = max((r.projected_cost for r in candidates), default=0.0)
     scores = []
@@ -315,7 +312,7 @@ def scanned_query(repo, query, rng, at):
                     idx = i
                     break
         picked.append(remaining.pop(idx)[0])
-    return QueryResult(tuple(r.node_id for r in picked), insufficient=False)
+    return QueryResult(tuple(r.node_id for r in picked))
 
 
 class Scripted:

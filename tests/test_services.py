@@ -52,10 +52,9 @@ def make_runtime(n=6, region="main", regions=None, compute=10, storage=10**6,
 
 
 def descriptor(sid="svc", declared=(5, 0, 0), code_size=8, min_replicas=1,
-               subsidy=0, version="1.0"):
+               subsidy=0):
     return ServiceDescriptor(sid, "dev", ResourceVector(*declared), code_size,
-                             min_replicas=min_replicas, subsidy=subsidy,
-                             version=version)
+                             min_replicas=min_replicas, subsidy=subsidy)
 
 
 def request(service_id, requester, at, actual):
@@ -73,23 +72,24 @@ class TestPublication:
         assert rt.resolve("svc", 5) == d
         assert len(rt.warm_instances("svc", 100)) == 2
 
-    def test_publish_same_version_twice_changes_nothing(self):
+    def test_a_second_publish_raises_and_moves_nothing(self):
         rt, ids = make_runtime()
         d = descriptor(min_replicas=2)
-        first = rt.publish(d, ids[0], 0)
+        rt.publish(d, ids[0], 0)
         key = rt.dsr_key("svc")
-        vv_before = rt.store.any_state(key, first).vv
-        again = rt.publish(d, ids[1], 10)
-        assert again == first
-        assert len(rt.instances["svc"]) == 2
-        assert rt.store.any_state(key, first).vv == vv_before
 
-    def test_new_version_refreshes_in_place_without_rewarming(self):
-        rt, ids = make_runtime()
-        first = rt.publish(descriptor(), ids[0], 0)
-        assert rt.publish(descriptor(version="2.0"), ids[0], 10) == first
-        assert rt.resolve("svc", 20).version == "2.0"
-        assert len(rt.instances["svc"]) == 1
+        def state():
+            store = rt.store
+            return (list(store.hosts[key]), dict(store.states[key]),
+                    set(store.dirty), list(rt.instances["svc"]),
+                    rt._nearest["svc"], list(rt.overlay._labellings))
+
+        before = state()
+        for again in (d, descriptor(declared=(9, 0, 0), min_replicas=3)):
+            with pytest.raises(ServiceError, match="already published"):
+                rt.publish(again, ids[1], 10)
+            assert state() == before
+        assert rt.resolve("svc", 20) == d
 
     def test_held_storage_counts_live_instances_only(self):
         rt, ids = make_runtime()
@@ -179,7 +179,7 @@ class TestBudgetMetering:
         assert plan.outcome == COMPLETED
         assert plan.subsidy_part == 5
         rows = rt.settlement_rows(plan, 60)
-        rt.ledger.apply_batch(rows, 60)
+        rt.ledger.apply_batch(rows)
         assert rt.ledger.balance(ids[4]) == 0
         assert rt.ledger.balance("dev") == 10**6 - 5
         assert rt.ledger.balance(plan.host) == 5
@@ -233,7 +233,8 @@ class TestScheduling:
         rt.publish(descriptor(declared=(5, 0, 0)), ids[0], 0)
         actual = ResourceVector(50, 0, 0)
         plan = rt.admit(request("svc", ids[4], 100, (50, 0, 0)), 100)
-        rt.run_on_host(plan, budget=actual)
+        plan.budget = actual
+        rt.run_on_host(plan)
         assert plan.outcome == COMPLETED and plan.fraction == 1
         assert plan.consumed == actual and plan.charged == plan.gross
 
@@ -248,7 +249,7 @@ class TestPullPlacement:
         plan = rt.plan_invoke(request("svc", ids[4], 50, (5, 0, 0)), 50)
         assert plan.outcome == COMPLETED
         live = rt.instances["svc"]
-        assert len(live) == 1 and live[0].deployed_at == 50
+        assert len(live) == 1 and live[0].warm_at >= 50  # pulled at 50
 
     def test_no_capacity_when_nothing_fresh_can_host(self):
         rt, ids = make_runtime()
@@ -535,6 +536,7 @@ class TestVendorRuntime:
         plan = rt.admit(request("svc", ids[1], 50, (1, 0, 0)), 50)
         assert (plan.outcome, plan.host, plan.gross) == (ADMITTED, vendor, 0)
         assert plan.descriptor.service_id == "svc"
+        assert plan.budget == ResourceVector(1, 0, 0)  # its own draw
 
     def test_a_draw_over_the_declared_budget_completes_uncharged(self):
         rt, ids, vendor = self.vendor_runtime()
@@ -554,6 +556,12 @@ class TestVendorRuntime:
         assert plan.outcome == "unreachable"
         assert plan.host is None and plan.charged == 0
         assert ran == []
+
+    def test_a_second_publish_raises(self):
+        rt, ids, vendor = self.vendor_runtime()
+        with pytest.raises(ServiceError, match="already published"):
+            rt.publish(descriptor(declared=(5, 0, 0)), ids[0], 10)
+        assert [i.host for i in rt.instances["svc"]] == [vendor]
 
     def test_placement_never_acts(self):
         rt, ids, vendor = self.vendor_runtime()

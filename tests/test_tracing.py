@@ -53,6 +53,26 @@ def test_a_traced_run_records_every_layer():
     assert tracer.counters["resource_repo.heartbeats"] > 0
 
 
+def test_a_traced_vendor_run_records_every_invocation(monkeypatch):
+    """The vendor serves calls through the base ``plan_invoke``, so the
+    wrapper on ``ServiceRuntime`` sees each one."""
+    config = replace(parse_scenario(ROOT / "scenarios" / "wiki_small.ini"),
+                     horizon=6000, mode="vendor")
+    admitted = []
+    admit = services.VendorRuntime.admit
+
+    def counted(runtime, request, at):
+        admitted.append(request.req_id)
+        return admit(runtime, request, at)
+
+    monkeypatch.setattr(services.VendorRuntime, "admit", counted)
+    tracer = Tracer()
+    with install(tracer):
+        run_scenario(config)
+    spans = [s for s in tracer.spans if s[0] == "services.plan_invoke"]
+    assert admitted and len(spans) == len(admitted)
+
+
 def test_the_benchmark_route_check_passes_on_the_overlay_copy():
     """The benchmark checks routes against ``Overlay.adj``, the NodeId-keyed
     copy of the links, so the copy must still match what route answers."""
