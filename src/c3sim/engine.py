@@ -60,7 +60,6 @@ class Event:
 
 @dataclass(frozen=True)
 class RunSummary:
-    final_clock: SimTime
     total_processed: int
 
 
@@ -122,4 +121,4 @@ class Simulator:
                 handler(event)
         if until > self.now:
             self.now = until
-        return RunSummary(self.now, self._total)
+        return RunSummary(self._total)

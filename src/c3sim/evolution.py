@@ -1,7 +1,8 @@
 """Version forests and trust-weighted update diffusion.
 
-Every service has a forest of versions with exogenous fitness. Nodes follow
-a static directed trust graph; at each adoption tick (aligned with gossip
+Every service has a forest of versions: a release names a released parent,
+and the forest keeps only each version's exogenous fitness. Nodes follow a
+static directed trust graph; at each adoption tick (aligned with gossip
 rounds) a node switches to a version when enough of its trusted neighbors
 run it (threshold theta) and it beats the node's current version on fitness.
 All decisions in a tick read the tick-start snapshot, so a wave spreads one
@@ -16,13 +17,13 @@ declines again until a version it reads changes. Every change of a version
 (release, adoption, rollback step) marks the pair itself and the pair of
 every node that trusts it, and a pair stays pending while its node is
 offline. A pair marked during a tick is visited at the next one, as the
-full scan would see the change only then.
+full scan would see the change only then. A root registration marks no
+pair: while every node runs the root, no pick has a version to choose.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import SimTime
 from .overlay import NodeId
 
 
@@ -43,16 +44,7 @@ class HistoryUnderflow(EvolutionError):
 
 
 @dataclass(frozen=True, slots=True)
-class VersionNode:
-    """One version of a service, filed under its version in the forest."""
-    service_id: str
-    parent: str | None
-    fitness: float
-
-
-@dataclass(frozen=True, slots=True)
 class Adoption:
-    at: SimTime
     node: NodeId
     service_id: str
     from_version: str
@@ -67,7 +59,8 @@ class UpdateDiffusion:
             raise ValueError("theta must be in (0, 1]")
         self.trust = trust
         self.theta = theta
-        self.versions: dict[str, dict[str, VersionNode]] = {}
+        # Per service, each released version's fitness.
+        self.versions: dict[str, dict[str, float]] = {}
         self.active: dict[tuple[NodeId, str], str] = {}
         self.history: dict[tuple[NodeId, str], list[str]] = {}
         # The nodes that trust each node, and the pairs whose pick may have
@@ -81,43 +74,37 @@ class UpdateDiffusion:
     # -- version forest ---------------------------------------------------------
 
     def register_root(self, service_id: str, version: str,
-                      fitness: float) -> VersionNode:
-        node = VersionNode(service_id, None, fitness)
-        self.versions.setdefault(service_id, {})[version] = node
+                      fitness: float) -> None:
+        self.versions.setdefault(service_id, {})[version] = fitness
         for peer in self.trust:
             self.active[(peer, service_id)] = version
             self.history[(peer, service_id)] = []
-            self._pending.add((peer, service_id))
-        return node
 
     def fitness(self, service_id: str, version: str) -> float:
         try:
-            return self.versions[service_id][version].fitness
+            return self.versions[service_id][version]
         except KeyError:
             raise UnknownVersion(f"{service_id}@{version}") from None
 
     def release(self, service_id: str, version: str, parent: str,
-                fitness: float, origins: list[NodeId],
-                at: SimTime) -> list[Adoption]:
+                fitness: float, origins: list[NodeId]) -> list[Adoption]:
         forest = self.versions.setdefault(service_id, {})
         if parent not in forest:
             raise UnknownParent(f"{service_id}@{parent}")
         if version in forest:
             raise EvolutionError(f"{service_id}@{version} already released")
-        forest[version] = VersionNode(service_id, parent, fitness)
-        out = []
-        for origin in origins:
-            out.append(self._switch(origin, service_id, version, at, "release"))
-        return out
+        forest[version] = fitness
+        return [self._switch(origin, service_id, version, "release")
+                for origin in origins]
 
     def _switch(self, node: NodeId, service_id: str, version: str,
-                at: SimTime, cause: str) -> Adoption:
+                cause: str) -> Adoption:
         key = (node, service_id)
         frm = self.active[key]
         self.history[key].append(frm)
         self.active[key] = version
         self._changed(node, service_id)
-        return Adoption(at, node, service_id, frm, version, cause)
+        return Adoption(node, service_id, frm, version, cause)
 
     def _changed(self, node: NodeId, service_id: str) -> None:
         """Mark the pairs that read node's version of the service."""
@@ -128,7 +115,7 @@ class UpdateDiffusion:
 
     # -- diffusion ----------------------------------------------------------------
 
-    def adoption_tick(self, at: SimTime, is_online=None) -> list[Adoption]:
+    def adoption_tick(self, is_online=None) -> list[Adoption]:
         """One synchronous wave over the tick-start snapshot, visiting the
         pending pairs in node, then service order. A pair that adopts is
         marked again by its switch; one that declines is dropped."""
@@ -149,7 +136,7 @@ class UpdateDiffusion:
                 continue
             choice = self._pick(node, service_id, current, neighbors, snapshot)
             if choice is not None:
-                out.append(self._switch(node, service_id, choice, at, "adopt"))
+                out.append(self._switch(node, service_id, choice, "adopt"))
         return out
 
     def _pick(self, node: NodeId, service_id: str, current: str,
@@ -173,8 +160,8 @@ class UpdateDiffusion:
 
     # -- rollback -------------------------------------------------------------------
 
-    def rollback(self, node: NodeId, service_id: str, steps: int,
-                 at: SimTime) -> list[Adoption]:
+    def rollback(self, node: NodeId, service_id: str,
+                 steps: int) -> list[Adoption]:
         """Step back through the node's own adoption history."""
         key = (node, service_id)
         stack = self.history.get(key, [])
@@ -184,7 +171,7 @@ class UpdateDiffusion:
         for _ in range(steps):
             frm = self.active[key]
             self.active[key] = stack.pop()
-            out.append(Adoption(at, node, service_id, frm, self.active[key],
+            out.append(Adoption(node, service_id, frm, self.active[key],
                                 "rollback"))
         self._changed(node, service_id)
         return out

@@ -66,7 +66,6 @@ class Runner:
         # scheduling order: a leave cancels them in a fixed order.
         self._pending: dict[NodeId, dict[Event, None]] = {}
         self._churn_event: dict[NodeId, Event] = {}
-        self._active_diffusions: dict[str, str] = {}
         self.services_by_id = {s.service_id: s for s in config.services}
         self._build()
 
@@ -85,11 +84,11 @@ class Runner:
         self.by_class: dict[str, list[NodeId]] = {}
         for klass in cfg.population:
             for i in range(klass.count):
-                node_id = generate_identity(ids).node_id
+                node_id = generate_identity(ids)
                 region = klass.regions[i % len(klass.regions)]
                 self.overlay.add_record(NodeRecord(
-                    node_id, region, klass.capacity, klass.cost_factor,
-                    klass.mean_online, klass.mean_offline), online=True)
+                    node_id, region, klass.capacity, klass.mean_online,
+                    klass.mean_offline), online=True)
                 self.node_list.append(node_id)
                 self.by_class.setdefault(klass.name, []).append(node_id)
                 self._log("nodes", node_id.short, region, klass.name,
@@ -99,7 +98,7 @@ class Runner:
 
         self.vendor_node: NodeId | None = None
         if cfg.mode == "vendor":
-            self.vendor_node = generate_identity(ids).node_id
+            self.vendor_node = generate_identity(ids)
             cap = ResourceVector(10 ** 6, 10 ** 9, 10 ** 6)
             self.overlay.add_record(
                 NodeRecord(self.vendor_node, VENDOR_REGION, cap), online=True)
@@ -332,13 +331,9 @@ class Runner:
         at = self.sim.now
         self.overlay.maintenance()
         self.replicator.upkeep(at)
-        if self._active_diffusions:
-            for adopt in self.evolution.adoption_tick(at, self.overlay.is_online):
-                self._log("adoptions", at, adopt.node.short, adopt.service_id,
-                          adopt.from_version, adopt.to_version, adopt.cause)
-            self._active_diffusions = {
-                s: v for s, v in self._active_diffusions.items()
-                if self.evolution.adoption_fraction(s, v) < 1.0}
+        for adopt in self.evolution.adoption_tick(self.overlay.is_online):
+            self._log("adoptions", at, adopt.node.short, adopt.service_id,
+                      adopt.from_version, adopt.to_version, adopt.cause)
 
     def _on_sweep(self, event: Event) -> None:
         self.repo.sweep(self.sim.now, self.overlay.online_ids,
@@ -454,10 +449,9 @@ class Runner:
             origins = [min(self.overlay.online_ids)]
         for adopt in self.evolution.release(service_id, "2.0", "1.0",
                                             svc.update_fitness,
-                                            sorted(set(origins)), at):
+                                            sorted(set(origins))):
             self._log("adoptions", at, adopt.node.short, adopt.service_id,
                       adopt.from_version, adopt.to_version, adopt.cause)
-        self._active_diffusions[service_id] = "2.0"
 
     # -- execution ------------------------------------------------------------------------
 

@@ -49,7 +49,6 @@ def account_label(key: AccountKey) -> str:
 
 @dataclass(slots=True)
 class Account:
-    owner: AccountKey
     balance: int
     credit_limit: int = 0
 
@@ -133,7 +132,7 @@ class Ledger:
             raise LedgerError(f"account exists: {account_label(owner)}")
         if credit_limit < 0:
             raise ValueError("credit limit must be non-negative")
-        acct = Account(owner, balance, credit_limit)
+        acct = Account(balance, credit_limit)
         self.accounts[owner] = acct
         self.opening_balances[owner] = balance
         return acct

@@ -2,9 +2,7 @@
 
 Node identity is self-issued: a keypair is generated from the overlay's
 random stream and the node id is the SHA-256 fingerprint of the public half,
-so ids are 256-bit values no registry hands out. Positions are likewise
-self-describing: a node's position fingerprint hashes its sorted neighbor
-ids and changes exactly when its neighborhood does.
+so ids are 256-bit values no registry hands out.
 
 Each region keeps a random regular graph of configurable degree among its
 online members plus a configurable number of links to every other region.
@@ -98,18 +96,11 @@ class NodeId(int):
         return f"NodeId({self.short})"
 
 
-@dataclass(frozen=True, slots=True)
-class Identity:
-    public_key: bytes
-    node_id: NodeId
-
-
-def generate_identity(rng: RngStream) -> Identity:
-    """Self-issued identity: key material from the stream, id = H(public)."""
+def generate_identity(rng: RngStream) -> NodeId:
+    """Self-issued id: key material from the stream, id = H(public)."""
     private = rng.getrandbits(ID_BITS).to_bytes(32, "big")
     public = sha256(b"pub:" + private).digest()
-    node_id = NodeId(int.from_bytes(sha256(public).digest(), "big"))
-    return Identity(public, node_id)
+    return NodeId(int.from_bytes(sha256(public).digest(), "big"))
 
 
 @dataclass(slots=True)
@@ -117,7 +108,6 @@ class NodeRecord:
     node_id: NodeId
     region: str
     capacity: ResourceVector
-    cost_factor: float = 1.0
     mean_online: int = 0
     mean_offline: int = 0
     online_since: SimTime = 0
@@ -125,7 +115,6 @@ class NodeRecord:
 
 @dataclass(frozen=True, slots=True)
 class VirtualSuperPeer:
-    region: str
     members: tuple[NodeId, ...]
     epoch: int
 
@@ -384,16 +373,6 @@ class Overlay:
                     if self._index[b] not in self._links[self._index[a]]:
                         self.add_link(a, b, self.config.inter_latency)
 
-    # -- position fingerprints ---------------------------------------------
-
-    def fingerprint(self, node_id: NodeId) -> int:
-        """Hash of the sorted neighbor set."""
-        h = sha256()
-        linked = self._links[self._index[node_id]]
-        for peer in sorted(self._recs[j].node_id for j in linked):
-            h.update(peer.to_bytes(32, "big"))
-        return int.from_bytes(h.digest(), "big")
-
     # -- routing ------------------------------------------------------------
 
     def _search(self, src: int) -> list:
@@ -557,7 +536,7 @@ class Overlay:
         ranked = sorted(online, key=lambda n: (self.records[n].online_since, n))
         members = tuple(ranked[: self.config.m_target])
         last = self.dvsps.get(region)
-        vsp = VirtualSuperPeer(region, members, last.epoch + 1 if last else 1)
+        vsp = VirtualSuperPeer(members, last.epoch + 1 if last else 1)
         self.dvsps[region] = vsp
         self._live[region] = len(members)
         self._reform.discard(region)

@@ -8,8 +8,7 @@ replica therefore converges to the same state regardless of order.
 
 A write applies at the nearest replica and is broadcast to the rest of the
 set; gossip rounds and re-replication mop up whatever the broadcast missed
-(offline hosts, replaced hosts). Objects flagged encrypted are readable by
-their owner only; foreign reads are refused and counted, never served.
+(offline hosts, replaced hosts).
 
 `Replicator` owns page writes and replica repair. The repository picks a
 new key's hosts and a lost host's replacement; a write returns each of its
@@ -38,16 +37,10 @@ class NoReplica(ReplicationError):
     pass
 
 
-class AccessDenied(ReplicationError):
-    pass
-
-
 @dataclass(frozen=True, slots=True)
 class ReplicatedObject:
     key: str
     value: object
-    owner: NodeId
-    encrypted: bool
     vv: dict[NodeId, int]
     wall: tuple[SimTime, NodeId]
 
@@ -75,8 +68,7 @@ def merge(a: ReplicatedObject, b: ReplicatedObject) -> ReplicatedObject:
     for k, v in b.vv.items():
         if v > joined.get(k, 0):
             joined[k] = v
-    return ReplicatedObject(winner.key, winner.value, winner.owner,
-                            winner.encrypted, joined, winner.wall)
+    return ReplicatedObject(winner.key, winner.value, joined, winner.wall)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +83,6 @@ class ReplicaStore:
         self.states: dict[str, dict[NodeId, ReplicatedObject]] = {}
         self.sizes: dict[str, int] = {}
         self.dirty: set[str] = set()
-        self.privacy_violations = 0
         self.log = log or (lambda at, key, action, node: None)
 
     def ensure(self, key: str, hosts: list[NodeId], size: int = 1) -> None:
@@ -110,7 +101,7 @@ class ReplicaStore:
             raise UnknownKey(key) from None
 
     def put(self, key: str, value: object, writer: NodeId, at: SimTime,
-            apply_at: NodeId, encrypted: bool = False) -> list[Delivery]:
+            apply_at: NodeId) -> list[Delivery]:
         """Apply at one replica, return the broadcasts the caller delivers."""
         hosts = self.replica_hosts(key)
         if apply_at not in hosts:
@@ -118,9 +109,7 @@ class ReplicaStore:
         base = self.states[key].get(apply_at)
         vv = dict(base.vv) if base else {}
         vv[writer] = vv.get(writer, 0) + 1
-        owner = base.owner if base else writer
-        enc = base.encrypted if base else encrypted
-        obj = ReplicatedObject(key, value, owner, enc, vv, (at, writer))
+        obj = ReplicatedObject(key, value, vv, (at, writer))
         self.log(at, key, "put", apply_at.short)
         self.dirty.add(key)  # so a lone replica logs converged at once
         self._absorb(key, apply_at, obj, at)
@@ -130,15 +119,6 @@ class ReplicaStore:
                 at: SimTime) -> None:
         if host in self.replica_hosts(key):
             self._absorb(key, host, obj, at)
-
-    def get(self, key: str, host: NodeId, reader: NodeId) -> object:
-        state = self.states.get(key, {}).get(host)
-        if state is None:
-            raise NoReplica(f"{key} has no state on {host!r}")
-        if state.encrypted and reader != state.owner:
-            self.privacy_violations += 1
-            raise AccessDenied(f"{key} is private to its owner")
-        return state.value
 
     def any_state(self, key: str, hosts: list[NodeId]) -> ReplicatedObject | None:
         for host in hosts:

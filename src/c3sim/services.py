@@ -115,7 +115,6 @@ class InvokePlan:
     gross: int = 0
     charged: int = 0
     subsidy_part: int = 0
-    fraction: Fraction = Fraction(1)
     consumed: ResourceVector = ResourceVector()
     start: SimTime = 0
     done_at: SimTime = 0
@@ -345,14 +344,13 @@ class ServiceRuntime:
             request.requester, warm)
         if host is not None:
             return host, at, hop
-        sources = self._code_sources(desc.service_id)
-        sources = [s for s in sources
-                   if self.overlay.reachable(request.requester, s)]
-        if not sources:
+        source = next((s for s in self._code_sources(desc.service_id)
+                       if self.overlay.reachable(request.requester, s)), None)
+        if source is None:
             return None, "unresolvable", 0
         region = self.overlay.records[request.requester].region
         for host in self._pick_hosts(desc, PULL_CANDIDATES, region, at):
-            inst = self._deploy(desc, host, sources[0], at)
+            inst = self._deploy(desc, host, source, at)
             if inst is not None:
                 return (host, inst.warm_at,
                         self.overlay.route(request.requester, host))
@@ -377,7 +375,7 @@ class ServiceRuntime:
             plan.done_at = plan.start + full
             plan.bill(plan.gross)
         else:
-            f = plan.fraction = budget_fraction(actual, budget)
+            f = budget_fraction(actual, budget)
             plan.outcome = TERMINATED
             plan.consumed = ResourceVector(*(
                 min(budget.get(k), math.ceil(f * actual.get(k)))

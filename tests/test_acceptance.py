@@ -403,9 +403,9 @@ def test_08_update_dominance_and_rollback_exactness(capfd):
             trust, ring = strongly_connected_trust(seed)
             diff = UpdateDiffusion(trust, theta=0.5)
             diff.register_root("svc", "1.0", 1.0)
-            diff.release("svc", "2.0", "1.0", 2.0, [ring[0]], 0)
-            for tick in range(1, 2 * len(trust) + 1):
-                diff.adoption_tick(tick)
+            diff.release("svc", "2.0", "1.0", 2.0, [ring[0]])
+            for _ in range(2 * len(trust)):
+                diff.adoption_tick()
                 if diff.adoption_fraction("svc", "2.0") == 1.0:
                     break
             assert diff.adoption_fraction("svc", "2.0") == 1.0, seed
@@ -419,9 +419,7 @@ def test_08_update_dominance_and_rollback_exactness(capfd):
         shadow = {node: ["v0"] for node in nodes}   # full state trail
         releases = 0
         ops = 0
-        tick = 0
         while ops < 1000:
-            tick += 1
             roll = rng.random()
             if roll < 0.35:
                 releases += 1
@@ -429,12 +427,12 @@ def test_08_update_dominance_and_rollback_exactness(capfd):
                 parent = rng.choice(sorted({v for t in shadow.values() for v in t}))
                 origin = rng.choice(nodes)
                 recorded = diff.release("svc", version, parent,
-                                        1.0 + releases, [origin], tick)
+                                        1.0 + releases, [origin])
                 for adoption in recorded:
                     shadow[adoption.node].append(adoption.to_version)
                     ops += 1
             elif roll < 0.6:
-                for adoption in diff.adoption_tick(tick):
+                for adoption in diff.adoption_tick():
                     shadow[adoption.node].append(adoption.to_version)
                     ops += 1
             else:
@@ -443,7 +441,7 @@ def test_08_update_dominance_and_rollback_exactness(capfd):
                     continue
                 node = rng.choice(candidates)
                 steps = rng.randint(1, len(shadow[node]) - 1)
-                recorded = diff.rollback(node, "svc", steps, tick)
+                recorded = diff.rollback(node, "svc", steps)
                 assert len(recorded) == steps
                 for adoption in recorded:
                     expected = shadow[node].pop()

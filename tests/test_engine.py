@@ -27,9 +27,9 @@ def record(sim: Simulator, *kinds: str) -> list:
 
 class TestClockAndOrdering:
     def test_empty_run_clock_advances_to_horizon(self):
-        summary = Simulator(seed=1, horizon=250).run()
-        assert summary.total_processed == 0
-        assert summary.final_clock == 250
+        sim = Simulator(seed=1, horizon=250)
+        assert sim.run().total_processed == 0
+        assert sim.now == 250
 
     def test_same_tick_fires_in_schedule_order(self):
         sim = Simulator(seed=1, horizon=100)
@@ -62,9 +62,9 @@ class TestClockAndOrdering:
         seen = collect(sim, "edge")
         sim.at(50, "edge", which="on")
         sim.at(51, "edge", which="past")
-        summary = sim.run()
+        sim.run()
         assert [p["which"] for _, p in seen] == ["on"]
-        assert summary.final_clock == 50
+        assert sim.now == 50
 
 
 class TestCancellation:
@@ -102,7 +102,7 @@ class TestCancellation:
         want = sim_b.run()
 
         assert got.total_processed == want.total_processed
-        assert got.final_clock == want.final_clock
+        assert sim_a.now == sim_b.now
         assert [(t, k) for t, _, k in log_a] == [(t, k) for t, _, k in log_b]
 
 

@@ -630,7 +630,6 @@ class TestEndToEnd:
 
     def test_audits_pass_on_a_clean_run(self, small_run):
         assert run_audits(small_run.logs) == []
-        assert small_run.store.privacy_violations == 0
 
     def test_report_counts_tie_out_with_the_rows(self, small_run):
         rows = small_run.logs["requests"]
@@ -787,7 +786,6 @@ class TestEndToEnd:
         converged = [r for r in runner.logs["replication"] if r[2] == "converged"]
         assert converged
         assert report["convergence_lag_max"] < 8000
-        assert runner.store.privacy_violations == 0
         assert run_audits(runner.logs) == []
 
     def test_video_sessions_meter_what_they_streamed(self):

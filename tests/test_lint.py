@@ -135,10 +135,14 @@ def test_the_check_sees_an_unread_dataclass_field():
 
 
 def test_every_dataclass_field_in_src_is_read():
-    """A field nothing reads is state written for no one."""
+    """A field nothing reads is state written for no one. A read in a test
+    does not count: a field only tests read is state no run uses. The check
+    matches field names, not classes, so a field is still passed off as
+    read by any read of the same name on another class."""
     sources = [p.read_text() for p in sorted(SRC.rglob("*.py"))]
-    readers = sources + [p.read_text() for d in ("tests", "demos", "c3bench")
-                         for p in sorted((ROOT / d).rglob("*.py"))]
+    readers = sources + [p.read_text() for d in ("demos", "c3bench")
+                         for p in sorted((ROOT / d).rglob("*.py"))
+                         if "tests" not in p.relative_to(ROOT).parts]
     assert unread_dataclass_fields(sources, readers) == []
 
 

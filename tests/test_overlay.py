@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from hashlib import sha256
 from pathlib import Path
 
 import networkx as nx
@@ -44,18 +45,24 @@ class TestIdentity:
     def test_same_stream_state_same_id(self):
         a = generate_identity(RngStream(5, "identity"))
         b = generate_identity(RngStream(5, "identity"))
-        assert a.node_id == b.node_id
-        assert a.public_key == b.public_key
+        assert isinstance(a, NodeId) and a == b
 
     def test_id_fits_in_256_bits(self):
         assert ID_BITS == 256
-        ident = generate_identity(RngStream(5, "identity"))
-        assert 0 <= ident.node_id < 1 << 256
+        assert 0 <= generate_identity(RngStream(5, "identity")) < 1 << 256
 
     def test_hundred_thousand_draws_all_distinct(self):
         rng = RngStream(5, "identity")
-        seen = {generate_identity(rng).node_id for _ in range(100_000)}
+        seen = {generate_identity(rng) for _ in range(100_000)}
         assert len(seen) == 100_000
+
+    def test_id_is_the_hash_of_the_public_key_of_one_draw(self):
+        rng, draws = RngStream(5, "identity"), RngStream(5, "identity")
+        for _ in range(3):
+            private = draws.getrandbits(ID_BITS).to_bytes(32, "big")
+            public = sha256(b"pub:" + private).digest()
+            expected = int.from_bytes(sha256(public).digest(), "big")
+            assert generate_identity(rng) == NodeId(expected)
 
     def test_short_is_the_first_16_of_64_hex_digits(self):
         rng = random.Random(5)
@@ -89,19 +96,31 @@ class TestMembership:
         with pytest.raises(UnknownNode):
             overlay.join(nid(12345), 1)
 
-    def test_leave_outside_dvsp_touches_only_neighbor_fingerprints(self):
+    def test_leave_outside_dvsp_touches_only_its_neighbors(self):
         overlay, ids = clique_overlay(6, m_target=3,
                                       joined_at=[0, 1, 2, 3, 4, 5])
         vsp = overlay.form_dvsp("main")
         assert set(vsp.members) == set(ids[:3])
         outsider = ids[5]
-        fp_before = {n: overlay.fingerprint(n) for n in ids}
+        before = overlay.adj
         overlay.leave(outsider)
         assert overlay.dvsps["main"] is vsp
         assert overlay.maintenance() == []  # quorum intact, size still met
         assert overlay.dvsps["main"].epoch == vsp.epoch
-        for n in ids[:5]:
-            assert overlay.fingerprint(n) != fp_before[n]  # clique neighbors
+        assert set(before[outsider]) == set(ids[:5])  # a clique
+        after = overlay.adj
+        assert after.pop(outsider) == {}
+        assert after == {n: {p: lat for p, lat in links.items() if p != outsider}
+                         for n, links in before.items() if n != outsider}
+
+    def test_adj_is_a_copy_the_overlay_does_not_share(self):
+        overlay, ids = clique_overlay(4)
+        snapshot = overlay.adj
+        snapshot[ids[0]].clear()
+        snapshot.pop(ids[1])
+        assert set(overlay.adj) == set(ids)
+        assert set(overlay.adj[ids[0]]) == set(ids[1:])
+        assert set(overlay.adj[ids[1]]) == {ids[0], ids[2], ids[3]}
 
     def test_dvsp_member_leave_increments_epoch_next_round(self):
         overlay, ids = clique_overlay(6, m_target=3,
@@ -837,28 +856,6 @@ class TestVendorRoutes:
         run_scenario(with_overrides(
             parse_scenario(SCENARIO_DIR / "wiki_small.ini"), mode="vendor"))
         assert calls["route"] > 0 and calls["_search"] == 0
-
-
-class TestFingerprints:
-    def test_identical_neighbor_sets_identical_fingerprints(self):
-        cfg = OverlayConfig(degree=3, min_degree=1, inter_region_links=0)
-        overlay = Overlay(cfg, RngStream(7, "overlay"))
-        center, leaves = nid(1), [nid(i) for i in (2, 3, 4, 5)]
-        for i, node in enumerate([center] + leaves):
-            overlay.add_record(NodeRecord(node, f"r{i}",
-                                          ResourceVector(1, 1, 1)))
-            overlay.join(node, 0)
-        for leaf in leaves:
-            overlay.add_link(center, leaf, 5)
-        prints = {leaf: overlay.fingerprint(leaf) for leaf in leaves}
-        assert len(set(prints.values())) == 1
-
-    def test_neighbor_change_changes_fingerprint(self):
-        overlay, ids = clique_overlay(4)
-        before = overlay.fingerprint(ids[0])
-        assert overlay.fingerprint(ids[0]) == before  # stable when idle
-        overlay.leave(ids[1])
-        assert overlay.fingerprint(ids[0]) != before
 
 
 class TestSuperPeers:

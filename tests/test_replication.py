@@ -1,4 +1,4 @@
-"""Replica state, merge algebra, gossip convergence, durability, privacy."""
+"""Replica state, merge algebra, gossip convergence, durability."""
 import itertools
 import math
 
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from c3sim.engine import RngStream
 from c3sim.replication import (
-    AccessDenied,
     Delivery,
     NoReplica,
     ReplicaStore,
@@ -22,14 +21,19 @@ from conftest import nid
 A, B, C, D, E = nid(1), nid(2), nid(3), nid(4), nid(5)
 
 
-def obj(value, vv, wall, owner=A, encrypted=False, key="k"):
-    return ReplicatedObject(key, value, owner, encrypted, vv, wall)
+def obj(value, vv, wall, key="k"):
+    return ReplicatedObject(key, value, vv, wall)
+
+
+def value(store, host, key="k"):
+    """The value the host's replica of the key holds."""
+    return store.states[key][host].value
 
 
 class TestMergeAlgebra:
     def test_identical_states_return_first_operand(self):
         a = obj("x", {A: 1}, (3, A))
-        b = obj("x", {A: 1}, (3, A), owner=B)
+        b = obj("x", {A: 1}, (3, A))
         assert merge(a, b) is a
 
     def test_later_write_by_same_writer_wins_both_orders(self):
@@ -57,11 +61,14 @@ class TestMergeAlgebra:
         assert out.vv == {A: 3, B: 2, C: 5}
         assert out.value == "y"
 
-    def test_winner_keeps_owner_and_encryption(self):
-        a = obj("x", {A: 1}, (1, A), owner=A, encrypted=True)
-        b = obj("y", {B: 1}, (2, B), owner=B, encrypted=False)
-        out = merge(a, b)
-        assert out.owner == B and out.encrypted is False
+    def test_the_merge_is_the_winners_state_over_the_joined_vv(self):
+        loser = obj("x", {A: 2}, (7, A), key="page")
+        winner = obj("y", {B: 1}, (9, B), key="page")
+        for left, right in ((loser, winner), (winner, loser)):
+            out = merge(left, right)
+            assert (out.key, out.value, out.wall) == ("page", "y", (9, B))
+            assert out.vv == {A: 2, B: 1}
+            assert out is not winner  # a new state, not the winner's
 
     states = st.builds(
         obj,
@@ -124,7 +131,7 @@ class TestExhaustiveOrderings:
             assert store.gossip_round(6 + rounds, rng, online=lambda h: True) > 0
             rounds += 1
         for host in (A, B, C):
-            assert store.get("k", host, reader=A) == "w2"
+            assert value(store, host) == "w2"
 
 
 class TestStoreFlow:
@@ -151,9 +158,8 @@ class TestStoreFlow:
         deliveries = store.put("k", 7, writer=A, at=2, apply_at=A)
         assert sorted(d.host for d in deliveries) == [B, C]
         assert all(isinstance(d, Delivery) and d.obj.value == 7 for d in deliveries)
-        assert store.get("k", A, reader=B) == 7
-        with pytest.raises(NoReplica):
-            store.get("k", B, reader=B)
+        assert value(store, A) == 7
+        assert B not in store.states["k"]
 
     def test_convergence_log_fires_once_all_replicas_match(self):
         entries = []
@@ -181,12 +187,25 @@ class TestStoreFlow:
         for d in store.put("k", "v1", writer=A, at=1, apply_at=A):
             store.deliver("k", d.host, d.obj, at=1)
         store.put("k", "v2", writer=A, at=5, apply_at=A)
-        assert store.get("k", B, reader=B) == "v1"
-        assert store.get("k", A, reader=B) == "v2"
+        assert value(store, B) == "v1"
+        assert value(store, A) == "v2"
         rng = RngStream(3, "gossip")
         while not store.converged("k"):
             store.gossip_round(6, rng, online=lambda h: True)
-        assert store.get("k", B, reader=B) == "v2"
+        assert value(store, B) == "v2"
+
+    def test_a_later_write_by_another_writer_reaches_every_replica(self):
+        store = ReplicaStore()
+        store.ensure("k", [A, B, C])
+        for d in store.put("k", "first", writer=A, at=1, apply_at=A):
+            store.deliver("k", d.host, d.obj, at=1)
+        for d in store.put("k", "second", writer=B, at=7, apply_at=B):
+            store.deliver("k", d.host, d.obj, at=7)
+        assert store.converged("k")
+        for host in (A, B, C):
+            state = store.states["k"][host]
+            assert (state.value, state.wall) == ("second", (7, B))
+            assert state.vv == {A: 1, B: 1}
 
     def test_out_of_order_delivery_never_regresses(self):
         store = ReplicaStore()
@@ -195,7 +214,7 @@ class TestStoreFlow:
         d2 = store.put("k", "v2", writer=A, at=2, apply_at=A)
         store.deliver("k", B, d2[0].obj, at=3)
         store.deliver("k", B, d1[0].obj, at=4)
-        assert store.get("k", B, reader=A) == "v2"
+        assert value(store, B) == "v2"
 
     def test_gossip_needs_two_online_hosts(self):
         store = diverged_store()
@@ -246,7 +265,7 @@ class TestDurability:
         assert replaced == 2
         assert store.replica_hosts("k") == sorted([C, D, E])
         for host in (C, D, E):
-            assert store.get("k", host, reader=B) == "payload"
+            assert value(store, host) == "payload"
         assert store.converged("k")
         assert entries.count("rereplicate") == 2
 
@@ -281,35 +300,3 @@ class TestDurability:
             at=5, online=self.survivors_only(set()), pick_host=lambda key, exclude: D)
         assert replaced == 0
         assert store.replica_hosts("k") == [A, B]
-
-
-class TestPrivacy:
-    def encrypted_store(self):
-        store = ReplicaStore()
-        store.ensure("k", [A, B, C])
-        for d in store.put("k", "secret", writer=A, at=1, apply_at=A, encrypted=True):
-            store.deliver("k", d.host, d.obj, at=1)
-        return store
-
-    def test_owner_reads_from_any_replica(self):
-        store = self.encrypted_store()
-        for host in (A, B, C):
-            assert store.get("k", host, reader=A) == "secret"
-        assert store.privacy_violations == 0
-
-    def test_foreign_read_is_refused_and_counted(self):
-        store = self.encrypted_store()
-        with pytest.raises(AccessDenied):
-            store.get("k", B, reader=B)
-        with pytest.raises(AccessDenied):
-            store.get("k", C, reader=D)
-        assert store.privacy_violations == 2
-
-    def test_encryption_and_owner_survive_foreign_writes(self):
-        store = self.encrypted_store()
-        for d in store.put("k", "defaced", writer=B, at=7, apply_at=B):
-            store.deliver("k", d.host, d.obj, at=7)
-        with pytest.raises(AccessDenied):
-            store.get("k", A, reader=B)
-        assert store.get("k", A, reader=A) == "defaced"
-        assert store.privacy_violations == 1

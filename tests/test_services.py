@@ -157,7 +157,6 @@ class TestBudgetMetering:
             else:
                 assert plan.outcome == TERMINATED
                 f = Fraction(5, a)
-                assert plan.fraction == f
                 assert plan.charged == -(-gross * f.numerator // f.denominator)
                 assert plan.consumed.compute == 5
             assert plan.subsidy_part == 0
@@ -167,7 +166,6 @@ class TestBudgetMetering:
         rt.publish(descriptor(declared=(10, 0, 0)), ids[0], 0)
         plan = rt.plan_invoke(request("svc", ids[4], 50, (20, 0, 0)), 50)
         assert plan.outcome == TERMINATED
-        assert plan.fraction == Fraction(1, 2)
         assert plan.gross == 10 and plan.charged == 5
         assert plan.consumed.compute == 10
         assert plan.done_at - plan.start == 1  # half of the two-tick full run
@@ -235,7 +233,7 @@ class TestScheduling:
         plan = rt.admit(request("svc", ids[4], 100, (50, 0, 0)), 100)
         plan.budget = actual
         rt.run_on_host(plan)
-        assert plan.outcome == COMPLETED and plan.fraction == 1
+        assert plan.outcome == COMPLETED
         assert plan.consumed == actual and plan.charged == plan.gross
 
 
@@ -541,7 +539,7 @@ class TestVendorRuntime:
     def test_a_draw_over_the_declared_budget_completes_uncharged(self):
         rt, ids, vendor = self.vendor_runtime()
         plan = rt.plan_invoke(request("svc", ids[1], 50, (50, 0, 0)), 50)
-        assert plan.outcome == COMPLETED and plan.fraction == 1
+        assert plan.outcome == COMPLETED
         assert plan.consumed == ResourceVector(50, 0, 0)
         assert plan.charged == 0 and rt.settlement_rows(plan, 50) == []
         assert plan.latency == 30 + 1 + 30  # direct link there and back
