@@ -140,6 +140,7 @@ class Runner:
         self.evolution = UpdateDiffusion(trust, cfg.evolution.theta)
 
         if cfg.mode == "community":
+            basket = self.ledger.market.basket()
             for klass in cfg.population:
                 for node in self.by_class[klass.name]:
                     self.ledger.open_account(node, klass.initial_balance,
@@ -147,9 +148,9 @@ class Runner:
                     self.repo.register(NodeResourceRecord(
                         node, self.overlay.records[node].region,
                         klass.capacity, cost_factor=klass.cost_factor))
-            # Nothing is deployed yet, so no node holds any storage.
-            self.repo.sweep(0, self.overlay.online_ids, {},
-                            self.ledger.market.basket())
+                    # Nothing is deployed yet, so no node holds any storage.
+                    if self.overlay.is_online(node):
+                        self.repo.offer(node, 0, basket)
             for svc in cfg.services:
                 self.ledger.open_account(f"dev:{svc.service_id}",
                                          svc.developer_balance)
@@ -336,8 +337,7 @@ class Runner:
                       adopt.from_version, adopt.to_version, adopt.cause)
 
     def _on_sweep(self, event: Event) -> None:
-        self.repo.sweep(self.sim.now, self.overlay.online_ids,
-                        self.services.held_storage(),
+        self.repo.sweep(self.sim.now, self.services.held_storage(),
                         self.ledger.market.basket())
 
     def _on_price(self, event: Event) -> None:

@@ -137,9 +137,6 @@ class Ledger:
         self.opening_balances[owner] = balance
         return acct
 
-    def balance(self, owner: AccountKey) -> int:
-        return self._account(owner).balance
-
     def can_cover(self, owner: AccountKey, amount: int) -> bool:
         acct = self._account(owner)
         return acct.balance - amount >= -acct.credit_limit

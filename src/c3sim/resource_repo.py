@@ -2,17 +2,27 @@
 
 A record keeps the capacity its node contributes. The repository computes
 each heartbeat's offer from it, at a projected cost of the record's cost
-factor times the basket of unit prices: `sweep` offers every online
-record's capacity less the storage its node's instances hold, and `offer`
-the whole capacity of a node that has just joined, which holds none.
+factor times the basket of unit prices: `offer` offers the whole capacity
+of a node that has just joined, which holds none, and `sweep` that of
+each beating record less the storage its node's instances hold. A record
+beats from its node's offer until `silent` says that the node has left.
 
 Records age out: a record whose last heartbeat is older than the staleness
-horizon (STALENESS_INTERVALS heartbeat intervals) is invisible to queries, so a
-silent node stops being offered work without any explicit deregistration.
+horizon (STALENESS_INTERVALS heartbeat intervals) is invisible to queries,
+so a node that has left drops out of them once its last beat is that old.
 Availability and task success are exponentially smoothed per heartbeat
 interval. Selection is randomized but proportional: candidates are drawn
 without replacement with probability proportional to a weighted score over
 smoothed performance, smoothed availability, projected cost and region match.
+
+A sweep steps only the records whose state moves. A beating record that
+holds no storage after its step is lazy: its offer is its capacity, and
+its beat and cost are the last sweep's tick and cost factor times basket,
+written with that float product at the next query or when the record
+stops being lazy. So every query reads what stepping every record at
+every sweep would have written. A sweep steps a lazy record's
+availability only until a step leaves it unchanged: a float fixed point
+of the step stays fixed.
 
 The repository keeps its records in NodeId order as they register, so a
 query filters them in that order without sorting. A draw takes the score
@@ -90,18 +100,47 @@ class Repository:
         self.records: dict[NodeId, NodeResourceRecord] = {}
         # The same records, in NodeId order.
         self._ordered: list[NodeResourceRecord] = []
+        # The same records by how a sweep steps them (see the module doc).
+        self._silent: dict[NodeId, NodeResourceRecord] = {}
+        self._full: dict[NodeId, NodeResourceRecord] = {}
+        self._lazy: dict[NodeId, NodeResourceRecord] = {}
+        self._rising: dict[NodeId, NodeResourceRecord] = {}
+        # The last sweep's tick and basket; are the lazy records written?
+        self._swept: tuple[SimTime, float] = (0, 0.0)
+        self._filled = True
 
     def register(self, record: NodeResourceRecord) -> None:
+        """Add a silent record; it beats from its node's first offer."""
         if record.node_id in self.records:
             raise RepoError(f"already registered: {record.node_id!r}")
         self.records[record.node_id] = record
+        self._silent[record.node_id] = record
         bisect.insort(self._ordered, record, key=attrgetter("node_id"))
+
+    def silent(self, node_id: NodeId) -> None:
+        """The node has left: its record misses every sweep's beat until
+        the node offers again. A node with no record is ignored."""
+        if node_id in self.records:
+            self._move(node_id, self._silent)
+
+    def _move(self, node_id: NodeId, to: dict) -> None:
+        """Move the record into `to` from whichever set holds it. A lazy
+        record's beat and cost are written as it leaves that set."""
+        rec = self.records[node_id]
+        if self._lazy.pop(node_id, None) is not None:
+            self._rising.pop(node_id, None)
+            at, basket = self._swept
+            rec.last_heartbeat, rec.projected_cost = at, rec.cost_factor * basket
+        self._silent.pop(node_id, None)
+        self._full.pop(node_id, None)
+        to[node_id] = rec
 
     def heartbeat(self, node_id: NodeId, free_capacity: ResourceVector,
                   at: SimTime, projected_cost: float | None = None) -> None:
         """One heartbeat from the node at `at`, offering free_capacity (and
-        projected_cost, if given); its smoothed availability steps up."""
+        projected_cost, if given). The record beats; availability steps up."""
         rec = self._record(node_id)
+        self._move(node_id, self._full)
         rec.free_capacity = free_capacity
         rec.last_heartbeat = at
         if projected_cost is not None:
@@ -116,18 +155,27 @@ class Repository:
         rec = self._record(node_id)
         self.heartbeat(node_id, rec.capacity, at, rec.cost_factor * basket)
 
-    def sweep(self, at: SimTime, online, held: dict[NodeId, int],
+    def sweep(self, at: SimTime, held: dict[NodeId, int],
               basket: float) -> None:
-        """Batch heartbeat pass: the records in `online` (a container of
-        node ids) offer as `offer` does, less their `held` storage; the
-        rest miss this interval's beat and their availability decays by
-        1 - beta."""
+        """Batch heartbeat pass: every beating record offers as `offer`
+        does, less its `held` storage; every silent one misses this beat and
+        its availability decays by 1 - beta. Silent records decay, held lazy
+        ones wake, rising ones step their availability, the rest step in
+        full, and then the unheld ones turn lazy."""
         beta, keep = self.beta, 1 - self.beta
-        for node_id, rec in self.records.items():
-            if node_id not in online:
-                if rec.availability is not None:
-                    rec.availability = keep * rec.availability
-                continue
+        for rec in self._silent.values():
+            if rec.availability is not None:
+                rec.availability = keep * rec.availability
+        full, lazy, rising = self._full, self._lazy, self._rising
+        for node_id, stored in held.items():
+            if stored and node_id in lazy:
+                self._move(node_id, full)
+        for node_id, rec in list(rising.items()):
+            old = rec.availability
+            rec.availability = new = keep * old + beta
+            if new == old:
+                del rising[node_id]
+        for node_id, rec in full.items():
             free, stored = rec.capacity, held.get(node_id, 0)
             rec.free_capacity = free if stored == 0 else ResourceVector(
                 free.compute, max(0, free.storage - stored), free.bandwidth)
@@ -135,6 +183,9 @@ class Repository:
             rec.projected_cost = rec.cost_factor * basket
             rec.availability = (1.0 if rec.availability is None else
                                 keep * rec.availability + beta)
+        for node_id in [n for n in full if not held.get(n)]:
+            lazy[node_id] = rising[node_id] = full.pop(node_id)
+        self._swept, self._filled = (at, basket), False
 
     def record_task(self, node_id: NodeId, completed: bool) -> None:
         rec = self._record(node_id)
@@ -153,6 +204,12 @@ class Repository:
         """The fresh, available records that cover the requirement and whose
         region passes the gate, in NodeId order. The gate is asked once per
         region, at that region's first record that passes the other tests."""
+        if not self._filled:
+            at_sweep, basket = self._swept
+            for rec in self._lazy.values():
+                rec.last_heartbeat = at_sweep
+                rec.projected_cost = rec.cost_factor * basket
+            self._filled = True
         staleness, need = self.staleness, query.required
         gate: dict[str, bool] = {}
         ask = self.region_gate

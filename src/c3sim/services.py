@@ -520,7 +520,7 @@ class ServiceRuntime:
         return inst
 
     def host_lost(self, host: NodeId, at: SimTime) -> list[PlacementAction]:
-        """Drop every instance on a departed host."""
+        """Drop every instance on a departed host; its record falls silent."""
         lost = []
         for insts in self.instances.values():
             for inst in insts:
@@ -529,6 +529,7 @@ class ServiceRuntime:
                                                 "host-lost", host, inst.region))
             insts[:] = [i for i in insts if i.host != host]
         self.busy_until.pop(host, None)
+        self.repo.silent(host)
         return lost
 
     def host_joined(self, host: NodeId, at: SimTime) -> list[PlacementAction]:

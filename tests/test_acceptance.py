@@ -231,12 +231,12 @@ def test_04_budget_semantics(shipped_runs, capfd):
                 assert plan.outcome == TERMINATED, actual
             else:
                 assert plan.outcome == COMPLETED, actual
-            before = {k: rt.ledger.balance(k)
-                      for k in (ids[4], "dev", plan.host)}
+            accounts = rt.ledger.accounts
+            before = {k: accounts[k].balance for k in (ids[4], "dev", plan.host)}
             rt.ledger.apply_batch(rt.settlement_rows(plan, 60))
-            requester_debit = before[ids[4]] - rt.ledger.balance(ids[4])
-            developer_debit = before["dev"] - rt.ledger.balance("dev")
-            host_credit = rt.ledger.balance(plan.host) - before[plan.host]
+            requester_debit = before[ids[4]] - accounts[ids[4]].balance
+            developer_debit = before["dev"] - accounts["dev"].balance
+            host_credit = accounts[plan.host].balance - before[plan.host]
             assert requester_debit + developer_debit == plan.charged
             assert host_credit == plan.charged
             assert developer_debit == plan.subsidy_part

@@ -12,19 +12,9 @@ re-pin only the runs it moves.
 """
 from __future__ import annotations
 
-import configparser
-import hashlib
-import io
-from pathlib import Path
-
 import pytest
 
-from c3sim.harness.audits import run_audits
-from c3sim.harness.config import (parse_scenario, parse_scenario_text,
-                                  with_overrides)
-from c3sim.harness.runner import run_scenario
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+from check_digests import digest_and_audits, scaled, shipped
 
 GOLDEN = {
     ("mixed_churn", 1): "2295c1e9dc44d2b693aea1f2de8efb7e0b42818698c156962ab480406e920748",
@@ -77,52 +67,22 @@ SCALED_GOLDEN = {
 }
 
 
-def _shipped(scenario: str, seed: int, mode: str):
-    return with_overrides(parse_scenario(SCENARIO_DIR / f"{scenario}.ini"),
-                          seed=seed, mode=mode)
-
-
-def _scaled(scenario: str, k: int) -> str:
-    """Scenario text with every class count and the workload rates x k."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read(SCENARIO_DIR / f"{scenario}.ini")
-    population = parser["population"]
-    for name in (c.strip() for c in population["classes"].split(",")):
-        if name:
-            population[f"{name}.count"] = str(int(population[f"{name}.count"]) * k)
-    for key in ("rate", "session_rate"):
-        if key in parser["workload"]:
-            parser["workload"][key] = repr(float(parser["workload"][key]) * k)
-    out = io.StringIO()
-    parser.write(out)
-    return out.getvalue()
-
-
-def _digest_and_audits(config):
-    runner = run_scenario(config)
-    digest = hashlib.sha256(
-        repr(sorted(runner.logs.items())).encode()).hexdigest()
-    return digest, run_audits(runner.logs)
-
-
 @pytest.mark.parametrize("scenario,seed", sorted(GOLDEN))
 def test_shipped_run_matches_its_digest_and_passes_audits(scenario, seed):
-    digest, violations = _digest_and_audits(_shipped(scenario, seed, "community"))
+    digest, violations = digest_and_audits(shipped(scenario, seed, "community"))
     assert digest == GOLDEN[scenario, seed]
     assert violations == []
 
 
 @pytest.mark.parametrize("scenario,seed", sorted(VENDOR_GOLDEN))
 def test_vendor_run_matches_its_digest_and_passes_audits(scenario, seed):
-    digest, violations = _digest_and_audits(_shipped(scenario, seed, "vendor"))
+    digest, violations = digest_and_audits(shipped(scenario, seed, "vendor"))
     assert digest == VENDOR_GOLDEN[scenario, seed]
     assert violations == []
 
 
 @pytest.mark.parametrize("scenario,k,mode,seed", sorted(SCALED_GOLDEN))
 def test_scaled_run_matches_its_digest_and_passes_audits(scenario, k, mode, seed):
-    config = with_overrides(parse_scenario_text(_scaled(scenario, k)),
-                            seed=seed, mode=mode)
-    digest, violations = _digest_and_audits(config)
+    digest, violations = digest_and_audits(scaled(scenario, k, mode, seed))
     assert digest == SCALED_GOLDEN[scenario, k, mode, seed]
     assert violations == []

@@ -28,26 +28,26 @@ class TestTransfers:
     def test_zero_amount_is_a_logged_noop(self):
         ledger = small_ledger([("a", 10), ("b", 0)])
         ledger.transfer("a", "b", 0, "ping", at=1)
-        assert ledger.balance("a") == 10
-        assert ledger.balance("b") == 0
+        assert ledger.accounts["a"].balance == 10
+        assert ledger.accounts["b"].balance == 0
         assert len(ledger.log) == 1
 
     def test_ten_transfers_four_totals_unchanged(self):
         ledger = small_ledger([("a", 10), ("b", 0)])
         ledger.transfer("a", "b", 4, "pay", at=1)
-        assert ledger.balance("a") == 6
-        assert ledger.balance("b") == 4
+        assert ledger.accounts["a"].balance == 6
+        assert ledger.accounts["b"].balance == 4
         assert sum(a.balance for a in ledger.accounts.values()) == 10
 
     def test_credit_limit_blocks_and_leaves_state_alone(self):
         ledger = small_ledger([("a", 0, 5), ("b", 0)])
         with pytest.raises(CreditLimitExceeded):
             ledger.transfer("a", "b", 6, "pay", at=1)
-        assert ledger.balance("a") == 0
-        assert ledger.balance("b") == 0
+        assert ledger.accounts["a"].balance == 0
+        assert ledger.accounts["b"].balance == 0
         assert ledger.log == []
         ledger.transfer("a", "b", 5, "pay", at=2)  # exactly at the floor
-        assert ledger.balance("a") == -5
+        assert ledger.accounts["a"].balance == -5
 
     def test_unknown_account_raises(self):
         ledger = small_ledger([("a", 10)])
@@ -68,23 +68,23 @@ class TestBatches:
         ops = [Transfer(9, "a", "b", 3, "x"), Transfer(9, "b", "c", 3, "y")]
         rows = ledger.apply_batch(ops)
         assert rows == ledger.log == ops
-        assert (ledger.balance("a"), ledger.balance("b"),
-                ledger.balance("c")) == (7, 0, 3)
+        assert (ledger.accounts["a"].balance, ledger.accounts["b"].balance,
+                ledger.accounts["c"].balance) == (7, 0, 3)
 
     def test_batch_checks_staged_balances_not_just_current(self):
         # b starts at 0 but receives 3 in the same batch, then spends 2.
         ledger = small_ledger([("a", 10), ("b", 0), ("c", 0)])
         ledger.apply_batch(
             [Transfer(0, "a", "b", 3, "x"), Transfer(0, "b", "c", 2, "y")])
-        assert ledger.balance("b") == 1
+        assert ledger.accounts["b"].balance == 1
 
     def test_failed_batch_changes_nothing(self):
         ledger = small_ledger([("a", 10), ("b", 0)])
         with pytest.raises(CreditLimitExceeded):
             ledger.apply_batch(
                 [Transfer(0, "a", "b", 3, "x"), Transfer(0, "b", "a", 9, "y")])
-        assert ledger.balance("a") == 10
-        assert ledger.balance("b") == 0
+        assert ledger.accounts["a"].balance == 10
+        assert ledger.accounts["b"].balance == 0
         assert ledger.log == []
 
     @given(st.lists(
@@ -228,9 +228,9 @@ class TestSettlements:
         rows = ledger.settlement_rows("req", "host", "dev", gross=5,
                                       subsidy=9, at=3)
         ledger.apply_batch(rows)
-        assert ledger.balance("req") == 0
-        assert ledger.balance("host") == 5
-        assert ledger.balance("dev") == 95
+        assert ledger.accounts["req"].balance == 0
+        assert ledger.accounts["host"].balance == 5
+        assert ledger.accounts["dev"].balance == 95
 
     def test_partial_subsidy_splits_the_debit(self):
         ledger = small_ledger([("req", 10), ("host", 0), ("dev", 100)])
@@ -239,17 +239,17 @@ class TestSettlements:
         assert {r.reason for r in rows} == {"service-payment:41",
                                             "subsidy:41"}
         ledger.apply_batch(rows)
-        assert ledger.balance("req") == 7
-        assert ledger.balance("host") == 5
-        assert ledger.balance("dev") == 98
+        assert ledger.accounts["req"].balance == 7
+        assert ledger.accounts["host"].balance == 5
+        assert ledger.accounts["dev"].balance == 98
 
     def test_requester_debit_equals_host_credit_in_zero_sum(self):
         ledger = small_ledger([("req", 50), ("host", 0), ("dev", 50)])
         rows = ledger.settlement_rows("req", "host", "dev", gross=9,
                                       subsidy=4, at=1)
         ledger.apply_batch(rows)
-        paid = (50 - ledger.balance("req")) + (50 - ledger.balance("dev"))
-        assert paid == ledger.balance("host") == 9
+        paid = (50 - ledger.accounts["req"].balance) + (50 - ledger.accounts["dev"].balance)
+        assert paid == ledger.accounts["host"].balance == 9
         assert (sum(a.balance for a in ledger.accounts.values())
                 == sum(ledger.opening_balances.values()) + ledger.minted
                 - ledger.burned)
@@ -266,7 +266,7 @@ class TestSettlements:
         assert [(r.src, r.dst) for r in rows] == [
             ("req", BURN), ("dev", BURN), (MINT, "host")]
         ledger.apply_batch(rows)
-        assert ledger.balance("host") == 6
+        assert ledger.accounts["host"].balance == 6
         assert ledger.minted == 6
         assert ledger.burned == 6
         assert (sum(a.balance for a in ledger.accounts.values())
@@ -307,7 +307,7 @@ class TestAudits:
         ledger = small_ledger([("a", 10)], market=flat_market(minting=True))
         ledger.transfer(MINT, "a", 7, "hosting-reward", at=1)
         ledger.transfer("a", BURN, 2, "service-payment", at=2)
-        assert ledger.balance("a") == 15
+        assert ledger.accounts["a"].balance == 15
         assert ledger.minted == 7
         assert ledger.burned == 2
         assert (sum(a.balance for a in ledger.accounts.values())

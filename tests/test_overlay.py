@@ -954,9 +954,9 @@ class TestTransactions:
         ]
         result = overlay.execute_transaction("main", ops, ledger)
         assert result.committed
-        assert ledger.balance(ids[0]) == 6
-        assert ledger.balance(ids[1]) == 2
-        assert ledger.balance(ids[2]) == 2
+        assert ledger.accounts[ids[0]].balance == 6
+        assert ledger.accounts[ids[1]].balance == 2
+        assert ledger.accounts[ids[2]].balance == 2
         assert ledger.log == ops  # at the tick each row carries
 
     def test_lost_quorum_raises(self):

@@ -49,9 +49,10 @@ class TestHeartbeats:
 
     def test_miss_decays_geometrically(self):
         repo, ids = make_repo(1, beta=0.1)
+        repo.silent(ids[0])  # the node has left: every sweep is a miss
         expected = 1.0
         for k in range(5):
-            repo.sweep(k, (), {}, 1.0)  # the node is not online: a miss
+            repo.sweep(k, {}, 1.0)
             expected *= 0.9
             assert repo.records[ids[0]].availability == pytest.approx(expected)
 
@@ -75,7 +76,8 @@ class TestHeartbeats:
             repo, ids = make_repo(1, beta=beta)
             for k in range(20_000):
                 repo.heartbeat(ids[0], ResourceVector(1, 1, 1), at=k)
-                repo.sweep(k, (), {}, 1.0)  # a miss
+                repo.silent(ids[0])
+                repo.sweep(k, {}, 1.0)  # a miss
             assert repo.records[ids[0]].availability == pytest.approx(
                 post_miss, abs=1e-9)
         # the beta -> 0 limit pins both points to 1/2
@@ -91,8 +93,8 @@ class TestHeartbeats:
     def test_sweep_beats_online_and_decays_offline(self):
         repo, ids = make_repo(3)
         repo.records[ids[0]].cost_factor = 1.5
-        online = {ids[0], ids[1]}
-        repo.sweep(500, online, {ids[0]: 30, ids[2]: 7}, 4.0)
+        repo.silent(ids[2])
+        repo.sweep(500, {ids[0]: 30, ids[2]: 7}, 4.0)
         first, second, offline = (repo.records[n] for n in ids)
         # the offer is the contributed capacity less the held storage
         assert first.free_capacity == ResourceVector(8, 70, 20)
@@ -106,7 +108,7 @@ class TestHeartbeats:
 
     def test_held_storage_beyond_capacity_offers_none(self):
         repo, ids = make_repo(1)
-        repo.sweep(10, ids, {ids[0]: 150}, basket=2.0)
+        repo.sweep(10, {ids[0]: 150}, basket=2.0)
         assert repo.records[ids[0]].free_capacity == ResourceVector(8, 0, 20)
         assert repo.records[ids[0]].last_heartbeat == 10
 
@@ -404,3 +406,134 @@ class TestDraws:
     def test_a_negative_weight_is_refused(self):
         with pytest.raises(ValueError):
             ResourceQuery(ResourceVector(1, 1, 1), weights=(0.5, -0.1, 0.3, 0.3))
+
+
+def swept_every_record(repo, at, online, held, basket):
+    """The reference for Repository.sweep: its code before it stepped only
+    the records whose state moves. The records in `online` offer as `offer`
+    does, less their held storage; the rest miss this interval's beat."""
+    beta, keep = repo.beta, 1 - repo.beta
+    for node_id, rec in repo.records.items():
+        if node_id not in online:
+            if rec.availability is not None:
+                rec.availability = keep * rec.availability
+            continue
+        free, stored = rec.capacity, held.get(node_id, 0)
+        rec.free_capacity = free if stored == 0 else ResourceVector(
+            free.compute, max(0, free.storage - stored), free.bandwidth)
+        rec.last_heartbeat = at
+        rec.projected_cost = rec.cost_factor * basket
+        rec.availability = (1.0 if rec.availability is None else
+                            keep * rec.availability + beta)
+
+
+NODES = 4
+node_index = st.integers(0, NODES - 1)
+# A record's storage, availability, cost factor and region; region c is
+# gated out.
+node_records = st.tuples(st.sampled_from((0, 4, 10)),
+                         st.sampled_from((None, 0.5)),
+                         st.sampled_from((1.0, 1.5)), st.sampled_from("abc"))
+# Each node is registered at tick 0 and offers then, is registered at 0
+# and does not offer, or is not registered until a later step.
+populations = st.lists(st.sampled_from(("offers", "silent", None)),
+                       min_size=NODES, max_size=NODES)
+# One step of a repository's life. A sweep comes 500 ticks after the one
+# before; a query may come up to 1,000 ticks after the last sweep, past a
+# record's staleness horizon.
+repo_steps = st.lists(st.one_of(
+    st.tuples(st.just("register"), node_index, node_records),
+    st.tuples(st.just("offer"), node_index),
+    st.tuples(st.just("silent"), node_index),
+    st.tuples(st.just("held"), node_index, st.sampled_from((0, 3, 4, 20))),
+    st.tuples(st.just("basket"), st.sampled_from((0.5, 2.5)) | st.floats(0, 10)),
+    st.just(("sweep",)),
+    st.tuples(st.just("query"), st.sampled_from((1, 2, 6)),
+              st.sampled_from((0, 1, 5)), st.sampled_from((0, 400, 1000))),
+    st.tuples(st.just("task"), node_index, st.booleans())), max_size=40)
+
+OFFERS = ("offers",) * NODES
+QUERY = ("query", 2, 5, 0)
+SWEEP = ("sweep",)
+
+
+class TestLazySweeps:
+    @given(beta=st.sampled_from((0.1, 0.5, 0.9)), population=populations,
+           record=node_records, steps=repo_steps, draws=draw_values)
+    @settings(max_examples=300, deadline=None)
+    # a leave and rejoin between two sweeps, and a lazy record that leaves
+    @example(beta=0.1, population=OFFERS, record=(10, None, 1.5, "a"),
+             steps=[SWEEP, SWEEP, ("silent", 0), ("silent", 1), ("offer", 0),
+                    SWEEP, QUERY], draws=[0.5])
+    # a lazy record that becomes held
+    @example(beta=0.1, population=OFFERS, record=(10, None, 1.5, "a"),
+             steps=[SWEEP, SWEEP, ("held", 0, 20), ("basket", 2.5), SWEEP,
+                    QUERY], draws=[0.5])
+    # held storage that is released
+    @example(beta=0.1, population=OFFERS, record=(10, None, 1.5, "a"),
+             steps=[("held", 0, 4), SWEEP, ("held", 0, 0), SWEEP, SWEEP,
+                    QUERY], draws=[0.5])
+    # availability rising from 0.5 to its fixed point
+    @example(beta=0.5, population=OFFERS, record=(10, 0.5, 1.5, "a"),
+             steps=[SWEEP] * 60 + [QUERY], draws=[0.5])
+    # a record that never offers
+    @example(beta=0.1, population=("silent", "offers", None, None),
+             record=(10, 0.5, 1.0, "b"), steps=[SWEEP] * 4 + [QUERY],
+             draws=[0.5])
+    # silent on a node with no record
+    @example(beta=0.1, population=("offers", None, None, None),
+             record=(10, None, 1.5, "a"),
+             steps=[("silent", 3), SWEEP, QUERY], draws=[0.5])
+    def test_every_query_sees_what_a_full_sweep_writes(
+            self, beta, population, record, steps, draws):
+        lazy, ref = (Repository(beta=beta, heartbeat_interval=500,
+                                region_gate=lambda region: region != "c")
+                     for _ in range(2))
+        ids = [nid(7919 * (i + 1) % 1009) for i in range(NODES)]
+        online, held, basket, now = set(), {}, 1.0, 0
+
+        def register(node, storage, avail, cost, region):
+            for repo in (lazy, ref):
+                repo.register(NodeResourceRecord(
+                    node, region, ResourceVector(2, storage, 4),
+                    cost_factor=cost, availability=avail))
+
+        def offer(node):
+            lazy.offer(node, now, basket)
+            ref.offer(node, now, basket)
+            online.add(node)
+
+        for node, start in zip(ids, population):
+            if start is not None:
+                register(node, *record)
+            if start == "offers":
+                offer(node)
+        rngs = Scripted(draws), Scripted(draws)
+        for op, *args in steps:
+            node = ids[args[0]] if op in ("register", "offer", "silent",
+                                          "held", "task") else None
+            if op == "register" and node not in ref.records:
+                register(node, *args[1])
+            elif op == "offer" and node in ref.records:
+                offer(node)
+            elif op == "silent":
+                lazy.silent(node)
+                online.discard(node)
+            elif op == "held":
+                held[node] = args[1]
+            elif op == "basket":
+                basket = args[0]
+            elif op == "sweep":
+                now += 500
+                lazy.sweep(now, held, basket)
+                swept_every_record(ref, now, online, held, basket)
+            elif op == "task" and node in ref.records:
+                lazy.record_task(node, args[1])
+                ref.record_task(node, args[1])
+            elif op == "query":
+                count, need, late = args
+                query = ResourceQuery(ResourceVector(1, need, 1), count=count)
+                assert (lazy.query(query, rngs[0], now + late)
+                        == scanned_query(ref, query, rngs[1], now + late))
+                assert lazy.records == ref.records
+        assert rngs[0].at == rngs[1].at

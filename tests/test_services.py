@@ -178,9 +178,9 @@ class TestBudgetMetering:
         assert plan.subsidy_part == 5
         rows = rt.settlement_rows(plan, 60)
         rt.ledger.apply_batch(rows)
-        assert rt.ledger.balance(ids[4]) == 0
-        assert rt.ledger.balance("dev") == 10**6 - 5
-        assert rt.ledger.balance(plan.host) == 5
+        assert rt.ledger.accounts[ids[4]].balance == 0
+        assert rt.ledger.accounts["dev"].balance == 10**6 - 5
+        assert rt.ledger.accounts[plan.host].balance == 5
         ledger = rt.ledger
         assert (sum(a.balance for a in ledger.accounts.values())
                 == sum(ledger.opening_balances.values()) + ledger.minted
