@@ -223,12 +223,13 @@ class Replicator:
             if not hosts:
                 return []
             self.store.ensure(key, hosts, size)
-        apply_at, _ = self.overlay.nearest(writer, self.store.replica_hosts(key))
+        graph = self.overlay.graph
+        apply_at, _ = graph.nearest(writer, self.store.replica_hosts(key))
         if apply_at is None:
             self.store.log(at, key, "put-dropped", writer.short)
             return []
         sent = self.store.put(key, value, writer, at, apply_at)
-        hops = self.overlay.routes(apply_at, [d.host for d in sent], size)
+        hops = graph.routes(apply_at, [d.host for d in sent], size)
         return [(at + hop, d) for hop, d in zip(hops, sent) if hop is not None]
 
     def upkeep(self, at: SimTime) -> None:

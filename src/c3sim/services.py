@@ -6,8 +6,8 @@ Every request takes one path. `admit` resolves the service, quotes a price
 from the declared budget at current unit prices, turns away requesters who
 cannot cover it and places the request on the nearest warm instance
 (smallest route latency, then smallest id), deploying one on demand when
-none exists. Each service keeps one `NearestLabels` from the overlay, which
-the overlay's topology hooks repair; placement hands it the warm hosts and
+none exists. Each service keeps one `NearestLabels` from `overlay.graph`,
+whose link writes repair it; placement hands it the warm hosts and
 reads the requester's label, so it needs no search. Admission takes the
 request's hop, its route latency to the host, once: from that label, or by
 one route to a fresh or vendor host. `run_on_host` then queues it on that
@@ -56,10 +56,11 @@ from operator import add
 
 from .engine import RngStream, SimTime
 from .ledger import Ledger
-from .overlay import NearestLabels, NodeId, NoQuorum, Overlay, Unreachable
+from .overlay import NodeId, NoQuorum, Overlay, Unreachable
 from .replication import ReplicaStore
 from .resource_repo import NodeResourceRecord, Repository, ResourceQuery
 from .resources import RESOURCE_KINDS, ResourceVector
+from .routing import NearestLabels
 
 ADMITTED = "admitted"
 COMPLETED = "completed"
@@ -255,12 +256,12 @@ class ServiceRuntime:
             raise ServiceError(f"no hosts for {desc.service_id}")
         self.store.ensure(key, list(result.nodes), desc.code_size)
         hosts = list(self.store.replica_hosts(key))
-        apply_at = self.overlay.nearest(publisher, hosts)[0] or hosts[0]
+        apply_at = self.overlay.graph.nearest(publisher, hosts)[0] or hosts[0]
         for delivery in self.store.put(key, desc, publisher, at, apply_at):
             self.store.deliver(key, delivery.host, delivery.obj, at)
         self.instances[desc.service_id] = []
         self.traffic[desc.service_id] = {}
-        self._nearest[desc.service_id] = self.overlay.labelling()
+        self._nearest[desc.service_id] = self.overlay.graph.labelling()
         for host in self._pick_hosts(desc, count=desc.min_replicas,
                                      region=None, at=at):
             self._deploy(desc, host, publisher, at)
@@ -604,7 +605,7 @@ class ServiceRuntime:
                                     region or "")] * n
         hosts = self._pick_hosts(desc, n, region, at)
         for host in hosts[:n]:
-            source = self.overlay.nearest(host, sources)[0] or sources[0]
+            source = self.overlay.graph.nearest(host, sources)[0] or sources[0]
             inst = self._deploy(desc, host, source, at)
             if inst is not None:
                 actions.append(PlacementAction(at, desc.service_id, "deployed",

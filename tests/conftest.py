@@ -10,6 +10,7 @@ from c3sim.engine import RngStream
 from c3sim.ledger import Ledger, MarketConfig, MarketPrice
 from c3sim.overlay import NodeId, NodeRecord, Overlay, OverlayConfig
 from c3sim.resources import ResourceVector
+from c3sim.routing import _UNBOUNDED
 
 
 def nid(i: int) -> NodeId:
@@ -57,22 +58,27 @@ def clique_overlay(n, region="main", m_target=3, joined_at=None,
 
 def assert_kept_facts(overlay: Overlay) -> None:
     """The facts Overlay keeps for maintenance equal a fresh rescan, and
-    its one link table is symmetric, links only online nodes, is bounded
-    below by _least and is read out whole by adj."""
-    records, links, recs = overlay.records, overlay._links, overlay._recs
-    online = overlay.online_ids
+    its graph's one link table is symmetric, links only online nodes, is
+    bounded below by least, has floor at its least bandwidth and is read
+    out whole by adj."""
+    records, graph = overlay.records, overlay.graph
+    links, ids, online = graph.links, graph.ids, overlay.online_ids
+    assert graph.online is online
     assert online == {n for region in overlay.regions
                       for n in overlay.online_in_region(region)}
+    assert sorted(ids) == sorted(records)
+    assert graph.index == {n: i for i, n in enumerate(ids)}
+    assert graph.bw == [max(1, records[n].capacity.bandwidth) for n in ids]
+    assert graph.floor == min(graph.bw, default=_UNBOUNDED)
     for i, peers in enumerate(links):
         for j, latency in peers.items():
             assert links[j].get(i) == latency, (i, j)
         if peers:
-            assert recs[i].node_id in online, i
-            assert overlay._least[i] <= min(peers.values()), i
-    assert len(recs) == len(records)
+            assert ids[i] in online, i
+            assert graph.least[i] <= min(peers.values()), i
     adj = overlay.adj
-    assert adj == {n: {recs[j].node_id: latency
-                       for j, latency in links[overlay._index[n]].items()}
+    assert adj == {n: {ids[j]: latency
+                       for j, latency in links[graph.index[n]].items()}
                    for n in records}
     min_degree = overlay.config.min_degree
     assert overlay._under == {n for n in online if len(adj[n]) < min_degree}

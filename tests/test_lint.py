@@ -93,6 +93,70 @@ def test_every_private_name_in_src_is_read():
     assert unread_private_names(sources) == []
 
 
+def private_reads_across_modules(sources: dict[str, str]) -> list[str]:
+    """Each module's reads of another module's private names: an attribute
+    `x._name`, on an `x` other than `self` or `cls`, where the module
+    defines no `_name` (by def, class, name assignment or `self._name`
+    store), and a `from .m import _name`. A private name is one module's
+    business, so a read from another means the two share a decision."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                                ast.Load):
+                defined.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and not isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in ("self", "cls")):
+                defined.add(node.attr)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and private(node.attr) and node.attr not in defined
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id in ("self", "cls"))):
+                found.append(f"{module}: line {node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{module}: line {node.lineno}: import {a.name}"
+                          for a in node.names if private(a.name)]
+    return found
+
+
+def test_the_check_sees_a_private_read_across_modules():
+    table = ("class Table:\n"
+             "    def __init__(self):\n"
+             "        self._rows = []\n"
+             "    def merge(self, other):\n"
+             "        return self._rows + other._rows\n"
+             "def _helper():\n"
+             "    pass\n")
+    reader = ("from .table import Table, _helper\n"
+              "class Reader:\n"
+              "    def __init__(self, table):\n"
+              "        self._table = table\n"
+              "    def rows(self):\n"
+              "        return self._table._rows, self._table.__class__\n")
+    assert private_reads_across_modules({"table.py": table,
+                                         "reader.py": reader}) == [
+        "reader.py: line 1: import _helper", "reader.py: line 6: ._rows"]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in MODULES
+                                        if n.startswith("c3sim")))
+def test_no_src_module_reads_another_modules_private_name(name):
+    assert private_reads_across_modules(
+        {name: MODULES[name].read_text()}) == []
+
+
 def unread_dataclass_fields(defining: list[str],
                             reading: list[str]) -> list[str]:
     """`Class.field` for each field of a @dataclass in `defining` that no

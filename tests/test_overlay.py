@@ -1,4 +1,5 @@
-"""Overlay: identities, routing, super-peers, coordinated transactions."""
+"""Overlay and its routing graph: identities, routes, nearest-source
+labellings, super-peers, coordinated transactions."""
 from __future__ import annotations
 
 import heapq
@@ -16,11 +17,8 @@ from c3sim.harness.config import parse_scenario, with_overrides
 from c3sim.harness.runner import run_scenario
 from c3sim.ledger import Transfer
 from c3sim.overlay import (
-    ID_BITS,
-    _UNBOUNDED,
     DuplicateJoin,
     EmptyRegion,
-    NearestLabels,
     NodeId,
     NodeRecord,
     NoQuorum,
@@ -34,6 +32,7 @@ from c3sim.overlay import (
     random_regular_edges,
 )
 from c3sim.resources import ResourceVector
+from c3sim.routing import ID_BITS, _UNBOUNDED, Graph, NearestLabels
 
 from conftest import (assert_kept_facts, chain_overlay, clique_overlay, nid,
                       small_ledger)
@@ -192,7 +191,7 @@ class TestRouting:
 
     def test_a_shortened_link_reroutes_and_relabels(self):
         overlay, ids = chain_overlay([50, 7])
-        labels = overlay.labelling()
+        labels = overlay.graph.labelling()
         assert overlay.route(ids[0], ids[2]) == 57
         assert labels.nearest(ids[2], [ids[0]]) == (ids[0], 57)
         overlay.add_link(ids[0], ids[1], 40)
@@ -205,7 +204,7 @@ class TestRouting:
 
     def test_a_lengthened_or_self_link_is_refused_and_moves_nothing(self):
         overlay, ids = chain_overlay([5, 7])
-        labels = overlay.labelling()
+        labels = overlay.graph.labelling()
         assert labels.nearest(ids[2], [ids[0]]) == (ids[0], 12)
         before = linked_facts(overlay, labels)
         for a, b, latency in ((ids[0], ids[1], 20), (ids[2], ids[1], 8),
@@ -219,7 +218,7 @@ class TestRouting:
 
     def test_joining_a_linked_node_opens_routes_through_it(self):
         overlay, ids = chain_overlay([5, 7])
-        labels = overlay.labelling()
+        labels = overlay.graph.labelling()
         assert labels.nearest(ids[2], [ids[0]]) == (ids[0], 12)
         overlay.leave(ids[1])
         for a, b in ((ids[0], ids[1]), (ids[1], ids[2])):
@@ -238,27 +237,27 @@ class TestRouting:
     def test_nearest_breaks_latency_ties_by_smaller_id(self):
         overlay, ids = chain_overlay([5, 5, 5, 5])
         # ids[1] and ids[3] are both 5 from ids[2]
-        assert overlay.nearest(ids[2], [ids[3], ids[1], ids[0]]) == (ids[1], 5)
-        assert overlay.nearest(ids[2], [ids[4], ids[0]]) == (ids[0], 10)
-        assert overlay.nearest(ids[2], [ids[2], ids[1]]) == (ids[2], 0)
+        assert overlay.graph.nearest(ids[2], [ids[3], ids[1], ids[0]]) == (ids[1], 5)
+        assert overlay.graph.nearest(ids[2], [ids[4], ids[0]]) == (ids[0], 10)
+        assert overlay.graph.nearest(ids[2], [ids[2], ids[1]]) == (ids[2], 0)
 
     def test_nearest_skips_offline_and_unreachable_candidates(self):
         overlay, ids = chain_overlay([5, 7, 9])
         overlay.leave(ids[1])  # cuts ids[0] off, and ids[1] is offline
-        assert overlay.nearest(ids[2], [ids[0], ids[1], ids[3]]) == (ids[3], 9)
-        assert overlay.nearest(ids[2], [ids[0], ids[1]]) == (None, None)
-        assert overlay.nearest(ids[2], [ids[0]]) == (None, None)
-        assert overlay.nearest(ids[2], []) == (None, None)
+        assert overlay.graph.nearest(ids[2], [ids[0], ids[1], ids[3]]) == (ids[3], 9)
+        assert overlay.graph.nearest(ids[2], [ids[0], ids[1]]) == (None, None)
+        assert overlay.graph.nearest(ids[2], [ids[0]]) == (None, None)
+        assert overlay.graph.nearest(ids[2], []) == (None, None)
 
     def test_nearest_from_an_offline_node_is_none(self):
         overlay, ids = chain_overlay([5, 7])
         overlay.leave(ids[0])
-        assert overlay.nearest(ids[0], ids) == (None, None)
-        assert overlay.nearest(ids[0], ids[1:2]) == (None, None)
+        assert overlay.graph.nearest(ids[0], ids) == (None, None)
+        assert overlay.graph.nearest(ids[0], ids[1:2]) == (None, None)
 
     def test_a_kept_source_that_rejoins_unasked_is_no_source(self):
         overlay, ids = chain_overlay([5, 5, 5])
-        labels = overlay.labelling()
+        labels = overlay.graph.labelling()
         assert labels.nearest(ids[3], [ids[0]]) == (ids[0], 15)
         overlay.leave(ids[0])
         overlay.join(ids[0], 1)  # alone in its region: the join adds no link
@@ -271,32 +270,32 @@ class TestRouting:
         # 2 only after 3 (at 9, one below the answer) is expanded, and both
         # are 10 from 1
         overlay, ids = linked_overlay(4, [(1, 4, 10), (1, 3, 9), (3, 2, 1)])
-        assert overlay.nearest(ids[0], [ids[3], ids[1]]) == (ids[1], 10)
+        assert overlay.graph.nearest(ids[0], [ids[3], ids[1]]) == (ids[1], 10)
 
     def test_a_target_reached_at_the_final_latency_needs_no_pop(self):
         # a star: hub 1 and leaves 2..9, every link 5; leaves share no
         # link, so a route between two of them searches through the hub
-        overlay, ids = linked_overlay(9, [(1, leaf, 5) for leaf in range(2, 10)])
+        graph, ids = linked_graph(9, [(1, leaf, 5) for leaf in range(2, 10)])
         first, leaves = ids[1], ids[2:]
-        index = [overlay._index[leaf] for leaf in leaves]
-        search = overlay._search(overlay._index[first])
-        assert overlay._settle(search, (index[0],)) == 10
+        index = [graph.index[leaf] for leaf in leaves]
+        search = graph._search(graph.index[first])
+        assert graph._settle(search, (index[0],)) == 10
         _, buckets, keys = search
         # only first and the hub were expanded: the leaves wait in one bucket
         left = {10: index}
         assert buckets == left and keys == [10]
-        assert overlay._settle(search, (index[-1],)) == 10
+        assert graph._settle(search, (index[-1],)) == 10
         assert buckets == left and keys == [10]
 
     def test_one_routes_call_shares_one_search(self, monkeypatch):
         # the star again: each leaf is searched for through the hub, and a
         # later call starts a search of its own
-        overlay, ids = linked_overlay(9, [(1, leaf, 5) for leaf in range(2, 10)])
+        graph, ids = linked_graph(9, [(1, leaf, 5) for leaf in range(2, 10)])
         first, leaves = ids[1], ids[2:]
-        started = count_searches(overlay, monkeypatch)
-        assert overlay.routes(first, leaves, 1) == [10 + 1] * len(leaves)
-        assert started == [overlay._index[first]]
-        assert overlay.routes(first, [first, ids[0]] + leaves[:1]) == [0, 5, 10]
+        started = count_searches(graph, monkeypatch)
+        assert graph.routes(first, leaves, 1) == [10 + 1] * len(leaves)
+        assert started == [graph.index[first]]
+        assert graph.routes(first, [first, ids[0]] + leaves[:1]) == [0, 5, 10]
         assert len(started) == 2
 
     @pytest.mark.parametrize("ac,cb", [(5, 5), (12, 1)])
@@ -316,11 +315,12 @@ class TestRouting:
         # a -10- b ties a -5- c -5- b at exactly a's and b's least latencies
         overlay, ids = linked_overlay(3, [(1, 2, 10), (1, 3, 5), (3, 2, 5)],
                                       bandwidths)
-        a, b = (overlay._index[n] for n in ids[:2])
-        search = overlay._search(a)
-        latency = overlay._settle(search, (b,))
-        want = latency + -(-99 // overlay._widest(search[0], b))
-        started = count_searches(overlay, monkeypatch)
+        graph = overlay.graph
+        a, b = (graph.index[n] for n in ids[:2])
+        search = graph._search(a)
+        latency = graph._settle(search, (b,))
+        want = latency + -(-99 // graph._widest(search[0], b))
+        started = count_searches(graph, monkeypatch)
         assert overlay.route(ids[0], ids[1], 99) == want
         assert started == []  # the answer came from the bound
         check_routes_from(overlay, ids[0], ids, 99)
@@ -329,7 +329,7 @@ class TestRouting:
         # a -5- b, a -9- c -9- b: a -30- b would lose to the 18 detour, but
         # a link never lengthens, so a -5- b stays the route
         overlay, ids = linked_overlay(3, [(1, 2, 5), (1, 3, 9), (3, 2, 9)])
-        labels = overlay.labelling()
+        labels = overlay.graph.labelling()
         assert labels.nearest(ids[1], [ids[0]]) == (ids[0], 5)
         before = linked_facts(overlay, labels)
         with pytest.raises(ValueError):
@@ -375,7 +375,7 @@ class TestRouting:
         def answers(order):
             cfg = OverlayConfig(degree=2, min_degree=1, inter_region_links=0)
             overlay = Overlay(cfg, RngStream(7, "overlay"))
-            labels = overlay.labelling()
+            labels = overlay.graph.labelling()
             for cell in order:
                 bandwidth = (3, 40, 10, 25)[(cell[0] * 3 + cell[1]) % 4]
                 # one region each, so joins add no links of their own
@@ -387,7 +387,7 @@ class TestRouting:
             nodes = sorted(ids.values())
             out = [overlay.route(u, v, size)
                    for size in (0, 100) for u in nodes for v in nodes]
-            near = [overlay.nearest(u, nodes[k::5])
+            near = [overlay.graph.nearest(u, nodes[k::5])
                     for u in nodes for k in range(5)]
             # the kept labelling swaps its sources at every call
             assert [labels.nearest(u, nodes[k::5])
@@ -432,11 +432,24 @@ def linked_overlay(n, links, bandwidths=()):
     return overlay, ids
 
 
+def linked_graph(n, links, bandwidths=()):
+    """A bare Graph over nodes 1..n, all online, joined only by
+    (a, b, latency) links. Node i + 1 has bandwidth bandwidths[i], or 1000
+    past their end."""
+    ids = [nid(i + 1) for i in range(n)]
+    graph = Graph(set(ids))
+    for i, node in enumerate(ids):
+        graph.add(node, bandwidths[i] if i < len(bandwidths) else 1000)
+    for a, b, latency in links:
+        graph.link(nid(a), nid(b), latency)
+    return graph, ids
+
+
 def linked_facts(overlay, labels):
     """What a link write may move: the links, the facts kept for
-    maintenance, the least latencies and labels' labels."""
+    maintenance, the graph's least latencies and labels' labels."""
     return (overlay.adj, set(overlay._under), dict(overlay._inter),
-            list(overlay._least), list(labels._label))
+            list(overlay.graph.least), list(labels._label))
 
 
 def link_or_refuse(overlay, a, b, latency):
@@ -482,16 +495,16 @@ def reference_distances(overlay, src):
     return {node: (dist[node], width[node]) for node in order}
 
 
-def count_searches(overlay, monkeypatch):
-    """The source index of every search the overlay starts from now on."""
+def count_searches(graph, monkeypatch):
+    """The source index of every search the graph starts from now on."""
     started = []
-    fresh = overlay._search
+    fresh = graph._search
 
     def search(src):
         started.append(src)
         return fresh(src)
 
-    monkeypatch.setattr(overlay, "_search", search)
+    monkeypatch.setattr(graph, "_search", search)
     return started
 
 
@@ -521,9 +534,9 @@ def check_routes_from(overlay, a, nodes, size):
             else:
                 assert overlay.route(frm, to, size) == want
         wants.append(want)
-    assert overlay.routes(a, nodes, size) == wants
+    assert overlay.graph.routes(a, nodes, size) == wants
     for cands in (nodes[::2], nodes[1::2]):
-        assert overlay.nearest(a, cands) == nearest_reference(
+        assert overlay.graph.nearest(a, cands) == nearest_reference(
             overlay, a, cands, dist)
 
 
@@ -627,7 +640,7 @@ class TestRoutingUnderChurn:
         ids = []
         # kept from the first record on, over candidates: the drawn
         # sources at first, drawn anew between some ops
-        labels, candidates = overlay.labelling(), []
+        labels, candidates = overlay.graph.labelling(), []
 
         def add(bandwidth):
             # ids are spread so that a late record sorts among the others
@@ -643,7 +656,7 @@ class TestRoutingUnderChurn:
                     check_routes_from(overlay, a, [b], size)
                 else:
                     cands = [ids[k % len(ids)] for k in cands]
-                    assert overlay.nearest(a, cands) == nearest_reference(
+                    assert overlay.graph.nearest(a, cands) == nearest_reference(
                         overlay, a, cands)
 
         def keep(a):
@@ -653,7 +666,7 @@ class TestRoutingUnderChurn:
             if drawn is not None:
                 candidates[:] = [ids[k % len(ids)] for k in drawn]
             assert (labels.nearest(a, candidates)
-                    == overlay.nearest(a, candidates))
+                    == overlay.graph.nearest(a, candidates))
             kept = {c for c in candidates if overlay.is_online(c)}
             check_labels(overlay, labels, kept)
             return kept
@@ -673,7 +686,7 @@ class TestRoutingUnderChurn:
             a, b = ids[i % len(ids)], ids[j % len(ids)]
             # a search from a that the op may make stale, asked from a
             # again first thing after the op
-            overlay.routes(a, ids, value)
+            overlay.graph.routes(a, ids, value)
             if op == "join" and not overlay.is_online(a):
                 overlay.join(a, 1)
             elif op == "leave" and overlay.is_online(a):
@@ -705,14 +718,14 @@ class TestRoutingUnderChurn:
                 check_routes_from(overlay, src, ids, value)
 
 
-def searched_routes(overlay, frm, tos, size):
-    """The reference for Overlay.routes: its code before the transfer term
+def searched_routes(graph, frm, tos, size):
+    """The reference for Graph.routes: its code before the transfer term
     was bracketed, which runs _widest for every sized target it searches."""
-    online = overlay.online_ids
+    online = graph.online
     if frm not in online:
         return [None for _ in tos]
-    src = overlay._index[frm]
-    links, least, bw = overlay._links[src], overlay._least, overlay._bw
+    src = graph.index[frm]
+    links, least, bw = graph.links[src], graph.least, graph.bw
     search = None
     out = []
     for to in tos:
@@ -722,17 +735,17 @@ def searched_routes(overlay, frm, tos, size):
         if to == frm:
             out.append(0)
             continue
-        dst = overlay._index[to]
+        dst = graph.index[to]
         latency = links.get(dst)
         if latency is None or latency > least[src] + least[dst]:
             if search is None:
-                search = overlay._search(src)
-            latency = overlay._settle(search, (dst,))
+                search = graph._search(src)
+            latency = graph._settle(search, (dst,))
             if latency == _UNBOUNDED:
                 out.append(None)
                 continue
             if size > 0:
-                latency += -(-size // overlay._widest(search[0], dst))
+                latency += -(-size // graph._widest(search[0], dst))
         elif size > 0:
             latency += -(-size // min(bw[src], bw[dst]))
         out.append(latency)
@@ -774,8 +787,8 @@ class TestTransferBracket:
                 link_or_refuse(overlay, a, b, latency)
         for size in sizes:
             for frm in ids:
-                assert (overlay.routes(frm, ids, size)
-                        == searched_routes(overlay, frm, ids, size))
+                assert (overlay.graph.routes(frm, ids, size)
+                        == searched_routes(overlay.graph, frm, ids, size))
 
 
 class TestKeptFacts:
@@ -787,7 +800,7 @@ class TestKeptFacts:
         overlay.add_record(NodeRecord(b, "rb", ResourceVector(1, 1, 1)))
         overlay.join(b, 0)  # no online peer to link to
         assert overlay._under == {b}
-        labels = overlay.labelling()
+        labels = overlay.graph.labelling()
         assert labels.nearest(b, [b]) == (b, 0)
         before = linked_facts(overlay, labels)
         # a is offline, and nid(3) has no record
@@ -831,7 +844,7 @@ class TestKeptFacts:
 
         def checked(labels, frm, candidates):
             answer = kept(labels, frm, candidates)
-            assert answer == labels._overlay.nearest(frm, candidates)
+            assert answer == labels._graph.nearest(frm, candidates)
             answers.append(answer)
             return answer
 
@@ -845,14 +858,14 @@ class TestVendorRoutes:
     def test_a_vendor_run_routes_over_direct_links_without_a_search(
             self, monkeypatch):
         calls = {"route": 0, "_search": 0}
-        for name in calls:
-            method = getattr(Overlay, name)
+        for owner, name in ((Overlay, "route"), (Graph, "_search")):
+            method = getattr(owner, name)
 
-            def counted(overlay, *args, _name=name, _method=method, **kw):
+            def counted(self, *args, _name=name, _method=method, **kw):
                 calls[_name] += 1
-                return _method(overlay, *args, **kw)
+                return _method(self, *args, **kw)
 
-            monkeypatch.setattr(Overlay, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         run_scenario(with_overrides(
             parse_scenario(SCENARIO_DIR / "wiki_small.ini"), mode="vendor"))
         assert calls["route"] > 0 and calls["_search"] == 0

@@ -82,7 +82,7 @@ class TestPublication:
             store = rt.store
             return (list(store.hosts[key]), dict(store.states[key]),
                     set(store.dirty), list(rt.instances["svc"]),
-                    rt._nearest["svc"], list(rt.overlay._labellings))
+                    rt._nearest["svc"], list(rt.overlay.graph.repairers))
 
         before = state()
         for again in (d, descriptor(declared=(9, 0, 0), min_replicas=3)):
