@@ -110,7 +110,9 @@ class MarketPrice:
 
     def value_of(self, amounts: ResourceVector) -> int:
         """Currency owed for the amounts at current prices, rounded up."""
-        total = sum(self.micro[k] * amounts.get(k) for k in RESOURCE_KINDS)
+        m = self.micro
+        total = (m["compute"] * amounts.compute + m["storage"] * amounts.storage
+                 + m["bandwidth"] * amounts.bandwidth)
         return -(-total // PRICE_SNAP) if total > 0 else 0
 
 

@@ -60,18 +60,16 @@ class NoQuorum(OverlayError):
 
 
 class NodeId(int):
-    """A 256-bit node id; an int, so hashing and ordering run in C."""
-    __slots__ = ()
+    """A 256-bit node id; an int, so equality, hashing and ordering are an
+    int's and run in C. `short`, the first 16 of the id's 64 hex digits,
+    is formatted once, here: every request's log rows read it."""
 
     def __new__(cls, value: int):
         if not 0 <= value < 1 << ID_BITS:
             raise ValueError("node id out of range")
-        return super().__new__(cls, value)
-
-    @property
-    def short(self) -> str:
-        """The first 16 of the id's 64 hex digits."""
-        return f"{self >> (ID_BITS - 64):016x}"
+        self = super().__new__(cls, value)
+        self.short = f"{value >> (ID_BITS - 64):016x}"
+        return self
 
     def __repr__(self) -> str:
         return f"NodeId({self.short})"

@@ -120,13 +120,6 @@ class ReplicaStore:
         if host in self.replica_hosts(key):
             self._absorb(key, host, obj, at)
 
-    def any_state(self, key: str, hosts: list[NodeId]) -> ReplicatedObject | None:
-        for host in hosts:
-            state = self.states.get(key, {}).get(host)
-            if state is not None:
-                return state
-        return None
-
     def _absorb(self, key: str, host: NodeId, obj: ReplicatedObject,
                 at: SimTime) -> None:
         current = self.states[key].get(host)
@@ -187,7 +180,8 @@ class ReplicaStore:
             alive = [h for h in hosts if online(h)]
             if not alive or len(alive) == len(hosts):
                 continue
-            source = self.any_state(key, alive)
+            states = self.states[key]
+            source = next((states[h] for h in alive if h in states), None)
             for dead in [h for h in hosts if not online(h)]:
                 new_host = pick_host(key, exclude=set(hosts))
                 if new_host is None:

@@ -13,16 +13,18 @@ request's hop, its route latency to the host, once: from that label, or by
 one route to a fresh or vendor host. `run_on_host` then queues it on that
 host and meters the actual draw against the plan's budget: within budget
 completes, strict excess terminates the request at the exhaustion point
-with a pro-rata charge; `plan_invoke` is both for one call. Video
-sessions are metered here too: `plan_session` admits one, and live sessions
-share their host's bandwidth until `end_session`, or `cut_off` when the host
-leaves. `settle` counts a finished plan's draw as demand and commits its
-charge as one transaction under the requester's regional quorum. Admission
-counts every request it places, call or session, as its region's demand.
-`VendorRuntime` is the vendor baseline as a placement policy: its plans name
-one fixed host and carry no price. Every plan carries its budget from
-admission, so `plan_invoke` serves both runtimes: `admit` sets the declared
-draw, and the vendor's `admit` the request's own draw.
+with a pro-rata charge; `plan_invoke` is both for one call. A terminated
+request's draws, run time and charge x become ceil(x·p/q) in integers, with
+p/q the tightest overrun (`budget_fraction`). Video sessions are metered
+here too: `plan_session` admits one, and live sessions share their host's
+bandwidth until `end_session`, or `cut_off` when the host leaves. `settle`
+counts a finished plan's draw as demand and commits its charge as one
+transaction under the requester's regional quorum. Admission counts every
+request it places, call or session, as its region's demand. `VendorRuntime`
+is the vendor baseline as a placement policy: its plans name one fixed host
+and carry no price. Every plan carries its budget from admission, so
+`plan_invoke` serves both runtimes: `admit` sets the declared draw, and the
+vendor's `admit` the request's own draw.
 
 Sessions are metered per host, not per session. A host shares its bandwidth
 equally among its live sessions (processor sharing), and every session of a
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -196,14 +197,16 @@ class ServicesConfig:
     sustain_window: int = 2000
 
 
-def budget_fraction(actual: ResourceVector, declared: ResourceVector) -> Fraction:
-    """1 when within budget, else the completed fraction at exhaustion."""
-    f = Fraction(1)
+def budget_fraction(actual: ResourceVector,
+                    declared: ResourceVector) -> tuple[int, int]:
+    """(1, 1) when within budget, else the completed fraction at exhaustion
+    as an int pair (p, q): the tightest overrun, the least declared/actual."""
+    p, q = 1, 1
     for kind in RESOURCE_KINDS:
         a, d = actual.get(kind), declared.get(kind)
-        if a > d:
-            f = min(f, Fraction(d, a))
-    return f
+        if a > d and d * q < p * a:
+            p, q = d, a
+    return p, q
 
 
 class ServiceRuntime:
@@ -270,12 +273,12 @@ class ServiceRuntime:
     def resolve(self, service_id: str, at: SimTime) -> ServiceDescriptor | None:
         """Descriptor if any replica of it is reachable right now."""
         key = self.dsr_key(service_id)
-        if key not in self.store.hosts:
-            return None
-        alive = [h for h in self.store.replica_hosts(key)
-                 if h in self.overlay.online_ids]
-        state = self.store.any_state(key, alive)
-        return state.value if state is not None else None
+        states = self.store.states.get(key, {})
+        online = self.overlay.online_ids
+        for host in self.store.hosts.get(key, ()):
+            if host in online and host in states:
+                return states[host].value
+        return None
 
     def _code_sources(self, service_id: str) -> list[NodeId]:
         key = self.dsr_key(service_id)
@@ -363,7 +366,9 @@ class ServiceRuntime:
 
         The request takes the hop admission routed to reach the host, waits
         for it to be ready and free, and its reply takes the hop back, since
-        shortest-path latency is symmetric.
+        shortest-path latency is symmetric. A terminated plan's draws (capped
+        at its budget), run time and gross charge x become `-(-p * x // q)`,
+        that is ceil(x·p/q) with p/q the tightest overrun.
         """
         host, hop, budget = plan.host, plan.hop, plan.budget
         actual = plan.request.actual
@@ -376,13 +381,13 @@ class ServiceRuntime:
             plan.done_at = plan.start + full
             plan.bill(plan.gross)
         else:
-            f = budget_fraction(actual, budget)
+            p, q = budget_fraction(actual, budget)
             plan.outcome = TERMINATED
             plan.consumed = ResourceVector(*(
-                min(budget.get(k), math.ceil(f * actual.get(k)))
+                min(budget.get(k), -(-p * actual.get(k) // q))
                 for k in RESOURCE_KINDS))
-            plan.done_at = plan.start + math.ceil(f * full)
-            plan.bill(math.ceil(f * plan.gross))
+            plan.done_at = plan.start + -(-p * full // q)
+            plan.bill(-(-p * plan.gross // q))
         self.busy_until[host] = plan.done_at
         plan.latency = plan.done_at + hop - plan.request.issued_at
 

@@ -1105,6 +1105,15 @@ class TestCli:
         out = fresh_python(child, str(scenario_file), str(tmp_path / "out"))
         assert out.split() == ["0", "False"]
 
+    def test_the_cli_and_runner_import_no_fractions_decimal_or_hashlib(self):
+        # Each would add its import time and memory to every run: metering
+        # is integer, and SHA-256 comes from the interpreter's _sha256.
+        child = ("import sys\n"
+                 "import c3sim.harness.cli, c3sim.harness.runner\n"
+                 "print(*sorted({'fractions', 'decimal', '_decimal', 'hashlib',\n"
+                 "               '_hashlib'} & set(sys.modules)))\n")
+        assert fresh_python(child).split() == []
+
     def test_violations_flip_the_exit_code(self, scenario_file, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_audits", lambda logs: ["planted violation"])
         assert cli.main(["--scenario", str(scenario_file), "--check"]) == 3

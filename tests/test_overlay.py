@@ -2,7 +2,9 @@
 labellings, super-peers, coordinated transactions."""
 from __future__ import annotations
 
+import copy
 import heapq
+import pickle
 import random
 from hashlib import sha256
 from pathlib import Path
@@ -69,6 +71,21 @@ class TestIdentity:
         values += [rng.getrandbits(ID_BITS) for _ in range(1000)]
         for value in values:
             assert NodeId(value).short == f"{value:064x}"[:16]
+
+    def test_a_node_id_is_its_int_and_copies_keep_its_short(self):
+        rng = random.Random(6)
+        values = [0, 2**192, 2**256 - 1]
+        values += [rng.getrandbits(ID_BITS) for _ in range(200)]
+        for value in values:
+            node = NodeId(value)
+            assert node == value and hash(node) == hash(value)
+            assert {value: 1}[node] == 1 and node < value + 1 and not node < value
+            copies = [copy.copy(node), copy.deepcopy(node)]
+            copies += [pickle.loads(pickle.dumps(node, protocol))
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for twin in copies:
+                assert type(twin) is NodeId and twin == node
+                assert twin.short == node.short
 
 
 class TestMembership:

@@ -1,5 +1,6 @@
 """Service lifecycle: publish, resolve, metered invocation, placement, distribution."""
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from c3sim.engine import RngStream
 from c3sim.overlay import NodeRecord
 from c3sim.replication import ReplicaStore
 from c3sim.resource_repo import NodeResourceRecord, Repository
-from c3sim.resources import ResourceVector
+from c3sim.resources import RESOURCE_KINDS, ResourceVector
 from c3sim.services import (
     ADMITTED,
     COMPLETED,
@@ -125,11 +126,14 @@ class TestPublication:
 
 class TestBudgetMetering:
     def test_fraction_is_one_inside_the_declaration(self):
-        assert budget_fraction(ResourceVector(5, 5, 5), ResourceVector(5, 5, 5)) == 1
-        assert budget_fraction(ResourceVector(0, 0, 0), ResourceVector(1, 0, 0)) == 1
+        for actual, declared in [((5, 5, 5), (5, 5, 5)), ((0, 0, 0), (1, 0, 0))]:
+            f = Fraction(*budget_fraction(ResourceVector(*actual),
+                                          ResourceVector(*declared)))
+            assert f == 1
 
     def test_fraction_takes_the_tightest_overrun(self):
-        f = budget_fraction(ResourceVector(8, 30, 0), ResourceVector(4, 10, 0))
+        f = Fraction(*budget_fraction(ResourceVector(8, 30, 0),
+                                      ResourceVector(4, 10, 0)))
         assert f == Fraction(1, 3)
 
     vectors = st.builds(ResourceVector, st.integers(0, 20), st.integers(0, 20),
@@ -137,12 +141,51 @@ class TestBudgetMetering:
 
     @given(actual=vectors, declared=vectors)
     def test_fraction_bounds(self, actual, declared):
-        f = budget_fraction(actual, declared)
+        f = Fraction(*budget_fraction(actual, declared))
         assert 0 <= f <= 1
         assert (f == 1) == declared.covers(actual)
         for kind in ("compute", "storage", "bandwidth"):
             if actual.get(kind) > declared.get(kind):
                 assert f * actual.get(kind) <= declared.get(kind)
+
+    @given(actual=vectors, declared=vectors, gross=st.integers(0, 1000),
+           rate=st.integers(1, 12), busy=st.integers(0, 60),
+           issued=st.integers(0, 40), hop=st.integers(0, 9))
+    @example(actual=ResourceVector(8, 4, 0), declared=ResourceVector(4, 2, 0),
+             gross=7, rate=3, busy=0, issued=5, hop=1)  # one ratio, two kinds
+    @example(actual=ResourceVector(8, 30, 0), declared=ResourceVector(4, 10, 0),
+             gross=10, rate=3, busy=0, issued=0, hop=0)  # storage is tighter
+    @example(actual=ResourceVector(0, 7, 3), declared=ResourceVector(0, 0, 5),
+             gross=9, rate=2, busy=4, issued=0, hop=2)  # declared 0, drawn 7
+    @example(actual=ResourceVector(0, 9, 2), declared=ResourceVector(5, 4, 2),
+             gross=11, rate=1, busy=30, issued=3, hop=0)  # no compute drawn
+    def test_termination_meters_exactly_as_fractions(
+            self, actual, declared, gross, rate, busy, issued, hop):
+        """run_on_host's integer metering equals ceil(f * x) over Fraction f,
+        the least declared/actual over the overrun kinds."""
+        rt, ids = make_runtime(n=2, compute=rate)
+        host = ids[1]
+        rt.busy_until[host] = busy
+        plan = InvokePlan(Request(next(_req_ids), "svc", ids[0], issued, actual),
+                          ADMITTED, host=host, gross=gross, start=issued,
+                          hop=hop, budget=declared)
+        rt.run_on_host(plan)
+        start = max(issued + hop, busy)
+        full = math.ceil(actual.compute / rate) if actual.compute else 0
+        assert plan.start == start
+        if declared.covers(actual):
+            f = Fraction(1)
+            assert plan.outcome == COMPLETED
+        else:
+            f = min(Fraction(declared.get(k), actual.get(k))
+                    for k in RESOURCE_KINDS if actual.get(k) > declared.get(k))
+            assert plan.outcome == TERMINATED
+        assert plan.consumed == ResourceVector(*(
+            min(declared.get(k), math.ceil(f * actual.get(k)))
+            for k in RESOURCE_KINDS))
+        assert plan.done_at == start + math.ceil(f * full)
+        assert plan.charged == math.ceil(f * gross)
+        assert rt.busy_until[host] == plan.done_at
 
     def test_terminated_exactly_when_the_declaration_is_exceeded(self):
         rt, ids = make_runtime()
