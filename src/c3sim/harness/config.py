@@ -55,7 +55,9 @@ churn_multiplier x horizon x the sum over churning classes of
 2 x count / (mean_online + mean_offline) [4,800: video_small x80];
 MAX_TICKS = 100,000 for horizon / each of the four periods [6,000];
 MAX_REPLICAS = 100 for each <svc>.min_replicas [4];
-MAX_INTER_REGION_LINKS = 100 [3]. A horizon override is checked again.
+MAX_INTER_REGION_LINKS = 100 [3]; MAX_LATENCY = 10**9 for each latency
+[50], so a route of at most MAX_NODES + 1 links stays far below the 2**62
+that routing reads as unreached. A horizon override is checked again.
 """
 from __future__ import annotations
 
@@ -74,6 +76,7 @@ MAX_CHURN_EVENTS = 1_000_000
 MAX_TICKS = 100_000
 MAX_REPLICAS = 100
 MAX_INTER_REGION_LINKS = 100
+MAX_LATENCY = 10 ** 9
 
 
 class ConfigError(Exception):
@@ -366,9 +369,12 @@ def _topology(sec: _Section) -> TopologySpec:
         degree=sec.integer("degree", 6, minimum=3),
         inter_region_links=sec.integer("inter_region_links", 3, minimum=1,
                                        maximum=MAX_INTER_REGION_LINKS),
-        intra_latency=sec.integer("intra_latency", 5, minimum=1),
-        inter_latency=sec.integer("inter_latency", 50, minimum=1),
-        vendor_latency=sec.integer("vendor_latency", 40, minimum=1),
+        intra_latency=sec.integer("intra_latency", 5, minimum=1,
+                                  maximum=MAX_LATENCY),
+        inter_latency=sec.integer("inter_latency", 50, minimum=1,
+                                  maximum=MAX_LATENCY),
+        vendor_latency=sec.integer("vendor_latency", 40, minimum=1,
+                                   maximum=MAX_LATENCY),
         m_target=sec.integer("m_target", 5, minimum=1),
     )
     sec.finish()

@@ -46,16 +46,11 @@ class Runner:
             if entry.kind == "vendor" and config.mode != "vendor":
                 raise ConfigError(f"[failures] {entry.name}.target",
                                   "vendor target in community mode")
-        if config.mode == "vendor":
-            topo = config.topology
-            # The vendor's links replace the inter-region links the build
-            # draws to it, and an overlay link only ever shortens.
-            if VENDOR_REGION in topo.regions:
-                raise ConfigError("[topology] regions",
-                                  f"{VENDOR_REGION!r} is the vendor's region")
-            if topo.vendor_latency > topo.inter_latency:
-                raise ConfigError("[topology] vendor_latency",
-                                  f"above inter_latency {topo.inter_latency}")
+        # A node of the vendor's region would join the vendor at
+        # intra_latency, and the vendor's own link to it would be a re-link.
+        if config.mode == "vendor" and VENDOR_REGION in config.topology.regions:
+            raise ConfigError("[topology] regions",
+                              f"{VENDOR_REGION!r} is the vendor's region")
         self.config = config
         self.sim = Simulator(config.seed, config.horizon)
         self.logs: dict[str, list[tuple]] = {name: [] for name in COLUMNS}
@@ -96,6 +91,12 @@ class Runner:
                           klass.cost_factor, klass.credit_limit,
                           klass.initial_balance, 1)
 
+        try:
+            self.overlay.build()
+        except OverlayError as exc:  # no connected graph of this degree
+            raise ConfigError("[topology] degree", str(exc)) from None
+        # Added after the build, the vendor gets no link from it (VendorRuntime
+        # makes them) but a super-peer, whose gate turns it away once it leaves.
         self.vendor_node: NodeId | None = None
         if cfg.mode == "vendor":
             self.vendor_node = generate_identity(ids)
@@ -105,11 +106,6 @@ class Runner:
             self._log("nodes", self.vendor_node.short, VENDOR_REGION,
                       VENDOR_CLASS, cap.compute, cap.storage, cap.bandwidth,
                       1.0, 0, 0, 1)
-
-        try:
-            self.overlay.build()
-        except OverlayError as exc:  # no connected graph of this degree
-            raise ConfigError("[topology] degree", str(exc)) from None
         for region in self.overlay.regions:
             if self.overlay.online_in_region(region):
                 self.overlay.form_dvsp(region)

@@ -20,9 +20,9 @@ pass reads three facts that the membership and edge hooks keep up to date
 as they change: the online nodes below minimum degree, the link count of
 each region pair, and the online members of each super-peer. So it walks
 what needs repair, not every node and link. Links are stored once, in
-routing.Graph, which only add_link and leave write: each write is a new
-link or a shorter one, so only a leave makes a route longer. Routes are
-read from the graph; adj is a copy of its links keyed by NodeId.
+routing.Graph, which only add_link and leave write: add_link makes a new
+link, and a leave drops them. Routes are read from the graph; adj is a
+copy of its links keyed by NodeId.
 """
 from __future__ import annotations
 
@@ -253,23 +253,23 @@ class Overlay:
         raise OverlayError(f"no connected {d}-regular graph on {n} nodes")
 
     def add_link(self, a: NodeId, b: NodeId, latency: int) -> None:
-        """Link a and b, or shorten their link, by graph.link. Both must be
-        online, so that no offline node holds a link."""
+        """Make the new link a -- b by graph.link. Both must be online, so
+        that no offline node holds a link."""
         if latency < 1:  # routing's early stop relies on it
             raise ValueError(f"link latency {latency} is below 1")
         online = self.online_ids
         if a not in online or b not in online:
             raise UnknownNode(f"{a!r} -- {b!r}: only online nodes link")
         graph = self.graph
-        if graph.link(a, b, latency):
-            least, under = self.config.min_degree, self._under
-            if a in under and len(graph.links[graph.index[a]]) >= least:
-                under.discard(a)
-            if b in under and len(graph.links[graph.index[b]]) >= least:
-                under.discard(b)
-            ra, rb = self.records[a].region, self.records[b].region
-            if ra != rb:
-                self._count_inter(ra, rb, 1)
+        graph.link(a, b, latency)
+        least, under = self.config.min_degree, self._under
+        if a in under and len(graph.links[graph.index[a]]) >= least:
+            under.discard(a)
+        if b in under and len(graph.links[graph.index[b]]) >= least:
+            under.discard(b)
+        ra, rb = self.records[a].region, self.records[b].region
+        if ra != rb:
+            self._count_inter(ra, rb, 1)
 
     def _count_inter(self, ra: str, rb: str, step: int) -> None:
         """Count a link between regions ra and rb in _inter: just added

@@ -31,8 +31,9 @@ class Graph:
     least[i] a lower bound on i's link latencies, and floor the least bw:
     no path is narrower, since bandwidths never change. No answer depends
     on order. Only add, link and drop write these, each telling every
-    repairer: added(i), linked(a, b, latency) or left(i, former_links).
-    online, the overlay's set of online node ids, is only read here."""
+    repairer: added(i), linked(a, b, latency) or left(i, former_links). A
+    link is made once, and only drop removes it. online, the overlay's set
+    of online node ids, is only read here."""
 
     def __init__(self, online: set[int]):
         self.online = online
@@ -57,26 +58,20 @@ class Graph:
         for repairer in self.repairers:
             repairer.added(i)
 
-    def link(self, a: int, b: int, latency: int) -> bool:
-        """Link a and b at latency, or shorten their link to it; whether the
-        link is new. A link never lengthens: a self-link or a longer link
-        raises ValueError, and a re-link at its latency changes nothing."""
+    def link(self, a: int, b: int, latency: int) -> None:
+        """Link a and b at latency; a self-link or a link that exists
+        raises ValueError."""
         if a == b:
             raise ValueError(f"{a!r}: a node does not link to itself")
         ia, ib = self.index[a], self.index[b]
         links_a, links_b = self.links[ia], self.links[ib]
-        old = links_a.get(ib)
-        if old is not None and latency >= old:
-            if latency == old:
-                return False
-            raise ValueError(f"{a!r} -- {b!r}: link latency {old} "
-                             f"would lengthen to {latency}")
+        if ib in links_a:
+            raise ValueError(f"{a!r} -- {b!r}: already linked")
         links_a[ib] = links_b[ia] = latency
         least = self.least
         least[ia], least[ib] = min(least[ia], latency), min(least[ib], latency)
         for repairer in self.repairers:
             repairer.linked(ia, ib, latency)
-        return old is None
 
     def drop(self, node: int) -> list[int]:
         """Drop the links of node, gone offline; its former peers."""
@@ -242,12 +237,13 @@ class NearestLabels:
 
     nearest() sets the sources to its online candidates before it reads a
     label. The graph's write methods repair the labels in place after every
-    topology change (Ramalingam & Reps, J. Algorithms 1996): a new or
-    shorter link spreads its far end's lower label, and only a lost source
-    or node is cut, since no link lengthens. A node's tight parents are the
-    neighbours p with label[p] + latency == label[v]: the same owner, one
-    link nearer. Every link takes at least a tick, so they lead back to the
-    owner, and a label stays exact while one tight parent keeps its own."""
+    topology change (Ramalingam & Reps, J. Algorithms 1996): a new link
+    spreads its far end's lower label, and only a lost source or node is
+    cut, since a link keeps its latency until a leave drops it. A node's
+    tight parents are the neighbours p with label[p] + latency == label[v]:
+    the same owner, one link nearer. Every link takes at least a tick, so
+    they lead back to the owner, and a label stays exact while one tight
+    parent keeps its own."""
 
     def __init__(self, graph: Graph):
         self._graph = graph
@@ -286,8 +282,8 @@ class NearestLabels:
         self._label.append(_UNLABELLED)
 
     def linked(self, a: int, b: int, latency: int) -> None:
-        """The graph set the link (a, b), new or shorter, to latency: it
-        relaxes its far end. No route got longer, so no label is cut."""
+        """The graph made the new link (a, b) at latency: it relaxes its
+        far end. No route got longer, so no label is cut."""
         label = self._label
         step = latency << ID_BITS
         if label[a] + step < label[b]:

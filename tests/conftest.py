@@ -43,15 +43,16 @@ def chain_overlay(latencies, bandwidths=None, m_target=3):
 
 def clique_overlay(n, region="main", m_target=3, joined_at=None,
                    compute=10, storage=10**6, bandwidth=1000):
-    """n nodes in one region, every pair wired at the intra latency."""
+    """n nodes in one region, every pair wired at the intra latency by the
+    build, as a run wires the nodes online at its start."""
     cfg = OverlayConfig(degree=max(3, n - 1), min_degree=1,
                         inter_region_links=0, m_target=m_target)
     overlay = Overlay(cfg, RngStream(7, "overlay"))
     ids = [nid(i + 1) for i in range(n)]
     for i, node in enumerate(ids):
         overlay.add_record(NodeRecord(
-            node, region, ResourceVector(compute, storage, bandwidth)))
-        overlay.join(node, joined_at[i] if joined_at else 0)
+            node, region, ResourceVector(compute, storage, bandwidth),
+            online_since=joined_at[i] if joined_at else 0), online=True)
     overlay.build()
     return overlay, ids
 

@@ -28,6 +28,7 @@ from c3sim.harness.audits import (
 )
 from c3sim.harness.config import (
     MAX_ARRIVALS,
+    MAX_LATENCY,
     MAX_NODES,
     ConfigError,
     parse_scenario,
@@ -233,6 +234,9 @@ class TestScenarioParsing:
          "[services] svc.min_replicas: must be <= 100"),
         (small_scenario(topology={"inter_region_links": 10 ** 5}),
          "[topology] inter_region_links: must be <= 100"),
+        *((small_scenario(topology={key: MAX_LATENCY + 1}),
+           f"[topology] {key}: must be <= {MAX_LATENCY}")
+          for key in ("intra_latency", "inter_latency", "vendor_latency")),
         (small_scenario(workload={"rate": 1000}), "[workload] rate: rate x horizon"),
         (small_scenario(simulation={"horizon": 10 ** 400}), "[workload] rate"),
         (small_scenario(workload={"kind": "video", "service": "svc",
@@ -261,6 +265,21 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError) as err:
             parse_scenario_text(text)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("mode", ["community", "vendor"])
+    def test_latencies_at_their_bound_give_finite_routes(self, mode):
+        # a simple path of n nodes has n - 1 links, so its latency stays
+        # far below the bound routing reads as unreached
+        cfg = parse_scenario_text(small_scenario(
+            simulation={"mode": mode},
+            topology={"regions": "r0, r1", "intra_latency": MAX_LATENCY,
+                      "inter_latency": MAX_LATENCY,
+                      "vendor_latency": MAX_LATENCY}))
+        overlay = Runner(cfg).overlay
+        n = len(overlay.online_ids)
+        for a in overlay.online_in_region("r0"):
+            for b in overlay.online_in_region("r1"):
+                assert MAX_LATENCY <= overlay.route(a, b) < n * MAX_LATENCY
 
     def test_overrides_replace_without_mutating(self):
         cfg = parse_scenario_text(small_scenario())
@@ -712,19 +731,42 @@ class TestEndToEnd:
             (2000, "img", "deployed", vendor, "core")]
         assert run_audits(runner.logs) == []
 
-    @pytest.mark.parametrize("topology,where", [
-        ({"vendor_latency": 51}, r"\[topology\] vendor_latency"),
-        ({"regions": "r0, core"}, r"\[topology\] regions")])
-    def test_a_vendor_link_that_would_lengthen_is_a_config_error(
-            self, topology, where):
-        # the build links the vendor at inter_latency (50 here), or at
-        # intra_latency inside its own region, and no link lengthens
-        cfg = parse_scenario_text(small_scenario(topology=topology))
+    def test_the_vendor_links_every_online_node_once_at_its_own_latency(self):
+        # vendor_latency above inter_latency: the build draws no link for
+        # the vendor, so each of its links is made once, at 51, through
+        # churn and the vendor's own leave and return
+        text = small_scenario(
+            simulation={"mode": "vendor", "horizon": 8000},
+            topology={"regions": "r0, r1", "vendor_latency": 51},
+            population={"box.mean_online": 2000, "box.mean_offline": 1500},
+            failures={"entries": "down, up",
+                      "down.at": 2000, "down.action": "kill",
+                      "down.target": "vendor",
+                      "up.at": 4000, "up.action": "restore",
+                      "up.target": "vendor"})
+        runner = Runner(parse_scenario_text(text))
+        overlay, vendor = runner.overlay, runner.vendor_node
+
+        def vendor_links_are_all_and_only_its_own():
+            assert overlay.adj[vendor] == {
+                node: 51 for node in overlay.online_ids if node != vendor}
+
+        vendor_links_are_all_and_only_its_own()
+        runner.run()
+        assert {(r[2], r[3]) for r in runner.logs["membership"]} == {
+            (move, cause) for move in ("join", "leave")
+            for cause in ("churn", "scripted")}
+        vendor_links_are_all_and_only_its_own()
+        assert run_audits(runner.logs) == []
+
+    def test_a_community_region_named_core_is_a_vendor_config_error(self):
+        # a node of region core would join the vendor at intra_latency, and
+        # the vendor's own link to it would then be a re-link
+        cfg = parse_scenario_text(small_scenario(
+            topology={"regions": "r0, core"}))
         Runner(cfg)  # community mode has no vendor
-        with pytest.raises(ConfigError, match=where):
+        with pytest.raises(ConfigError, match=r"\[topology\] regions"):
             Runner(with_overrides(cfg, mode="vendor"))
-        Runner(with_overrides(parse_scenario_text(small_scenario(
-            topology={"vendor_latency": 50})), mode="vendor"))
 
     def test_scripted_region_outage_and_recovery(self):
         text = small_scenario(
@@ -1039,6 +1081,8 @@ class TestCli:
         (small_scenario() + "[market]\nalpha = 0.4\nalpha = 0.5\n",
          "[market] alpha"),
         ("seed = 3\n", "line 1"),
+        *((small_scenario(topology={key: MAX_LATENCY + 1}), f"[topology] {key}")
+          for key in ("intra_latency", "inter_latency", "vendor_latency")),
     ])
     def test_unparsable_scenario_file_is_a_config_error(
             self, tmp_path, capsys, text, message):
