@@ -1,9 +1,11 @@
 """Deterministic discrete-event core.
 
 The clock is a virtual integer tick (one tick is one virtual millisecond).
-Events fire in (fire_at, seq) order where seq is a monotone counter assigned
-at scheduling time, so ties at the same tick resolve in scheduling order and
-a run is a pure function of (seed, configuration).
+An event is a scheduled call: `at(fire_at, handler, *args)` queues it and
+the run calls `handler(*args)`. Events fire in (fire_at, seq) order where
+seq is a monotone counter assigned at scheduling time, so ties at the same
+tick resolve in scheduling order and a run is a pure function of
+(seed, configuration).
 
 Randomness is drawn from named streams. Each stream seeds an independent
 Mersenne Twister from the first eight bytes of SHA-256("<master>:<label>"),
@@ -14,7 +16,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any, Callable
 
 # The interpreter's own SHA-256 (_sha2 from CPython 3.12, _sha256 before):
 # the same digests as hashlib's, without loading OpenSSL's libcrypto.
@@ -53,8 +56,8 @@ class RngStream(random.Random):
 @dataclass(slots=True, eq=False)
 class Event:
     seq: int
-    kind: str
-    payload: dict = field(default_factory=dict)
+    handler: Callable[..., Any]
+    args: tuple
     done: bool = False  # fired or cancelled
 
 
@@ -75,7 +78,6 @@ class Simulator:
         self._heap: list[tuple[SimTime, int, Event]] = []
         self._seq = 0
         self._streams: dict[str, RngStream] = {}
-        self._handlers: dict[str, list] = {}
         self._total = 0
 
     def stream(self, label: str) -> RngStream:
@@ -85,13 +87,11 @@ class Simulator:
             s = self._streams[label] = RngStream(self.seed, label)
             return s
 
-    def subscribe(self, kind: str, handler) -> None:
-        self._handlers.setdefault(kind, []).append(handler)
-
-    def at(self, fire_at: SimTime, kind: str, **payload) -> Event:
+    def at(self, fire_at: SimTime, handler: Callable[..., Any], *args) -> Event:
+        """Queue the call handler(*args) at tick fire_at."""
         if fire_at < self.now:
-            raise PastEvent(f"{kind} at {fire_at} < clock {self.now}")
-        event = Event(self._seq, kind, payload)
+            raise PastEvent(f"event at {fire_at} < clock {self.now}")
+        event = Event(self._seq, handler, args)
         self._seq += 1
         heapq.heappush(self._heap, (fire_at, event.seq, event))
         return event
@@ -117,8 +117,7 @@ class Simulator:
             event.done = True
             self.now = fire_at
             self._total += 1
-            for handler in self._handlers.get(event.kind, ()):
-                handler(event)
+            event.handler(*event.args)
         if until > self.now:
             self.now = until
         return RunSummary(self._total)

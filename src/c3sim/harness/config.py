@@ -42,7 +42,9 @@ A scenario is an INI-style text file. Sections and keys:
 
 Unknown or repeated keys and sections, repeated names in a comma list, and
 keys before the first section are rejected so a typo cannot silently
-change a run. Every number must be finite.
+change a run. Every number must be finite. Every integer must lie in
+[-MAX_INTEGER, MAX_INTEGER] with MAX_INTEGER = 2**53, so that every float
+made from it later is exact and finite; keys with tighter bounds keep them.
 
 Keys that size what a run builds before its first event, or the work of
 a step, have fixed upper bounds. Each is at least 5x the largest value
@@ -57,7 +59,7 @@ MAX_TICKS = 100,000 for horizon / each of the four periods [6,000];
 MAX_REPLICAS = 100 for each <svc>.min_replicas [4];
 MAX_INTER_REGION_LINKS = 100 [3]; MAX_LATENCY = 10**9 for each latency
 [50], so a route of at most MAX_NODES + 1 links stays far below the 2**62
-that routing reads as unreached. A horizon override is checked again.
+that routing reads as unreached. A seed or horizon override is checked again.
 """
 from __future__ import annotations
 
@@ -70,6 +72,7 @@ from ..ledger import MarketConfig
 from ..resources import ResourceVector
 
 
+MAX_INTEGER = 2 ** 53
 MAX_NODES = 50_000
 MAX_ARRIVALS = 1_000_000
 MAX_CHURN_EVENTS = 1_000_000
@@ -214,8 +217,8 @@ class _Section:
         value = self._get(key, default)
         return default if value is None else value.strip()
 
-    def integer(self, key: str, default=None, minimum: int | None = None,
-                maximum: int | None = None) -> int:
+    def integer(self, key: str, default=None, minimum: int = -MAX_INTEGER,
+                maximum: int = MAX_INTEGER) -> int:
         value = self._get(key, default)
         if value is None:
             return default
@@ -224,9 +227,9 @@ class _Section:
         except ValueError:
             raise ConfigError(f"[{self.name}] {key}",
                               f"not an integer: {value!r}") from None
-        if minimum is not None and out < minimum:
+        if out < minimum:
             raise ConfigError(f"[{self.name}] {key}", f"must be >= {minimum}")
-        if maximum is not None and out > maximum:
+        if out > maximum:
             raise ConfigError(f"[{self.name}] {key}", f"must be <= {maximum}")
         return out
 
@@ -527,7 +530,7 @@ def _target(where: str, text: str) -> tuple[str, str, int, float]:
     if head == "region" and len(args) == 1:
         return head, args[0], 0, 0.0
     if head in ("dvsp", "class") and len(args) == 2:
-        if not args[1].isdigit():
+        if not (args[1].isascii() and args[1].isdigit()):
             raise ConfigError(where, f"bad count or index {text!r}")
         return head, args[0], int(args[1]), 0.0
     if head == "nodes" and len(args) == 2 and args[0] == "random":
@@ -614,17 +617,18 @@ def with_overrides(config: ScenarioConfig, seed: int | None = None,
                    horizon: int | None = None,
                    mode: str | None = None) -> ScenarioConfig:
     """config with the given fields replaced, under the parser's bounds."""
+    for key, value, minimum in (("seed", seed, 0), ("horizon", horizon, 1)):
+        if value is not None and not minimum <= value <= MAX_INTEGER:
+            raise ConfigError(f"[simulation] {key}",
+                              f"must be in [{minimum}, {MAX_INTEGER}]")
     if seed is not None:
-        if seed < 0:
-            raise ConfigError("[simulation] seed", "must be >= 0")
         config = replace(config, seed=seed)
     if horizon is not None:
-        if horizon < 1:
-            raise ConfigError("[simulation] horizon", "must be >= 1")
         config = replace(config, horizon=horizon)
         _check_horizon(config)
     if mode is not None:
         if mode not in ("community", "vendor"):
-            raise ConfigError("mode", f"must be community or vendor, got {mode!r}")
+            raise ConfigError("[simulation] mode",
+                              f"must be community or vendor, got {mode!r}")
         config = replace(config, mode=mode)
     return config

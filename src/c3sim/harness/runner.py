@@ -1,7 +1,7 @@
 """Scenario assembly and execution.
 
 One Runner owns one run: it builds the substrate from a ScenarioConfig,
-subscribes handlers, pre-generates the workload, runs the clock out and
+schedules its handlers, pre-generates the workload, runs the clock out and
 leaves behind the report plus the log tables every metric derives from.
 It only dispatches: each handler calls a layer, schedules the events the
 layer returns and writes the log rows.
@@ -26,12 +26,12 @@ from ..evolution import UpdateDiffusion
 from ..ledger import Ledger, MarketPrice, account_label
 from ..overlay import (NodeId, NodeRecord, Overlay, OverlayConfig,
                        OverlayError, generate_identity)
-from ..replication import ReplicaStore, Replicator
+from ..replication import Delivery, ReplicaStore, Replicator
 from ..resource_repo import NodeResourceRecord, Repository
 from ..resources import ResourceVector
 from ..services import (ADMITTED, COMPLETED, InvokePlan, Request,
                         ServiceDescriptor, ServiceError, ServiceRuntime,
-                        ServicesConfig, VendorRuntime)
+                        ServicesConfig, Session, VendorRuntime)
 from .config import ConfigError, FailureEntry, ScenarioConfig
 from .metrics import COLUMNS, compute_report
 from .workloads import WorkloadItem, draw_actual, generate
@@ -57,9 +57,10 @@ class Runner:
         self.report: dict | None = None
         self.summary: RunSummary | None = None
         self._req_ids = count(1)
-        # Per host, its pending call completions and session ends in
-        # scheduling order: a leave cancels them in a fixed order.
-        self._pending: dict[NodeId, dict[Event, None]] = {}
+        # Per host, its queued calls and live sessions, each with its
+        # completion or end event, in scheduling order: a leave cancels
+        # them in a fixed order.
+        self._pending: dict[NodeId, dict[InvokePlan | Session, Event]] = {}
         self._churn_event: dict[NodeId, Event] = {}
         self.services_by_id = {s.service_id: s for s in config.services}
         self._build()
@@ -152,7 +153,7 @@ class Runner:
                                          svc.developer_balance)
                 self.evolution.register_root(svc.service_id, "1.0", svc.fitness)
                 if svc.update_at is not None:
-                    self.sim.at(svc.update_at, "release", service_id=svc.service_id)
+                    self.sim.at(svc.update_at, self._on_release, svc.service_id)
         publisher = min(self.node_list)
         for svc in cfg.services:
             desc = ServiceDescriptor(
@@ -170,7 +171,6 @@ class Runner:
 
         self._meta()
         self._schedule()
-        self._subscribe()
 
     def _meta(self) -> None:
         cfg = self.config
@@ -189,25 +189,28 @@ class Runner:
         and the scripted failures, in that order."""
         cfg = self.config
         for item in generate(cfg, self.sim.stream("workload"), len(self.node_list)):
-            self.sim.at(item.at, "request-arrival", item=item)
+            self.sim.at(item.at, self._on_arrival, item)
         for node in self.node_list:
-            self._next_churn(node, "node-leave")
-        for period, kind in ((cfg.heartbeat_interval, "heartbeat-sweep"),
-                             (cfg.gossip_period, "gossip-round"),
-                             (cfg.price_window, "price-tick"),
-                             (cfg.placement_window, "placement-tick")):
+            self._next_churn(node, self._on_leave)
+        periodic = [(cfg.heartbeat_interval, self._on_sweep),
+                    (cfg.gossip_period, self._on_gossip)]
+        if cfg.mode == "community":  # the vendor has no market
+            periodic.append((cfg.price_window, self._on_price))
+        periodic.append((cfg.placement_window, self._on_placement))
+        for period, handler in periodic:
             for t in range(period, cfg.horizon + 1, period):
-                self.sim.at(t, kind)
+                self.sim.at(t, handler)
         for entry in cfg.failures:
-            self.sim.at(entry.at, "failure-injection", entry=entry)
+            self.sim.at(entry.at, self._on_failure, entry)
 
-    def _next_churn(self, node: NodeId, kind: str) -> None:
-        """Draw the node's next churn leave or join, if it churns at all."""
+    def _next_churn(self, node: NodeId, handler) -> None:
+        """Schedule the node's next churn leave or join, whichever `handler`
+        is, if it churns at all."""
         rec = self.overlay.records[node]
         mult = self.config.churn_multiplier
         if rec.mean_offline <= 0 or mult <= 0:
             return
-        mean = rec.mean_online if kind == "node-leave" else rec.mean_offline
+        mean = rec.mean_online if handler == self._on_leave else rec.mean_offline
         rate = mult / mean
         if rate <= 0:  # a subnormal multiplier underflows: the node never churns
             return
@@ -216,25 +219,8 @@ class Runner:
             return
         delay = max(1, int(gap))
         if self.sim.now + delay <= self.config.horizon:
-            self._churn_event[node] = self.sim.at(self.sim.now + delay, kind,
-                                                  node=node)
-
-    def _subscribe(self) -> None:
-        sub = self.sim.subscribe
-        sub("request-arrival", self._on_arrival)
-        sub("request-complete", self._on_complete)
-        sub("session-begin", self._on_session_begin)
-        sub("session-end", self._on_session_end)
-        sub("replica-deliver", self._on_deliver)
-        sub("gossip-round", self._on_gossip)
-        sub("heartbeat-sweep", self._on_sweep)
-        if self.config.mode == "community":  # the vendor has no market
-            sub("price-tick", self._on_price)
-        sub("placement-tick", self._on_placement)
-        sub("node-leave", self._on_churn)
-        sub("node-join", self._on_churn)
-        sub("failure-injection", self._on_failure)
-        sub("release", self._on_release)
+            self._churn_event[node] = self.sim.at(self.sim.now + delay,
+                                                  handler, node)
 
     # -- logging helpers ---------------------------------------------------------
 
@@ -243,8 +229,7 @@ class Runner:
 
     # -- requests, sessions and writes ---------------------------------------------
 
-    def _on_arrival(self, event: Event) -> None:
-        item: WorkloadItem = event.payload["item"]
+    def _on_arrival(self, item: WorkloadItem) -> None:
         requester = self.node_list[item.requester_index]
         if not self.overlay.is_online(requester):
             return
@@ -255,7 +240,7 @@ class Runner:
             for arrive, d in self.replicator.write(
                     f"page/{item.page}", f"{at}:{requester.short}", requester,
                     at, self.config.workload.write_size):
-                self.sim.at(arrive, "replica-deliver", delivery=d)
+                self.sim.at(arrive, self._on_deliver, d)
         else:
             streamed = ResourceVector(
                 bandwidth=self.config.workload.stream_rate * item.duration)
@@ -263,7 +248,7 @@ class Runner:
                 next(self._req_ids), item.service_id, requester, at, streamed,
                 "session"), at, item.duration)
             if session.plan.outcome == ADMITTED:
-                self.sim.at(session.plan.start, "session-begin", session=session)
+                self.sim.at(session.plan.start, self._on_session_begin, session)
             else:
                 self._request_row(session.plan)
 
@@ -272,15 +257,14 @@ class Runner:
         req = Request(next(self._req_ids), service_id, requester, at, actual, kind)
         plan = self.services.plan_invoke(req, at)
         if plan.served:
-            ev = self.sim.at(plan.done_at, "request-complete", plan=plan)
-            self._pending.setdefault(plan.host, {})[ev] = None
+            self._pending.setdefault(plan.host, {})[plan] = self.sim.at(
+                plan.done_at, self._on_complete, plan)
         else:
             self._request_row(plan)
 
-    def _on_complete(self, event: Event) -> None:
-        plan: InvokePlan = event.payload["plan"]
+    def _on_complete(self, plan: InvokePlan) -> None:
         at = self.sim.now
-        self._pending.get(plan.host, {}).pop(event, None)
+        self._pending.get(plan.host, {}).pop(plan, None)
         self.services.settle(plan, at)
         self.repo.record_task(plan.host, plan.outcome == COMPLETED)
         self._request_row(plan)
@@ -290,23 +274,20 @@ class Runner:
             self._invoke(plan.request.requester, nxt.service_id, actual, at,
                          "chained")
 
-    def _on_session_begin(self, event: Event) -> None:
-        session = event.payload["session"]
+    def _on_session_begin(self, session: Session) -> None:
         now, host = self.sim.now, session.plan.host
         if self.services.begin_session(session, now):
-            ev = self.sim.at(now + session.duration, "session-end", session=session)
-            self._pending.setdefault(host, {})[ev] = None
+            self._pending.setdefault(host, {})[session] = self.sim.at(
+                now + session.duration, self._on_session_end, session)
         else:
             self._request_row(session.plan)
 
-    def _on_session_end(self, event: Event) -> None:
-        session = event.payload["session"]
-        self._pending.get(session.plan.host, {}).pop(event, None)
+    def _on_session_end(self, session: Session) -> None:
+        self._pending.get(session.plan.host, {}).pop(session, None)
         self.services.end_session(session, self.sim.now)
         self._request_row(session.plan)
 
-    def _on_deliver(self, event: Event) -> None:
-        d = event.payload["delivery"]
+    def _on_deliver(self, d: Delivery) -> None:
         if self.overlay.is_online(d.host):
             self.store.deliver(d.obj.key, d.host, d.obj, self.sim.now)
 
@@ -324,7 +305,7 @@ class Runner:
 
     # -- periodic upkeep -------------------------------------------------------------------
 
-    def _on_gossip(self, event: Event) -> None:
+    def _on_gossip(self) -> None:
         at = self.sim.now
         self.overlay.maintenance()
         self.replicator.upkeep(at)
@@ -332,11 +313,11 @@ class Runner:
             self._log("adoptions", at, adopt.node.short, adopt.service_id,
                       adopt.from_version, adopt.to_version, adopt.cause)
 
-    def _on_sweep(self, event: Event) -> None:
+    def _on_sweep(self) -> None:
         self.repo.sweep(self.sim.now, self.services.held_storage(),
                         self.ledger.market.basket())
 
-    def _on_price(self, event: Event) -> None:
+    def _on_price(self) -> None:
         at = self.sim.now
         window = self.config.price_window
         online = [self.overlay.records[n] for n in self.node_list
@@ -351,7 +332,7 @@ class Runner:
         self._log("prices", at, price("compute"), price("storage"),
                   price("bandwidth"))
 
-    def _on_placement(self, event: Event) -> None:
+    def _on_placement(self) -> None:
         self._log_placements(self.services.placement_tick(
             self.sim.now, self.config.push_placement))
 
@@ -368,8 +349,8 @@ class Runner:
         self.overlay.leave(node)
         self._log("membership", at, node.short, "leave", cause)
         self._log_placements(self.services.host_lost(node, at))
-        calls = [ev.payload["plan"] for ev in self._pending.pop(node, {})
-                 if self.sim.cancel(ev) and ev.kind == "request-complete"]
+        calls = [work for work, ev in self._pending.pop(node, {}).items()
+                 if self.sim.cancel(ev) and isinstance(work, InvokePlan)]
         for plan in self.services.cut_off(node, calls, at):
             self._request_row(plan)
 
@@ -380,15 +361,15 @@ class Runner:
         self._log("membership", at, node.short, "join", cause)
         self._log_placements(self.services.host_joined(node, at))
 
-    def _on_churn(self, event: Event) -> None:
-        node = event.payload["node"]
+    def _on_leave(self, node: NodeId) -> None:
         self._churn_event.pop(node, None)
-        if event.kind == "node-leave":
-            self._do_leave(node, self.sim.now, "churn")
-            self._next_churn(node, "node-join")
-        else:
-            self._do_join(node, self.sim.now, "churn")
-            self._next_churn(node, "node-leave")
+        self._do_leave(node, self.sim.now, "churn")
+        self._next_churn(node, self._on_join)
+
+    def _on_join(self, node: NodeId) -> None:
+        self._churn_event.pop(node, None)
+        self._do_join(node, self.sim.now, "churn")
+        self._next_churn(node, self._on_leave)
 
     def _targets(self, entry: FailureEntry) -> list[NodeId]:
         """The entry's nodes as of now: kills take online ones, restores
@@ -414,11 +395,10 @@ class Runner:
                 pool, round(len(pool) * entry.fraction))
         return pool
 
-    def _on_failure(self, event: Event) -> None:
+    def _on_failure(self, entry: FailureEntry) -> None:
         """A killed node's churn is cancelled, so it stays down until a
         restore names it; a region kill holds the region's offline nodes
         down too. A restored node draws its next churn leave."""
-        entry = event.payload["entry"]
         at = self.sim.now
         kill = entry.action == "kill"
         targets = self._targets(entry)
@@ -432,10 +412,9 @@ class Runner:
                 self._do_leave(node, at, "scripted")
             else:
                 self._do_join(node, at, "scripted")
-                self._next_churn(node, "node-leave")
+                self._next_churn(node, self._on_leave)
 
-    def _on_release(self, event: Event) -> None:
-        service_id = event.payload["service_id"]
+    def _on_release(self, service_id: str) -> None:
         svc = self.services_by_id[service_id]
         at = self.sim.now
         origins = [i.host for i in self.services.warm_instances(service_id, at)]

@@ -108,7 +108,7 @@ class Request:
     kind: str = "request"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class InvokePlan:
     request: Request
     outcome: str
@@ -418,7 +418,7 @@ class ServiceRuntime:
         """The draw settled since the last call, and the storage the live
         instances hold."""
         used, self.demand = self.demand, ResourceVector()
-        held = sum(i.size for insts in self.instances.values() for i in insts)
+        held = sum(self.held_storage().values())
         return ResourceVector(used.compute, held, used.bandwidth)
 
     # -- sessions -------------------------------------------------------------------

@@ -11,18 +11,10 @@ from hypothesis import strategies as st
 from c3sim.engine import PastEvent, RngStream, Simulator, derive_seed
 
 
-def collect(sim: Simulator, kind: str) -> list:
+def recorder(sim: Simulator) -> tuple[list, object]:
+    """A log and a handler that appends (tick, *args) of each call to it."""
     seen = []
-    sim.subscribe(kind, lambda ev: seen.append((sim.now, ev.payload)))
-    return seen
-
-
-def record(sim: Simulator, *kinds: str) -> list:
-    """(tick, seq, kind) of each processed event of these kinds, in order."""
-    seen = []
-    for kind in kinds:
-        sim.subscribe(kind, lambda ev: seen.append((sim.now, ev.seq, ev.kind)))
-    return seen
+    return seen, lambda *args: seen.append((sim.now, *args))
 
 
 class TestClockAndOrdering:
@@ -33,20 +25,17 @@ class TestClockAndOrdering:
 
     def test_same_tick_fires_in_schedule_order(self):
         sim = Simulator(seed=1, horizon=100)
-        seen = collect(sim, "tick")
+        seen, tick = recorder(sim)
         for marker in ("a", "b", "c"):
-            sim.at(5, "tick", marker=marker)
+            sim.at(5, tick, marker)
         sim.run()
-        assert [p["marker"] for _, p in seen] == ["a", "b", "c"]
+        assert seen == [(5, "a"), (5, "b"), (5, "c")]
 
     def test_zero_delay_fires_before_clock_advances(self):
         sim = Simulator(seed=1, horizon=100)
-        fired_at = []
-        sim.subscribe("later", lambda ev: fired_at.append((sim.now, "later")))
-        sim.subscribe("child", lambda ev: fired_at.append((sim.now, "child")))
-        sim.subscribe("parent", lambda ev: sim.at(sim.now, "child"))
-        sim.at(10, "parent")
-        sim.at(11, "later")
+        fired_at, fire = recorder(sim)
+        sim.at(10, lambda: sim.at(sim.now, fire, "child"))
+        sim.at(11, fire, "later")
         sim.run()
         assert fired_at == [(10, "child"), (11, "later")]
 
@@ -55,70 +44,70 @@ class TestClockAndOrdering:
         sim.run(until=40)
         assert sim.now == 40
         with pytest.raises(PastEvent):
-            sim.at(39, "late")
+            sim.at(39, lambda: None)
 
     def test_event_at_horizon_fires_beyond_does_not(self):
         sim = Simulator(seed=1, horizon=50)
-        seen = collect(sim, "edge")
-        sim.at(50, "edge", which="on")
-        sim.at(51, "edge", which="past")
+        seen, edge = recorder(sim)
+        sim.at(50, edge, "on")
+        sim.at(51, edge, "past")
         sim.run()
-        assert [p["which"] for _, p in seen] == ["on"]
+        assert seen == [(50, "on")]
         assert sim.now == 50
 
 
 class TestCancellation:
     def test_cancel_pending_true_then_false(self):
         sim = Simulator(seed=1, horizon=100)
-        ev = sim.at(10, "x")
+        ev = sim.at(10, lambda: None)
         assert sim.cancel(ev) is True
         assert sim.cancel(ev) is False
 
     @pytest.mark.parametrize("until", [None, 10])
     def test_cancel_after_fire_is_false(self, until):
         sim = Simulator(seed=1, horizon=100)
-        ev = sim.at(10, "x")
+        ev = sim.at(10, lambda: None)
         sim.run(until=until)
         assert sim.cancel(ev) is False
 
     def test_cancelled_run_equals_never_scheduled(self):
         # Oracle: a second simulator that never saw the cancelled events.
-        def base_schedule(sim):
+        def base_schedule(sim, handler):
             for t in range(0, 100, 7):
-                sim.at(t, "work", t=t)
-            sim.at(99, "done")
+                sim.at(t, handler, "work", t)
+            sim.at(99, handler, "done")
 
         sim_a = Simulator(seed=3, horizon=100)
-        log_a = record(sim_a, "work", "done", "noise")
-        base_schedule(sim_a)
-        doomed = [sim_a.at(t, "noise") for t in range(0, 100, 5)]
+        log_a, handler_a = recorder(sim_a)
+        base_schedule(sim_a, handler_a)
+        doomed = [sim_a.at(t, handler_a, "noise") for t in range(0, 100, 5)]
         for ev in doomed:
             assert sim_a.cancel(ev)
         got = sim_a.run()
 
         sim_b = Simulator(seed=3, horizon=100)
-        log_b = record(sim_b, "work", "done", "noise")
-        base_schedule(sim_b)
+        log_b, handler_b = recorder(sim_b)
+        base_schedule(sim_b, handler_b)
         want = sim_b.run()
 
         assert got.total_processed == want.total_processed
         assert sim_a.now == sim_b.now
-        assert [(t, k) for t, _, k in log_a] == [(t, k) for t, _, k in log_b]
+        assert log_a == log_b
 
 
 class TestDeterminism:
     @staticmethod
     def _noisy_run(seed: int) -> tuple:
         sim = Simulator(seed=seed, horizon=5000)
-        log = record(sim, "pulse")
+        log = []
         rng = sim.stream("load")
 
-        def reschedule(ev):
-            sim.at(sim.now + 1 + rng.randrange(40), "pulse")
+        def pulse(source):
+            log.append((sim.now, source))
+            sim.at(sim.now + 1 + rng.randrange(40), pulse, source)
 
-        sim.subscribe("pulse", reschedule)
-        sim.at(0, "pulse")
-        sim.at(0, "pulse")
+        sim.at(0, pulse, "a")
+        sim.at(0, pulse, "b")
         summary = sim.run()
         return summary, tuple(log)
 
@@ -133,11 +122,10 @@ class TestDeterminism:
     @settings(max_examples=60, deadline=None)
     def test_processed_log_totally_ordered(self, times):
         sim = Simulator(seed=1, horizon=1000)
-        log = record(sim, "e")
-        for t in times:
-            sim.at(t, "e")
+        log, handler = recorder(sim)
+        events = [sim.at(t, handler, i) for i, t in enumerate(times)]
         sim.run()
-        keys = [(t, seq) for t, seq, _ in log]
+        keys = [(t, events[i].seq) for t, i in log]
         assert keys == sorted(keys)
         assert len(keys) == len(times)
 
@@ -176,10 +164,9 @@ def test_poisson_arrival_count_within_three_sigma():
     sim = Simulator(seed=20, horizon=horizon)
     rng = sim.stream("arrivals")
 
-    def arrive(ev):
-        sim.at(sim.now + max(1, round(rng.expovariate(lam))), "arrival")
+    def arrive():
+        sim.at(sim.now + max(1, round(rng.expovariate(lam))), arrive)
 
-    sim.subscribe("arrival", arrive)
-    sim.at(max(1, round(rng.expovariate(lam))), "arrival")
+    sim.at(max(1, round(rng.expovariate(lam))), arrive)
     count = sim.run().total_processed  # every event is an arrival
     assert abs(count - 100_000) <= 3 * math.sqrt(100_000)

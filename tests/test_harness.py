@@ -28,6 +28,7 @@ from c3sim.harness.audits import (
 )
 from c3sim.harness.config import (
     MAX_ARRIVALS,
+    MAX_INTEGER,
     MAX_LATENCY,
     MAX_NODES,
     ConfigError,
@@ -52,6 +53,22 @@ def ini(sections: dict[str, dict]) -> str:
         lines.extend(f"{key} = {value}" for key, value in body.items())
         lines.append("")
     return "\n".join(lines)
+
+
+def integer_keys() -> list[tuple[str, str, str]]:
+    """(scenario, section, key) of each key of a shipped scenario whose value
+    parses as an integer. A service's share is a float weight written as a
+    whole number, so it is left out."""
+    out = []
+    for path in sorted(SCENARIO_DIR.glob("*.ini")):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(path)
+        for section in parser.sections():
+            for key, value in parser[section].items():
+                if (value.strip().lstrip("-").isdecimal()
+                        and not key.endswith(".share")):
+                    out.append((path.stem, section, key))
+    return out
 
 
 def small_scenario(**patches) -> str:
@@ -238,7 +255,8 @@ class TestScenarioParsing:
            f"[topology] {key}: must be <= {MAX_LATENCY}")
           for key in ("intra_latency", "inter_latency", "vendor_latency")),
         (small_scenario(workload={"rate": 1000}), "[workload] rate: rate x horizon"),
-        (small_scenario(simulation={"horizon": 10 ** 400}), "[workload] rate"),
+        (small_scenario(simulation={"horizon": 10 ** 400}), "[simulation] horizon"),
+        (small_scenario(simulation={"horizon": 10 ** 15}), "[workload] rate"),
         (small_scenario(workload={"kind": "video", "service": "svc",
                                   "session_rate": 200}),
          "[workload] session_rate"),
@@ -266,6 +284,36 @@ class TestScenarioParsing:
             parse_scenario_text(text)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("scenario,section,key", integer_keys())
+    def test_integers_above_the_bound_are_rejected(self, scenario, section,
+                                                   key):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(SCENARIO_DIR / f"{scenario}.ini")
+        parser[section][key] = str(MAX_INTEGER + 1)
+        text = io.StringIO()
+        parser.write(text)
+        with pytest.raises(ConfigError) as err:
+            parse_scenario_text(text.getvalue())
+        assert err.value.field_name == f"[{section}] {key}"
+
+    # Each of these keys overflowed a float conversion when far above the bound.
+    @pytest.mark.parametrize("patch", [
+        {"services": {"svc.actual_compute_max": MAX_INTEGER}},
+        {"population": {"box.mean_online": MAX_INTEGER,
+                        "box.mean_offline": 1000}},
+        {"population": {"box.mean_online": 1000,
+                        "box.mean_offline": MAX_INTEGER}},
+        {"workload": {"kind": "video", "service": "svc", "session_rate": 0.01,
+                      "mean_duration": MAX_INTEGER}},
+        {"workload": {"kind": "video", "service": "svc", "session_rate": 0.01,
+                      "stream_rate": MAX_INTEGER}},
+        {"market": {"p_max": MAX_INTEGER, "initial_compute": MAX_INTEGER}},
+    ])
+    def test_integers_at_the_bound_run_clean(self, patch):
+        runner = run_scenario(parse_scenario_text(small_scenario(
+            simulation={"horizon": 3000}, **patch)))
+        assert run_audits(runner.logs) == []
+
     @pytest.mark.parametrize("mode", ["community", "vendor"])
     def test_latencies_at_their_bound_give_finite_routes(self, mode):
         # a simple path of n nodes has n - 1 links, so its latency stays
@@ -287,12 +335,14 @@ class TestScenarioParsing:
         assert (bumped.seed, bumped.horizon, bumped.mode) == (7, 123, "vendor")
         assert (cfg.seed, cfg.horizon, cfg.mode) == (5, 6000, "community")
         assert with_overrides(cfg) is cfg
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^\[simulation\] mode:"):
             with_overrides(cfg, mode="managed")
         with pytest.raises(ConfigError, match=r"\[workload\] rate"):
             with_overrides(cfg, horizon=MAX_ARRIVALS * 100)
         # the parser's bounds hold for an override too
-        for field, value in (("seed", -3), ("horizon", 0), ("horizon", -5)):
+        for field, value in (("seed", -3), ("seed", MAX_INTEGER + 1),
+                             ("horizon", 0), ("horizon", -5),
+                             ("horizon", MAX_INTEGER + 1)):
             with pytest.raises(ConfigError, match=rf"^\[simulation\] {field}:"):
                 with_overrides(cfg, **{field: value})
 
@@ -376,7 +426,7 @@ class TestFailureGrammar:
         "region:zz", "region", "dvsp:zz:1", "dvsp:r0:x", "dvsp:r0",
         "nodes:random:0", "nodes:random:1.5", "nodes:random:abc",
         "nodes:chosen:0.5", "class:ghost:0", "class:box:x", "class:box:12",
-        "asteroid", "vendor:core",
+        "asteroid", "vendor:core", "dvsp:r0:\u00b2", "class:box:\u00b2",
     ])
     def test_bad_targets_are_rejected(self, target):
         with pytest.raises(ConfigError, match=r"\[failures\] e\.target"):
@@ -934,24 +984,30 @@ class TestRequestPath:
             assert recompute(out) == runner.report
 
     @pytest.mark.parametrize("mode", ["community", "vendor"])
-    def test_every_instance_runs_on_an_online_host(self, mode):
+    def test_every_instance_runs_on_an_online_host(self, mode, monkeypatch):
         """After every event, under churn and the scripted super-peer and
         region kills, each live instance's host is online."""
+        ran = set()
+
+        def checked(handler):
+            def call(runner, *args):
+                handler(runner, *args)
+                # reads only: take_demand, say, would reset demand
+                for insts in runner.services.instances.values():
+                    for inst in insts:
+                        assert runner.overlay.is_online(inst.host), (
+                            runner.sim.now, handler.__name__, inst)
+                ran.add(handler.__name__)
+            return call
+
+        # every event is a call to one of the runner's _on_* handlers
+        for name, handler in list(vars(Runner).items()):
+            if name.startswith("_on_"):
+                monkeypatch.setattr(Runner, name, checked(handler))
         runner = Runner(with_overrides(
             parse_scenario(SCENARIO_DIR / "mixed_churn.ini"), mode=mode))
-        kinds = set()
-
-        def check(event):  # reads only: take_demand, say, would reset demand
-            for insts in runner.services.instances.values():
-                for inst in insts:
-                    assert runner.overlay.is_online(inst.host), (
-                        runner.sim.now, event.kind, inst)
-            kinds.add(event.kind)
-
-        for kind in list(runner.sim._handlers):  # after the runner's own
-            runner.sim.subscribe(kind, check)
         runner.run()
-        assert {"node-leave", "node-join", "failure-injection"} <= kinds
+        assert {"_on_leave", "_on_join", "_on_failure"} <= ran
         actions = {row[2] for row in runner.logs["placements"]}
         if mode == "community":
             assert {"host-lost", "retired", "deployed"} <= actions
