@@ -13,11 +13,12 @@ writes one `requests` row per request. `Replicator` owns page writes and
 replica repair. The two architectures differ only in what `_build` puts
 behind that path. Community mode runs the full stack. The vendor baseline
 (`VendorRuntime`) serves the same pre-generated workload from one fixed,
-high-capacity host at no price, with no currency, no placement and no
-evolution, so the two can be compared under identical demand.
+high-capacity host at no price, with no currency, no placement, no evolution
+and no community links, so the two can be compared under identical demand.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from itertools import count
 
@@ -46,8 +47,8 @@ class Runner:
             if entry.kind == "vendor" and config.mode != "vendor":
                 raise ConfigError(f"[failures] {entry.name}.target",
                                   "vendor target in community mode")
-        # A node of the vendor's region would join the vendor at
-        # intra_latency, and the vendor's own link to it would be a re-link.
+        # Community nodes in core would share the vendor's super-peer: its
+        # repository gate would follow their churn and core targets hit them.
         if config.mode == "vendor" and VENDOR_REGION in config.topology.regions:
             raise ConfigError("[topology] regions",
                               f"{VENDOR_REGION!r} is the vendor's region")
@@ -70,10 +71,13 @@ class Runner:
     def _build(self) -> None:
         cfg = self.config
         topo = cfg.topology
-        self.overlay = Overlay(OverlayConfig(
+        wiring = OverlayConfig(
             degree=topo.degree, inter_region_links=topo.inter_region_links,
             intra_latency=topo.intra_latency, inter_latency=topo.inter_latency,
-            m_target=topo.m_target), self.sim.stream("overlay"))
+            m_target=topo.m_target)
+        if cfg.mode == "vendor":  # VendorRuntime's star is the only topology
+            wiring = replace(wiring, degree=0, min_degree=0, inter_region_links=0)
+        self.overlay = Overlay(wiring, self.sim.stream("overlay"))
 
         ids = self.sim.stream("identity")
         self.node_list: list[NodeId] = []
@@ -92,14 +96,13 @@ class Runner:
                           klass.cost_factor, klass.credit_limit,
                           klass.initial_balance, 1)
 
-        try:
-            self.overlay.build()
-        except OverlayError as exc:  # no connected graph of this degree
-            raise ConfigError("[topology] degree", str(exc)) from None
-        # Added after the build, the vendor gets no link from it (VendorRuntime
-        # makes them) but a super-peer, whose gate turns it away once it leaves.
         self.vendor_node: NodeId | None = None
-        if cfg.mode == "vendor":
+        if cfg.mode == "community":
+            try:
+                self.overlay.build()
+            except OverlayError as exc:  # no connected graph of this degree
+                raise ConfigError("[topology] degree", str(exc)) from None
+        else:  # VendorRuntime makes every link; a super-peer gates the vendor
             self.vendor_node = generate_identity(ids)
             cap = ResourceVector(10 ** 6, 10 ** 9, 10 ** 6)
             self.overlay.add_record(

@@ -653,10 +653,10 @@ class ServiceRuntime:
 
 class VendorRuntime(ServiceRuntime):
     """The vendor baseline: every service runs on one fixed host, linked to
-    every online node at `latency`. Those links are made only here, once
-    each: the overlay makes none for the host. Plans carry no price and a
-    request's own draw is its budget, so none is terminated. The host is the
-    one record in the repository, so every write lands on it too."""
+    every online node at `latency`. Those links, each made once and only
+    here, are the run's only links. Plans carry no price and a request's
+    own draw is its budget, so none is terminated. The host is the one
+    record in the repository, so every write lands on it too."""
 
     def __init__(self, config: ServicesConfig, overlay: Overlay,
                  repo: Repository, ledger: Ledger, store: ReplicaStore,

@@ -42,6 +42,7 @@ from c3sim.harness.recompute import recompute
 from c3sim.harness.runner import Runner, run_scenario
 from c3sim.harness.workloads import generate
 from c3sim.resources import ResourceVector
+from conftest import assert_kept_facts
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -784,7 +785,8 @@ class TestEndToEnd:
     def test_the_vendor_links_every_online_node_once_at_its_own_latency(self):
         # vendor_latency above inter_latency: the build draws no link for
         # the vendor, so each of its links is made once, at 51, through
-        # churn and the vendor's own leave and return
+        # churn and the vendor's own leave and return. Its star is the run's
+        # only topology: no build, join or repair links two community nodes.
         text = small_scenario(
             simulation={"mode": "vendor", "horizon": 8000},
             topology={"regions": "r0, r1", "vendor_latency": 51},
@@ -800,6 +802,9 @@ class TestEndToEnd:
         def vendor_links_are_all_and_only_its_own():
             assert overlay.adj[vendor] == {
                 node: 51 for node in overlay.online_ids if node != vendor}
+            assert all(vendor in (a, b)
+                       for a, peers in overlay.adj.items() for b in peers)
+            assert_kept_facts(overlay)
 
         vendor_links_are_all_and_only_its_own()
         runner.run()
@@ -810,8 +815,9 @@ class TestEndToEnd:
         assert run_audits(runner.logs) == []
 
     def test_a_community_region_named_core_is_a_vendor_config_error(self):
-        # a node of region core would join the vendor at intra_latency, and
-        # the vendor's own link to it would then be a re-link
+        # a node of region core would sit on the vendor's super-peer, so
+        # community churn would move the vendor's repository gate, and a
+        # region:core or dvsp:core:<k> target would hit community nodes too
         cfg = parse_scenario_text(small_scenario(
             topology={"regions": "r0, core"}))
         Runner(cfg)  # community mode has no vendor
