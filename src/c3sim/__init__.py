@@ -12,12 +12,12 @@ Everything is deterministic for a fixed seed: one integer-tick event loop,
 named random streams, no wall-clock or hash-order dependence.
 """
 
-from .engine import Event, RngStream, RunSummary, Simulator
+from .engine import RngStream, RunSummary, Simulator
 from .resources import RESOURCE_KINDS, ResourceVector
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Event", "RESOURCE_KINDS", "ResourceVector", "RngStream", "RunSummary",
+    "RESOURCE_KINDS", "ResourceVector", "RngStream", "RunSummary",
     "Simulator", "__version__",
 ]

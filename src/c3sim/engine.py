@@ -7,6 +7,12 @@ seq is a monotone counter assigned at scheduling time, so ties at the same
 tick resolve in scheduling order and a run is a pure function of
 (seed, configuration).
 
+A queued call is one heap entry, the list `[fire_at, seq, handler, args]`,
+and `at` returns that list as its handle. Firing or cancelling it sets its
+handler slot to None, so the run skips a cancelled entry when it pops it,
+and `cancel` answers False for an entry that fired or was cancelled before.
+`(fire_at, seq)` is unique, so the heap never compares two handlers.
+
 Randomness is drawn from named streams. Each stream seeds an independent
 Mersenne Twister from the first eight bytes of SHA-256("<master>:<label>"),
 which keeps draw sequences identical across platforms and decouples the
@@ -30,6 +36,8 @@ except ImportError:
         from hashlib import sha256
 
 SimTime = int
+# [fire_at, seq, handler or None once fired or cancelled, args]
+Entry = list[Any]
 
 
 class PastEvent(Exception):
@@ -53,14 +61,6 @@ class RngStream(random.Random):
         super().__init__(derive_seed(master_seed, label))
 
 
-@dataclass(slots=True, eq=False)
-class Event:
-    seq: int
-    handler: Callable[..., Any]
-    args: tuple
-    done: bool = False  # fired or cancelled
-
-
 @dataclass(frozen=True)
 class RunSummary:
     total_processed: int
@@ -75,7 +75,7 @@ class Simulator:
         self.seed = seed
         self.horizon = horizon
         self.now: SimTime = 0
-        self._heap: list[tuple[SimTime, int, Event]] = []
+        self._heap: list[Entry] = []
         self._seq = 0
         self._streams: dict[str, RngStream] = {}
         self._total = 0
@@ -87,21 +87,22 @@ class Simulator:
             s = self._streams[label] = RngStream(self.seed, label)
             return s
 
-    def at(self, fire_at: SimTime, handler: Callable[..., Any], *args) -> Event:
-        """Queue the call handler(*args) at tick fire_at."""
+    def at(self, fire_at: SimTime, handler: Callable[..., Any], *args) -> Entry:
+        """Queue the call handler(*args) at tick fire_at; its heap entry is
+        the handle `cancel` takes."""
         if fire_at < self.now:
             raise PastEvent(f"event at {fire_at} < clock {self.now}")
-        event = Event(self._seq, handler, args)
+        entry = [fire_at, self._seq, handler, args]
         self._seq += 1
-        heapq.heappush(self._heap, (fire_at, event.seq, event))
-        return event
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def cancel(self, event: Event) -> bool:
-        """Mark a pending event dead. Returns False if it already fired or
+    def cancel(self, entry: Entry) -> bool:
+        """Mark a pending call dead. Returns False if it already fired or
         was cancelled before."""
-        if event.done:
+        if entry[2] is None:
             return False
-        event.done = True
+        entry[2] = None
         return True
 
     def run(self, until: SimTime | None = None) -> RunSummary:
@@ -111,13 +112,14 @@ class Simulator:
         until = min(until, self.horizon)
         heap = self._heap
         while heap and heap[0][0] <= until:
-            fire_at, _, event = heapq.heappop(heap)
-            if event.done:
+            entry = heapq.heappop(heap)
+            handler = entry[2]
+            if handler is None:
                 continue
-            event.done = True
-            self.now = fire_at
+            entry[2] = None
+            self.now = entry[0]
             self._total += 1
-            event.handler(*event.args)
+            handler(*entry[3])
         if until > self.now:
             self.now = until
         return RunSummary(self._total)

@@ -3,8 +3,9 @@
     c3sim --scenario wiki.ini --seed 7 --out runs/wiki7 --check
 
 Exit codes: 0 on success, 2 on a configuration problem (bad scenario file,
-unknown failure target, bad flag combination), 3 when --check finds an
-invariant violation in the run's logs.
+unknown failure target, bad flag combination, an --out that is no directory
+or cannot be written), 3 when --check finds an invariant violation in the
+run's logs.
 """
 from __future__ import annotations
 
@@ -45,6 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.out is not None and args.out.exists() and not args.out.is_dir():
+        print(f"error: --out: {args.out} is not a directory", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         config = parse_scenario(args.scenario)
         config = with_overrides(config, seed=args.seed, horizon=args.until,
@@ -54,7 +58,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.out is not None:
-        write_outputs(runner.logs, runner.report, args.out, args.format)
+        try:
+            write_outputs(runner.logs, runner.report, args.out, args.format)
+        except OSError as exc:
+            print(f"error: --out: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(report_json(runner.report))
     if args.check:

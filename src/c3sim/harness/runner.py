@@ -22,7 +22,7 @@ from dataclasses import replace
 from functools import partial
 from itertools import count
 
-from ..engine import Event, RunSummary, SimTime, Simulator
+from ..engine import Entry, RunSummary, SimTime, Simulator
 from ..evolution import UpdateDiffusion
 from ..ledger import Ledger, MarketPrice, account_label
 from ..overlay import (NodeId, NodeRecord, Overlay, OverlayConfig,
@@ -61,8 +61,8 @@ class Runner:
         # Per host, its queued calls and live sessions, each with its
         # completion or end event, in scheduling order: a leave cancels
         # them in a fixed order.
-        self._pending: dict[NodeId, dict[InvokePlan | Session, Event]] = {}
-        self._churn_event: dict[NodeId, Event] = {}
+        self._pending: dict[NodeId, dict[InvokePlan | Session, Entry]] = {}
+        self._churn_event: dict[NodeId, Entry] = {}
         self.services_by_id = {s.service_id: s for s in config.services}
         self._build()
 

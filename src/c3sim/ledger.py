@@ -53,8 +53,11 @@ class Account:
     credit_limit: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Transfer:
+    """One ledger row. Nothing assigns to it after construction; it is not
+    frozen because rows are built per settlement, and a frozen dataclass
+    sets each field through object.__setattr__."""
     at: int
     src: AccountKey
     dst: AccountKey

@@ -108,6 +108,10 @@ class TransactionResult:
     reason: str | None = None
 
 
+# Every commit returns this one result: it carries no per-batch state.
+COMMITTED = TransactionResult(True)
+
+
 @dataclass(frozen=True, slots=True)
 class OverlayConfig:
     degree: int = 6
@@ -378,7 +382,7 @@ class Overlay:
             ledger.apply_batch(ops)
         except Exception as exc:  # precondition failures abort, never partially apply
             return TransactionResult(False, f"{type(exc).__name__}")
-        return TransactionResult(True)
+        return COMMITTED
 
 
 # -- random regular graphs ----------------------------------------------------

@@ -37,8 +37,12 @@ class NoReplica(ReplicationError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ReplicatedObject:
+    """One replica state. Nothing assigns to it after construction, so
+    gossip may share one state between two hosts. It is not frozen because
+    one is built per write and merge, and a frozen dataclass sets each field
+    through object.__setattr__."""
     key: str
     value: object
     vv: dict[NodeId, int]
@@ -71,8 +75,12 @@ def merge(a: ReplicatedObject, b: ReplicatedObject) -> ReplicatedObject:
     return ReplicatedObject(winner.key, winner.value, joined, winner.wall)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Delivery:
+    """A broadcast of a write to one replica host. Nothing assigns to it
+    after construction; it is not frozen because one is built per replica
+    of each write, and a frozen dataclass sets each field through
+    object.__setattr__."""
     host: NodeId
     obj: ReplicatedObject
 

@@ -17,13 +17,6 @@ class ResourceVector:
     storage: int = 0
     bandwidth: int = 0
 
-    def __add__(self, other: ResourceVector) -> ResourceVector:
-        return ResourceVector(
-            self.compute + other.compute,
-            self.storage + other.storage,
-            self.bandwidth + other.bandwidth,
-        )
-
     def covers(self, required: ResourceVector) -> bool:
         """True when every component is at least the required amount."""
         return (

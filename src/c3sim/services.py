@@ -19,7 +19,10 @@ p/q the tightest overrun (`budget_fraction`). Video sessions are metered
 here too: `plan_session` admits one, and live sessions share their host's
 bandwidth until `end_session`, or `cut_off` when the host leaves. `settle`
 counts a finished plan's draw as demand and commits its charge as one
-transaction under the requester's regional quorum. Admission counts every
+transaction under the requester's regional quorum. Demand is two integer
+counters, the compute and the bandwidth settled since the last
+`take_demand`; that call builds the one `ResourceVector` from them and the
+storage live instances hold, then resets them. Admission counts every
 request it places, call or session, as its region's demand. `VendorRuntime`
 is the vendor baseline as a placement policy: its plans name one fixed host
 and carry no price. Every plan carries its budget from admission, so
@@ -98,8 +101,11 @@ class Instance:
     size: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Request:
+    """One request, as its arrival made it. Nothing assigns to it after
+    construction; it is not frozen because one is built per request, and a
+    frozen dataclass sets each field through object.__setattr__."""
     req_id: int
     service_id: str
     requester: NodeId
@@ -232,7 +238,9 @@ class ServiceRuntime:
         self._rate = float(config.stream_rate)
         self._floor = config.floor * config.stream_rate
         self._sustain = config.sustain_window
-        self.demand = ResourceVector()
+        # Compute and bandwidth settled since the last take_demand.
+        self._used_compute = 0
+        self._used_bandwidth = 0
         self.egress: dict[NodeId, int] = {}
         self.traffic: dict[str, dict[str, int]] = {}
         self._targets: dict[str, dict[str, list[int]]] = {}
@@ -399,11 +407,15 @@ class ServiceRuntime:
 
     def settle(self, plan: InvokePlan, at: SimTime) -> None:
         """Count the plan's draw as demand and commit its charge, if any; an
-        abort, or a region without quorum, leaves it payment-failed."""
-        self.demand = self.demand + plan.consumed
-        rows = self.settlement_rows(plan, at)
-        if not rows:
+        abort, or a region without quorum, leaves it payment-failed. A
+        positive charge always makes a payment or a subsidy row, and no
+        charge makes none, so a plan without one stops before the rows."""
+        consumed = plan.consumed
+        self._used_compute += consumed.compute
+        self._used_bandwidth += consumed.bandwidth
+        if plan.charged <= 0:
             return
+        rows = self.settlement_rows(plan, at)
         region = self.overlay.records[plan.request.requester].region
         try:
             committed = self.overlay.execute_transaction(
@@ -417,9 +429,11 @@ class ServiceRuntime:
     def take_demand(self) -> ResourceVector:
         """The draw settled since the last call, and the storage the live
         instances hold."""
-        used, self.demand = self.demand, ResourceVector()
-        held = sum(self.held_storage().values())
-        return ResourceVector(used.compute, held, used.bandwidth)
+        demand = ResourceVector(self._used_compute,
+                                sum(self.held_storage().values()),
+                                self._used_bandwidth)
+        self._used_compute = self._used_bandwidth = 0
+        return demand
 
     # -- sessions -------------------------------------------------------------------
 

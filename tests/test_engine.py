@@ -123,11 +123,13 @@ class TestDeterminism:
     def test_processed_log_totally_ordered(self, times):
         sim = Simulator(seed=1, horizon=1000)
         log, handler = recorder(sim)
-        events = [sim.at(t, handler, i) for i, t in enumerate(times)]
+        for i, t in enumerate(times):
+            sim.at(t, handler, i)
         sim.run()
-        keys = [(t, events[i].seq) for t, i in log]
-        assert keys == sorted(keys)
-        assert len(keys) == len(times)
+        # Each row is (tick, i): seq is monotone in scheduling order, so the
+        # scheduling index i orders ties as seq does.
+        assert log == sorted(log)
+        assert len(log) == len(times)
 
 
 class TestStreams:

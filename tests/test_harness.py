@@ -1131,6 +1131,24 @@ class TestCli:
         assert (out / "report.csv").read_text().startswith("metric,value")
         assert not (out / "report.json").exists()
 
+    def test_out_naming_a_file_exits_2_before_the_run(
+            self, scenario_file, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_scenario", ran.append)
+        out = tmp_path / "notes.md"
+        out.write_text("kept")
+        assert cli.main(["--scenario", str(scenario_file), "--out", str(out)]) == 2
+        assert f"error: --out: {out} is not a directory" in capsys.readouterr().err
+        assert ran == [] and out.read_text() == "kept"
+
+    def test_out_that_cannot_be_written_exits_2(self, scenario_file, tmp_path,
+                                                capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"  # its parent is a file, so mkdir fails
+        assert cli.main(["--scenario", str(scenario_file), "--out", str(out)]) == 2
+        assert "error: --out: " in capsys.readouterr().err
+
     def test_missing_scenario_file_is_a_config_error(self, tmp_path):
         assert cli.main(["--scenario", str(tmp_path / "nope.ini")]) == 2
 

@@ -281,6 +281,63 @@ class TestScheduling:
 
 
 
+class TestSettlement:
+    """`settle` counts each plan's draw toward the next `take_demand` and
+    writes ledger rows only for a positive charge it commits."""
+
+    settle_step = st.tuples(st.just("settle"),
+                            st.sampled_from(("paid", "unpaid", "free")),
+                            st.integers(0, 10), st.integers(0, 6),
+                            st.integers(1, 9))
+    steps = st.lists(st.one_of(settle_step,
+                               st.tuples(st.just("place"), st.integers(0, 4)),
+                               st.tuples(st.just("take"))), max_size=30)
+
+    @given(steps=steps)
+    @settings(max_examples=80, deadline=None)
+    def test_demand_is_the_draw_settled_since_the_last_take(self, steps):
+        """Completed (draw within (5, 0, 3)), terminated (beyond it),
+        payment-failed (the host left before settling) and zero-charge
+        plans, with deploys and retires between them. Charges up to the
+        subsidy of 2 pay by a subsidy row alone."""
+        rt, ids = make_runtime(balance=10**4)
+        rt.overlay.form_dvsp("main")
+        desc = descriptor(declared=(5, 0, 3), min_replicas=1, subsidy=2)
+        rt.publish(desc, ids[0], 0)
+        log = rt.ledger.log
+        compute = bandwidth = 0
+        for at, (op, *args) in enumerate(steps, start=1):
+            if op == "place":
+                rt._apply_targets(desc, {"main": args[0]}, at)
+            elif op == "take":
+                held = sum(i.size for insts in rt.instances.values()
+                           for i in insts)
+                assert rt.take_demand() == ResourceVector(compute, held,
+                                                          bandwidth)
+                compute = bandwidth = 0
+            else:
+                kind, c, b, gross = args
+                plan = InvokePlan(
+                    Request(next(_req_ids), "svc", ids[4], at,
+                            ResourceVector(c, 0, b)),
+                    ADMITTED, descriptor=desc, host=ids[1 + at % 3],
+                    gross=0 if kind == "free" else gross, start=at,
+                    budget=desc.declared)
+                rt.run_on_host(plan)
+                assert plan.outcome == (COMPLETED if c <= 5 and b <= 3
+                                        else TERMINATED)
+                rows = len(log)
+                if kind == "unpaid":
+                    rt.overlay.leave(plan.host)
+                rt.settle(plan, at)
+                if kind == "unpaid":
+                    rt.overlay.join(plan.host, at)
+                    assert plan.outcome == "payment-failed"
+                compute += plan.consumed.compute
+                bandwidth += plan.consumed.bandwidth
+                assert (len(log) > rows) == (kind == "paid")
+
+
 class TestPullPlacement:
     def test_cold_service_is_pulled_on_demand(self):
         rt, ids = make_runtime()
