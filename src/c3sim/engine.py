@@ -60,9 +60,23 @@ class RngStream(random.Random):
         self.label = label
         super().__init__(derive_seed(master_seed, label))
 
+    def below(self, n: int) -> int:
+        """randrange(n), and with a + below(b - a + 1) randint(a, b): the
+        same value from the same draws, without their argument handling.
+        It draws n.bit_length() bits until they fall below n, as random's
+        bit-draw loop does on CPython 3.10 to 3.13."""
+        if n < 1:
+            raise ValueError(f"empty range: below({n})")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return r
+
 
 @dataclass(frozen=True)
 class RunSummary:
+    """What `Simulator.run` returns: the events processed so far."""
     total_processed: int
 
 

@@ -45,6 +45,8 @@ class HistoryUnderflow(EvolutionError):
 
 @dataclass(frozen=True, slots=True)
 class Adoption:
+    """One node's switch of a service from one version to another, and
+    its cause: release, adopt or rollback."""
     node: NodeId
     service_id: str
     from_version: str

@@ -90,6 +90,8 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class PopulationClass:
+    """One `[population]` class: `count` nodes with the same capacity,
+    account terms and churn means, dealt round-robin over `regions`."""
     name: str
     count: int
     compute: int
@@ -109,6 +111,9 @@ class PopulationClass:
 
 @dataclass(frozen=True, slots=True)
 class ServiceEntry:
+    """One `[services]` catalog entry: the declared draw and code, the
+    developer's terms, the workload `share` and the bounds of the actual
+    draw, and the scripted update release."""
     service_id: str
     declared: ResourceVector
     code_size: int
@@ -126,6 +131,8 @@ class ServiceEntry:
 
 @dataclass(frozen=True, slots=True)
 class TopologySpec:
+    """The `[topology]` section: the regions, the community wiring and
+    its latencies, the vendor's latency and the super-peer size."""
     regions: tuple[str, ...]
     degree: int
     inter_region_links: int
@@ -137,6 +144,10 @@ class TopologySpec:
 
 @dataclass(frozen=True, slots=True)
 class WorkloadSpec:
+    """The `[workload]` section. Every key is parsed whatever the kind:
+    a wiki workload reads `rate`, `read_fraction`, `pages` and
+    `write_size`, a video workload `session_rate`, `mean_duration` and
+    `service`, and sessions the stream keys."""
     kind: str
     rate: float
     read_fraction: float
@@ -166,12 +177,16 @@ class FailureEntry:
 
 @dataclass(frozen=True, slots=True)
 class EvolutionSpec:
+    """The `[evolution]` section: each node's trusted-peer count and the
+    adoption threshold."""
     trust_out_degree: int
     theta: float
 
 
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
+    """A parsed, checked scenario: everything a run reads of it. The
+    `[simulation]` keys are fields here; each other section is a record."""
     seed: int
     horizon: int
     mode: str

@@ -83,11 +83,12 @@ class Runner:
         self.node_list: list[NodeId] = []
         self.by_class: dict[str, list[NodeId]] = {}
         for klass in cfg.population:
+            capacity = klass.capacity
             for i in range(klass.count):
                 node_id = generate_identity(ids)
                 region = klass.regions[i % len(klass.regions)]
                 self.overlay.add_record(NodeRecord(
-                    node_id, region, klass.capacity, klass.mean_online,
+                    node_id, region, capacity, klass.mean_online,
                     klass.mean_offline), online=True)
                 self.node_list.append(node_id)
                 self.by_class.setdefault(klass.name, []).append(node_id)
@@ -133,10 +134,17 @@ class Runner:
             ServiceRuntime(*runtime) if self.vendor_node is None
             else VendorRuntime(*runtime, self.vendor_node, topo.vendor_latency))
 
-        trust_rng, pool = self.sim.stream("evolution"), sorted(self.node_list)
-        k = min(cfg.evolution.trust_out_degree, len(pool) - 1)
-        trust = {node: tuple(trust_rng.sample(pool[:i] + pool[i + 1:], k))
-                 for i, node in enumerate(pool)}
+        # A vendor run registers no root, so it needs no trust graph. Each
+        # node's peers are drawn as indices into the pool without it, which
+        # draws what sampling that list would.
+        trust: dict[NodeId, tuple[NodeId, ...]] = {}
+        if cfg.mode == "community":
+            rng, pool = self.sim.stream("evolution"), sorted(self.node_list)
+            others = range(len(pool) - 1)
+            k = min(cfg.evolution.trust_out_degree, len(others))
+            for i, node in enumerate(pool):
+                trust[node] = tuple(pool[j + (j >= i)]
+                                    for j in rng.sample(others, k))
         self.evolution = UpdateDiffusion(trust, cfg.evolution.theta)
 
         if cfg.mode == "community":
@@ -145,9 +153,10 @@ class Runner:
                 for node in self.by_class[klass.name]:
                     self.ledger.open_account(node, klass.initial_balance,
                                              klass.credit_limit)
+                    rec = self.overlay.records[node]
                     self.repo.register(NodeResourceRecord(
-                        node, self.overlay.records[node].region,
-                        klass.capacity, cost_factor=klass.cost_factor))
+                        node, rec.region, rec.capacity,
+                        cost_factor=klass.cost_factor))
                     # Nothing is deployed yet, so no node holds any storage.
                     if self.overlay.is_online(node):
                         self.repo.offer(node, 0, basket)

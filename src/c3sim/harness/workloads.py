@@ -14,8 +14,11 @@ from ..resources import ResourceVector
 from .config import ScenarioConfig, ServiceEntry
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WorkloadItem:
+    """One arrival, as the workload drew it. Nothing assigns to it after
+    construction; it is not frozen because a build makes one per arrival,
+    and a frozen dataclass sets each field through object.__setattr__."""
     at: int
     kind: str                 # read | write | session
     service_id: str = ""
@@ -26,15 +29,19 @@ class WorkloadItem:
 
 
 def draw_actual(svc: ServiceEntry, rng: RngStream) -> ResourceVector:
+    """A draw between the service's actual bounds, both included: randint
+    on compute, storage and bandwidth in that order."""
+    lo, hi, below = svc.actual_min, svc.actual_max, rng.below
     return ResourceVector(
-        rng.randint(svc.actual_min.compute, svc.actual_max.compute),
-        rng.randint(svc.actual_min.storage, svc.actual_max.storage),
-        rng.randint(svc.actual_min.bandwidth, svc.actual_max.bandwidth),
+        lo.compute + below(hi.compute - lo.compute + 1),
+        lo.storage + below(hi.storage - lo.storage + 1),
+        lo.bandwidth + below(hi.bandwidth - lo.bandwidth + 1),
     )
 
 
-def _pick_service(services: tuple[ServiceEntry, ...], rng: RngStream) -> ServiceEntry:
-    total = sum(s.share for s in services)
+def _pick_service(services: tuple[ServiceEntry, ...], total: float,
+                  rng: RngStream) -> ServiceEntry:
+    """A service drawn by share; total is the sum of the shares."""
     point = rng.random() * total
     acc = 0.0
     for svc in services:
@@ -53,7 +60,8 @@ def generate(config: ScenarioConfig, rng: RngStream,
 
 def _wiki(config: ScenarioConfig, rng: RngStream,
           population: int) -> list[WorkloadItem]:
-    wl = config.workload
+    wl, services = config.workload, config.services
+    total = sum(s.share for s in services)
     items = []
     t = 0.0
     while True:
@@ -61,13 +69,13 @@ def _wiki(config: ScenarioConfig, rng: RngStream,
         at = int(t)
         if at >= config.horizon:
             break
-        requester = rng.randrange(population)
+        requester = rng.below(population)
         if rng.random() < wl.read_fraction:
-            svc = _pick_service(config.services, rng)
+            svc = _pick_service(services, total, rng)
             items.append(WorkloadItem(at, "read", svc.service_id, requester,
                                       draw_actual(svc, rng)))
         else:
-            items.append(WorkloadItem(at, "write", page=rng.randrange(wl.pages),
+            items.append(WorkloadItem(at, "write", page=rng.below(wl.pages),
                                       requester_index=requester))
     return items
 
@@ -85,6 +93,6 @@ def _video(config: ScenarioConfig, rng: RngStream,
             break
         duration = max(1, int(rng.expovariate(1.0 / wl.mean_duration)))
         items.append(WorkloadItem(
-            at, "session", svc.service_id, rng.randrange(population),
+            at, "session", svc.service_id, rng.below(population),
             actual=draw_actual(svc, rng), duration=duration))
     return items

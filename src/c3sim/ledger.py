@@ -49,6 +49,7 @@ def account_label(key: AccountKey) -> str:
 
 @dataclass(slots=True)
 class Account:
+    """A balance and how far below zero it may go."""
     balance: int
     credit_limit: int = 0
 
@@ -67,6 +68,8 @@ class Transfer:
 
 @dataclass(frozen=True, slots=True)
 class MarketConfig:
+    """The market's starting unit prices, damping exponent and price
+    bounds, and whether payments burn and hosting rewards are minted."""
     initial: dict[str, int]  # credits per unit, by resource kind
     alpha: float = 0.5
     p_min: int = 1

@@ -84,6 +84,8 @@ def generate_identity(rng: RngStream) -> NodeId:
 
 @dataclass(slots=True)
 class NodeRecord:
+    """A node as the overlay knows it: its region, capacity, churn means
+    and the tick it last came online."""
     node_id: NodeId
     region: str
     capacity: ResourceVector
@@ -94,6 +96,7 @@ class NodeRecord:
 
 @dataclass(frozen=True, slots=True)
 class VirtualSuperPeer:
+    """A region's super-peer: its members and the epoch it was formed in."""
     members: tuple[NodeId, ...]
     epoch: int
 
@@ -104,6 +107,7 @@ class VirtualSuperPeer:
 
 @dataclass(frozen=True, slots=True)
 class TransactionResult:
+    """Whether a region's quorum committed a ledger batch, and why not."""
     committed: bool
     reason: str | None = None
 
@@ -114,6 +118,8 @@ COMMITTED = TransactionResult(True)
 
 @dataclass(frozen=True, slots=True)
 class OverlayConfig:
+    """How the overlay wires its nodes: degree bounds, cross-region links,
+    latencies and the super-peer size."""
     degree: int = 6
     min_degree: int = 3
     inter_region_links: int = 3

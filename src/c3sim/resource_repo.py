@@ -58,6 +58,9 @@ class UnknownNode(RepoError):
 
 @dataclass(slots=True)
 class NodeResourceRecord:
+    """A host's entry in the repository: its capacity and cost, and what
+    its heartbeats and sweeps keep of its free capacity, price,
+    availability and performance."""
     node_id: NodeId
     region: str
     capacity: ResourceVector
@@ -71,6 +74,8 @@ class NodeResourceRecord:
 
 @dataclass(frozen=True, slots=True)
 class ResourceQuery:
+    """A request for `count` hosts that cover `required`, scored by
+    `weights` and preferring `preferred_region`."""
     required: ResourceVector
     count: int = 1
     preferred_region: str | None = None

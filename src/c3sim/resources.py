@@ -13,6 +13,7 @@ RESOURCE_KINDS = ("compute", "storage", "bandwidth")
 
 @dataclass(frozen=True, slots=True)
 class ResourceVector:
+    """An amount of each resource kind, in integer units."""
     compute: int = 0
     storage: int = 0
     bandwidth: int = 0

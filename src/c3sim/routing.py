@@ -243,7 +243,8 @@ class NearestLabels:
     tight parents are the neighbours p with label[p] + latency == label[v]:
     the same owner, one link nearer. Every link takes at least a tick, so
     they lead back to the owner, and a label stays exact while one tight
-    parent keeps its own."""
+    parent keeps its own. A source's cell, the nodes whose label it owns,
+    is what its loss cuts, so a lost source's cell is found by owner."""
 
     def __init__(self, graph: Graph):
         self._graph = graph
@@ -260,7 +261,7 @@ class NearestLabels:
         if want != sources:
             gone = sources - want
             sources -= gone
-            heap = self._cut(gone) if gone else []
+            heap = self._drop_cells(gone) if gone else []
             label, ids = self._label, self._graph.ids
             for s in want - sources:
                 label[s] = ids[s]
@@ -294,35 +295,52 @@ class NearestLabels:
             self._spread([(label[a], a)])
 
     def left(self, i: int, former_links: dict[int, int]) -> None:
-        """Node i went offline and lost former_links. Its tight children
-        are found from its label, still intact, and cut. It stops being a
-        source at once, so that a rejoin does not bring it back as one."""
+        """Node i went offline and lost former_links. A source stops being
+        one at once, so that a rejoin does not bring it back as one, and
+        its cell is dropped. Any other node's tight children are found from
+        its label, still intact, and cut."""
         label = self._label
+        if i in self._sources:
+            self._sources.discard(i)
+            self._spread(self._drop_cells((i,)))
+            return
         li = label[i]
         children = [c for c, latency in former_links.items()
                     if label[c] == li + (latency << ID_BITS)]
-        self._sources.discard(i)
         label[i] = _UNLABELLED
-        self._spread(self._cut(children))
+        if children:
+            self._spread(self._cut(children))
+
+    def _drop_cells(self, gone) -> list:
+        """Reseed the cells of the gone sources, indices no longer in
+        _sources: every node whose label one of them owns. A tight parent
+        has its child's owner, so a cell member's tight paths all lead to a
+        gone source, and the cells are exactly what _cut would find lost
+        from the gone sources, found here without its walk."""
+        ids = self._graph.ids
+        owners = {ids[s] for s in gone}
+        return self._reseed([v for v, lv in enumerate(self._label)
+                             if (lv & _OWNER) in owners])
 
     def _cut(self, suspects) -> list:
         """Unlabel the nodes that lost every tight path to their owner and
         reseed them from the least label their neighbours offer; return
         those reseeded as (label, index) pairs for _spread.
 
-        Suspects go in label order. A node is lost if it is no source and
-        has no tight parent outside the lost set; a lost node's children are
-        suspects in turn. A tight parent's label is lower, so by a node's
-        turn every lost node that could be its parent is known, and the lost
-        set is exact. Every other label stays exact: it keeps a tight path,
-        and no route got shorter."""
-        label, links, sources = self._label, self._graph.links, self._sources
+        Suspects go in label order. A node is lost if it has no tight
+        parent outside the lost set; a lost node's children are suspects in
+        turn. A tight parent's label is lower, so by a node's turn every
+        lost node that could be its parent is known, and the lost set is
+        exact. No suspect is a source: a source's label is at latency 0, so
+        it is no node's tight child. Every other label stays exact: it
+        keeps a tight path, and no route got shorter."""
+        label, links = self._label, self._graph.links
         heap = [(label[v], v) for v in suspects]
         heapq.heapify(heap)
         lost: set[int] = set()
         while heap:
             lv, v = heapq.heappop(heap)
-            if v in lost or v in sources:
+            if v in lost:
                 continue
             # One pass: a tight parent that is not lost keeps v; else v is
             # lost, and the children met on the way are suspects.
@@ -338,6 +356,13 @@ class NearestLabels:
                 lost.add(v)
                 for child in children:
                     heapq.heappush(heap, child)
+        return self._reseed(lost)
+
+    def _reseed(self, lost) -> list:
+        """Unlabel the lost nodes, then label each from the least label its
+        neighbours offer; return those labelled as (label, index) pairs for
+        _spread. A lost neighbour offers nothing."""
+        label, links = self._label, self._graph.links
         for v in lost:
             label[v] = _UNLABELLED
         heap = []

