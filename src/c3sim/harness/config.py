@@ -339,9 +339,7 @@ def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
         return _Section(name, dict(parser[name]) if parser.has_section(name) else {})
 
     sim = section("simulation")
-    mode = sim.text("mode", "community")
-    if mode not in ("community", "vendor"):
-        raise ConfigError("[simulation] mode", f"must be community or vendor, got {mode!r}")
+    mode = _checked_mode(sim.text("mode", "community"))
     topo = _topology(section("topology"))
     population = _population(section("population"), topo.regions)
     market = _market(section("market"))
@@ -628,6 +626,14 @@ def _check_horizon(config: ScenarioConfig) -> None:
                               f"horizon / {key} is above {MAX_TICKS} ticks")
 
 
+def _checked_mode(mode: str) -> str:
+    """The mode, from the file or from --mode, if it is a known one."""
+    if mode not in ("community", "vendor"):
+        raise ConfigError("[simulation] mode",
+                          f"must be community or vendor, got {mode!r}")
+    return mode
+
+
 def with_overrides(config: ScenarioConfig, seed: int | None = None,
                    horizon: int | None = None,
                    mode: str | None = None) -> ScenarioConfig:
@@ -642,8 +648,5 @@ def with_overrides(config: ScenarioConfig, seed: int | None = None,
         config = replace(config, horizon=horizon)
         _check_horizon(config)
     if mode is not None:
-        if mode not in ("community", "vendor"):
-            raise ConfigError("[simulation] mode",
-                              f"must be community or vendor, got {mode!r}")
-        config = replace(config, mode=mode)
+        config = replace(config, mode=_checked_mode(mode))
     return config

@@ -21,14 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .overlay import NodeId
 from .resources import RESOURCE_KINDS, ResourceVector
 
 MINT = "mint"
 BURN = "burn"
 PRICE_SNAP = 10 ** 6
 
-AccountKey = NodeId | str
+AccountKey = int | str  # a NodeId (an int with a `short` label) or a name
 
 
 class LedgerError(Exception):
@@ -44,7 +43,7 @@ class CreditLimitExceeded(LedgerError):
 
 
 def account_label(key: AccountKey) -> str:
-    return key.short if isinstance(key, NodeId) else key
+    return key if isinstance(key, str) else key.short
 
 
 @dataclass(slots=True)
@@ -159,52 +158,45 @@ class Ledger:
 
     def transfer(self, src: AccountKey, dst: AccountKey, amount: int,
                  reason: str, at: int) -> Transfer:
-        row = Transfer(at, src, dst, amount, reason)
-        self._check(row, {})
-        self._apply(row)
-        return row
+        return self.apply_batch([Transfer(at, src, dst, amount, reason)])[0]
 
     def apply_batch(self, ops: list[Transfer]) -> list[Transfer]:
-        """All rows or none: stage every balance change, then commit. Each
-        row is logged as given, at the tick it carries."""
+        """The one write path, all rows or none: each row is checked against
+        the balances staged by the rows before it, then every row is applied
+        and logged as given, at the tick it carries. A refusal raises a
+        LedgerError; a negative amount, which no caller builds, ValueError."""
         staged: dict[AccountKey, int] = {}
         for row in ops:
-            self._check(row, staged)
-            if row.src != MINT:
-                staged[row.src] = staged.get(row.src, 0) - row.amount
-            if row.dst != BURN:
-                staged[row.dst] = staged.get(row.dst, 0) + row.amount
+            src, dst, amount = row.src, row.dst, row.amount
+            if amount < 0:
+                raise ValueError("transfer amount must be non-negative")
+            if dst != BURN:
+                self._account(dst)
+            if src != MINT:
+                acct = self._account(src)
+                effective = acct.balance + staged.get(src, 0) - amount
+                if effective < -acct.credit_limit:
+                    raise CreditLimitExceeded(
+                        f"{account_label(src)}: {effective} < -{acct.credit_limit}")
+                staged[src] = staged.get(src, 0) - amount
+            if dst != BURN:
+                staged[dst] = staged.get(dst, 0) + amount
         for row in ops:
-            self._apply(row)
+            if row.src == MINT:
+                self.minted += row.amount
+            else:
+                self.accounts[row.src].balance -= row.amount
+            if row.dst == BURN:
+                self.burned += row.amount
+            else:
+                self.accounts[row.dst].balance += row.amount
+        self.log.extend(ops)
         return ops
-
-    def _check(self, row: Transfer, staged: dict[AccountKey, int]) -> None:
-        if row.amount < 0:
-            raise ValueError("transfer amount must be non-negative")
-        if row.dst != BURN:
-            self._account(row.dst)
-        if row.src != MINT:
-            acct = self._account(row.src)
-            effective = acct.balance + staged.get(row.src, 0) - row.amount
-            if effective < -acct.credit_limit:
-                raise CreditLimitExceeded(
-                    f"{account_label(row.src)}: {effective} < -{acct.credit_limit}")
-
-    def _apply(self, row: Transfer) -> None:
-        if row.src == MINT:
-            self.minted += row.amount
-        else:
-            self.accounts[row.src].balance -= row.amount
-        if row.dst == BURN:
-            self.burned += row.amount
-        else:
-            self.accounts[row.dst].balance += row.amount
-        self.log.append(row)
 
     # -- service settlements ----------------------------------------------------
 
     def settlement_rows(self, requester: AccountKey, host: AccountKey,
-                        developer: AccountKey | None, gross: int,
+                        developer: AccountKey, gross: int,
                         subsidy: int, at: int, tag: str = "") -> list[Transfer]:
         """Rows moving `gross` to the host, subsidised up to `subsidy`.
 
@@ -216,7 +208,7 @@ class Ledger:
         if gross <= 0:
             return []
         suffix = f":{tag}" if tag else ""
-        part = min(subsidy, gross) if developer is not None else 0
+        part = min(subsidy, gross)
         pay_to = BURN if self.market.config.minting else host
         rows = []
         if gross - part > 0:

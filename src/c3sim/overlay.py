@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass
 
 from .engine import RngStream, SimTime, sha256
+from .ledger import LedgerError
 from .resources import ResourceVector
 from .routing import ID_BITS, Graph
 
@@ -52,10 +53,6 @@ class Unreachable(OverlayError):
 
 
 class EmptyRegion(OverlayError):
-    pass
-
-
-class NoQuorum(OverlayError):
     pass
 
 
@@ -375,10 +372,14 @@ class Overlay:
 
         Prepare requires a quorum of super-peer members online and every
         participant (each NodeId appearing in an op) online; commit applies
-        the whole batch or nothing, each row at the tick it carries.
+        the whole batch or nothing, each row at the tick it carries. A
+        refusal is a result: "no-quorum" (also for a region with no
+        super-peer), "participant-offline:<id>", or the name of the
+        LedgerError the ledger refused the batch with. Any other exception
+        is a fault and propagates.
         """
         if not self.dvsp_has_quorum(region):
-            raise NoQuorum(region)
+            return TransactionResult(False, "no-quorum")
         online = self.online_ids
         for op in ops:
             for party in (op.src, op.dst):
@@ -386,8 +387,8 @@ class Overlay:
                     return TransactionResult(False, f"participant-offline:{party.short}")
         try:
             ledger.apply_batch(ops)
-        except Exception as exc:  # precondition failures abort, never partially apply
-            return TransactionResult(False, f"{type(exc).__name__}")
+        except LedgerError as exc:  # a refusal changes nothing
+            return TransactionResult(False, type(exc).__name__)
         return COMMITTED
 
 

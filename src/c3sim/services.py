@@ -60,7 +60,7 @@ from operator import add
 
 from .engine import RngStream, SimTime
 from .ledger import Ledger
-from .overlay import NodeId, NoQuorum, Overlay, Unreachable
+from .overlay import NodeId, Overlay, Unreachable
 from .replication import ReplicaStore
 from .resource_repo import NodeResourceRecord, Repository, ResourceQuery
 from .resources import RESOURCE_KINDS, ResourceVector
@@ -404,16 +404,15 @@ class ServiceRuntime:
         plan.latency = plan.done_at + hop - plan.request.issued_at
 
     def settlement_rows(self, plan: InvokePlan, at: SimTime):
-        desc = plan.descriptor
         return self.ledger.settlement_rows(
-            plan.request.requester, plan.host, desc.developer,
+            plan.request.requester, plan.host, plan.descriptor.developer,
             plan.charged, plan.subsidy_part, at, tag=str(plan.request.req_id))
 
     def settle(self, plan: InvokePlan, at: SimTime) -> None:
-        """Count the plan's draw as demand and commit its charge, if any; an
-        abort, or a region without quorum, leaves it payment-failed. A
-        positive charge always makes a payment or a subsidy row, and no
-        charge makes none, so a plan without one stops before the rows."""
+        """Count the plan's draw as demand and commit its charge, if any; a
+        refused transaction leaves it payment-failed. A positive charge
+        always makes a payment or a subsidy row, and no charge makes none,
+        so a plan without one stops before the rows."""
         consumed = plan.consumed
         self._used_compute += consumed.compute
         self._used_bandwidth += consumed.bandwidth
@@ -421,12 +420,8 @@ class ServiceRuntime:
             return
         rows = self.settlement_rows(plan, at)
         region = self.overlay.records[plan.request.requester].region
-        try:
-            committed = self.overlay.execute_transaction(
-                region, rows, self.ledger).committed
-        except NoQuorum:
-            committed = False
-        if not committed:
+        if not self.overlay.execute_transaction(region, rows,
+                                                self.ledger).committed:
             plan.outcome = "payment-failed"
             plan.bill(0)
 

@@ -243,20 +243,27 @@ class TestSettlements:
         assert ledger.accounts["host"].balance == 5
         assert ledger.accounts["dev"].balance == 98
 
-    def test_requester_debit_equals_host_credit_in_zero_sum(self):
+    @pytest.mark.parametrize("host, change", [
+        ("host", {"req": -5, "host": 9, "dev": -4}),
+        # self-hosted: the requester pays its share to itself
+        ("req", {"req": 4, "host": 0, "dev": -4}),
+    ])
+    def test_requester_debit_equals_host_credit_in_zero_sum(self, host, change):
         ledger = small_ledger([("req", 50), ("host", 0), ("dev", 50)])
-        rows = ledger.settlement_rows("req", "host", "dev", gross=9,
+        rows = ledger.settlement_rows("req", host, "dev", gross=9,
                                       subsidy=4, at=1)
         ledger.apply_batch(rows)
-        paid = (50 - ledger.accounts["req"].balance) + (50 - ledger.accounts["dev"].balance)
-        assert paid == ledger.accounts["host"].balance == 9
+        paid = sum(r.amount for r in rows if r.src in ("req", "dev"))
+        assert paid == sum(r.amount for r in rows if r.dst == host) == 9
+        assert {k: a.balance - ledger.opening_balances[k]
+                for k, a in ledger.accounts.items()} == change
         assert (sum(a.balance for a in ledger.accounts.values())
                 == sum(ledger.opening_balances.values()) + ledger.minted
                 - ledger.burned)
 
     def test_zero_gross_yields_no_rows(self):
-        ledger = small_ledger([("req", 10), ("host", 0)])
-        assert ledger.settlement_rows("req", "host", None, 0, 0, at=1) == []
+        ledger = small_ledger([("req", 10), ("host", 0), ("dev", 10)])
+        assert ledger.settlement_rows("req", "host", "dev", 0, 5, at=1) == []
 
     def test_minting_routes_payment_to_burn_and_reward_from_mint(self):
         ledger = small_ledger([("req", 50), ("host", 0), ("dev", 50)],

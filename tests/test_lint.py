@@ -256,6 +256,40 @@ def test_every_src_dataclass_has_a_docstring(name):
     assert undocumented_dataclasses(MODULES[name].read_text()) == []
 
 
+def blanket_excepts(source: str) -> list[str]:
+    """The handlers of a source that catch everything: a bare `except:`,
+    or one naming Exception or BaseException, alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            caught = (node.type.elts if isinstance(node.type, ast.Tuple)
+                      else [node.type])
+            if any(t is None or (isinstance(t, ast.Name)
+                                 and t.id in ("Exception", "BaseException"))
+                   for t in caught):
+                found.append(f"line {node.lineno}")
+    return found
+
+
+def test_the_check_sees_a_blanket_except():
+    source = ("try:\n    f()\nexcept:\n    pass\n"
+              "try:\n    f()\nexcept (KeyError, Exception) as exc:\n    pass\n"
+              "try:\n    f()\nexcept BaseException:\n    raise\n"
+              "try:\n    f()\nexcept (KeyError, ValueError):\n    pass\n"
+              "try:\n    f()\nexcept ExceptionGroup:\n    pass\n")
+    assert blanket_excepts(source) == ["line 3", "line 7", "line 11"]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in MODULES
+                                        if n.startswith("c3sim")))
+def test_no_src_module_catches_every_exception(name):
+    """A handler that catches everything turns a fault in the program into
+    whatever the handler reports. In a run that report is ordinary data,
+    such as a refused payment in the logs, so the fault is never seen.
+    Each handler names the errors it expects."""
+    assert blanket_excepts(MODULES[name].read_text()) == []
+
+
 def outside_imports(source: str) -> list[str]:
     """Modules a source imports from neither the standard library nor
     c3sim; a relative import is c3sim's own."""

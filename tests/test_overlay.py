@@ -23,9 +23,9 @@ from c3sim.overlay import (
     EmptyRegion,
     NodeId,
     NodeRecord,
-    NoQuorum,
     Overlay,
     OverlayConfig,
+    TransactionResult,
     Unreachable,
     UnknownNode,
     _connected,
@@ -961,12 +961,32 @@ class TestTransactions:
         assert ledger.accounts[ids[2]].balance == 2
         assert ledger.log == ops  # at the tick each row carries
 
-    def test_lost_quorum_raises(self):
+    def test_lost_quorum_is_a_refused_result(self):
+        """A region whose super-peer lost its quorum, and a region with no
+        super-peer at all, refuse the batch with a result, as a churning
+        community does in ordinary traffic."""
         overlay, ids, ledger = self._fixture()
         vsp = overlay.dvsps["main"]
         for member in vsp.members[: vsp.quorum]:
             overlay.leave(member)
-        with pytest.raises(NoQuorum):
-            overlay.execute_transaction("main", [], ledger)
-        with pytest.raises(NoQuorum):
-            overlay.execute_transaction("unknown-region", [], ledger)
+        snapshot = self._balances(ledger)
+        for region in ("main", "unknown-region"):
+            result = overlay.execute_transaction(region, [], ledger)
+            assert result == TransactionResult(False, "no-quorum")
+        assert self._balances(ledger) == snapshot
+        assert ledger.log == []
+
+    @pytest.mark.parametrize("amount, fault", [(None, TypeError),
+                                               (-1, ValueError)])
+    def test_a_fault_in_a_batch_propagates(self, amount, fault):
+        """Only the ledger's refusals (a LedgerError) come back as results.
+        A row no caller may build is a fault in the program, so it is
+        raised, not logged as an ordinary refused payment."""
+        overlay, ids, ledger = self._fixture()
+        snapshot = self._balances(ledger)
+        ops = [Transfer(0, ids[0], ids[1], 4, "one"),
+               Transfer(0, ids[1], ids[2], amount, "two")]
+        with pytest.raises(fault):
+            overlay.execute_transaction("main", ops, ledger)
+        assert self._balances(ledger) == snapshot
+        assert ledger.log == []

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from c3sim.engine import RngStream
-from c3sim.overlay import NodeRecord
+from c3sim.overlay import NodeRecord, TransactionResult
 from c3sim.replication import ReplicaStore
 from c3sim.resource_repo import NodeResourceRecord, Repository
 from c3sim.resources import RESOURCE_KINDS, ResourceVector
@@ -338,6 +338,30 @@ class TestSettlement:
                 compute += plan.consumed.compute
                 bandwidth += plan.consumed.bandwidth
                 assert (len(log) > rows) == (kind == "paid")
+
+    def test_a_region_without_quorum_refuses_the_payment(self):
+        """The super-peer's quorum is lost while requester and host stay
+        online: the settlement is refused, the plan is left payment-failed
+        and uncharged, and no row or balance moves."""
+        rt, ids = make_runtime()
+        rt.publish(descriptor(declared=(5, 0, 0)), ids[0], 0)
+        host = rt.warm_instances("svc", 50)[0].host
+        for member in rt.overlay.form_dvsp("main").members:
+            if member != host:
+                rt.overlay.leave(member)
+        assert not rt.overlay.dvsp_has_quorum("main")
+        requester = next(i for i in ids
+                         if i != host and rt.overlay.is_online(i))
+        plan = rt.plan_invoke(request("svc", requester, 50, (5, 0, 0)), 50)
+        assert (plan.outcome, plan.host, plan.charged) == (COMPLETED, host, 5)
+        assert rt.overlay.execute_transaction(
+            "main", rt.settlement_rows(plan, 60), rt.ledger
+        ) == TransactionResult(False, "no-quorum")
+        balances = {k: a.balance for k, a in rt.ledger.accounts.items()}
+        rt.settle(plan, 60)
+        assert (plan.outcome, plan.charged) == ("payment-failed", 0)
+        assert rt.ledger.log == []
+        assert {k: a.balance for k, a in rt.ledger.accounts.items()} == balances
 
 
 class TestPullPlacement:
