@@ -57,7 +57,6 @@ class RngStream(random.Random):
         return super().__new__(cls)
 
     def __init__(self, master_seed: int, label: str):
-        self.label = label
         super().__init__(derive_seed(master_seed, label))
 
     def below(self, n: int) -> int:

@@ -11,10 +11,12 @@ Reads, chained calls and video sessions share one request path in
 of its bandwidth, and settles each in one ledger transaction; the runner
 writes one `requests` row per request. `Replicator` owns page writes and
 replica repair. The two architectures differ only in what `_build` puts
-behind that path. Community mode runs the full stack. The vendor baseline
-(`VendorRuntime`) serves the same pre-generated workload from one fixed,
-high-capacity host at no price, with no currency, no placement, no evolution
-and no community links, so the two can be compared under identical demand.
+behind that path, and one branch there states the difference. Community
+mode runs the full stack. The vendor baseline (`VendorRuntime`) serves the
+same pre-generated workload from one fixed, high-capacity host at no price,
+with no currency, no placement, no evolution and no community links, so the
+two can be compared under identical demand; `_schedule` queues it no price
+or placement tick.
 """
 from __future__ import annotations
 
@@ -43,15 +45,6 @@ VENDOR_CLASS = "vendor-core"
 
 class Runner:
     def __init__(self, config: ScenarioConfig):
-        for entry in config.failures:  # --mode may have changed since parsing
-            if entry.kind == "vendor" and config.mode != "vendor":
-                raise ConfigError(f"[failures] {entry.name}.target",
-                                  "vendor target in community mode")
-        # Community nodes in core would share the vendor's super-peer: its
-        # repository gate would follow their churn and core targets hit them.
-        if config.mode == "vendor" and VENDOR_REGION in config.topology.regions:
-            raise ConfigError("[topology] regions",
-                              f"{VENDOR_REGION!r} is the vendor's region")
         self.config = config
         self.sim = Simulator(config.seed, config.horizon)
         self.logs: dict[str, list[tuple]] = {name: [] for name in COLUMNS}
@@ -97,24 +90,6 @@ class Runner:
                           klass.cost_factor, klass.credit_limit,
                           klass.initial_balance, 1)
 
-        self.vendor_node: NodeId | None = None
-        if cfg.mode == "community":
-            try:
-                self.overlay.build()
-            except OverlayError as exc:  # no connected graph of this degree
-                raise ConfigError("[topology] degree", str(exc)) from None
-        else:  # VendorRuntime makes every link; a super-peer gates the vendor
-            self.vendor_node = generate_identity(ids)
-            cap = ResourceVector(10 ** 6, 10 ** 9, 10 ** 6)
-            self.overlay.add_record(
-                NodeRecord(self.vendor_node, VENDOR_REGION, cap), online=True)
-            self._log("nodes", self.vendor_node.short, VENDOR_REGION,
-                      VENDOR_CLASS, cap.compute, cap.storage, cap.bandwidth,
-                      1.0, 0, 0, 1)
-        for region in self.overlay.regions:
-            if self.overlay.online_in_region(region):
-                self.overlay.form_dvsp(region)
-
         self.ledger = Ledger(MarketPrice(cfg.market))
         self.repo = Repository(
             heartbeat_interval=cfg.heartbeat_interval,
@@ -130,24 +105,18 @@ class Runner:
                                   sustain_window=wl.sustain_window),
                    self.overlay, self.repo, self.ledger, self.store,
                    self.sim.stream("services"))
-        self.services = (
-            ServiceRuntime(*runtime) if self.vendor_node is None
-            else VendorRuntime(*runtime, self.vendor_node, topo.vendor_latency))
 
-        # A vendor run registers no root, so it needs no trust graph. Each
-        # node's peers are drawn as indices into the pool without it, which
-        # draws what sampling that list would.
-        trust: dict[NodeId, tuple[NodeId, ...]] = {}
+        self.vendor_node: NodeId | None = None
         if cfg.mode == "community":
-            rng, pool = self.sim.stream("evolution"), sorted(self.node_list)
-            others = range(len(pool) - 1)
-            k = min(cfg.evolution.trust_out_degree, len(others))
-            for i, node in enumerate(pool):
-                trust[node] = tuple(pool[j + (j >= i)]
-                                    for j in rng.sample(others, k))
-        self.evolution = UpdateDiffusion(trust, cfg.evolution.theta)
-
-        if cfg.mode == "community":
+            for entry in cfg.failures:  # --mode may have changed since parsing
+                if entry.kind == "vendor":
+                    raise ConfigError(f"[failures] {entry.name}.target",
+                                      "vendor target in community mode")
+            try:
+                self.overlay.build()
+            except OverlayError as exc:  # no connected graph of this degree
+                raise ConfigError("[topology] degree", str(exc)) from None
+            self.services = ServiceRuntime(*runtime)
             basket = self.ledger.market.basket()
             for klass in cfg.population:
                 for node in self.by_class[klass.name]:
@@ -158,14 +127,41 @@ class Runner:
                         node, rec.region, rec.capacity,
                         cost_factor=klass.cost_factor))
                     # Nothing is deployed yet, so no node holds any storage.
-                    if self.overlay.is_online(node):
-                        self.repo.offer(node, 0, basket)
+                    self.repo.offer(node, 0, basket)
+            # Each node's peers are drawn as indices into the pool without
+            # it, which draws what sampling that list would.
+            rng, pool = self.sim.stream("evolution"), sorted(self.node_list)
+            others = range(len(pool) - 1)
+            k = min(cfg.evolution.trust_out_degree, len(others))
+            self.evolution = UpdateDiffusion(
+                {node: tuple(pool[j + (j >= i)] for j in rng.sample(others, k))
+                 for i, node in enumerate(pool)}, cfg.evolution.theta)
             for svc in cfg.services:
                 self.ledger.open_account(f"dev:{svc.service_id}",
                                          svc.developer_balance)
                 self.evolution.register_root(svc.service_id, "1.0", svc.fitness)
                 if svc.update_at is not None:
                     self.sim.at(svc.update_at, self._on_release, svc.service_id)
+        else:  # VendorRuntime makes every link; a super-peer gates the vendor
+            # Community nodes in core would share the vendor's super-peer: its
+            # repository gate would follow their churn and core targets hit them.
+            if VENDOR_REGION in topo.regions:
+                raise ConfigError("[topology] regions",
+                                  f"{VENDOR_REGION!r} is the vendor's region")
+            self.vendor_node = generate_identity(ids)
+            cap = ResourceVector(10 ** 6, 10 ** 9, 10 ** 6)
+            self.overlay.add_record(
+                NodeRecord(self.vendor_node, VENDOR_REGION, cap), online=True)
+            self._log("nodes", self.vendor_node.short, VENDOR_REGION,
+                      VENDOR_CLASS, cap.compute, cap.storage, cap.bandwidth,
+                      1.0, 0, 0, 1)
+            self.services = VendorRuntime(*runtime, self.vendor_node,
+                                          topo.vendor_latency)
+            # With no root registered, no trust graph is read.
+            self.evolution = UpdateDiffusion({}, cfg.evolution.theta)
+        # Every node starts online; publish's repository gate reads these.
+        for region in self.overlay.regions:
+            self.overlay.form_dvsp(region)
         publisher = min(self.node_list)
         for svc in cfg.services:
             desc = ServiceDescriptor(
@@ -206,9 +202,9 @@ class Runner:
             self._next_churn(node, self._on_leave)
         periodic = [(cfg.heartbeat_interval, self._on_sweep),
                     (cfg.gossip_period, self._on_gossip)]
-        if cfg.mode == "community":  # the vendor has no market
-            periodic.append((cfg.price_window, self._on_price))
-        periodic.append((cfg.placement_window, self._on_placement))
+        if cfg.mode == "community":  # the vendor has no market, no placement
+            periodic += [(cfg.price_window, self._on_price),
+                         (cfg.placement_window, self._on_placement)]
         for period, handler in periodic:
             for t in range(period, cfg.horizon + 1, period):
                 self.sim.at(t, handler)

@@ -101,13 +101,18 @@ class MarketPrice:
         cap = cfg.p_max * PRICE_SNAP
         if supply <= 0:
             return cap
-        ratio = demand / supply
-        if cfg.alpha == 0.5:
-            factor = math.sqrt(ratio)
-        else:
-            factor = ratio ** cfg.alpha
-        raw = micro / PRICE_SNAP * factor
-        return min(max(round(raw * PRICE_SNAP), cfg.p_min * PRICE_SNAP), cap)
+        try:
+            ratio = demand / supply
+            if cfg.alpha == 0.5:
+                factor = math.sqrt(ratio)
+            else:
+                factor = ratio ** cfg.alpha
+        except OverflowError:  # no float holds the factor; zero stays zero
+            return cap if micro > 0 else cfg.p_min * PRICE_SNAP
+        snapped = micro / PRICE_SNAP * factor * PRICE_SNAP
+        if snapped >= cap:  # inf included, which round rejects
+            return cap
+        return max(round(snapped), cfg.p_min * PRICE_SNAP)
 
     def basket(self) -> float:
         """Price of one unit of every resource."""
@@ -128,8 +133,6 @@ class Ledger:
         self.log: list[Transfer] = []
         # keyed by owner, not display label: drift must not depend on labels
         self.opening_balances: dict[AccountKey, int] = {}
-        self.minted = 0
-        self.burned = 0
 
     # -- accounts -------------------------------------------------------------
 
@@ -182,13 +185,9 @@ class Ledger:
             if dst != BURN:
                 staged[dst] = staged.get(dst, 0) + amount
         for row in ops:
-            if row.src == MINT:
-                self.minted += row.amount
-            else:
+            if row.src != MINT:
                 self.accounts[row.src].balance -= row.amount
-            if row.dst == BURN:
-                self.burned += row.amount
-            else:
+            if row.dst != BURN:
                 self.accounts[row.dst].balance += row.amount
         self.log.extend(ops)
         return ops

@@ -99,7 +99,6 @@ class Repository:
         if not 0.0 < beta <= 1.0:
             raise ValueError("beta must be in (0, 1]")
         self.beta = beta
-        self.heartbeat_interval = heartbeat_interval
         self.staleness = STALENESS_INTERVALS * heartbeat_interval
         self.region_gate = region_gate or (lambda region: True)
         self.records: dict[NodeId, NodeResourceRecord] = {}

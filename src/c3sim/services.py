@@ -702,9 +702,6 @@ class VendorRuntime(ServiceRuntime):
         return InvokePlan(request, ADMITTED, desc, self.host, start=at,
                           hop=hop, budget=request.actual)
 
-    def placement_tick(self, at: SimTime, push_enabled: bool) -> list[PlacementAction]:
-        return []
-
     def host_joined(self, host: NodeId, at: SimTime) -> list[PlacementAction]:
         """Link a joining node to the host; a returning host relinks every
         online node and runs every service again."""

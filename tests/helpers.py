@@ -1,13 +1,13 @@
 """Shared builders: scripted overlays, flat-priced markets, tiny ledgers.
 
-Fixtures here favour exact control over realism. Chains put every node in
+These builders favour exact control over realism. Chains put every node in
 its own region so no automatic wiring happens and tests own every edge;
 cliques give a fully connected single region for placement and DVSP work.
 """
 from __future__ import annotations
 
 from c3sim.engine import RngStream
-from c3sim.ledger import Ledger, MarketConfig, MarketPrice
+from c3sim.ledger import BURN, MINT, Ledger, MarketConfig, MarketPrice
 from c3sim.overlay import NodeId, NodeRecord, Overlay, OverlayConfig
 from c3sim.resources import ResourceVector
 from c3sim.routing import _UNBOUNDED
@@ -99,3 +99,17 @@ def small_ledger(accounts, market=None) -> Ledger:
     for owner, balance, *rest in accounts:
         ledger.open_account(owner, balance, rest[0] if rest else 0)
     return ledger
+
+
+def mint_and_burn(ledger: Ledger) -> tuple[int, int]:
+    """The units the ledger's log has minted and burned."""
+    return (sum(r.amount for r in ledger.log if r.src == MINT),
+            sum(r.amount for r in ledger.log if r.dst == BURN))
+
+
+def assert_conserved(ledger: Ledger) -> None:
+    """The balances sum to the opening total plus what the log minted, less
+    what it burned."""
+    minted, burned = mint_and_burn(ledger)
+    assert (sum(a.balance for a in ledger.accounts.values())
+            == sum(ledger.opening_balances.values()) + minted - burned)

@@ -41,7 +41,8 @@ from c3sim.services import (
     ServicesConfig,
 )
 
-from conftest import clique_overlay, flat_market, nid, small_ledger
+from helpers import (assert_conserved, clique_overlay, flat_market, nid,
+                     small_ledger)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = ("wiki_small.ini", "video_small.ini", "mixed_churn.ini")
@@ -240,10 +241,7 @@ def test_04_budget_semantics(shipped_runs, capfd):
             assert requester_debit + developer_debit == plan.charged
             assert host_credit == plan.charged
             assert developer_debit == plan.subsidy_part
-            ledger = rt.ledger
-            assert (sum(a.balance for a in ledger.accounts.values())
-                    == sum(ledger.opening_balances.values()) + ledger.minted
-                    - ledger.burned)
+            assert_conserved(rt.ledger)
         for name, runner in shipped_runs.items():
             assert audit_payment_identity(runner.logs) == [], name
 

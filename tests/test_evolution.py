@@ -14,7 +14,7 @@ from c3sim.evolution import (
     UpdateDiffusion,
 )
 
-from conftest import nid
+from helpers import nid
 
 
 def ring_trust(n):

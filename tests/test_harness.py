@@ -43,7 +43,7 @@ from c3sim.harness.runner import Runner, run_scenario
 from c3sim.harness.workloads import WorkloadItem, generate
 from c3sim.resources import ResourceVector
 from check_digests import scaled
-from conftest import assert_kept_facts
+from helpers import assert_kept_facts
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -487,6 +487,15 @@ class TestFailureGrammar:
             Runner(cfg)
         Runner(with_overrides(cfg, mode="vendor"))
 
+    def test_a_vendor_target_is_reported_before_an_unstorable_code(self):
+        services = {"svc.code_size": 10 ** 6}
+        with pytest.raises(ConfigError, match=r"\[services\] svc\.code_size"):
+            Runner(parse_scenario_text(small_scenario(services=services)))
+        cfg = parse_scenario_text(small_scenario(services=services, failures={
+            "entries": "e", "e.at": 10, "e.action": "kill", "e.target": "vendor"}))
+        with pytest.raises(ConfigError, match=r"\[failures\] e\.target"):
+            Runner(cfg)
+
     @pytest.mark.parametrize("target", [
         "region:zz", "region", "dvsp:zz:1", "dvsp:r0:x", "dvsp:r0",
         "nodes:random:0", "nodes:random:1.5", "nodes:random:abc",
@@ -808,6 +817,48 @@ class TestEndToEnd:
             for i, node in enumerate(pool)}
         vendor = Runner(with_overrides(cfg, mode="vendor"))
         assert vendor.evolution.trust == {}
+
+    def test_only_a_community_build_queues_price_and_placement_ticks(self):
+        cfg = parse_scenario_text(small_scenario())
+        periodic = {"_on_sweep", "_on_gossip", "_on_price", "_on_placement"}
+
+        def queued(runner):
+            return {entry[2].__name__ for entry in runner.sim._heap} & periodic
+
+        assert queued(Runner(cfg)) == periodic
+        assert queued(Runner(with_overrides(cfg, mode="vendor"))) == {
+            "_on_sweep", "_on_gossip"}
+
+    @pytest.mark.parametrize("scenario", ["wiki_small", "video_small",
+                                          "mixed_churn"])
+    def test_a_community_build_starts_every_node_online_offered_and_gated(
+            self, scenario):
+        runner = Runner(parse_scenario(SCENARIO_DIR / f"{scenario}.ini"))
+        overlay, nodes = runner.overlay, runner.node_list
+        assert overlay.online_ids == set(nodes)
+        assert all(node in runner.ledger.accounts for node in nodes)
+        assert all(runner.repo.records[node].last_heartbeat == 0
+                   for node in nodes)
+        assert sorted(overlay.dvsps) == sorted(overlay.regions)
+
+    def test_a_price_window_past_any_float_caps_the_price(self):
+        # At alpha 400 the first window's bandwidth factor, (demand /
+        # supply) ** 400, is past any float; the price caps at p_max.
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(SCENARIO_DIR / "wiki_small.ini")
+        parser["simulation"]["horizon"] = "6000"
+        parser["market"].update(alpha="400", initial_bandwidth="1")
+        parser["services"].update({
+            "search.declared_bandwidth": "1000000",
+            "search.actual_bandwidth_min": "1000000",
+            "search.actual_bandwidth_max": "1000000",
+            "search.subsidy": "2000000",
+            "search.developer_balance": "1000000000"})
+        text = io.StringIO()
+        parser.write(text)
+        runner = run_scenario(parse_scenario_text(text.getvalue()))
+        assert runner.logs["prices"] == [(5000, 1.0, 1.0, 1000.0)]
+        assert run_audits(runner.logs) == []
 
     def test_vendor_serves_from_one_center_without_currency(self):
         runner = run_scenario(with_overrides(

@@ -21,7 +21,7 @@ from c3sim.ledger import (
 )
 from c3sim.resources import RESOURCE_KINDS, ResourceVector
 
-from conftest import flat_market, small_ledger
+from helpers import assert_conserved, flat_market, mint_and_burn, small_ledger
 
 
 class TestTransfers:
@@ -163,6 +163,16 @@ class TestPrices:
         market.update(ResourceVector(10**6, 0, 0), ResourceVector(1, 1, 1))
         assert market.price("compute") == market.config.p_max
 
+    @pytest.mark.parametrize("alpha", [308, 400])
+    def test_a_factor_past_any_float_caps_a_price_and_keeps_zero(self, alpha):
+        # Demand 10x supply: 10 ** 400 overflows the power itself, while
+        # 10 ** 308 is a float whose product with a price of 1 or 2 is inf.
+        market = MarketPrice(MarketConfig(
+            initial={"compute": 2, "storage": 0, "bandwidth": 1},
+            alpha=alpha, p_min=0, p_max=1000))
+        market.update(ResourceVector(10, 10, 10), ResourceVector(1, 1, 1))
+        assert [market.price(k) for k in RESOURCE_KINDS] == [1000, 0, 1000]
+
     def test_initial_price_outside_bounds_rejected(self):
         with pytest.raises(ValueError):
             MarketPrice(MarketConfig(initial={k: 0 for k in RESOURCE_KINDS}))
@@ -257,9 +267,7 @@ class TestSettlements:
         assert paid == sum(r.amount for r in rows if r.dst == host) == 9
         assert {k: a.balance - ledger.opening_balances[k]
                 for k, a in ledger.accounts.items()} == change
-        assert (sum(a.balance for a in ledger.accounts.values())
-                == sum(ledger.opening_balances.values()) + ledger.minted
-                - ledger.burned)
+        assert_conserved(ledger)
 
     def test_zero_gross_yields_no_rows(self):
         ledger = small_ledger([("req", 10), ("host", 0), ("dev", 10)])
@@ -274,11 +282,8 @@ class TestSettlements:
             ("req", BURN), ("dev", BURN), (MINT, "host")]
         ledger.apply_batch(rows)
         assert ledger.accounts["host"].balance == 6
-        assert ledger.minted == 6
-        assert ledger.burned == 6
-        assert (sum(a.balance for a in ledger.accounts.values())
-                == sum(ledger.opening_balances.values()) + ledger.minted
-                - ledger.burned)
+        assert mint_and_burn(ledger) == (6, 6)
+        assert_conserved(ledger)
 
 
 class TestAudits:
@@ -306,17 +311,12 @@ class TestAudits:
                           a.balance, 0) for k, a in ledger.accounts.items()],
         }
         assert audit_conservation(logs) == []
-        assert (sum(a.balance for a in ledger.accounts.values())
-                == sum(ledger.opening_balances.values()) + ledger.minted
-                - ledger.burned)
+        assert_conserved(ledger)
 
     def test_drift_definition_tracks_mint_and_burn(self):
         ledger = small_ledger([("a", 10)], market=flat_market(minting=True))
         ledger.transfer(MINT, "a", 7, "hosting-reward", at=1)
         ledger.transfer("a", BURN, 2, "service-payment", at=2)
         assert ledger.accounts["a"].balance == 15
-        assert ledger.minted == 7
-        assert ledger.burned == 2
-        assert (sum(a.balance for a in ledger.accounts.values())
-                == sum(ledger.opening_balances.values()) + ledger.minted
-                - ledger.burned)
+        assert mint_and_burn(ledger) == (7, 2)
+        assert_conserved(ledger)

@@ -36,8 +36,8 @@ from c3sim.overlay import (
 from c3sim.resources import ResourceVector
 from c3sim.routing import ID_BITS, _UNBOUNDED, Graph, NearestLabels
 
-from conftest import (assert_kept_facts, chain_overlay, clique_overlay, nid,
-                      small_ledger)
+from helpers import (assert_kept_facts, chain_overlay, clique_overlay, nid,
+                     small_ledger)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -16,7 +16,7 @@ from c3sim.replication import (
     merge,
 )
 
-from conftest import nid
+from helpers import nid
 
 A, B, C, D, E = nid(1), nid(2), nid(3), nid(4), nid(5)
 

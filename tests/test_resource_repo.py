@@ -19,7 +19,7 @@ from c3sim.resource_repo import (
 )
 from c3sim.resources import ResourceVector
 
-from conftest import nid
+from helpers import nid
 
 
 def make_repo(n, beta=0.1, interval=500, region="main", region_gate=None,

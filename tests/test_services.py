@@ -28,8 +28,8 @@ from c3sim.services import (
     budget_fraction,
 )
 
-from conftest import (chain_overlay, clique_overlay, flat_market, nid,
-                      small_ledger)
+from helpers import (assert_conserved, chain_overlay, clique_overlay,
+                     flat_market, nid, small_ledger)
 
 _req_ids = itertools.count(1)
 
@@ -224,10 +224,7 @@ class TestBudgetMetering:
         assert rt.ledger.accounts[ids[4]].balance == 0
         assert rt.ledger.accounts["dev"].balance == 10**6 - 5
         assert rt.ledger.accounts[plan.host].balance == 5
-        ledger = rt.ledger
-        assert (sum(a.balance for a in ledger.accounts.values())
-                == sum(ledger.opening_balances.values()) + ledger.minted
-                - ledger.burned)
+        assert_conserved(rt.ledger)
 
     def test_rejected_without_funds(self):
         rt, ids = make_runtime(balance=0)
