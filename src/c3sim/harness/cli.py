@@ -5,7 +5,8 @@
 Exit codes: 0 on success, 2 on a configuration problem (bad scenario file,
 unknown failure target, bad flag combination, an --out that is no directory
 or cannot be written), 3 when --check finds an invariant violation in the
-run's logs.
+run's logs or, with --out, a written report that its written logs do not
+recompute to.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from pathlib import Path
 
 from .audits import run_audits
 from .config import ConfigError, parse_scenario, with_overrides
-from .io import report_json, write_outputs
+from .io import report_csv, report_json, write_outputs
+from .recompute import difference
 from .runner import run_scenario
 
 EXIT_OK = 0
@@ -40,7 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=("community", "vendor"),
                         default=None, help="override the scenario mode")
     parser.add_argument("--check", action="store_true",
-                        help="run invariant audits after the run")
+                        help="run invariant audits after the run; with "
+                             "--out, also recompute the report from the "
+                             "written logs and compare it byte for byte "
+                             "with the written report (without --out, "
+                             "the audits only)")
     return parser
 
 
@@ -64,9 +70,14 @@ def main(argv=None) -> int:
             print(f"error: --out: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     else:
-        sys.stdout.write(report_json(runner.report))
+        serialize = report_csv if args.format == "csv" else report_json
+        sys.stdout.write(serialize(runner.report))
     if args.check:
         violations = run_audits(runner.logs)
+        if args.out is not None:
+            differs = difference(args.out, args.format)
+            if differs is not None:
+                violations.append(f"recompute: {differs}")
         if violations:
             for line in violations:
                 print(f"violation: {line}", file=sys.stderr)

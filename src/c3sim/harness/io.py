@@ -41,18 +41,31 @@ def write_outputs(logs: Logs, report: dict, out_dir: Path,
 
 
 def read_logs(out_dir: Path) -> Logs:
+    """Every COLUMNS table of out_dir, each row converted per its schema. A
+    missing table raises FileNotFoundError; a header other than the
+    schema's columns, a row with the wrong number of cells or a cell its
+    converter refuses raises ValueError naming the file and line."""
     out_dir = Path(out_dir)
     logs: Logs = {}
     for name, schema in COLUMNS.items():
         path = out_dir / f"{name}.csv"
-        if not path.exists():
-            logs[name] = []
-            continue
+        columns = [column for column, _ in schema]
         converters = [conv for _, conv in schema]
+        width = len(columns)
+        rows = logs[name] = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            next(reader, None)
-            logs[name] = [tuple(conv(cell) for conv, cell
-                                in zip(converters, row))
-                          for row in reader]
+            if next(reader, None) != columns:
+                raise ValueError(
+                    f"{path}:1: header is not {','.join(columns)}")
+            for row in reader:
+                if len(row) != width:
+                    raise ValueError(f"{path}:{reader.line_num}: {len(row)} "
+                                     f"cells, not {width}")
+                try:
+                    rows.append(tuple(conv(cell) for conv, cell
+                                      in zip(converters, row)))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: {exc}") from None
     return logs

@@ -5,15 +5,15 @@ labellings that `labelling()` hands out (one per published service, for
 request placement). Each holds, for every node, its least (route latency,
 source node id) over a set of sources, and the graph's write methods
 repair it in place at every topology change. A route over a direct link
-needs no search when the link is no longer than its two ends' least link
-latencies together: any other path leaves and enters by other links, so it
-is no shorter, and it is no wider, since a link is as wide as its narrower
-end. Any other query runs a Dial bucket search (Dial, CACM 1969) from its
-source, answers every target it was asked for from that one search, and
-drops it on return. A sized route's transfer term needs the widest path
-only when the two ends' bandwidths and the least bandwidth of any node
-bracket it loosely: bandwidths never change, so every path's width lies
-between them, and a term that both bounds give is the term.
+needs no search when the link is no longer than twice the least latency of
+any link ever made: any other path leaves and enters by two other links, so
+it is no shorter, and it is no wider, since a link is as wide as its
+narrower end. Any other query runs a Dial bucket search (Dial, CACM 1969)
+from its source, answers every target it was asked for from that one
+search, and drops it on return. A sized route's transfer term needs the
+widest path only when the two ends' bandwidths and the least bandwidth of
+any node bracket it loosely: bandwidths never change, so every path's width
+lies between them, and a term that both bounds give is the term.
 """
 from __future__ import annotations
 
@@ -27,13 +27,14 @@ _UNBOUNDED = 1 << 62
 class Graph:
     """The one store of links. index maps a node id to its dense index,
     given out as nodes are added, and ids maps back. links[i][j], kept at
-    both ends, is a link's latency; bw[i] is i's bandwidth (at least 1),
-    least[i] a lower bound on i's link latencies, and floor the least bw:
-    no path is narrower, since bandwidths never change. No answer depends
-    on order. Only add, link and drop write these, each telling every
-    repairer: added(i), linked(a, b, latency) or left(i, former_links). A
-    link is made once, and only drop removes it. online, the overlay's set
-    of online node ids, is only read here."""
+    both ends, is a link's latency; bw[i] is i's bandwidth (at least 1).
+    Two scalars bound every path: no link is shorter than least, the least
+    latency of any link ever made, and no path is narrower than floor, the
+    least bw, since bandwidths never change. No answer depends on order.
+    Only add, link and drop write these, each telling every repairer:
+    added(i), linked(a, b, latency) or left(i, former_links). A link is
+    made once, and only drop removes it. online, the overlay's set of
+    online node ids, is only read here."""
 
     def __init__(self, online: set[int]):
         self.online = online
@@ -41,7 +42,7 @@ class Graph:
         self.ids: list[int] = []
         self.links: list[dict[int, int]] = []
         self.bw: list[int] = []
-        self.least: list[int] = []
+        self.least = _UNBOUNDED
         self.floor = _UNBOUNDED
         self.repairers: list[NearestLabels] = []
 
@@ -54,7 +55,6 @@ class Graph:
         bw = max(1, bandwidth)
         self.bw.append(bw)
         self.floor = min(self.floor, bw)
-        self.least.append(_UNBOUNDED)
         for repairer in self.repairers:
             repairer.added(i)
 
@@ -68,8 +68,7 @@ class Graph:
         if ib in links_a:
             raise ValueError(f"{a!r} -- {b!r}: already linked")
         links_a[ib] = links_b[ia] = latency
-        least = self.least
-        least[ia], least[ib] = min(least[ia], latency), min(least[ib], latency)
+        self.least = min(self.least, latency)
         for repairer in self.repairers:
             repairer.linked(ia, ib, latency)
 
@@ -152,11 +151,12 @@ class Graph:
         path from frm plus ceil(size / the widest bottleneck bandwidth among
         those paths), or None if there is none; an offline end gives None
         and frm itself 0. Symmetric in frm and to. A direct link no longer
-        than least[frm] + least[to] is the answer: a detour leaves and
-        enters by other links, so it is no shorter, and no wider than the
-        narrower end. Every other target reads one search from frm, which
-        starts when the first of them needs it, resumes for the later ones
-        and is dropped on return: no search outlives the call.
+        than 2 * least is the answer: a detour leaves frm and enters to by
+        two other links, neither shorter than least, so it is no shorter,
+        and it is no wider than the narrower end. Every other target reads
+        one search from frm, which starts when the first of them needs it,
+        resumes for the later ones and is dropped on return: no search
+        outlives the call.
 
         A sized answer's transfer term ceil(size / W) is bracketed without
         _widest: every path's first and last links make W at most
@@ -167,7 +167,7 @@ class Graph:
         if frm not in online:
             return [None for _ in tos]
         src = self.index[frm]
-        links, least, bw = self.links[src], self.least, self.bw
+        links, bw = self.links[src], self.bw
         slowest = -(-size // self.floor)
         search = None
         out: list[int | None] = []
@@ -180,7 +180,7 @@ class Graph:
                 continue
             dst = self.index[to]
             latency = links.get(dst)
-            direct = latency is not None and latency <= least[src] + least[dst]
+            direct = latency is not None and latency <= 2 * self.least
             if not direct:
                 if search is None:
                     search = self._search(src)
@@ -243,8 +243,9 @@ class NearestLabels:
     tight parents are the neighbours p with label[p] + latency == label[v]:
     the same owner, one link nearer. Every link takes at least a tick, so
     they lead back to the owner, and a label stays exact while one tight
-    parent keeps its own. A source's cell, the nodes whose label it owns,
-    is what its loss cuts, so a lost source's cell is found by owner."""
+    parent keeps its own. A lost source is cut like any lost node: its
+    label sits at latency 0, so it has no tight parent, and the walk from
+    it finds its cell, the nodes whose label it owns."""
 
     def __init__(self, graph: Graph):
         self._graph = graph
@@ -261,7 +262,7 @@ class NearestLabels:
         if want != sources:
             gone = sources - want
             sources -= gone
-            heap = self._drop_cells(gone) if gone else []
+            heap = self._cut(gone) if gone else []
             label, ids = self._label, self._graph.ids
             for s in want - sources:
                 label[s] = ids[s]
@@ -296,31 +297,16 @@ class NearestLabels:
 
     def left(self, i: int, former_links: dict[int, int]) -> None:
         """Node i went offline and lost former_links. A source stops being
-        one at once, so that a rejoin does not bring it back as one, and
-        its cell is dropped. Any other node's tight children are found from
-        its label, still intact, and cut."""
+        one at once, so that a rejoin does not bring it back as one. Its
+        tight children are found from its label, still intact, and cut."""
+        self._sources.discard(i)
         label = self._label
-        if i in self._sources:
-            self._sources.discard(i)
-            self._spread(self._drop_cells((i,)))
-            return
         li = label[i]
         children = [c for c, latency in former_links.items()
                     if label[c] == li + (latency << ID_BITS)]
         label[i] = _UNLABELLED
         if children:
             self._spread(self._cut(children))
-
-    def _drop_cells(self, gone) -> list:
-        """Reseed the cells of the gone sources, indices no longer in
-        _sources: every node whose label one of them owns. A tight parent
-        has its child's owner, so a cell member's tight paths all lead to a
-        gone source, and the cells are exactly what _cut would find lost
-        from the gone sources, found here without its walk."""
-        ids = self._graph.ids
-        owners = {ids[s] for s in gone}
-        return self._reseed([v for v, lv in enumerate(self._label)
-                             if (lv & _OWNER) in owners])
 
     def _cut(self, suspects) -> list:
         """Unlabel the nodes that lost every tight path to their owner and
@@ -331,9 +317,11 @@ class NearestLabels:
         parent outside the lost set; a lost node's children are suspects in
         turn. A tight parent's label is lower, so by a node's turn every
         lost node that could be its parent is known, and the lost set is
-        exact. No suspect is a source: a source's label is at latency 0, so
-        it is no node's tight child. Every other label stays exact: it
-        keeps a tight path, and no route got shorter."""
+        exact. No suspect is a current source: a source's label is at
+        latency 0, so it is no node's tight child. A gone source's label is
+        still at latency 0, so it has no tight parent: it is lost, and its
+        cell follows. Every other label stays exact: it keeps a tight path,
+        and no route got shorter. A lost neighbour offers nothing."""
         label, links = self._label, self._graph.links
         heap = [(label[v], v) for v in suspects]
         heapq.heapify(heap)
@@ -356,13 +344,6 @@ class NearestLabels:
                 lost.add(v)
                 for child in children:
                     heapq.heappush(heap, child)
-        return self._reseed(lost)
-
-    def _reseed(self, lost) -> list:
-        """Unlabel the lost nodes, then label each from the least label its
-        neighbours offer; return those labelled as (label, index) pairs for
-        _spread. A lost neighbour offers nothing."""
-        label, links = self._label, self._graph.links
         for v in lost:
             label[v] = _UNLABELLED
         heap = []

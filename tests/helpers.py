@@ -76,7 +76,7 @@ def assert_kept_facts(overlay: Overlay) -> None:
             assert links[j].get(i) == latency, (i, j)
         if peers:
             assert ids[i] in online, i
-            assert graph.least[i] <= min(peers.values()), i
+            assert graph.least <= min(peers.values()), i
     adj = overlay.adj
     assert adj == {n: {ids[j]: latency
                        for j, latency in links[graph.index[n]].items()}

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import configparser
+import csv
 import hashlib
 import io
 import json
@@ -38,6 +39,7 @@ from c3sim.harness.config import (
 )
 from c3sim.harness.io import read_logs, report_csv, report_json, write_outputs
 from c3sim.harness.metrics import COLUMNS, column_index, compute_report, percentile
+from c3sim.harness.recompute import main as recompute_main
 from c3sim.harness.recompute import recompute
 from c3sim.harness.runner import Runner, run_scenario
 from c3sim.harness.workloads import WorkloadItem, generate
@@ -1213,6 +1215,47 @@ class TestRunOutputs:
         keys = [line.split(",", 1)[0] for line in lines[1:]]
         assert keys == sorted(small_run.report)
 
+    @staticmethod
+    def edit_table(out, name, edit):
+        """Rewrite out/<name>.csv as edit(rows) returns it."""
+        path = out / f"{name}.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(rows))
+
+    @pytest.mark.parametrize("name,edit,message", [
+        ("requests", lambda rows: rows[:2] + [rows[2][:-3]] + rows[3:],
+         rf"requests\.csv:3: {len(COLUMNS['requests']) - 3} cells, "
+         rf"not {len(COLUMNS['requests'])}$"),
+        ("prices", lambda rows: [["a", "b"]] + rows[1:],
+         r"prices\.csv:1: header is not at,compute,storage,bandwidth$"),
+        ("prices", lambda rows: rows[:2] + [rows[2][:1] + ["x"] + rows[2][2:]]
+         + rows[3:], r"prices\.csv:3: could not convert string to float"),
+    ], ids=["row-cut-short", "wrong-header", "bad-cell"])
+    def test_a_malformed_table_is_refused_with_its_line(
+            self, small_run, tmp_path, name, edit, message):
+        write_outputs(small_run.logs, small_run.report, tmp_path)
+        self.edit_table(tmp_path, name, edit)
+        with pytest.raises(ValueError, match=message):
+            read_logs(tmp_path)
+
+    def test_a_missing_table_is_refused(self, small_run, tmp_path):
+        write_outputs(small_run.logs, small_run.report, tmp_path)
+        (tmp_path / "prices.csv").unlink()
+        with pytest.raises(FileNotFoundError, match=r"prices\.csv"):
+            read_logs(tmp_path)
+
+    def test_recompute_exits_2_on_a_malformed_table(self, small_run, tmp_path,
+                                                    capsys):
+        write_outputs(small_run.logs, small_run.report, tmp_path)
+        self.edit_table(tmp_path, "requests",
+                        lambda rows: rows[:-1] + [rows[-1][:-3]])
+        assert recompute_main([str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {tmp_path / 'requests.csv'}:")
+        assert captured.out == ""
+
 
 # ---------------------------------------------------------------- cli
 
@@ -1261,6 +1304,70 @@ class TestCli:
                          "--out", str(out)]) == 0
         assert (out / "report.csv").read_text().startswith("metric,value")
         assert not (out / "report.json").exists()
+
+    def test_csv_report_lands_on_stdout_without_out(self, scenario_file, capsys):
+        assert cli.main(["--scenario", str(scenario_file), "--until", "3000",
+                         "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("metric,value\n")
+        assert "seed,5\n" in out and "horizon,3000\n" in out
+
+    @pytest.mark.parametrize("scenario", ["mixed_churn", "video_small",
+                                          "wiki_small"])
+    def test_shipped_scenarios_pass_check_with_out(self, scenario, tmp_path):
+        assert cli.main(["--scenario", str(SCENARIO_DIR / f"{scenario}.ini"),
+                         "--out", str(tmp_path), "--check"]) == 0
+
+    @staticmethod
+    def planted(monkeypatch, fault):
+        """cli.write_outputs writes what fault(logs, report) returns."""
+        def write(logs, report, out_dir, report_format="json"):
+            write_outputs(*fault(dict(logs), dict(report)), out_dir,
+                          report_format)
+        monkeypatch.setattr(cli, "write_outputs", write)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_dropped_log_row_fails_check(self, scenario_file, tmp_path,
+                                           monkeypatch, capsys, fmt):
+        def drop_row(logs, report):
+            logs["transfers"] = logs["transfers"][:-1]
+            return logs, report
+        self.planted(monkeypatch, drop_row)
+        assert cli.main(["--scenario", str(scenario_file), "--out",
+                         str(tmp_path), "--format", fmt, "--check"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("violation: recompute: ")
+        assert err.split()[-1] in recompute(tmp_path)
+
+    def test_a_malformed_log_table_fails_check(self, scenario_file, tmp_path,
+                                               monkeypatch, capsys):
+        def cut_row(logs, report):
+            logs["transfers"] = logs["transfers"][:-1] + [
+                logs["transfers"][-1][:-1]]
+            return logs, report
+        self.planted(monkeypatch, cut_row)
+        assert cli.main(["--scenario", str(scenario_file), "--out",
+                         str(tmp_path), "--check"]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"violation: recompute: {tmp_path / 'transfers.csv'}:")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_report_value_off_in_its_last_digit_fails_check(
+            self, scenario_file, tmp_path, monkeypatch, capsys, fmt):
+        def nudge(logs, report):
+            n = report["requests_issued"]
+            report["requests_issued"] = n - n % 10 + (n + 1) % 10
+            return logs, report
+        self.planted(monkeypatch, nudge)
+        assert cli.main(["--scenario", str(scenario_file), "--out",
+                         str(tmp_path), "--format", fmt, "--check"]) == 3
+        assert capsys.readouterr().err == (
+            "violation: recompute: requests_issued\n")
+
+    def test_check_without_out_runs_the_audits_only(
+            self, scenario_file, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "difference", lambda *a: pytest.fail("read"))
+        assert cli.main(["--scenario", str(scenario_file), "--check"]) == 0
 
     def test_out_naming_a_file_exits_2_before_the_run(
             self, scenario_file, tmp_path, capsys, monkeypatch):

@@ -438,9 +438,9 @@ def linked_graph(n, links, bandwidths=()):
 
 def linked_facts(overlay, labels):
     """What a link write may move: the links, the facts kept for
-    maintenance, the graph's least latencies and labels' labels."""
+    maintenance, the graph's least link latency and labels' labels."""
     return (overlay.adj, set(overlay._under), dict(overlay._inter),
-            list(overlay.graph.least), list(labels._label))
+            overlay.graph.least, list(labels._label))
 
 
 def link_or_refuse(overlay, a, b, latency):
@@ -726,7 +726,7 @@ def searched_routes(graph, frm, tos, size):
             continue
         dst = graph.index[to]
         latency = links.get(dst)
-        if latency is None or latency > least[src] + least[dst]:
+        if latency is None or latency > 2 * least:
             if search is None:
                 search = graph._search(src)
             latency = graph._settle(search, (dst,))
