@@ -121,12 +121,12 @@ def _instance_spans(logs: Logs, horizon: int):
     return spans
 
 
-def _cascade_max(logs: Logs, services: list[str], horizon: int) -> int:
+def _cascade_max(spans, services: list[str], horizon: int) -> int:
     """Largest number of services with zero live instances at one time."""
     if not services:
         return 0
     deltas: dict[int, dict[str, int]] = {}
-    for service, _node, start, end in _instance_spans(logs, horizon):
+    for service, _node, start, end in spans:
         deltas.setdefault(start, {}).setdefault(service, 0)
         deltas[start][service] += 1
         if end < horizon:
@@ -183,8 +183,8 @@ def compute_report(logs: Logs) -> dict:
                        if key.startswith("code_size.")})
     spans = _instance_spans(logs, horizon)
     code_size = {s: int(meta[f"code_size.{s}"]) for s in services}
-    storage_ticks = sum(online[n] * int(row[4])
-                        for row in logs.get("nodes", ()) for n in [row[0]])
+    storage_ticks = sum(online[row[0]] * row[4]
+                        for row in logs.get("nodes", ()))
     occupied = sum((end - start) * code_size.get(service, 0)
                    for service, _node, start, end in spans)
 
@@ -193,7 +193,7 @@ def compute_report(logs: Logs) -> dict:
 
     report = {
         "availability": completed / issued if issued else 1.0,
-        "cascade_max": _cascade_max(logs, services, horizon),
+        "cascade_max": _cascade_max(spans, services, horizon),
         "convergence_lag_max": max(lags) if lags else 0,
         "currency_velocity": len(logs.get("transfers", ())) * 1_000_000 / horizon,
         "horizon": horizon,

@@ -317,9 +317,8 @@ class Runner:
         at = self.sim.now
         self.overlay.maintenance()
         self.replicator.upkeep(at)
-        for adopt in self.evolution.adoption_tick(self.overlay.is_online):
-            self._log("adoptions", at, adopt.node.short, adopt.service_id,
-                      adopt.from_version, adopt.to_version, adopt.cause)
+        self._log_adoptions(at, self.evolution.adoption_tick(
+            self.overlay.is_online))
 
     def _on_sweep(self) -> None:
         self.repo.sweep(self.sim.now, self.services.held_storage(),
@@ -348,6 +347,11 @@ class Runner:
         for act in actions:
             self._log("placements", act.at, act.service_id, act.action,
                       act.host.short if act.host else "", act.region)
+
+    def _log_adoptions(self, at: SimTime, adoptions) -> None:
+        for adopt in adoptions:
+            self._log("adoptions", at, adopt.node.short, adopt.service_id,
+                      adopt.from_version, adopt.to_version, adopt.cause)
 
     # -- membership ------------------------------------------------------------------------
 
@@ -430,11 +434,8 @@ class Runner:
             if not self.overlay.online_ids:
                 return
             origins = [min(self.overlay.online_ids)]
-        for adopt in self.evolution.release(service_id, "2.0", "1.0",
-                                            svc.update_fitness,
-                                            sorted(set(origins))):
-            self._log("adoptions", at, adopt.node.short, adopt.service_id,
-                      adopt.from_version, adopt.to_version, adopt.cause)
+        self._log_adoptions(at, self.evolution.release(
+            service_id, "2.0", "1.0", svc.update_fitness, sorted(set(origins))))
 
     # -- execution ------------------------------------------------------------------------
 

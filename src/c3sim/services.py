@@ -29,17 +29,14 @@ and carry no price. Every plan carries its budget from admission, so
 `plan_invoke` serves both runtimes: `admit` sets the declared draw, and the
 vendor's `admit` the request's own draw.
 
-Sessions are metered per host, not per session. A host shares its bandwidth
-equally among its live sessions (processor sharing), and every session of a
-run streams at the one `stream_rate`, so in each metered interval every
-session on a host streams the same `delivered * span` and is below the floor
-or not together. One `StreamAccount` per host keeps those terms, the current
-below-floor stretch and the latest begin tick whose sessions have failed, so
-metering costs the same however many sessions share the host. A session
-records the term index and tick it began at. It reads its `streamed` at close
-as a left-to-right fold of its terms from 0.0: the same float additions in
-the same order as adding each term to a running total while it streams. So
-the account is exact; a difference of running sums would round otherwise.
+Sessions are metered per host. A host shares its bandwidth equally among
+its live sessions (processor sharing), and every session of a run streams at
+the one `stream_rate`, so in each metered interval every session on a host
+streams the same `delivered * span` and is below the floor or not together.
+One `StreamAccount` per host, kept while it has live sessions, holds them,
+the current below-floor stretch and the latest begin tick whose sessions
+have failed. Metering adds the interval's term to each live session's
+running total and checks the floor once for the whole host.
 
 Placement is demand-following when push mode is on: each window the traffic
 share per region sets a replica target (one replica per KAPPA_SHARE of
@@ -55,8 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
 from .engine import RngStream, SimTime
 from .ledger import Ledger
@@ -149,41 +144,29 @@ class InvokePlan:
 class Session:
     """A stream at the runtime's `stream_rate` for `duration` ticks; it
     fails once its share of the host's bandwidth stays under the floor for
-    the sustain window. Beginning sets `begun`, its first metered tick, and
-    `first`, the index of its first term in its host's `StreamAccount`.
-    Closing sets `streamed`, the fold of its terms. It needs no state of its
-    own while it streams: its host's account answers for it."""
+    the sustain window. Beginning sets `begun`, its first metered tick;
+    `streamed` is its running total, to which each metering of its host adds
+    that interval's term. Its host's account answers whether it failed."""
     plan: InvokePlan
     duration: int
     begun: SimTime = 0
-    first: int = 0
     streamed: float = 0.0
 
 
 @dataclass(slots=True, eq=False)
 class StreamAccount:
-    """One host's stream meter while it has live sessions.
+    """One host's stream meter, kept while it has live sessions.
 
-    `terms[i - base]` is what each live session streamed in the host's i-th
-    metered interval. `below_since` starts the current below-floor stretch:
+    `live` holds those sessions in begin order. Every one of them gets the
+    same share in each interval, so the floor is checked once per host, not
+    once per session. `below_since` starts the current below-floor stretch:
     after an interval at or above the floor it is that interval's end. A
     session begun at or before `failed_upto` has stayed under the floor for
     the whole sustain window since it began."""
     metered_at: SimTime
     below_since: SimTime
     failed_upto: SimTime
-    base: int = 0
-    terms: list[float] = field(default_factory=list)
-
-    def streamed(self, session: Session) -> float:
-        """The session's terms folded left to right from 0.0. Not `sum()`:
-        from CPython 3.12 it compensates float sums and rounds otherwise."""
-        return reduce(add, self.terms[session.first - self.base:], 0.0)
-
-    def trim(self, first: int) -> None:
-        """Drop the terms before index `first`, which no live session reads."""
-        del self.terms[:first - self.base]
-        self.base = first
+    live: list[Session] = field(default_factory=list)
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,8 +221,7 @@ class ServiceRuntime:
         self.rng = rng
         self.instances: dict[str, list[Instance]] = {}
         self.busy_until: dict[NodeId, SimTime] = {}
-        # Per host, its live sessions in begin order and their account.
-        self.sessions: dict[NodeId, list[Session]] = {}
+        # Per host with live sessions, its stream account.
         self._accounts: dict[NodeId, StreamAccount] = {}
         self._rate = float(config.stream_rate)
         self._floor = config.floor * config.stream_rate
@@ -455,20 +437,16 @@ class ServiceRuntime:
         account = self._meter(host, at)
         if account is None:
             account = self._accounts[host] = StreamAccount(at, at, at - 1)
-        session.begun, session.first = at, account.base + len(account.terms)
-        self.sessions.setdefault(host, []).append(session)
+        session.begun = at
+        account.live.append(session)
         return True
 
     def end_session(self, session: Session, at: SimTime) -> None:
         host = session.plan.host
         account = self._meter(host, at)
-        live = self.sessions[host]
-        live.remove(session)
-        session.streamed = account.streamed(session)
+        account.live.remove(session)
         failed = session.begun <= account.failed_upto
-        if live:
-            account.trim(live[0].first)
-        else:
+        if not account.live:
             del self._accounts[host]
         self._close(session, "failed-throughput" if failed else COMPLETED, at)
 
@@ -482,17 +460,16 @@ class ServiceRuntime:
             plan.bill(0)
         self._meter(host, at)
         account = self._accounts.pop(host, None)
-        lost = self.sessions.pop(host, [])
+        lost = account.live if account else []
         for session in lost:
-            session.streamed = account.streamed(session)
             self._close(session, "host-offline", at)
         return calls + [s.plan for s in lost]
 
     def _meter(self, host: NodeId, now: SimTime) -> StreamAccount | None:
         """Step the host's account, if it has live sessions, over the ticks
         since it was last metered: each session gets an equal share of the
-        host's bandwidth, capped at the stream rate. One term and one floor
-        check serve every session on the host."""
+        host's bandwidth, capped at the stream rate, and adds it to its
+        running total. One floor check serves every session on the host."""
         account = self._accounts.get(host)
         if account is None:
             return None
@@ -500,8 +477,10 @@ class ServiceRuntime:
         if span > 0:
             account.metered_at = now
             delivered = min(self._rate, self.overlay.records[host]
-                            .capacity.bandwidth / len(self.sessions[host]))
-            account.terms.append(delivered * span)
+                            .capacity.bandwidth / len(account.live))
+            term = delivered * span
+            for session in account.live:
+                session.streamed += term
             if delivered >= self._floor:
                 account.below_since = now
             elif now - account.below_since >= self._sustain:

@@ -1,6 +1,7 @@
 """The pinned log digests, checked without pytest.
 
     python3 tests/check_digests.py
+    python3 tests/check_digests.py SCENARIO K MODE SEED
 
 Reads the pinned digests from tests/test_golden.py by parsing it, so it
 needs neither pytest nor the test modules' imports. It runs each pinned
@@ -9,6 +10,11 @@ digest differs or any run fails an audit, else 0. Any CPython 3.10 or
 later can run it, which shows whether a change that touches float
 arithmetic gives the same logs on every interpreter. test_golden.py
 builds its runs with the helpers here.
+
+With arguments it makes one run, `scaled(SCENARIO, K, MODE, SEED)`, at a
+scale and seed no pin need cover, and prints its full-log digest and its
+audit violations; it exits 1 on a violation, else 0. Running it on two
+trees compares their logs at that scale, e.g. `wiki_small 4 community 42`.
 """
 from __future__ import annotations
 
@@ -91,7 +97,23 @@ def pinned_runs(source: str):
                partial(scaled, scenario, k, mode, seed), digest)
 
 
-def main() -> int:
+def one_run(scenario: str, k: str, mode: str, seed: str) -> int:
+    """Print the digest and audit violations of one scaled run."""
+    digest, violations = digest_and_audits(scaled(scenario, int(k), mode,
+                                                  int(seed)))
+    print(f"{scenario} x{k} {mode} seed {seed}: {digest}")
+    for violation in violations:
+        print(f"     audit: {violation}")
+    return 1 if violations else 0
+
+
+def main(argv: list[str]) -> int:
+    if argv:
+        if len(argv) != 4:
+            print("usage: check_digests.py [SCENARIO K MODE SEED]",
+                  file=sys.stderr)
+            return 2
+        return one_run(*argv)
     runs = list(pinned_runs((TESTS / "test_golden.py").read_text()))
     bad = 0
     for label, build, pinned in runs:
@@ -108,4 +130,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+import check_digests
 from check_digests import digest_and_audits, scaled, shipped
 
 GOLDEN = {
@@ -86,3 +87,24 @@ def test_scaled_run_matches_its_digest_and_passes_audits(scenario, k, mode, seed
     digest, violations = digest_and_audits(scaled(scenario, k, mode, seed))
     assert digest == SCALED_GOLDEN[scenario, k, mode, seed]
     assert violations == []
+
+
+class TestOneRun:
+    """`check_digests.py SCENARIO K MODE SEED` prints one scaled run's
+    digest and audit violations, for comparing two trees where no pin is."""
+
+    def test_it_prints_the_pinned_digest(self, capsys):
+        assert check_digests.main(["wiki_small", "4", "community", "42"]) == 0
+        assert capsys.readouterr().out.split() == [
+            "wiki_small", "x4", "community", "seed", "42:",
+            SCALED_GOLDEN["wiki_small", 4, "community", 42]]
+
+    def test_an_audit_violation_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(check_digests, "digest_and_audits",
+                            lambda config: ("0" * 64, ["planted"]))
+        assert check_digests.main(["wiki_small", "4", "community", "42"]) == 1
+        assert "audit: planted" in capsys.readouterr().out
+
+    def test_a_partial_argument_list_is_a_usage_error(self, capsys):
+        assert check_digests.main(["wiki_small", "4"]) == 2
+        assert "usage" in capsys.readouterr().err

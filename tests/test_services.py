@@ -490,7 +490,7 @@ class TestSessionMetering:
             assert s.plan.outcome == "failed-throughput"
             assert s.plan.consumed == ResourceVector(bandwidth=150)
             assert s.plan.charged == 0
-        assert rt.sessions[sessions[0].plan.host] == []
+        assert sessions[0].plan.host not in rt._accounts
 
     def test_a_host_loss_ends_calls_then_sessions_uncharged(self):
         rt, ids = self.runtime(bandwidth=1000)
@@ -508,7 +508,7 @@ class TestSessionMetering:
         assert (plan.outcome, plan.charged) == ("host-offline", 0)
         assert plan.consumed == ResourceVector(bandwidth=80)  # 40 ticks at 2
         assert rt.take_demand() == ResourceVector(bandwidth=80)
-        assert host not in rt.sessions
+        assert host not in rt._accounts
 
 
 @dataclass(eq=False)
@@ -519,9 +519,9 @@ class ReferenceStream:
 
 
 class ReferenceMeter:
-    """Per-session metering, as the runtime did it before its per-host
-    accounts: at each metering every session on the host adds its own term
-    to its own total and steps its own below-floor run."""
+    """Per-session metering, with no per-host floor state: at each metering
+    every session on the host adds its own term to its own total and steps
+    its own below-floor run."""
 
     def __init__(self, bandwidths, rate, floor, sustain):
         self.bandwidths, self.rate = bandwidths, rate
@@ -563,8 +563,10 @@ class ReferenceMeter:
 
 
 class TestStreamAccounts:
-    """The per-host accounts close every session exactly as metering each
-    session on its own would: same outcome, same consumed, same float."""
+    """The per-host accounts, one floor check per host and a running total
+    per session, close every session exactly as metering each session on its
+    own would: same outcome, same consumed, same float. No account outlives
+    its host's last live session."""
 
     # Short steps against short sustain windows, and more begins and ends
     # than cut-offs, so that below-floor stretches start, break and resume
@@ -589,7 +591,8 @@ class TestStreamAccounts:
     @example(bandwidths=[3], rate=2, floor=0.8, sustain=5,
              ops=[("begin", 0, 0), ("cut", 0, 1), ("begin", 0, 1),
                   ("end", 0, 2)])
-    # a late session's fold, 7/4, is not a difference of running sums
+    # a late session's total adds only its own terms of 7/4, so it is not a
+    # difference of running sums
     @example(bandwidths=[7], rate=3, floor=0.5, sustain=25,
              ops=[("begin", 0, 0)] * 3 + [("begin", 0, 1), ("end", 3, 1)])
     def test_closed_sessions_match_per_session_metering(
